@@ -18,10 +18,12 @@
 //!
 //! # Execution model
 //!
-//! A campaign runs in three phases around a shared
-//! [`PropagationCache`]:
+//! There is one engine, [`Campaign::run_resumable`]; [`Campaign::run`] is
+//! that engine with checkpointing off. Each segment of the slot window
+//! (the whole window when checkpointing is off) runs in three phases
+//! around a shared [`PropagationCache`]:
 //!
-//! 1. **Prepare** (parallel) — every epoch the run will touch at full
+//! 1. **Prepare** (parallel) — every epoch the segment will touch at full
 //!    catalog width (each slot's truth snapshot, plus — in identified
 //!    mode — each slot's two published-TLE boundary rows) is batch-
 //!    propagated once into the cache's immutable epoch table. Every later
@@ -29,38 +31,36 @@
 //! 2. **Schedule** (sharded, parallel) — the terminals are split into
 //!    contiguous shards (see [`CampaignConfig::shards`]) and each worker
 //!    replays the hidden scheduler over just its shard's terminals,
-//!    deriving fields of view (through the terminal-cohort fast path by
-//!    default — see [`CampaignConfig::cohorts`]), applying the fault
+//!    deriving fields of view through the terminal-cohort path
+//!    ([`GlobalScheduler::fields_of_view_cohort`]), applying the fault
 //!    mask, and allocating slot by slot. Per-terminal RNG streams and
-//!    hysteresis keys make a
-//!    terminal's allocation a function of `(seed, terminal id, sky)`
-//!    alone, so the merged shard outputs are bit-identical to one
-//!    monolithic scheduler walking all terminals;
+//!    hysteresis keys make a terminal's allocation a function of
+//!    `(seed, terminal id, sky)` alone, so the merged shard outputs are
+//!    bit-identical to one monolithic scheduler walking all terminals;
 //! 3. **Observe** (parallel) — each terminal independently replays its
 //!    allocations: dish painting, XOR isolation, and DTW identification,
 //!    with published-TLE propagation read through the prepared table and
 //!    a per-worker sparse memo — no locks on the hot path.
 //!
-//! The phase split is bit-transparent: every phase consumes exactly the
-//! inputs the old slot-by-slot loop produced, so observations are
-//! byte-identical for any worker-thread count and any shard count (see
-//! [`CampaignConfig::threads`]), and the determinism tests hold
-//! multi-threaded, multi-shard runs to the single-threaded stream field
-//! by field.
+//! Observations are byte-identical for any worker-thread count and any
+//! shard count (see [`CampaignConfig::threads`]), and the determinism
+//! tests hold multi-threaded, multi-shard runs to the single-threaded
+//! stream field by field.
 
-use crate::degrade::{DegradationStats, DegradeReason, SlotOutcome};
+use crate::degrade::{DegradeReason, SlotOutcome};
+use crate::resume::ResumeConfig;
 use crate::vantage;
 use starsense_astro::time::JulianDate;
 use starsense_constellation::{Constellation, PropagationCache, VisibleSat};
 use starsense_faults::{FaultPlan, PropagationSchedule};
 use starsense_ident::{
-    slot_boundary_epochs, verdict_slot_tracked, DishSimulator, FrameStatus, IdentVerdict,
-    NoDataReason, SlotCapture, TrackCache, CANDIDATE_SAMPLES_PER_SLOT, MIN_CANDIDATE_ELEVATION_DEG,
+    verdict_slot_tracked, DishSimulator, FrameStatus, IdentVerdict, NoDataReason, SlotCapture,
+    TrackCache, CANDIDATE_SAMPLES_PER_SLOT, MIN_CANDIDATE_ELEVATION_DEG,
 };
-use starsense_scheduler::slots::{slot_index, slot_start, SLOT_PERIOD_SECONDS};
+use starsense_scheduler::slots::slot_start;
 use starsense_scheduler::{Allocation, GlobalScheduler, SchedulerPolicy, Terminal};
 
-/// How one supervised (or plain parallel-phase) worker attempt failed.
+/// How one supervised work-unit attempt failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ShardFailure {
     /// The worker panicked; the payload is carried as text.
@@ -83,22 +83,16 @@ impl std::fmt::Display for ShardFailure {
     }
 }
 
-/// Typed campaign failure — what [`Campaign::try_run_with_stats`] and the
-/// resumable engine report instead of propagating worker panics.
+/// Typed campaign failure — what [`Campaign::run_resumable`] reports
+/// instead of propagating worker panics. [`Campaign::run`] turns it back
+/// into a panic.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CampaignError {
-    /// A parallel-phase worker panicked. `shard` is the scheduling-shard
-    /// index in the schedule phase and the terminal id in the observation
-    /// phase.
-    WorkerPanicked {
-        /// Failing work-unit index.
-        shard: usize,
-        /// Stringified panic payload.
-        payload: String,
-    },
     /// A supervised work unit exhausted its retry budget while quarantine
-    /// was disabled (`worker_quarantine_after == 0`), so the resumable
-    /// engine failed fast instead of degrading the unit's slots.
+    /// was disabled (`worker_quarantine_after == 0`, as in
+    /// [`Campaign::run`]), so the engine failed fast instead of degrading
+    /// the unit's slots. A worker panic surfaces here with
+    /// [`ShardFailure::Panicked`].
     WorkerExhausted {
         /// Failing work-unit id (scheduling shards count from 0;
         /// observation terminals are offset by `2^32` — see
@@ -116,9 +110,6 @@ pub enum CampaignError {
 impl std::fmt::Display for CampaignError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CampaignError::WorkerPanicked { shard, payload } => {
-                write!(f, "campaign worker for unit {shard} panicked: {payload}")
-            }
             CampaignError::WorkerExhausted { unit, attempts, failure } => {
                 write!(f, "work unit {unit} failed {attempts} attempts; last: {failure}")
             }
@@ -224,14 +215,6 @@ pub struct CampaignConfig {
     /// merged output bit-identical for every shard count. `0` derives the
     /// shard count from the worker-thread count.
     pub shards: usize,
-    /// Share visibility work across terminals that fall in the same
-    /// visibility-index grid cell (the cohort fast path,
-    /// [`GlobalScheduler::fields_of_view_cohort`]). Candidate sharing is a
-    /// provable superset construction and every terminal still runs the
-    /// exact per-terminal elevation test, so the observation stream is
-    /// byte-identical with the flag on or off — `false` exists for A/B
-    /// measurement and the invariance tests, not for correctness.
-    pub cohorts: bool,
     /// Deterministic fault-injection plan. The default
     /// ([`FaultPlan::none`]) keeps every output bit-identical to a
     /// fault-unaware campaign: fault decisions are counter-based hashes
@@ -257,7 +240,6 @@ impl Default for CampaignConfig {
             identified: false,
             threads: 0,
             shards: 0,
-            cohorts: true,
             faults: FaultPlan::none(),
             min_margin: 0.0,
             frame_retries: 2,
@@ -337,217 +319,32 @@ impl<'a> Campaign<'a> {
     /// Runs `slots` consecutive slots starting at the slot containing
     /// `from`. Returns observations slot-major, terminal-minor.
     ///
-    /// Observations are byte-identical for any [`CampaignConfig::threads`]
-    /// value: the stateful scheduler pass is serial either way, and the
-    /// parallel phases compute pure per-slot / per-terminal functions whose
-    /// results are merged back in slot-major, terminal-minor order.
+    /// This is [`Campaign::run_resumable`] with [`ResumeConfig::default`]:
+    /// no checkpoints and no retry or quarantine budget. Observations are
+    /// byte-identical for any [`CampaignConfig::threads`] and
+    /// [`CampaignConfig::shards`] value.
+    ///
+    /// # Panics
+    ///
+    /// A worker panic propagates as a panic carrying the original payload
+    /// text; any other engine failure (including an injected worker fault
+    /// from [`FaultPlan::worker_fault`]) panics with its message. Use
+    /// `run_resumable` with a supervision budget to ride such faults out.
     pub fn run(&self, from: JulianDate, slots: usize) -> Vec<SlotObservation> {
-        self.run_with_stats(from, slots).0
-    }
-
-    /// [`Campaign::run`] with worker panics surfaced as a typed
-    /// [`CampaignError`] instead of unwinding through the thread joins.
-    pub fn try_run(
-        &self,
-        from: JulianDate,
-        slots: usize,
-    ) -> Result<Vec<SlotObservation>, CampaignError> {
-        Ok(self.try_run_with_stats(from, slots)?.0)
-    }
-
-    /// [`Campaign::run`] plus the run's [`DegradationStats`] — outcome
-    /// tallies from the observation stream and the fault schedule's
-    /// quarantine counters.
-    pub fn run_with_stats(
-        &self,
-        from: JulianDate,
-        slots: usize,
-    ) -> (Vec<SlotObservation>, DegradationStats) {
-        match self.try_run_with_stats(from, slots) {
-            Ok(out) => out,
-            // Legacy contract: a worker panic propagates to the caller as
-            // a panic carrying the original payload text.
-            Err(CampaignError::WorkerPanicked { payload, .. }) => {
-                std::panic::resume_unwind(Box::new(payload))
-            }
+        match self.run_resumable(from, slots, &ResumeConfig::default()) {
+            Ok((obs, _, _)) => obs,
+            Err(CampaignError::WorkerExhausted {
+                failure: ShardFailure::Panicked { payload },
+                ..
+            }) => std::panic::resume_unwind(Box::new(payload)),
             Err(other) => std::panic::resume_unwind(Box::new(other.to_string())),
         }
     }
 
-    /// [`Campaign::run_with_stats`] with worker panics mapped to
-    /// [`CampaignError::WorkerPanicked`]: the panic is caught at the
-    /// work-unit boundary, stringified, and returned — nothing unwinds
-    /// through the scoped thread joins.
-    pub fn try_run_with_stats(
-        &self,
-        from: JulianDate,
-        slots: usize,
-    ) -> Result<(Vec<SlotObservation>, DegradationStats), CampaignError> {
-        let threads = self.worker_threads();
-        let cache = PropagationCache::new(self.constellation);
-
-        // Query each slot at its midpoint: slot boundaries are derived from
-        // the instant, and a midpoint query can never fall on the wrong
-        // side of a boundary through float rounding.
-        let first_mid = slot_start(from).plus_seconds(SLOT_PERIOD_SECONDS / 2.0);
-        let mids: Vec<JulianDate> =
-            (0..slots).map(|k| first_mid.plus_seconds(k as f64 * SLOT_PERIOD_SECONDS)).collect();
-
-        // Injected propagation failures (and their quarantine closure) are
-        // precomputed serially into a bitset so the parallel visibility
-        // phase can consult them without any ordering dependence.
-        let schedule = self.config.faults.enabled().then(|| {
-            let mut ids: Vec<u32> = self.constellation.sats().iter().map(|s| s.norad_id).collect();
-            ids.sort_unstable();
-            let first_slot = slot_index(first_mid);
-            let schedule = PropagationSchedule::build(
-                &self.config.faults,
-                &ids,
-                first_slot,
-                slots,
-                self.config.quarantine_after,
-            );
-            (schedule, ids)
-        });
-
-        // Phase 1 (parallel): batch-propagate every full-width epoch the
-        // run will touch into the cache's immutable table — each slot's
-        // truth snapshot, and in identified mode each slot's two published
-        // boundary rows. Everything after this reads lock-free.
-        let starts: Vec<JulianDate> = mids.iter().map(|&at| slot_start(at)).collect();
-        let boundaries: Vec<JulianDate> = if self.config.identified {
-            starts
-                .iter()
-                .flat_map(|&s| slot_boundary_epochs(s, CANDIDATE_SAMPLES_PER_SLOT))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        cache.prepare(&starts, &boundaries, threads);
-
-        // Phase 2 (sharded, parallel): each shard's worker owns a
-        // sub-scheduler over a contiguous run of terminals and replays it
-        // slot by slot. Hysteresis and the allocation RNG are per-terminal
-        // state, so the shard outputs merge bit-identically to one
-        // monolithic scheduler walking all terminals in slot order.
-        let per_terminal = self.schedule_phase(&cache, &mids, threads, schedule.as_ref())?;
-
-        // Phase 3 (parallel): each terminal replays its own allocation
-        // stream — dish painting and DTW identification are per-terminal
-        // state machines with no cross-terminal coupling.
-        let per_terminal_obs = self.observation_phase(&cache, per_terminal, threads)?;
-
-        // Merge back to the slot-major, terminal-minor order the serial
-        // loop used to produce.
-        let mut columns: Vec<std::vec::IntoIter<SlotObservation>> =
-            per_terminal_obs.into_iter().map(Vec::into_iter).collect();
-        let mut out = Vec::with_capacity(slots * self.terminals.len());
-        for _ in 0..slots {
-            for column in &mut columns {
-                if let Some(obs) = column.next() {
-                    out.push(obs);
-                }
-            }
-        }
-
-        let mut stats = DegradationStats::collect(&out);
-        if let Some((schedule, _)) = &schedule {
-            stats.quarantined_sats = schedule.quarantined_count();
-            stats.masked_propagations = schedule.masked_slot_count();
-        }
-        Ok((out, stats))
-    }
-
-    /// Phase 2: sharded visibility + scheduling. The terminals are split
-    /// into [`Campaign::shard_count`] contiguous shards; each shard's
-    /// worker builds a sub-[`GlobalScheduler`] over just its terminals
-    /// and replays the slots in order — fields of view from the prepared
-    /// snapshot table, the fault-mask bitset, then allocation. Shards are
-    /// fanned over `threads` scoped workers (inline when either count is
-    /// 1) and reassembled in shard order, so the returned per-terminal
-    /// columns are independent of scheduling *and* of the shard count:
-    /// a terminal's allocation stream depends only on `(seed, terminal
-    /// id, sky)`.
-    fn schedule_phase(
-        &self,
-        cache: &PropagationCache<'_>,
-        mids: &[JulianDate],
-        threads: usize,
-        schedule: Option<&(PropagationSchedule, Vec<u32>)>,
-    ) -> Result<Vec<Vec<Allocation>>, CampaignError> {
-        let ranges = shard_ranges(self.terminals.len(), self.shard_count());
-        // Panics are caught at the shard boundary, so a poisoned worker
-        // surfaces as a typed error instead of unwinding through the
-        // scoped-thread joins.
-        let run_shard = |s: usize,
-                         range: std::ops::Range<usize>|
-         -> Result<Vec<Vec<Allocation>>, CampaignError> {
-            let terminals = &self.terminals[range];
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let mut scheduler =
-                    GlobalScheduler::new(self.config.policy.clone(), terminals.to_vec(), self.seed);
-                self.schedule_slots(&mut scheduler, terminals, cache, mids, 0, schedule)
-            }))
-            .map_err(|p| CampaignError::WorkerPanicked {
-                shard: s,
-                payload: payload_message(p.as_ref()),
-            })
-        };
-        let workers = threads.min(ranges.len()).max(1);
-        if workers <= 1 {
-            let mut out = Vec::with_capacity(self.terminals.len());
-            for (s, r) in ranges.into_iter().enumerate() {
-                out.extend(run_shard(s, r)?);
-            }
-            return Ok(out);
-        }
-        let mut work: Vec<Option<std::ops::Range<usize>>> = ranges.into_iter().map(Some).collect();
-        let mut indexed: Vec<(usize, Result<Vec<Vec<Allocation>>, CampaignError>)> =
-            Vec::with_capacity(work.len());
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for chunk in chunk_interleaved(&mut work, workers) {
-                let first = chunk.first().map(|(s, _)| *s).unwrap_or(0);
-                let run_shard = &run_shard;
-                handles.push((
-                    first,
-                    scope.spawn(move || {
-                        chunk
-                            .into_iter()
-                            .map(|(s, range)| (s, run_shard(s, range)))
-                            .collect::<Vec<_>>()
-                    }),
-                ));
-            }
-            for (first, handle) in handles {
-                match handle.join() {
-                    Ok(part) => indexed.extend(part),
-                    // Unreachable in practice (every shard body is caught
-                    // above), but a join failure still degrades into the
-                    // typed error rather than a panic.
-                    Err(p) => indexed.push((
-                        first,
-                        Err(CampaignError::WorkerPanicked {
-                            shard: first,
-                            payload: payload_message(p.as_ref()),
-                        }),
-                    )),
-                }
-            }
-        });
-        indexed.sort_by_key(|(s, _)| *s);
-        let mut out = Vec::with_capacity(self.terminals.len());
-        for (_, part) in indexed {
-            out.extend(part?);
-        }
-        Ok(out)
-    }
-
-    /// The scheduling inner loop shared by the one-shot and resumable
-    /// engines: replays `scheduler` (owning exactly `terminals`) over
-    /// `mids`, whose first slot sits `k0` slots after the start of the
-    /// fault schedule's campaign window. Returns per-terminal allocation
-    /// columns in `terminals` order.
+    /// The scheduling inner loop of one shard: replays `scheduler` (owning
+    /// exactly `terminals`) over `mids`, whose first slot sits `k0` slots
+    /// after the start of the fault schedule's campaign window. Returns
+    /// per-terminal allocation columns in `terminals` order.
     pub(crate) fn schedule_slots(
         &self,
         scheduler: &mut GlobalScheduler,
@@ -567,15 +364,11 @@ impl<'a> Campaign<'a> {
             let snapshot = cache.snapshot(slot_start(at));
             // Cohort sharing is per shard: terminals that land in the
             // same grid cell within this shard pool their candidate
-            // fetch. The partition (and the flag itself) only changes
-            // how candidates are gathered, never which satellites pass
-            // the exact elevation test, so both paths and every shard
-            // split produce the same fields of view bit for bit.
-            let mut fov = if self.config.cohorts {
-                scheduler.fields_of_view_cohort(self.constellation, &snapshot)
-            } else {
-                scheduler.fields_of_view(self.constellation, &snapshot)
-            };
+            // fetch. The partition only changes how candidates are
+            // gathered, never which satellites pass the exact elevation
+            // test, so every shard split produces the same fields of view
+            // bit for bit.
+            let mut fov = scheduler.fields_of_view_cohort(self.constellation, &snapshot);
             // A satellite whose propagation failed this slot (or that
             // is quarantined) is invisible to the whole pipeline: the
             // bitset is pure data, so filtering here is invariant to
@@ -597,99 +390,18 @@ impl<'a> Campaign<'a> {
         columns
     }
 
-    /// Phase 3: per-terminal observation streams, fanned over `threads`
-    /// scoped workers (inline when `threads <= 1`). Terminals are
-    /// interleaved across workers and reassembled in terminal order.
-    fn observation_phase(
-        &self,
-        cache: &PropagationCache<'_>,
-        per_terminal: Vec<Vec<Allocation>>,
-        threads: usize,
-    ) -> Result<Vec<Vec<SlotObservation>>, CampaignError> {
-        // As in the schedule phase, panics are caught per work unit (here
-        // one terminal) and carried out as typed errors.
-        let observe =
-            |tid: usize, allocs: Vec<Allocation>| -> Result<Vec<SlotObservation>, CampaignError> {
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    self.observe_terminal(cache, tid, allocs)
-                }))
-                .map_err(|p| CampaignError::WorkerPanicked {
-                    shard: tid,
-                    payload: payload_message(p.as_ref()),
-                })
-            };
-        let threads = threads.min(per_terminal.len().max(1));
-        if threads <= 1 {
-            return per_terminal
-                .into_iter()
-                .enumerate()
-                .map(|(tid, allocs)| observe(tid, allocs))
-                .collect();
-        }
-        let mut work: Vec<Option<Vec<Allocation>>> = per_terminal.into_iter().map(Some).collect();
-        let mut indexed: Vec<(usize, Result<Vec<SlotObservation>, CampaignError>)> =
-            Vec::with_capacity(work.len());
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(threads);
-            for chunk in chunk_interleaved(&mut work, threads) {
-                let first = chunk.first().map(|(tid, _)| *tid).unwrap_or(0);
-                let observe = &observe;
-                handles.push((
-                    first,
-                    scope.spawn(move || {
-                        chunk
-                            .into_iter()
-                            .map(|(tid, allocs)| (tid, observe(tid, allocs)))
-                            .collect::<Vec<_>>()
-                    }),
-                ));
-            }
-            for (first, handle) in handles {
-                match handle.join() {
-                    Ok(part) => indexed.extend(part),
-                    Err(p) => indexed.push((
-                        first,
-                        Err(CampaignError::WorkerPanicked {
-                            shard: first,
-                            payload: payload_message(p.as_ref()),
-                        }),
-                    )),
-                }
-            }
-        });
-        indexed.sort_by_key(|(tid, _)| *tid);
-        indexed.into_iter().map(|(_, v)| v).collect()
-    }
-
-    /// One terminal's full observation stream, in slot order. Pure given
-    /// (cache catalog, terminal, allocations) — the worker owns the dish
-    /// state machine, so runs are identical no matter which thread or how
-    /// many siblings execute this.
-    fn observe_terminal(
-        &self,
-        cache: &PropagationCache<'_>,
-        tid: usize,
-        allocs: Vec<Allocation>,
-    ) -> Vec<SlotObservation> {
-        let mut dish = DishSimulator::new(self.terminals[tid].location);
-        let mut prev_cap: Option<SlotCapture> = None;
-        self.observe_terminal_segment(cache, tid, &mut dish, &mut prev_cap, &allocs)
-    }
-
-    /// One *segment* of a terminal's observation stream, continuing from
-    /// (and advancing) the caller-owned dish state machine and baseline
-    /// capture. The one-shot engine calls this once with fresh state for
-    /// the whole run; the resumable engine calls it per segment with
-    /// state persisted (and checkpointed) between calls. The track cache
-    /// is recreated per call — it is a pure cache whose output is
-    /// bit-identical to the uncached path, so segmentation cannot move a
-    /// bit.
+    /// One *segment* of a terminal's observation stream. In identified
+    /// mode `dish` carries the caller-owned dish state machine and the
+    /// differencing baseline, which the segment continues from and
+    /// advances; oracle mode passes `None` and keeps no dish state. The
+    /// track cache is recreated per call — it is a pure cache whose output
+    /// is bit-identical to the uncached path, so segmentation cannot move
+    /// a bit.
     pub(crate) fn observe_terminal_segment(
         &self,
         cache: &PropagationCache<'_>,
         tid: usize,
-        dish: &mut DishSimulator,
-        prev_cap: &mut Option<SlotCapture>,
+        dish: Option<(&mut DishSimulator, &mut Option<SlotCapture>)>,
         allocs: &[Allocation],
     ) -> Vec<SlotObservation> {
         let location = self.terminals[tid].location;
@@ -697,67 +409,28 @@ impl<'a> Campaign<'a> {
         // access pattern the track cache's boundary reuse and elevation
         // prefilter are built for; its output is bit-identical to the
         // uncached `identify_slot_through` path.
-        let mut tracks = self.config.identified.then(|| {
-            TrackCache::new(
+        let mut ident = dish.map(|(dish, prev_cap)| {
+            let tracks = TrackCache::new(
                 cache,
                 location,
                 MIN_CANDIDATE_ELEVATION_DEG,
                 CANDIDATE_SAMPLES_PER_SLOT,
-            )
+            );
+            (tracks, dish, prev_cap)
         });
         let mut out = Vec::with_capacity(allocs.len());
         for alloc in allocs {
             let truth_id = alloc.chosen_id();
-            let (chosen, outcome) = if let Some(tracks) = tracks.as_mut() {
-                let fetch = dish.play_slot_faulted(
-                    self.constellation,
-                    alloc.slot,
-                    alloc.slot_start,
-                    truth_id,
-                    &self.config.faults,
-                    tid as u64,
-                    self.config.frame_retries,
-                );
-                match fetch.capture {
-                    None => {
-                        // Every attempt failed: nothing to difference, and
-                        // the next successful frame has no baseline either.
-                        *prev_cap = None;
-                        let reason = DegradeReason::FrameDropped { attempts: fetch.attempts };
-                        (None, SlotOutcome::NoData(reason))
-                    }
-                    Some(capture) => {
-                        let usable_prev =
-                            if capture.after_reset { None } else { prev_cap.as_ref() };
-                        let resolved = match usable_prev {
-                            None => {
-                                let reason = if capture.after_reset {
-                                    DegradeReason::AfterReset
-                                } else {
-                                    DegradeReason::MissingBaseline
-                                };
-                                (None, SlotOutcome::NoData(reason))
-                            }
-                            Some(prev) => self.resolve_verdict(
-                                tracks,
-                                &prev.map,
-                                &capture.map,
-                                alloc,
-                                fetch.status,
-                                truth_id,
-                            ),
-                        };
-                        *prev_cap = Some(capture);
-                        resolved
-                    }
+            let (chosen, outcome) = match ident.as_mut() {
+                Some((tracks, dish, prev_cap)) => {
+                    self.identify_alloc(tracks, dish, prev_cap, tid, alloc)
                 }
-            } else {
-                match alloc.chosen.as_ref() {
+                None => match alloc.chosen.as_ref() {
                     Some(chosen) => {
                         (Some(SatObs::from(chosen)), SlotOutcome::Observed { confidence: 1.0 })
                     }
                     None => (None, SlotOutcome::NoData(DegradeReason::Outage)),
-                }
+                },
             };
 
             out.push(SlotObservation {
@@ -772,6 +445,52 @@ impl<'a> Campaign<'a> {
             });
         }
         out
+    }
+
+    /// Identified mode for one slot: fetches the dish's frame (with
+    /// retries under the fault plan), differences it against the
+    /// baseline capture, and resolves the §4 verdict.
+    fn identify_alloc(
+        &self,
+        tracks: &mut TrackCache<'_, '_>,
+        dish: &mut DishSimulator,
+        prev_cap: &mut Option<SlotCapture>,
+        tid: usize,
+        alloc: &Allocation,
+    ) -> (Option<SatObs>, SlotOutcome) {
+        let truth_id = alloc.chosen_id();
+        let fetch = dish.play_slot_faulted(
+            self.constellation,
+            alloc.slot,
+            alloc.slot_start,
+            truth_id,
+            &self.config.faults,
+            tid as u64,
+            self.config.frame_retries,
+        );
+        let Some(capture) = fetch.capture else {
+            // Every attempt failed: nothing to difference, and the next
+            // successful frame has no baseline either.
+            *prev_cap = None;
+            let reason = DegradeReason::FrameDropped { attempts: fetch.attempts };
+            return (None, SlotOutcome::NoData(reason));
+        };
+        let usable_prev = if capture.after_reset { None } else { prev_cap.as_ref() };
+        let resolved = match usable_prev {
+            None => {
+                let reason = if capture.after_reset {
+                    DegradeReason::AfterReset
+                } else {
+                    DegradeReason::MissingBaseline
+                };
+                (None, SlotOutcome::NoData(reason))
+            }
+            Some(prev) => {
+                self.resolve_verdict(tracks, &prev.map, &capture.map, alloc, fetch.status, truth_id)
+            }
+        };
+        *prev_cap = Some(capture);
+        resolved
     }
 
     /// Runs the §4 identification on one differenced frame pair and folds
@@ -950,15 +669,6 @@ mod tests {
     }
 
     fn threaded_run(identified: bool, threads: usize, shards: usize) -> Vec<SlotObservation> {
-        matrix_run(identified, threads, shards, true)
-    }
-
-    fn matrix_run(
-        identified: bool,
-        threads: usize,
-        shards: usize,
-        cohorts: bool,
-    ) -> Vec<SlotObservation> {
         let c = ConstellationBuilder::starlink_gen1().seed(33).build();
         // Iowa and Cedar Rapids are ~30 km apart and land in the same
         // visibility-index cell, so the cohort path genuinely shares
@@ -969,7 +679,7 @@ mod tests {
             Terminal::new(2, "Austin", Geodetic::new(30.27, -97.74, 0.15)),
             Terminal::new(3, "Cedar Rapids", Geodetic::new(41.98, -91.67, 0.25)),
         ];
-        let config = CampaignConfig { threads, shards, cohorts, ..CampaignConfig::default() };
+        let config = CampaignConfig { threads, shards, ..CampaignConfig::default() };
         let campaign = if identified {
             Campaign::identified(&c, terminals, config, 33)
         } else {
@@ -1015,45 +725,13 @@ mod tests {
     }
 
     #[test]
-    fn oracle_campaign_is_cohort_mode_invariant() {
-        // The full matrix with the cohort axis: every (threads, shards,
-        // cohorts) combination must reproduce the per-terminal
-        // single-thread single-shard stream bit for bit. This is the
-        // strongest statement of the cohort contract — shared candidate
-        // supersets and the per-slot score table change where the numbers
-        // come from, never what they are.
-        let reference = matrix_run(false, 1, 1, false);
-        for threads in [1, 2, 4] {
-            for shards in [1, 3, 0] {
-                for cohorts in [false, true] {
-                    assert_streams_identical(
-                        &reference,
-                        &matrix_run(false, threads, shards, cohorts),
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn identified_campaign_is_cohort_mode_invariant() {
-        let reference = matrix_run(true, 1, 1, false);
-        for (threads, shards, cohorts) in [(1, 1, true), (2, 3, true), (4, 0, true), (2, 2, false)]
-        {
-            assert_streams_identical(&reference, &matrix_run(true, threads, shards, cohorts));
-        }
-    }
-
-    #[test]
     fn faulted_campaign_is_shard_count_invariant() {
         // The fault mask is applied inside each shard worker; the bitset
         // is pure data, so degradation patterns must not move with the
-        // partition either. The cohort axis rides along: the mask is
-        // applied to the finished fields of view, downstream of candidate
-        // gathering, so faulted runs are cohort-mode invariant too.
+        // partition either.
         use starsense_faults::FaultRates;
         let rates = FaultRates { frame_drop: 0.15, propagation_fail: 0.2, ..FaultRates::none() };
-        let run = |threads: usize, shards: usize, cohorts: bool| {
+        let run = |threads: usize, shards: usize| {
             let c = ConstellationBuilder::starlink_mini().seed(33).build();
             let terminals = vec![
                 Terminal::new(0, "Iowa", Geodetic::new(41.66, -91.53, 0.2)),
@@ -1062,7 +740,6 @@ mod tests {
             let config = CampaignConfig {
                 threads,
                 shards,
-                cohorts,
                 faults: FaultPlan::new(5, rates),
                 quarantine_after: 2,
                 ..CampaignConfig::default()
@@ -1070,11 +747,30 @@ mod tests {
             Campaign::identified(&c, terminals, config, 33)
                 .run(JulianDate::from_ymd_hms(2023, 6, 1, 16, 0, 0.0), 25)
         };
-        let serial = run(1, 1, true);
-        assert_streams_identical(&serial, &run(2, 2, true));
-        assert_streams_identical(&serial, &run(4, 0, true));
-        assert_streams_identical(&serial, &run(1, 1, false));
-        assert_streams_identical(&serial, &run(2, 2, false));
+        let serial = run(1, 1);
+        assert_streams_identical(&serial, &run(2, 2));
+        assert_streams_identical(&serial, &run(4, 0));
+        assert_streams_identical(&serial, &run(2, 1));
+    }
+
+    #[test]
+    fn worker_panic_propagates_through_run_with_its_payload() {
+        // `run` has no retry budget: the first panicking work unit fails
+        // the run, and the caller sees the worker's own panic text.
+        use starsense_faults::FaultRates;
+        let c = ConstellationBuilder::starlink_mini().seed(33).build();
+        let terminals = vec![Terminal::new(0, "Iowa", Geodetic::new(41.66, -91.53, 0.2))];
+        let rates = FaultRates { worker_panic: 1.0, ..FaultRates::none() };
+        let config =
+            CampaignConfig { faults: FaultPlan::new(5, rates), ..CampaignConfig::default() };
+        let campaign = Campaign::oracle(&c, terminals, config, 33);
+        let from = JulianDate::from_ymd_hms(2023, 6, 1, 16, 0, 0.0);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            campaign.run(from, 3);
+        }));
+        let payload = caught.expect_err("run must panic");
+        let text = payload_message(payload.as_ref());
+        assert!(text.starts_with("injected worker panic"), "payload text lost: {text:?}");
     }
 
     #[test]
@@ -1219,7 +915,7 @@ mod tests {
         };
         let obs = faulted_run(rates, 5);
         assert_eq!(obs.len(), 25, "faults must never lose slots");
-        let stats = DegradationStats::collect(&obs);
+        let stats = crate::degrade::DegradationStats::collect(&obs);
         assert_eq!(stats.observed + stats.ambiguous + stats.no_data, 25);
         assert!(stats.no_data > 0, "15% frame drops over 25 slots should surface");
         for o in &obs {
@@ -1273,7 +969,10 @@ mod tests {
                 quarantine_after,
                 ..CampaignConfig::default()
             };
-            Campaign::oracle(&c, terminals.clone(), config, 33).run_with_stats(from, 25)
+            let (obs, stats, _) = Campaign::oracle(&c, terminals.clone(), config, 33)
+                .run_resumable(from, 25, &ResumeConfig::default())
+                .expect("fault-masked campaign completes");
+            (obs, stats)
         };
         let (clean_obs, clean_stats) = run(0.0, 2);
         assert_eq!(clean_stats.quarantined_sats, 0);

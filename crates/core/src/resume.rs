@@ -5,22 +5,24 @@
 //!
 //! # Execution model
 //!
-//! [`Campaign::run_resumable`] splits the slot window into *segments* of
-//! [`ResumeConfig::checkpoint_every`] slots. Each segment runs the same
-//! three phases as the one-shot engine (prepare → schedule → observe),
-//! but every stateful component is owned by the engine between segments:
+//! [`Campaign::run_resumable`] is the campaign engine; [`Campaign::run`]
+//! calls it with checkpointing off. It splits the slot window into
+//! *segments* of [`ResumeConfig::checkpoint_every`] slots (one segment
+//! when checkpointing is off). Each segment runs the three campaign
+//! phases (prepare → schedule → observe, see [`crate::campaign`]), and
+//! every stateful component is owned by the engine between segments:
 //!
 //! * per-terminal scheduler state ([`TerminalSchedState`]: RNG stream +
 //!   hysteresis key), kept shard-layout free so a resume may use a
 //!   different shard or thread count and still produce the same bits;
-//! * per-terminal dish state ([`DishState`]) and the previous slot
-//!   capture the XOR differencing baselines against;
+//! * in identified mode, per-terminal dish state ([`DishState`]) and the
+//!   previous slot capture the XOR differencing baselines against;
 //! * the accumulated observation stream and the supervisor's failure
 //!   ledger.
 //!
-//! After each segment the full state is serialized into a checksummed
-//! [`starsense_checkpoint`] snapshot and persisted with
-//! [`write_rotating`] (atomic rename + a rotating last-good backup). A
+//! With checkpointing on, the full state is serialized after each segment
+//! into a checksummed [`starsense_checkpoint`] snapshot and persisted
+//! with [`write_rotating`] (atomic rename + a rotating last-good backup). A
 //! later call with the same campaign finds the snapshot via
 //! [`load_latest`], validates a configuration fingerprint, restores, and
 //! continues — the resumed run's observation stream is byte-identical to
@@ -51,8 +53,8 @@
 //! The snapshot payload is five sections in the checkpoint container
 //! (see `DESIGN.md` for the byte-level layout): campaign metadata and
 //! fingerprint ([`SEC_META`]), scheduler states ([`SEC_SCHED`]), dish
-//! states and baselines ([`SEC_DISH`]), accumulated observations
-//! ([`SEC_OBS`]), and the supervisor ledger ([`SEC_STATS`]).
+//! states and baselines ([`SEC_DISH`], empty in oracle mode), accumulated
+//! observations ([`SEC_OBS`]), and the supervisor ledger ([`SEC_STATS`]).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
@@ -77,7 +79,7 @@ use starsense_scheduler::{Allocation, GlobalScheduler, TerminalSchedState};
 
 /// Campaign-state payload layout version (inside the checkpoint
 /// container, which versions itself separately).
-pub const CAMPAIGN_STATE_VERSION: u32 = 1;
+pub const CAMPAIGN_STATE_VERSION: u32 = 2;
 
 /// Section id: campaign metadata + configuration fingerprint.
 pub const SEC_META: u32 = 1;
@@ -98,8 +100,9 @@ pub struct ResumeConfig {
     /// last-good backup) and `<path>.tmp` (atomic-write staging).
     pub checkpoint_path: PathBuf,
     /// Slots per segment; a checkpoint is written after every segment.
-    /// `0` disables checkpointing: the run executes as one segment and
-    /// writes nothing (useful for A/B-ing the engines).
+    /// `0` disables checkpointing: the run executes as one segment,
+    /// reads and writes nothing, and ignores
+    /// [`ResumeConfig::checkpoint_path`].
     pub checkpoint_every: usize,
     /// Retries per work-unit attempt budget: a unit gets `1 + retries`
     /// attempts per segment before it is charged a unit failure.
@@ -121,6 +124,22 @@ pub struct ResumeConfig {
     pub stop_after_checkpoints: Option<usize>,
 }
 
+impl Default for ResumeConfig {
+    /// The plain run [`Campaign::run`] uses: checkpointing off and no
+    /// supervision budget — the first failed work unit fails the run.
+    fn default() -> Self {
+        ResumeConfig {
+            checkpoint_path: PathBuf::new(),
+            checkpoint_every: 0,
+            worker_retries: 0,
+            worker_quarantine_after: 0,
+            backoff_base_ms: 0,
+            backoff_cap_ms: 1_000,
+            stop_after_checkpoints: None,
+        }
+    }
+}
+
 impl ResumeConfig {
     /// A resumable run checkpointing to `path` with the default cadence
     /// (240 slots — one hour of 15-second slots) and supervision budget
@@ -132,9 +151,7 @@ impl ResumeConfig {
             checkpoint_every: 240,
             worker_retries: 2,
             worker_quarantine_after: 3,
-            backoff_base_ms: 0,
-            backoff_cap_ms: 1_000,
-            stop_after_checkpoints: None,
+            ..ResumeConfig::default()
         }
     }
 
@@ -187,7 +204,10 @@ pub fn fingerprint_observations(obs: &[SlotObservation]) -> u64 {
 /// Engine-owned mutable state: everything that must survive a crash.
 struct EngineState {
     sched: Vec<TerminalSchedState>,
+    /// Per-terminal dish states; identified mode only (empty in oracle
+    /// mode, which paints no dish).
     dish: Vec<DishState>,
+    /// Per-terminal differencing baselines, paired with `dish`.
     prev: Vec<Option<SlotCapture>>,
     obs: Vec<SlotObservation>,
     done: usize,
@@ -221,10 +241,10 @@ impl<'a> Campaign<'a> {
     /// `from`, checkpointing to [`ResumeConfig::checkpoint_path`] every
     /// [`ResumeConfig::checkpoint_every`] slots and resuming from an
     /// existing snapshot when one validates. The returned observation
-    /// stream is byte-identical to [`Campaign::run`] for a fault-free
-    /// supervisor, and byte-identical across any kill/resume schedule
-    /// at checkpoint boundaries — for every thread count, shard count,
-    /// and cohort setting.
+    /// stream is the same for every checkpoint cadence (a cadence of `0`
+    /// is [`Campaign::run`]) as long as no work unit fails, and
+    /// byte-identical across any kill/resume schedule at checkpoint
+    /// boundaries — for every thread count and shard count.
     pub fn run_resumable(
         &self,
         from: JulianDate,
@@ -232,11 +252,17 @@ impl<'a> Campaign<'a> {
         opts: &ResumeConfig,
     ) -> Result<(Vec<SlotObservation>, DegradationStats, ResumeReport), CampaignError> {
         let threads = self.worker_threads();
+        // Query each slot at its midpoint: slot boundaries are derived from
+        // the instant, and a midpoint query can never fall on the wrong
+        // side of a boundary through float rounding.
         let first_mid = slot_start(from).plus_seconds(SLOT_PERIOD_SECONDS / 2.0);
         let first_slot = slot_index(first_mid);
         let mids: Vec<JulianDate> =
             (0..slots).map(|k| first_mid.plus_seconds(k as f64 * SLOT_PERIOD_SECONDS)).collect();
-        let fingerprint = self.config_fingerprint(first_slot, slots);
+        // The fingerprint guards snapshots, so it is computed only when
+        // checkpointing is on; `None` doubles as "checkpointing off".
+        let fingerprint =
+            (opts.checkpoint_every > 0).then(|| self.config_fingerprint(first_slot, slots));
 
         // The fault schedule spans the whole campaign window and the
         // mask is indexed by campaign-global slot offset, so a segmented
@@ -267,7 +293,11 @@ impl<'a> Campaign<'a> {
         // snapshot for a *different* campaign (config, window, or seed)
         // is a hard error, not a silent restart — resuming someone
         // else's state would fabricate data.
-        let mut state = match self.load_state(opts, fingerprint, slots, &mut report)? {
+        let loaded = match fingerprint {
+            Some(fingerprint) => self.load_state(opts, fingerprint, slots, &mut report)?,
+            None => None,
+        };
+        let mut state = match loaded {
             Some(state) => state,
             None => self.fresh_state(),
         };
@@ -279,7 +309,7 @@ impl<'a> Campaign<'a> {
             };
             self.run_segment(&mut state, &mids, seg_len, threads, schedule.as_ref(), opts)?;
             report.segments_run += 1;
-            if opts.checkpoint_every > 0 {
+            if let Some(fingerprint) = fingerprint {
                 let snapshot = self.encode_state(&state, fingerprint, first_mid, slots)?;
                 write_rotating(&opts.checkpoint_path, &snapshot)?;
                 report.checkpoints_written += 1;
@@ -299,17 +329,19 @@ impl<'a> Campaign<'a> {
 
     /// Initial engine state: fresh per-terminal scheduler streams (the
     /// same `f(seed, terminal id)` initialization every shard scheduler
-    /// derives), blank dishes, no baselines, no ledger.
+    /// derives), blank dishes and no baselines in identified mode, no
+    /// ledger.
     fn fresh_state(&self) -> EngineState {
         let sched =
-            GlobalScheduler::new(self.config.policy.clone(), self.terminals.clone(), self.seed)
-                .export_states();
-        let dish =
-            self.terminals.iter().map(|t| DishSimulator::new(t.location).export_state()).collect();
+            self.terminals.iter().map(|t| TerminalSchedState::initial(self.seed, t.id)).collect();
+        let dish_terminals = if self.config.identified { &self.terminals[..] } else { &[] };
         EngineState {
             sched,
-            dish,
-            prev: self.terminals.iter().map(|_| None).collect(),
+            dish: dish_terminals
+                .iter()
+                .map(|t| DishSimulator::new(t.location).export_state())
+                .collect(),
+            prev: dish_terminals.iter().map(|_| None).collect(),
             obs: Vec::new(),
             done: 0,
             retries: 0,
@@ -369,8 +401,9 @@ impl<'a> Campaign<'a> {
         let ranges = crate::campaign::shard_ranges(self.terminals.len(), self.shard_count());
         let sched_states = &state.sched;
         let quarantined = &state.quarantined;
-        let run_shard = |s: usize| -> UnitRun<(Vec<Vec<Allocation>>, Vec<TerminalSchedState>)> {
-            let range = ranges[s].clone();
+        let run_shard = |s: usize,
+                         range: std::ops::Range<usize>|
+         -> UnitRun<(Vec<Vec<Allocation>>, Vec<TerminalSchedState>)> {
             let terminals = &self.terminals[range.clone()];
             let body = || {
                 let mut scheduler =
@@ -396,50 +429,58 @@ impl<'a> Campaign<'a> {
                 body,
             )
         };
-        let shard_runs = parallel_units(ranges.len(), threads, &run_shard)?;
+        let shard_runs = parallel_units(ranges.clone(), threads, &run_shard)?;
 
         // Sequential, unit-ordered merge: commit successful shards'
-        // scheduler states and allocation columns, charge failures, and
-        // mark failed shards' terminals for synthesized degradation.
+        // scheduler states and allocation columns and charge failures. A
+        // failed shard's terminals keep no column.
         let mut per_terminal: Vec<Option<Vec<Allocation>>> =
             self.terminals.iter().map(|_| None).collect();
-        let mut schedule_failed: Vec<bool> = self.terminals.iter().map(|_| false).collect();
         for (s, run) in shard_runs.into_iter().enumerate() {
-            let range = ranges[s].clone();
-            match self.settle_unit(state, s as u64, run, opts)? {
-                Some((columns, new_states)) => {
-                    for (offset, (column, st)) in columns.into_iter().zip(new_states).enumerate() {
-                        per_terminal[range.start + offset] = Some(column);
-                        state.sched[range.start + offset] = st;
-                    }
-                }
-                None => {
-                    for t in range {
-                        schedule_failed[t] = true;
-                    }
+            let start = ranges[s].start;
+            if let Some((columns, new_states)) = self.settle_unit(state, s as u64, run, opts)? {
+                for (offset, (column, st)) in columns.into_iter().zip(new_states).enumerate() {
+                    per_terminal[start + offset] = Some(column);
+                    state.sched[start + offset] = st;
                 }
             }
         }
 
         // ---- Supervised observation phase (unit = terminal) -------------
+        // Each unit takes its allocation column by value and drops it once
+        // observed, so allocations and observations are not all alive at
+        // once. A unit that fails hands the column back for degradation.
+        // The advanced dish state comes back boxed: a dish map and its
+        // baseline are ~4 KB inline, and every unit result would reserve
+        // that space even in oracle mode.
         let dish_states = &state.dish;
         let prev_caps = &state.prev;
         let quarantined = &state.quarantined;
-        let run_terminal = |tid: usize| -> Option<
-            UnitRun<(Vec<SlotObservation>, DishState, Option<SlotCapture>)>,
-        > {
-            let allocs = per_terminal[tid].as_ref()?;
+        let run_terminal = |tid: usize, allocs: Option<Vec<Allocation>>| {
+            let allocs = allocs?;
             let body = || {
+                if !self.config.identified {
+                    let obs = self.observe_terminal_segment(&cache, tid, None, &allocs);
+                    return Ok::<_, CampaignError>((obs, None));
+                }
                 let mut dish = DishSimulator::new(self.terminals[tid].location);
                 dish.restore_state(dish_states[tid].clone());
                 let mut prev = prev_caps[tid].clone();
-                let obs = self.observe_terminal_segment(&cache, tid, &mut dish, &mut prev, allocs);
-                Ok::<_, CampaignError>((obs, dish.export_state(), prev))
+                let obs = self.observe_terminal_segment(
+                    &cache,
+                    tid,
+                    Some((&mut dish, &mut prev)),
+                    &allocs,
+                );
+                Ok((obs, Some(Box::new((dish.export_state(), prev)))))
             };
             let unit = observe_unit_id(tid);
-            Some(self.run_supervised(unit, seg_first_slot, quarantined.contains(&unit), opts, body))
+            let run =
+                self.run_supervised(unit, seg_first_slot, quarantined.contains(&unit), opts, body);
+            let leftover = run.value.is_none().then_some(allocs);
+            Some((run, leftover))
         };
-        let terminal_runs = parallel_units(self.terminals.len(), threads, &run_terminal)?;
+        let terminal_runs = parallel_units(per_terminal, threads, &run_terminal)?;
 
         let mut columns: Vec<Vec<SlotObservation>> = Vec::with_capacity(self.terminals.len());
         for (tid, run) in terminal_runs.into_iter().enumerate() {
@@ -449,18 +490,21 @@ impl<'a> Campaign<'a> {
                 // slot grid. Dish state is not advanced — deterministic,
                 // and honest: no frame was ever painted.
                 None => self.synthesize_scheduleless(tid, seg_mids),
-                Some(run) => {
+                Some((run, leftover)) => {
                     match self.settle_unit(state, observe_unit_id(tid), run, opts)? {
-                        Some((obs, dish, prev)) => {
-                            state.dish[tid] = dish;
-                            state.prev[tid] = prev;
+                        Some((obs, dish)) => {
+                            if let Some(advanced) = dish {
+                                let (dish, prev) = *advanced;
+                                state.dish[tid] = dish;
+                                state.prev[tid] = prev;
+                            }
                             obs
                         }
                         // Observation unit failed: allocations exist, so
                         // keep the scheduler's truth but degrade the
                         // identification.
-                        None => match per_terminal[tid].as_ref() {
-                            Some(allocs) => self.synthesize_observeless(tid, allocs),
+                        None => match leftover {
+                            Some(allocs) => self.synthesize_observeless(tid, &allocs),
                             None => self.synthesize_scheduleless(tid, seg_mids),
                         },
                     }
@@ -471,9 +515,10 @@ impl<'a> Campaign<'a> {
 
         // Slot-major, terminal-minor merge, appended to the accumulated
         // stream — segments partition the slot axis, so concatenation
-        // preserves the one-shot engine's global order.
+        // preserves the uninterrupted run's global order.
         let mut iters: Vec<std::vec::IntoIter<SlotObservation>> =
             columns.into_iter().map(Vec::into_iter).collect();
+        state.obs.reserve(seg_len * iters.len());
         for _ in 0..seg_len {
             for it in &mut iters {
                 if let Some(obs) = it.next() {
@@ -625,11 +670,12 @@ impl<'a> Campaign<'a> {
     // ---- Fingerprint ----------------------------------------------------
 
     /// FNV fingerprint of everything that determines the campaign's
-    /// output bits: policy weights, mode, fault plan, seed, terminals,
-    /// and the slot window. Deliberately *excluded*: thread count, shard
-    /// count, cohort flag, and every resume knob — those are execution
-    /// choices the determinism contract ranges over, so a snapshot may
-    /// be resumed under any of them.
+    /// output bits: policy weights, mode, fault plan, seed, the catalog
+    /// (every satellite's id, true elements and published TLE lines),
+    /// terminals with every sky-mask sector, and the slot window.
+    /// Deliberately *excluded*: thread count, shard count, and every
+    /// resume knob — those are execution choices the determinism contract
+    /// ranges over, so a snapshot may be resumed under any of them.
     fn config_fingerprint(&self, first_slot: i64, total_slots: usize) -> u64 {
         let mut w = ByteWriter::with_capacity(256);
         w.put_u32(CAMPAIGN_STATE_VERSION);
@@ -666,6 +712,19 @@ impl<'a> Campaign<'a> {
         w.put_f64_bits(r.worker_panic);
         w.put_f64_bits(r.worker_overrun);
         w.put_u64(self.seed);
+        let sats = self.constellation.sats();
+        w.put_usize(sats.len());
+        for sat in sats {
+            w.put_u32(sat.norad_id);
+            let e = &sat.elements;
+            w.put_u32(e.norad_id);
+            for v in [e.epoch.0, e.no_kozai, e.ecco, e.inclo, e.nodeo, e.argpo, e.mo, e.bstar] {
+                w.put_f64_bits(v);
+            }
+            let (line1, line2) = sat.published.format_lines();
+            w.put_str(&line1);
+            w.put_str(&line2);
+        }
         w.put_usize(self.terminals.len());
         for t in &self.terminals {
             w.put_usize(t.id);
@@ -673,7 +732,13 @@ impl<'a> Campaign<'a> {
             w.put_f64_bits(t.location.lat_deg);
             w.put_f64_bits(t.location.lon_deg);
             w.put_f64_bits(t.location.alt_km);
-            w.put_f64_bits(t.mask.blocked_fraction());
+            let sectors = t.mask.sectors();
+            w.put_usize(sectors.len());
+            for sector in sectors {
+                w.put_f64_bits(sector.az_from_deg);
+                w.put_f64_bits(sector.az_to_deg);
+                w.put_f64_bits(sector.max_blocked_elevation_deg);
+            }
         }
         w.put_i64(first_slot);
         w.put_usize(total_slots);
@@ -821,10 +886,12 @@ impl<'a> Campaign<'a> {
         }
         r.expect_exhausted("sched section")?;
 
+        // Oracle-mode snapshots carry no dish states.
+        let n_dishes = if self.config.identified { n_terminals } else { 0 };
         let mut r = ByteReader::new(snap.require_section(SEC_DISH)?);
-        let mut dish = Vec::with_capacity(n_terminals);
-        let mut prev = Vec::with_capacity(n_terminals);
-        for _ in 0..n_terminals {
+        let mut dish = Vec::with_capacity(n_dishes);
+        let mut prev = Vec::with_capacity(n_dishes);
+        for _ in 0..n_dishes {
             let map = decode_map(&mut r)?;
             let slots_since_reset = r.get_u32("dish slots since reset")?;
             let reset_since_fetch = r.get_bool("dish reset flag")?;
@@ -887,20 +954,22 @@ fn restore_context(e: starsense_scheduler::StateRestoreError) -> &'static str {
     }
 }
 
-/// Fans `run` over `0..count` with the campaign's interleaved-chunk
-/// worker pattern; results are returned in index order. `run` must be a
-/// pure function of its index (all supervision state is settled by the
-/// sequential caller afterwards). Inline when `threads <= 1`.
-fn parallel_units<T: Send>(
-    count: usize,
+/// Fans `run` over `items` with the campaign's interleaved-chunk worker
+/// pattern, handing each item to its unit by value; results are returned
+/// in item order. `run` must be a pure function of its index and item
+/// (all supervision state is settled by the sequential caller
+/// afterwards). Inline when `threads <= 1`.
+fn parallel_units<I: Send, T: Send>(
+    items: Vec<I>,
     threads: usize,
-    run: &(impl Fn(usize) -> T + Sync),
+    run: &(impl Fn(usize, I) -> T + Sync),
 ) -> Result<Vec<T>, CampaignError> {
+    let count = items.len();
     let threads = threads.min(count.max(1));
     if threads <= 1 {
-        return Ok((0..count).map(run).collect());
+        return Ok(items.into_iter().enumerate().map(|(i, item)| run(i, item)).collect());
     }
-    let mut work: Vec<Option<usize>> = (0..count).map(Some).collect();
+    let mut work: Vec<Option<I>> = items.into_iter().map(Some).collect();
     let mut indexed: Vec<(usize, Result<T, CampaignError>)> = Vec::with_capacity(count);
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(threads);
@@ -909,7 +978,7 @@ fn parallel_units<T: Send>(
             handles.push((
                 first,
                 scope.spawn(move || {
-                    chunk.into_iter().map(|(i, _)| (i, Ok(run(i)))).collect::<Vec<_>>()
+                    chunk.into_iter().map(|(i, item)| (i, Ok(run(i, item)))).collect::<Vec<_>>()
                 }),
             ));
         }
@@ -918,12 +987,14 @@ fn parallel_units<T: Send>(
                 Ok(part) => indexed.extend(part),
                 // Unreachable in practice — every unit body is caught by
                 // the supervisor — but a join failure still degrades into
-                // the typed error rather than a panic.
+                // the typed error rather than a panic. `unit` is the
+                // chunk's first item index.
                 Err(p) => indexed.push((
                     first,
-                    Err(CampaignError::WorkerPanicked {
-                        shard: first,
-                        payload: payload_message(p.as_ref()),
+                    Err(CampaignError::WorkerExhausted {
+                        unit: first as u64,
+                        attempts: 1,
+                        failure: ShardFailure::Panicked { payload: payload_message(p.as_ref()) },
                     }),
                 )),
             }

@@ -2,8 +2,8 @@
 //! worker retry/quarantine, and corruption recovery.
 //!
 //! The central claim under test: killing a campaign at *any* checkpoint
-//! boundary and resuming it — possibly with a different thread count,
-//! shard count, or cohort setting — produces an observation stream
+//! boundary and resuming it — possibly with a different thread count or
+//! shard count — produces an observation stream
 //! byte-for-byte identical to an uninterrupted run, in oracle mode,
 //! identified mode, and under measurement-fault injection.
 
@@ -17,6 +17,7 @@ use starsense_core::campaign::{Campaign, CampaignConfig, CampaignError, ShardFai
 use starsense_core::resume::{fingerprint_observations, ResumeConfig};
 use starsense_core::{DegradeReason, SlotOutcome};
 use starsense_faults::{bit_flipped_copy, FaultPlan, FaultRates, FaultRng};
+use starsense_obstruction::{MaskSector, SkyMask};
 use starsense_scheduler::Terminal;
 
 const SLOTS: usize = 10;
@@ -93,7 +94,9 @@ fn resumable_matches_one_shot_bit_for_bit() {
     let c = mini();
     for mode in [Mode::Oracle, Mode::Identified, Mode::Faulted] {
         let campaign = campaign(&c, mode, 1, 1);
-        let (one_shot, one_shot_stats) = campaign.run_with_stats(start(), SLOTS);
+        let (one_shot, one_shot_stats, _) = campaign
+            .run_resumable(start(), SLOTS, &ResumeConfig::default())
+            .expect("plain run must succeed");
         let path = scratch(&format!("oneshot-{mode:?}"));
         let (resumed, stats, report) = campaign
             .run_resumable(start(), SLOTS, &opts(path, 3))
@@ -103,7 +106,7 @@ fn resumable_matches_one_shot_bit_for_bit() {
         assert_eq!(
             fingerprint_observations(&resumed),
             fingerprint_observations(&one_shot),
-            "mode {mode:?}: segmented engine must reproduce the one-shot stream"
+            "mode {mode:?}: a segmented run must reproduce the plain run's stream"
         );
         assert_eq!(stats.observed, one_shot_stats.observed);
         assert_eq!(stats.quarantined_sats, one_shot_stats.quarantined_sats);
@@ -207,7 +210,7 @@ fn corruption_of_all_history_restarts_cleanly() {
     assert!(report.completed);
     assert_eq!(report.resumed_at_slot, None, "nothing valid to resume from");
     assert_eq!(report.corrupt_discarded, 2);
-    let (one_shot, _) = campaign.run_with_stats(start(), SLOTS);
+    let one_shot = campaign.run(start(), SLOTS);
     assert_eq!(fingerprint_observations(&obs), fingerprint_observations(&one_shot));
 }
 
@@ -229,6 +232,59 @@ fn foreign_snapshot_is_rejected_not_resumed() {
         34,
     );
     let err = other.run_resumable(start(), SLOTS, &config).expect_err("must refuse");
+    assert!(
+        matches!(err, CampaignError::Checkpoint(CheckpointError::ConfigMismatch { .. })),
+        "got {err:?}"
+    );
+}
+
+/// Stops `original` after one checkpoint, then resumes the same path
+/// with `other` and returns the error it must raise.
+fn resume_into(original: &Campaign<'_>, other: &Campaign<'_>, tag: &str) -> CampaignError {
+    let config = opts(scratch(tag), 2);
+    let stopped = ResumeConfig { stop_after_checkpoints: Some(1), ..config.clone() };
+    original.run_resumable(start(), SLOTS, &stopped).expect("partial run");
+    other.run_resumable(start(), SLOTS, &config).expect_err("must refuse")
+}
+
+#[test]
+fn snapshot_over_another_catalog_is_rejected() {
+    // Same campaign seed and terminals, catalog built from another seed:
+    // every satellite's elements and published TLE differ.
+    let (a, b) = (mini(), ConstellationBuilder::starlink_mini().seed(34).build());
+    let err = resume_into(
+        &campaign(&a, Mode::Oracle, 1, 1),
+        &campaign(&b, Mode::Oracle, 1, 1),
+        "catalog",
+    );
+    assert!(
+        matches!(err, CampaignError::Checkpoint(CheckpointError::ConfigMismatch { .. })),
+        "got {err:?}"
+    );
+}
+
+#[test]
+fn snapshot_under_a_mirrored_mask_is_rejected() {
+    // A mask mirrored east-west blocks the same area of sky, so a
+    // blocked-fraction fingerprint cannot tell the two apart.
+    let masked = |from: f64, to: f64| {
+        let mut t = terminals();
+        t[0] = t[0].clone().with_mask(SkyMask::new(vec![MaskSector {
+            az_from_deg: from,
+            az_to_deg: to,
+            max_blocked_elevation_deg: 62.0,
+        }]));
+        t
+    };
+    let (west, east) = (masked(270.0, 360.0), masked(0.0, 90.0));
+    assert_eq!(west[0].mask.blocked_fraction(), east[0].mask.blocked_fraction());
+    let c = mini();
+    let config = CampaignConfig { threads: 1, shards: 1, ..CampaignConfig::default() };
+    let err = resume_into(
+        &Campaign::oracle(&c, west, config.clone(), 33),
+        &Campaign::oracle(&c, east, config, 33),
+        "mirrored-mask",
+    );
     assert!(
         matches!(err, CampaignError::Checkpoint(CheckpointError::ConfigMismatch { .. })),
         "got {err:?}"

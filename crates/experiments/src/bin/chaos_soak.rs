@@ -17,7 +17,7 @@
 //! resumable engine, crashing (in-process) after every
 //! `STARSENSE_CHAOS_KILL` checkpoints (default 1) and resuming from the
 //! snapshot until done — the surviving stream must be bit-identical to
-//! the one-shot engine's, for every seed.
+//! an uninterrupted run's, for every seed.
 //!
 //! Env knobs: `STARSENSE_CHAOS_SEEDS` (seed-sweep width, default 8),
 //! `STARSENSE_SLOTS` (slots per campaign, default 40), and
@@ -79,8 +79,10 @@ fn run_campaign(
     seed: u64,
     slots: usize,
 ) -> (Vec<SlotObservation>, DegradationStats) {
-    Campaign::identified(constellation, one_terminal(), config, seed)
-        .run_with_stats(campaign_start(), slots)
+    let (obs, stats, _) = Campaign::identified(constellation, one_terminal(), config, seed)
+        .run_resumable(campaign_start(), slots, &ResumeConfig::default())
+        .expect("measurement faults never fail a campaign");
+    (obs, stats)
 }
 
 /// Probe losses and record count for one seed under one tier.
@@ -232,7 +234,7 @@ fn main() {
     );
     // Kill/resume tier: the same mid-rate campaigns through the
     // resumable engine, crashed after every STARSENSE_CHAOS_KILL
-    // checkpoints and resumed, must reassemble the one-shot stream bit
+    // checkpoints and resumed, must reassemble the uninterrupted stream bit
     // for bit.
     let kill_every = std::env::var("STARSENSE_CHAOS_KILL")
         .ok()
@@ -271,7 +273,7 @@ fn main() {
         };
         assert_eq!(
             resumed, one_shot,
-            "kill/resume stream diverged from one-shot at seed {seed} rate {mid_rate}"
+            "kill/resume stream diverged from a plain run at seed {seed} rate {mid_rate}"
         );
         total_lives += lives;
         let _ = std::fs::remove_file(&path);
@@ -279,7 +281,7 @@ fn main() {
     }
     println!(
         "\nkill/resume tier: {} seeds at rate {mid_rate:.2}, killed every {kill_every} \
-         checkpoint(s), {total_lives} total process lives — all bit-identical to one-shot",
+         checkpoint(s), {total_lives} total process lives — all bit-identical to a plain run",
         seeds.len()
     );
 

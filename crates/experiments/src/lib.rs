@@ -15,7 +15,6 @@
 //! | `tab_ident` | §4.1 validation (identification accuracy, staleness sweep) |
 //! | `tab_importance` | §6 feature-importance table |
 //! | `chaos_soak` | robustness soak: seeded fault tiers, degradation monotonicity |
-//! | `sweep_scale` | terminal-scale throughput sweep on gen1 (DESIGN §5 numbers) |
 //!
 //! All binaries share one deterministic world (seed 42, constellation and
 //! campaign window below), print the figure's series as an aligned table,

@@ -69,6 +69,11 @@ impl SkyMask {
             .any(|s| s.contains_azimuth(azimuth_deg) && elevation_deg < s.max_blocked_elevation_deg)
     }
 
+    /// The blocked sectors, in construction order.
+    pub fn sectors(&self) -> &[MaskSector] {
+        &self.sectors
+    }
+
     /// True when no sector is defined.
     pub fn is_clear(&self) -> bool {
         self.sectors.is_empty()

@@ -265,6 +265,20 @@ pub struct TerminalSchedState {
     pub previous: Option<u32>,
 }
 
+impl TerminalSchedState {
+    /// The state a fresh [`GlobalScheduler`] built with `seed` holds for
+    /// terminal `terminal_id`: its RNG stream at the start, no previous
+    /// assignment. Needs no terminal geometry, so a campaign can seed
+    /// every terminal's state without building a scheduler.
+    pub fn initial(seed: u64, terminal_id: usize) -> TerminalSchedState {
+        TerminalSchedState {
+            terminal_id,
+            rng_state: StdRng::seed_from_u64(stream_seed(seed, terminal_id as u64)).state(),
+            previous: None,
+        }
+    }
+}
+
 /// Why [`GlobalScheduler::restore_states`] rejected a state vector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StateRestoreError {
@@ -1131,16 +1145,48 @@ mod tests {
 
     #[test]
     fn cohort_fov_is_bit_identical_to_per_terminal() {
+        // The cohort path is the campaign's only field-of-view path and
+        // the per-terminal query is its oracle. Many slot epochs (a
+        // consecutive run plus epochs spread over a day) and extra masked
+        // and polar sites stand in for whole-campaign A/B runs: the fields
+        // of view must match bit for bit, and so must the allocations two
+        // same-seed schedulers draw from them, masks and hysteresis
+        // included.
+        let wrap_mask = SkyMask::new(vec![starsense_obstruction::MaskSector {
+            az_from_deg: 300.0,
+            az_to_deg: 30.0,
+            max_blocked_elevation_deg: 55.0,
+        }]);
+        let extra = [
+            (41.7, -91.6, Some(wrap_mask)),
+            (-33.7, 151.1, Some(SkyMask::ithaca_trees())),
+            (89.95, 45.0, None),
+            (-89.9, -120.0, None),
+            (-85.1, 179.9, None),
+            (0.1, -179.95, Some(SkyMask::ithaca_trees())),
+        ];
+        let mut sites = cohort_terminals();
+        for (lat, lon, mask) in extra {
+            let id = sites.len();
+            let t = Terminal::new(id, format!("t{id}"), Geodetic::new(lat, lon, 0.1));
+            sites.push(match mask {
+                Some(mask) => t.with_mask(mask),
+                None => t,
+            });
+        }
         let c = constellation();
-        let g = GlobalScheduler::new(SchedulerPolicy::default(), cohort_terminals(), 3);
-        for k in 0..6 {
-            let t = at().plus_seconds(15.0 * k as f64);
+        let mut cohort_sched = GlobalScheduler::new(SchedulerPolicy::default(), sites, 3);
+        let mut per_sched = cohort_sched.clone();
+        let epochs = (0..24)
+            .map(|k| at().plus_seconds(15.0 * k as f64))
+            .chain((1..12).map(|h| at().plus_seconds(7_200.0 * h as f64 + 37.0 * h as f64)));
+        for (k, t) in epochs.enumerate() {
             let snap = c.snapshot(crate::slots::slot_start(t));
-            let cohort = g.fields_of_view_cohort(&c, &snap);
-            let per = g.fields_of_view(&c, &snap);
+            let cohort = cohort_sched.fields_of_view_cohort(&c, &snap);
+            let per = per_sched.fields_of_view(&c, &snap);
             assert_eq!(cohort.len(), per.len());
             for (ti, (a, b)) in cohort.iter().zip(&per).enumerate() {
-                assert_eq!(a.len(), b.len(), "terminal {ti} slot {k} FOV size");
+                assert_eq!(a.len(), b.len(), "terminal {ti} epoch {k} FOV size");
                 for (x, y) in a.iter().zip(b) {
                     assert_eq!(x.norad_id, y.norad_id);
                     assert_eq!(x.catalog_index, y.catalog_index);
@@ -1151,7 +1197,14 @@ mod tests {
                     assert_eq!(x.sunlit, y.sunlit);
                 }
             }
+            let a = cohort_sched.allocate_from_available(t, cohort);
+            let b = per_sched.allocate_from_available(t, per);
+            for (x, y) in a.iter().zip(&b) {
+                assert_eq!(x.chosen_id(), y.chosen_id(), "epoch {k} terminal {}", x.terminal_id);
+                assert_eq!(x.eligible_ids, y.eligible_ids, "epoch {k}");
+            }
         }
+        assert_eq!(cohort_sched.export_states(), per_sched.export_states());
     }
 
     #[test]
@@ -1307,6 +1360,10 @@ mod tests {
         // allocations the original does, hysteresis and RNG included.
         let c = constellation();
         let mut live = GlobalScheduler::new(SchedulerPolicy::default(), cohort_terminals(), 3);
+        // A fresh scheduler's state is the geometry-free initial state.
+        let initial: Vec<TerminalSchedState> =
+            cohort_terminals().iter().map(|t| TerminalSchedState::initial(3, t.id)).collect();
+        assert_eq!(live.export_states(), initial);
         for k in 0..5 {
             live.allocate(&c, at().plus_seconds(15.0 * k as f64));
         }

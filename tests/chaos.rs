@@ -65,7 +65,9 @@ fn escalating_fault_tiers_degrade_monotonically_without_panicking() {
                 chaos_config(seed, rate),
                 seed,
             );
-            let (obs, stats) = campaign.run_with_stats(start(), SLOTS);
+            let (obs, stats, _) = campaign
+                .run_resumable(start(), SLOTS, &ResumeConfig::default())
+                .expect("measurement faults never fail a campaign");
 
             // Zero panics: the run completed with its full slot count.
             assert_eq!(obs.len(), SLOTS, "campaign truncated at seed {seed} rate {rate}");
@@ -150,7 +152,7 @@ fn fault_free_plans_are_bit_identical_to_fault_unaware_runs() {
 /// disk — the same boundary a real `kill -9` resumes from) after every
 /// `STARSENSE_CHAOS_KILL` checkpoints, then resumed from the snapshot
 /// until done. The reassembled stream must be bit-for-bit identical to
-/// the one-shot engine's, under fault injection, for every seed.
+/// an uninterrupted run's, under fault injection, for every seed.
 #[test]
 fn kill_resume_chain_is_bit_identical_across_seeds() {
     let constellation = mini();
@@ -191,7 +193,7 @@ fn kill_resume_chain_is_bit_identical_across_seeds() {
         assert!(last_report.resumed_at_slot.is_some(), "the final life must have resumed");
         assert_eq!(
             resumed, one_shot,
-            "seed {seed}: kill/resume stream diverged from the one-shot engine"
+            "seed {seed}: kill/resume stream diverged from the uninterrupted run"
         );
     }
     let _ = std::fs::remove_dir_all(&scratch);

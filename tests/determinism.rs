@@ -36,6 +36,47 @@ fn campaigns_are_identical_across_runs() {
     }
 }
 
+/// Golden stream fingerprints: the full bit pattern of three small
+/// campaigns on the mini catalog from the paper's terminals, recorded
+/// once and pinned. Run-to-run and layout-invariance tests only compare
+/// the engine with itself; these catch a refactor that changes what the
+/// engine computes.
+#[test]
+fn campaign_streams_match_golden_fingerprints() {
+    let constellation = ConstellationBuilder::starlink_mini().seed(5).build();
+    let from = JulianDate::from_ymd_hms(2023, 6, 1, 8, 0, 0.0);
+    let faulted = CampaignConfig {
+        faults: FaultPlan::new(13, FaultRates::uniform(0.2)),
+        min_margin: starsense::ident::DEFAULT_MIN_MARGIN,
+        quarantine_after: 3,
+        ..CampaignConfig::default()
+    };
+    let cases = [
+        (
+            "oracle",
+            Campaign::oracle(&constellation, paper_terminals(), CampaignConfig::default(), 5),
+            40,
+            0x37a3_6d27_ba56_acf7u64,
+        ),
+        (
+            "identified",
+            Campaign::identified(&constellation, paper_terminals(), CampaignConfig::default(), 5),
+            24,
+            0xfa8b_a596_619d_f647,
+        ),
+        (
+            "faulted",
+            Campaign::identified(&constellation, paper_terminals(), faulted, 5),
+            24,
+            0x58ef_e330_cc83_cffc,
+        ),
+    ];
+    for (name, campaign, slots, golden) in cases {
+        let got = fingerprint_observations(&campaign.run(from, slots));
+        assert_eq!(got, golden, "{name} campaign stream moved: got {got:#018x}");
+    }
+}
+
 #[test]
 fn probe_traces_are_identical_across_runs() {
     let constellation = ConstellationBuilder::starlink_mini().seed(5).build();
