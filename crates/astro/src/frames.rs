@@ -127,26 +127,58 @@ impl Topocentric {
 
     /// Look angles from this observer to `target_ecef` — the shared
     /// implementation behind the free [`look_angles`] function.
+    #[inline]
     pub fn look_angles(&self, target_ecef: Vec3) -> LookAngles {
+        self.sez(target_ecef).look_angles()
+    }
+
+    /// The line of sight to `target_ecef` in this observer's SEZ frame —
+    /// the first half of [`Topocentric::look_angles`], for callers that
+    /// screen targets on the zenith component before paying for the
+    /// trigonometry. `self.sez(t).look_angles()` is `self.look_angles(t)`
+    /// bit for bit.
+    #[inline]
+    pub fn sez(&self, target_ecef: Vec3) -> Sez {
         let rho = target_ecef - self.ecef;
 
         // ECEF → SEZ (south, east, zenith) at the observer.
-        let s = self.sin_lat * self.cos_lon * rho.x + self.sin_lat * self.sin_lon * rho.y
+        let south = self.sin_lat * self.cos_lon * rho.x + self.sin_lat * self.sin_lon * rho.y
             - self.cos_lat * rho.z;
-        let e = -self.sin_lon * rho.x + self.cos_lon * rho.y;
-        let z = self.cos_lat * self.cos_lon * rho.x
+        let east = -self.sin_lon * rho.x + self.cos_lon * rho.y;
+        let zenith = self.cos_lat * self.cos_lon * rho.x
             + self.cos_lat * self.sin_lon * rho.y
             + self.sin_lat * rho.z;
 
-        let range = rho.norm();
-        let elevation = (z / range).asin();
+        Sez { south, east, zenith, range_km: rho.norm() }
+    }
+}
+
+/// An observer-to-target line of sight in the topocentric SEZ frame (km),
+/// with its length.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Sez {
+    /// Component toward local south.
+    pub south: f64,
+    /// Component toward local east.
+    pub east: f64,
+    /// Component along the local zenith.
+    pub zenith: f64,
+    /// Slant range: the vector's length.
+    pub range_km: f64,
+}
+
+impl Sez {
+    /// Elevation, azimuth and range of this line of sight.
+    #[inline]
+    pub fn look_angles(self) -> LookAngles {
+        let elevation = (self.zenith / self.range_km).asin();
         // Azimuth clockwise from north: atan2(east, north) with north = -south.
-        let azimuth = e.atan2(-s);
+        let azimuth = self.east.atan2(-self.south);
 
         LookAngles {
             elevation_deg: elevation.to_degrees(),
             azimuth_deg: azimuth.to_degrees().rem_euclid(360.0),
-            range_km: range,
+            range_km: self.range_km,
         }
     }
 }

@@ -22,16 +22,11 @@
 //!    nobody prepared (ad-hoc queries, benches, misaligned slots). This is
 //!    the cold path; correctness never depends on reaching it.
 //!
-//! Per-(satellite, epoch) sparse lookups moved out of the shared cache
-//! entirely: [`SparseMemo`] is a plain single-owner memo a caller (one
-//! identification track cache, one shard worker) holds privately, so sparse
-//! traffic never crosses threads and never takes a lock.
-//!
 //! Determinism: an epoch is keyed by the exact bit pattern of its Julian
 //! date, and the cached value is a pure function of (catalog, epoch), so a
 //! cache hit is bit-identical to recomputation and results cannot depend
 //! on which thread populated an entry first — nor on whether an epoch was
-//! served by the prepared table, a fallback map, or a sparse memo.
+//! served by the prepared table or a fallback map.
 
 use crate::catalog::{Constellation, Snapshot};
 use starsense_astro::time::JulianDate;
@@ -289,77 +284,6 @@ impl<'a> PropagationCache<'a> {
     }
 }
 
-/// A single-owner per-(satellite, epoch) published-position memo.
-///
-/// This is the shard-local tier of the cache design: each consumer that
-/// needs pruned single-satellite lookups — one identification track cache,
-/// inside one campaign shard worker — owns its own `SparseMemo`. The memo
-/// never crosses threads, so lookups take no lock and sparse traffic from
-/// one shard cannot contend with another. Values are bit-identical to
-/// `cache.published_positions(at)[si]` regardless of which tier answers.
-#[derive(Debug, Default)]
-pub struct SparseMemo {
-    map: HashMap<(u64, u32), Option<Vec3>>,
-    hits: usize,
-    misses: usize,
-}
-
-impl SparseMemo {
-    /// Creates an empty memo.
-    pub fn new() -> SparseMemo {
-        SparseMemo::default()
-    }
-
-    /// Published-TLE TEME position of the satellite at catalog index `si`
-    /// at `at`. A prepared full row answers lock-free; otherwise the local
-    /// memo answers, then the shared fallback row map, and only then is
-    /// one satellite propagated (and memoized locally).
-    pub fn published_position_of(
-        &mut self,
-        cache: &PropagationCache<'_>,
-        si: usize,
-        at: JulianDate,
-    ) -> Option<Vec3> {
-        let key = at.0.to_bits();
-        if let Some(row) = cache.prepared_published(key) {
-            self.hits += 1;
-            return row[si];
-        }
-        let sparse_key = (key, si as u32);
-        if let Some(hit) = self.map.get(&sparse_key) {
-            self.hits += 1;
-            return *hit;
-        }
-        if let Some(row) = read_unpoisoned(&cache.published).get(&key) {
-            self.hits += 1;
-            return row[si];
-        }
-        let pos = cache.constellation().sats()[si].published_position(at);
-        self.misses += 1;
-        *self.map.entry(sparse_key).or_insert(pos)
-    }
-
-    /// Lookups answered without propagating (any tier).
-    pub fn hits(&self) -> usize {
-        self.hits
-    }
-
-    /// Lookups that propagated one satellite.
-    pub fn misses(&self) -> usize {
-        self.misses
-    }
-
-    /// Entries currently memoized locally.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether the memo holds no local entries.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -526,57 +450,6 @@ mod tests {
         let misses = cache.stats().misses;
         let _ = cache.snapshot(prepared_at);
         assert_eq!(cache.stats().misses, misses);
-    }
-
-    #[test]
-    fn sparse_memo_matches_direct_propagation_and_memoizes() {
-        let c = mini();
-        let cache = PropagationCache::new(&c);
-        let mut memo = SparseMemo::new();
-        let at = JulianDate::from_ymd_hms(2023, 6, 1, 12, 0, 0.0);
-        for si in [0usize, 7, c.len() - 1] {
-            assert_eq!(
-                memo.published_position_of(&cache, si, at),
-                c.sats()[si].published_position(at)
-            );
-        }
-        assert_eq!((memo.hits(), memo.misses(), memo.len()), (0, 3, 3));
-        // Re-asking is a memo hit and adds no entries.
-        let _ = memo.published_position_of(&cache, 7, at);
-        assert_eq!((memo.hits(), memo.misses(), memo.len()), (1, 3, 3));
-        // Full-row counters are untouched by sparse traffic.
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses), (0, 0));
-    }
-
-    #[test]
-    fn warm_full_row_answers_sparse_lookups_without_new_entries() {
-        let c = mini();
-        let cache = PropagationCache::new(&c);
-        let mut memo = SparseMemo::new();
-        let at = JulianDate::from_ymd_hms(2023, 6, 1, 12, 0, 0.0);
-        let row = cache.published_positions(at);
-        for si in 0..c.len() {
-            assert_eq!(memo.published_position_of(&cache, si, at), row[si]);
-        }
-        assert_eq!((memo.hits(), memo.misses(), memo.len()), (c.len(), 0, 0));
-        assert!(memo.is_empty());
-    }
-
-    #[test]
-    fn prepared_row_answers_sparse_lookups_lock_free() {
-        let c = mini();
-        let cache = PropagationCache::new(&c);
-        let at = JulianDate::from_ymd_hms(2023, 6, 1, 12, 0, 0.0);
-        assert!(cache.prepare(&[], &[at], 1));
-        let mut memo = SparseMemo::new();
-        for si in 0..c.len() {
-            assert_eq!(
-                memo.published_position_of(&cache, si, at),
-                c.sats()[si].published_position(at)
-            );
-        }
-        assert_eq!((memo.hits(), memo.misses(), memo.len()), (c.len(), 0, 0));
     }
 
     #[test]

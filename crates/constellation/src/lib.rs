@@ -36,7 +36,7 @@ mod index;
 mod shell;
 
 pub use builder::ConstellationBuilder;
-pub use cache::{CacheStats, PropagationCache, SparseMemo};
+pub use cache::{CacheStats, PropagationCache};
 pub use catalog::{Constellation, LaunchBatch, Satellite, Snapshot, SnapshotEntry, VisibleSat};
 pub use feed::{defect_kind, load_catalog_text, CatalogLoad};
 pub use index::VisibilityIndex;

@@ -39,8 +39,9 @@
 //!    bit-identical to one monolithic scheduler walking all terminals;
 //! 3. **Observe** (parallel) — each terminal independently replays its
 //!    allocations: dish painting, XOR isolation, and DTW identification,
-//!    with published-TLE propagation read through the prepared table and
-//!    a per-worker sparse memo — no locks on the hot path.
+//!    with boundary rows read from the prepared table and interior
+//!    candidate-track epochs propagated per satellite — no locks on the
+//!    hot path.
 //!
 //! Observations are byte-identical for any worker-thread count and any
 //! shard count (see [`CampaignConfig::threads`]), and the determinism

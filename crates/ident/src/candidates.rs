@@ -9,6 +9,7 @@
 use starsense_astro::frames::{look_angles_teme, Geodetic};
 use starsense_astro::time::JulianDate;
 use starsense_constellation::{Constellation, PropagationCache};
+use starsense_obstruction::map::RIM_ELEVATION_DEG;
 use starsense_obstruction::PolarSample;
 use starsense_scheduler::slots::SLOT_PERIOD_SECONDS;
 
@@ -104,7 +105,7 @@ pub fn candidate_tracks_through(
 }
 
 /// The two boundary instants of a slot's sample grid — bit-identical to
-/// the first and last entries of [`sample_epochs`], which are the only
+/// the first and last entries of the slot's sample epochs, which are the only
 /// epochs [`crate::TrackCache`] reads as full catalog rows. Campaign
 /// engines prepare exactly these into the propagation cache's immutable
 /// epoch table so the observation phase never takes a lock for a boundary
@@ -137,7 +138,7 @@ pub(crate) fn finish_track(
     // Keep only in-plot samples: the obstruction map never shows anything
     // below the rim, so the comparison track shouldn't include it either.
     let in_plot: Vec<PolarSample> =
-        samples.into_iter().filter(|s| s.elevation_deg >= 25.0).collect();
+        samples.into_iter().filter(|s| s.elevation_deg >= RIM_ELEVATION_DEG).collect();
     if in_plot.is_empty() {
         return None;
     }

@@ -24,7 +24,7 @@
 #![warn(missing_docs)]
 
 pub mod test_runner {
-    //! Deterministic case runner and failure plumbing behind [`proptest!`].
+    //! Deterministic case runner and failure plumbing behind [`proptest!`](macro@crate::proptest).
 
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -278,7 +278,7 @@ pub mod collection {
         }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     #[derive(Clone, Debug)]
     pub struct VecStrategy<S> {
         element: S,

@@ -189,7 +189,7 @@ impl GsoExclusion {
     /// The angle is monotone in the dot product, so this version finds the
     /// winning arc point with dot products alone and evaluates the exact
     /// historical formula only for points tied with it (within
-    /// [`DOT_TIE_GUARD`], conservatively). The fold over the survivors
+    /// `DOT_TIE_GUARD`, conservatively). The fold over the survivors
     /// yields the same minimum, bit for bit: every skipped point is
     /// separated by a strictly larger angle, and `min` ignores it either
     /// way.
