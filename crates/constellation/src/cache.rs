@@ -19,8 +19,14 @@
 //!    prepares every slot epoch (and, in identified mode, every slot
 //!    boundary epoch) up front.
 //! 2. **Fallback maps** — `RwLock<HashMap>` read-through maps for epochs
-//!    nobody prepared (ad-hoc queries, benches, misaligned slots). This is
-//!    the cold path; correctness never depends on reaching it.
+//!    nobody prepared. The campaign engine never reaches them: it prepares
+//!    every epoch it reads. What does reach them is the ident crate's
+//!    direct `candidate_tracks_through` (the reference `TrackCache` is
+//!    tested against) and any `TrackCache` over an unprepared cache, the
+//!    hot-path bench's warm-lookup timing, and this module's tests. Netemu
+//!    and the experiment binaries propagate through
+//!    [`Constellation::snapshot`] and never touch the cache. This is the
+//!    cold path; correctness never depends on reaching it.
 //!
 //! Determinism: an epoch is keyed by the exact bit pattern of its Julian
 //! date, and the cached value is a pure function of (catalog, epoch), so a
@@ -235,40 +241,6 @@ impl<'a> PropagationCache<'a> {
         Arc::clone(map.entry(key).or_insert(Arc::new(positions)))
     }
 
-    /// Pre-propagates true snapshots for every epoch in `epochs`, fanning
-    /// the work across up to `threads` scoped workers (values ≤ 1 warm the
-    /// cache serially). Epochs are interleaved across workers so chunks
-    /// cost the same regardless of ordering.
-    ///
-    /// This fills the tier-2 fallback maps; prefer
-    /// [`PropagationCache::prepare`] when the epoch set is known up front,
-    /// which makes later reads lock-free.
-    pub fn prewarm(&self, epochs: &[JulianDate], threads: usize) {
-        let threads = threads.max(1).min(epochs.len().max(1));
-        if threads <= 1 {
-            for &at in epochs {
-                let _ = self.snapshot(at);
-            }
-            return;
-        }
-        std::thread::scope(|scope| {
-            for worker in 0..threads {
-                scope.spawn(move || {
-                    for &at in epochs.iter().skip(worker).step_by(threads) {
-                        let _ = self.snapshot(at);
-                    }
-                });
-            }
-        });
-    }
-
-    /// Drops every cached fallback entry (counters and the immutable
-    /// prepared table are kept).
-    pub fn clear(&self) {
-        write_unpoisoned(&self.truth).clear();
-        write_unpoisoned(&self.published).clear();
-    }
-
     /// Current hit/miss/occupancy counters.
     pub fn stats(&self) -> CacheStats {
         let (prepared_truth, prepared_published) = match self.prepared.get() {
@@ -419,40 +391,6 @@ mod tests {
     }
 
     #[test]
-    fn prewarm_fills_every_epoch_in_parallel() {
-        let c = mini();
-        let cache = PropagationCache::new(&c);
-        let t0 = JulianDate::from_ymd_hms(2023, 6, 1, 12, 0, 0.0);
-        let epochs: Vec<JulianDate> = (0..12).map(|k| t0.plus_seconds(15.0 * k as f64)).collect();
-        cache.prewarm(&epochs, 4);
-        assert_eq!(cache.stats().truth_entries, 12);
-        // Everything is now warm: lookups do not miss again.
-        let misses_before = cache.stats().misses;
-        for &at in &epochs {
-            let _ = cache.snapshot(at);
-        }
-        assert_eq!(cache.stats().misses, misses_before);
-    }
-
-    #[test]
-    fn clear_empties_the_fallback_maps_but_keeps_prepared_entries() {
-        let c = mini();
-        let cache = PropagationCache::new(&c);
-        let at = JulianDate::from_ymd_hms(2023, 6, 1, 12, 0, 0.0);
-        let prepared_at = at.plus_seconds(30.0);
-        assert!(cache.prepare(&[prepared_at], &[], 1));
-        let _ = cache.snapshot(at);
-        let _ = cache.published_positions(at);
-        cache.clear();
-        let s = cache.stats();
-        assert_eq!((s.truth_entries, s.published_entries), (1, 0));
-        // The prepared epoch still answers without a miss.
-        let misses = cache.stats().misses;
-        let _ = cache.snapshot(prepared_at);
-        assert_eq!(cache.stats().misses, misses);
-    }
-
-    #[test]
     fn parallel_readers_share_one_propagation_per_epoch() {
         let c = mini();
         let cache = PropagationCache::new(&c);
@@ -492,14 +430,20 @@ mod tests {
         assert!(result.is_err(), "the writer thread must have panicked");
         assert!(cache.truth.is_poisoned(), "the panic must actually poison the lock");
 
-        // Reads (warm and cold) and writes still work.
+        // Reads (warm and cold) and writes still work, and return what a
+        // fresh cache reads.
         let warm = cache.snapshot(at);
-        assert_eq!(warm.len(), c.len());
         let cold = cache.snapshot(at.plus_seconds(15.0));
-        assert_eq!(cold.len(), c.len());
         assert_eq!(cache.stats().truth_entries, 2);
-        cache.clear();
-        assert_eq!(cache.stats().truth_entries, 0);
+        let fresh = PropagationCache::new(&c);
+        let bits = |s: &Snapshot| -> Vec<Option<[u64; 3]>> {
+            let entries = s.entries().iter();
+            entries
+                .map(|e| e.as_ref().map(|e| [e.ecef.x, e.ecef.y, e.ecef.z].map(f64::to_bits)))
+                .collect()
+        };
+        assert_eq!(bits(&warm), bits(&fresh.snapshot(at)));
+        assert_eq!(bits(&cold), bits(&fresh.snapshot(at.plus_seconds(15.0))));
     }
 
     #[test]

@@ -19,9 +19,11 @@
 //! # Execution model
 //!
 //! There is one engine, [`Campaign::run_resumable`]; [`Campaign::run`] is
-//! that engine with checkpointing off. Each segment of the slot window
-//! (the whole window when checkpointing is off) runs in three phases
-//! around a shared [`PropagationCache`]:
+//! that engine with checkpointing off. Each call first builds every
+//! terminal's immutable [`SiteGeometry`] (GSO zone, ECEF direction and
+//! radius) once, in parallel over the shard ranges. Each segment of the
+//! slot window (the whole window when checkpointing is off) then runs in
+//! three phases around a shared [`PropagationCache`]:
 //!
 //! 1. **Prepare** (parallel) — every epoch the segment will touch at full
 //!    catalog width (each slot's truth snapshot, plus — in identified
@@ -30,13 +32,13 @@
 //!    read of those epochs is a lock-free binary search;
 //! 2. **Schedule** (sharded, parallel) — the terminals are split into
 //!    contiguous shards (see [`CampaignConfig::shards`]) and each worker
-//!    replays the hidden scheduler over just its shard's terminals,
-//!    deriving fields of view through the terminal-cohort path
-//!    ([`GlobalScheduler::fields_of_view_cohort`]), applying the fault
-//!    mask, and allocating slot by slot. Per-terminal RNG streams and
-//!    hysteresis keys make a terminal's allocation a function of
-//!    `(seed, terminal id, sky)` alone, so the merged shard outputs are
-//!    bit-identical to one monolithic scheduler walking all terminals;
+//!    steps its slice of sites over a copy of its slice of
+//!    [`TerminalSchedState`]s, slot by slot: fields of view through the
+//!    terminal-cohort path ([`cohort_fields_of_view`]), the fault mask,
+//!    then scoring and the softmax pick ([`allocate_slot`]). Per-terminal
+//!    RNG streams and hysteresis keys make a terminal's allocation a
+//!    function of `(seed, terminal id, sky)` alone, so the merged shard
+//!    outputs are bit-identical to one step over all terminals;
 //! 3. **Observe** (parallel) — each terminal independently replays its
 //!    allocations: dish painting, XOR isolation, and DTW identification,
 //!    with boundary rows read from the prepared table and interior
@@ -59,7 +61,10 @@ use starsense_ident::{
     TrackCache, CANDIDATE_SAMPLES_PER_SLOT, MIN_CANDIDATE_ELEVATION_DEG,
 };
 use starsense_scheduler::slots::slot_start;
-use starsense_scheduler::{Allocation, GlobalScheduler, SchedulerPolicy, Terminal};
+use starsense_scheduler::{
+    allocate_slot, cohort_fields_of_view, AllocScratch, Allocation, LoadModel, SchedulerPolicy,
+    SiteGeometry, Terminal, TerminalSchedState,
+};
 
 /// How one supervised work-unit attempt failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -342,25 +347,24 @@ impl<'a> Campaign<'a> {
         }
     }
 
-    /// The scheduling inner loop of one shard: replays `scheduler` (owning
-    /// exactly `terminals`) over `mids`, whose first slot sits `k0` slots
-    /// after the start of the fault schedule's campaign window. Returns
-    /// per-terminal allocation columns in `terminals` order.
+    /// The scheduling inner loop of one shard: steps `sites` and their
+    /// `states` (advanced in place) over `mids`, whose first slot sits `k0`
+    /// slots after the start of the fault schedule's campaign window.
+    /// Returns per-site allocation columns in `sites` order.
     pub(crate) fn schedule_slots(
         &self,
-        scheduler: &mut GlobalScheduler,
-        terminals: &[Terminal],
+        sites: &[SiteGeometry],
+        states: &mut [TerminalSchedState],
         cache: &PropagationCache<'_>,
         mids: &[JulianDate],
         k0: usize,
         schedule: Option<&(PropagationSchedule, Vec<u32>)>,
     ) -> Vec<Vec<Allocation>> {
-        // Keyed lookup only (never iterated), so the map is exempt
-        // from the hash-order determinism rules.
-        let column_of: std::collections::HashMap<usize, usize> =
-            terminals.iter().enumerate().map(|(j, t)| (t.id, j)).collect();
+        let policy = &self.config.policy;
+        let load = LoadModel::for_scheduler(self.seed);
+        let mut scratch = AllocScratch::default();
         let mut columns: Vec<Vec<Allocation>> =
-            terminals.iter().map(|_| Vec::with_capacity(mids.len())).collect();
+            sites.iter().map(|_| Vec::with_capacity(mids.len())).collect();
         for (k, &at) in mids.iter().enumerate() {
             let snapshot = cache.snapshot(slot_start(at));
             // Cohort sharing is per shard: terminals that land in the
@@ -369,7 +373,12 @@ impl<'a> Campaign<'a> {
             // gathered, never which satellites pass the exact elevation
             // test, so every shard split produces the same fields of view
             // bit for bit.
-            let mut fov = scheduler.fields_of_view_cohort(self.constellation, &snapshot);
+            let mut fov = cohort_fields_of_view(
+                sites,
+                policy.min_elevation_deg,
+                self.constellation,
+                &snapshot,
+            );
             // A satellite whose propagation failed this slot (or that
             // is quarantined) is invisible to the whole pipeline: the
             // bitset is pure data, so filtering here is invariant to
@@ -384,8 +393,9 @@ impl<'a> Campaign<'a> {
                     });
                 }
             }
-            for alloc in scheduler.allocate_from_available(at, fov) {
-                columns[column_of[&alloc.terminal_id]].push(alloc);
+            let allocs = allocate_slot(policy, &load, sites, states, &mut scratch, at, fov);
+            for (column, alloc) in columns.iter_mut().zip(allocs) {
+                column.push(alloc);
             }
         }
         columns
@@ -409,7 +419,7 @@ impl<'a> Campaign<'a> {
         // The terminal replays its slots in order, which is exactly the
         // access pattern the track cache's boundary reuse and elevation
         // prefilter are built for; its output is bit-identical to the
-        // uncached `identify_slot_through` path.
+        // uncached `identify_slot` path.
         let mut ident = dish.map(|(dish, prev_cap)| {
             let tracks = TrackCache::new(
                 cache,

@@ -75,7 +75,7 @@ use starsense_ident::{
 };
 use starsense_obstruction::ObstructionMap;
 use starsense_scheduler::slots::{slot_index, slot_start, SLOT_PERIOD_SECONDS};
-use starsense_scheduler::{Allocation, GlobalScheduler, TerminalSchedState};
+use starsense_scheduler::{Allocation, SiteGeometry, TerminalSchedState};
 
 /// Campaign-state payload layout version (inside the checkpoint
 /// container, which versions itself separately).
@@ -223,7 +223,7 @@ struct EngineState {
 struct UnitRun<T> {
     /// `Some` iff an attempt completed; `None` means every attempt in
     /// the budget failed (or the unit was already quarantined).
-    value: Option<Result<T, CampaignError>>,
+    value: Option<T>,
     /// Attempts that failed before success or exhaustion.
     failed_attempts: u32,
     /// The last attempt's failure, when all attempts failed.
@@ -302,12 +302,24 @@ impl<'a> Campaign<'a> {
             None => self.fresh_state(),
         };
 
+        // Site geometry is a pure function of (terminal, policy): built
+        // once per call, in parallel over the shard ranges, and shared by
+        // every segment's schedule shards.
+        let ranges = crate::campaign::shard_ranges(self.terminals.len(), self.shard_count());
+        let build = |_, range: std::ops::Range<usize>| -> Vec<SiteGeometry> {
+            let policy = &self.config.policy;
+            self.terminals[range].iter().map(|t| SiteGeometry::new(t.clone(), policy)).collect()
+        };
+        let sites: Vec<SiteGeometry> =
+            parallel_units(ranges, threads, &build)?.into_iter().flatten().collect();
+
         while state.done < slots {
             let seg_len = match opts.checkpoint_every {
                 0 => slots - state.done,
                 n => n.min(slots - state.done),
             };
-            self.run_segment(&mut state, &mids, seg_len, threads, schedule.as_ref(), opts)?;
+            let seg_mids = &mids[state.done..state.done + seg_len];
+            self.run_segment(&mut state, &sites, seg_mids, threads, schedule.as_ref(), opts)?;
             report.segments_run += 1;
             if let Some(fingerprint) = fingerprint {
                 let snapshot = self.encode_state(&state, fingerprint, first_mid, slots)?;
@@ -368,18 +380,19 @@ impl<'a> Campaign<'a> {
     }
 
     /// Executes one segment — prepare, supervised schedule, supervised
-    /// observe — and folds the results into `state`.
+    /// observe — over the slots at `seg_mids` and folds the results into
+    /// `state`.
     fn run_segment(
         &self,
         state: &mut EngineState,
-        mids: &[JulianDate],
-        seg_len: usize,
+        sites: &[SiteGeometry],
+        seg_mids: &[JulianDate],
         threads: usize,
         schedule: Option<&(PropagationSchedule, Vec<u32>)>,
         opts: &ResumeConfig,
     ) -> Result<(), CampaignError> {
         let done = state.done;
-        let seg_mids = &mids[done..done + seg_len];
+        let seg_len = seg_mids.len();
         let seg_first_slot = slot_index(seg_mids[0]);
 
         // Per-segment propagation table. Propagation is a pure function
@@ -404,22 +417,19 @@ impl<'a> Campaign<'a> {
         let run_shard = |s: usize,
                          range: std::ops::Range<usize>|
          -> UnitRun<(Vec<Vec<Allocation>>, Vec<TerminalSchedState>)> {
-            let terminals = &self.terminals[range.clone()];
+            // Every attempt steps a fresh copy of the segment-start
+            // states; the merge below commits them only on success.
             let body = || {
-                let mut scheduler =
-                    GlobalScheduler::new(self.config.policy.clone(), terminals.to_vec(), self.seed);
-                scheduler
-                    .restore_states(&sched_states[range.clone()])
-                    .map_err(|e| CheckpointError::Malformed { context: restore_context(e) })?;
+                let mut states = sched_states[range.clone()].to_vec();
                 let columns = self.schedule_slots(
-                    &mut scheduler,
-                    terminals,
+                    &sites[range.clone()],
+                    &mut states,
                     &cache,
                     seg_mids,
                     done,
                     schedule,
                 );
-                Ok::<_, CampaignError>((columns, scheduler.export_states()))
+                (columns, states)
             };
             self.run_supervised(
                 s as u64,
@@ -461,7 +471,7 @@ impl<'a> Campaign<'a> {
             let body = || {
                 if !self.config.identified {
                     let obs = self.observe_terminal_segment(&cache, tid, None, &allocs);
-                    return Ok::<_, CampaignError>((obs, None));
+                    return (obs, None);
                 }
                 let mut dish = DishSimulator::new(self.terminals[tid].location);
                 dish.restore_state(dish_states[tid].clone());
@@ -472,7 +482,7 @@ impl<'a> Campaign<'a> {
                     Some((&mut dish, &mut prev)),
                     &allocs,
                 );
-                Ok((obs, Some(Box::new((dish.export_state(), prev)))))
+                (obs, Some(Box::new((dish.export_state(), prev))))
             };
             let unit = observe_unit_id(tid);
             let run =
@@ -540,7 +550,7 @@ impl<'a> Campaign<'a> {
         seg_first_slot: i64,
         quarantined: bool,
         opts: &ResumeConfig,
-        body: impl Fn() -> Result<T, CampaignError>,
+        body: impl Fn() -> T,
     ) -> UnitRun<T> {
         if quarantined {
             return UnitRun { value: None, failed_attempts: 0, last_failure: None };
@@ -593,14 +603,10 @@ impl<'a> Campaign<'a> {
         opts: &ResumeConfig,
     ) -> Result<Option<T>, CampaignError> {
         match run.value {
-            Some(Ok(v)) => {
+            Some(v) => {
                 state.retries += run.failed_attempts as usize;
                 Ok(Some(v))
             }
-            // A typed error from the body (checkpoint decode, restore
-            // mismatch) is a bug or config problem, not a worker fault —
-            // no retry credit, no quarantine, just propagate.
-            Some(Err(e)) => Err(e),
             None if run.failed_attempts == 0 => Ok(None), // already quarantined
             None => {
                 // Budget exhausted: the final failed attempt is not a
@@ -885,6 +891,12 @@ impl<'a> Campaign<'a> {
             sched.push(TerminalSchedState { terminal_id, rng_state, previous });
         }
         r.expect_exhausted("sched section")?;
+        if sched.iter().zip(&self.terminals).any(|(s, t)| s.terminal_id != t.id) {
+            return Err(CheckpointError::Malformed {
+                context: "scheduler state terminal-id mismatch",
+            }
+            .into());
+        }
 
         // Oracle-mode snapshots carry no dish states.
         let n_dishes = if self.config.identified { n_terminals } else { 0 };
@@ -938,19 +950,6 @@ impl<'a> Campaign<'a> {
         report.resumed_at_slot = Some(done);
         report.loaded_from = Some(origin);
         Ok(Some(EngineState { sched, dish, prev, obs, done, retries, failures, quarantined }))
-    }
-}
-
-/// Stable text for a scheduler state-restore rejection (the checkpoint
-/// error payload is a `&'static str`).
-fn restore_context(e: starsense_scheduler::StateRestoreError) -> &'static str {
-    match e {
-        starsense_scheduler::StateRestoreError::CountMismatch { .. } => {
-            "scheduler state count mismatch"
-        }
-        starsense_scheduler::StateRestoreError::IdMismatch { .. } => {
-            "scheduler state terminal-id mismatch"
-        }
     }
 }
 

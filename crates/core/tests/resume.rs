@@ -11,10 +11,10 @@ use std::path::PathBuf;
 
 use starsense_astro::frames::Geodetic;
 use starsense_astro::time::JulianDate;
-use starsense_checkpoint::{CheckpointError, LoadedFrom};
+use starsense_checkpoint::{atomic_write, CheckpointError, LoadedFrom, Snapshot, SnapshotBuilder};
 use starsense_constellation::{Constellation, ConstellationBuilder};
 use starsense_core::campaign::{Campaign, CampaignConfig, CampaignError, ShardFailure};
-use starsense_core::resume::{fingerprint_observations, ResumeConfig};
+use starsense_core::resume::{fingerprint_observations, ResumeConfig, SEC_SCHED};
 use starsense_core::{DegradeReason, SlotOutcome};
 use starsense_faults::{bit_flipped_copy, FaultPlan, FaultRates, FaultRng};
 use starsense_obstruction::{MaskSector, SkyMask};
@@ -289,6 +289,45 @@ fn snapshot_under_a_mirrored_mask_is_rejected() {
         matches!(err, CampaignError::Checkpoint(CheckpointError::ConfigMismatch { .. })),
         "got {err:?}"
     );
+}
+
+#[test]
+fn scheduler_state_for_another_terminal_is_rejected_on_decode() {
+    // A checksum-valid snapshot whose scheduler section carries another
+    // terminal's id at one position, every other section byte-identical:
+    // only the decode-time id check can catch it, and it must do so before
+    // any segment runs.
+    let c = mini();
+    let campaign = campaign(&c, Mode::Oracle, 1, 1);
+    let path = scratch("sched-id");
+    let config = opts(path.clone(), 2);
+    let stopped = ResumeConfig { stop_after_checkpoints: Some(1), ..config.clone() };
+    campaign.run_resumable(start(), SLOTS, &stopped).expect("partial run");
+
+    let bytes = std::fs::read(&path).expect("snapshot written");
+    let snap = Snapshot::parse(&bytes).expect("valid snapshot");
+    let mut builder = SnapshotBuilder::new();
+    for id in snap.section_ids() {
+        let mut payload = snap.require_section(id).expect("listed section").to_vec();
+        if id == SEC_SCHED {
+            // The first entry opens with terminal 0's id, a little-endian u64.
+            assert_eq!(payload[..8], 0u64.to_le_bytes());
+            payload[..8].copy_from_slice(&7u64.to_le_bytes());
+        }
+        builder.add_section(id, payload);
+    }
+    let tampered = builder.finish().expect("rebuilt snapshot");
+    atomic_write(&path, &tampered).expect("write tampered snapshot");
+
+    let err = campaign.run_resumable(start(), SLOTS, &config).expect_err("must refuse");
+    assert_eq!(
+        err,
+        CampaignError::Checkpoint(CheckpointError::Malformed {
+            context: "scheduler state terminal-id mismatch"
+        })
+    );
+    // No segment ran: none wrote a checkpoint over the tampered snapshot.
+    assert_eq!(std::fs::read(&path).expect("snapshot kept"), tampered);
 }
 
 #[test]

@@ -36,9 +36,8 @@ pub use candidates::{
 pub use dish::{DishSimulator, DishState, FrameFetch, FrameStatus, SlotCapture};
 pub use pipeline::{
     classify_identification, identify_from_trajectory, identify_from_trajectory_counted,
-    identify_slot, identify_slot_through, identify_slot_tracked, verdict_slot_tracked,
-    IdentVerdict, IdentifiedSat, NoDataReason, CANDIDATE_SAMPLES_PER_SLOT, DEFAULT_MIN_MARGIN,
-    MIN_CANDIDATE_ELEVATION_DEG,
+    identify_slot, verdict_slot_tracked, IdentVerdict, IdentifiedSat, NoDataReason,
+    CANDIDATE_SAMPLES_PER_SLOT, DEFAULT_MIN_MARGIN, MIN_CANDIDATE_ELEVATION_DEG,
 };
 pub use track_cache::{prefilter_margin_deg, TrackCache, TrackCacheStats};
 pub use validate::{run_validation, ValidationReport};

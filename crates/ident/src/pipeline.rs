@@ -11,10 +11,10 @@
 //! for the argument) — so identification accuracy is untouched while most
 //! matrix cells are never evaluated.
 
-use crate::candidates::{candidate_tracks, candidate_tracks_through, CandidateTrack};
+use crate::candidates::{candidate_tracks, CandidateTrack};
 use starsense_astro::frames::Geodetic;
 use starsense_astro::time::JulianDate;
-use starsense_constellation::{Constellation, PropagationCache};
+use starsense_constellation::Constellation;
 use starsense_dtw::{
     downsample, dtw_distance, dtw_distance_early_abandon, dtw_lower_bound, PruneStats, COARSE_LEN,
 };
@@ -243,56 +243,16 @@ pub fn identify_slot(
     identify_from_trajectory(&trajectory, constellation, observer, slot_start)
 }
 
-/// [`identify_slot`] reading all published-TLE propagation through a shared
-/// [`PropagationCache`]: the candidate epochs are propagated once per slot
-/// for the whole campaign instead of once per terminal. Results are
-/// bit-identical to [`identify_slot`].
-pub fn identify_slot_through(
-    cache: &PropagationCache<'_>,
-    prev: &ObstructionMap,
-    curr: &ObstructionMap,
-    observer: Geodetic,
-    slot_start: JulianDate,
-) -> Option<IdentifiedSat> {
-    let isolated_map = isolate(prev, curr);
-    let trajectory = extract_trajectory(&isolated_map);
-    if trajectory.len() < 3 {
-        return None;
-    }
-    let candidates = candidate_tracks_through(
-        cache,
-        observer,
-        slot_start,
-        MIN_CANDIDATE_ELEVATION_DEG,
-        CANDIDATE_SAMPLES_PER_SLOT,
-    );
-    match_candidates(&trajectory, &candidates).map(|(id, _)| id)
-}
-
-/// [`identify_slot_through`] with candidate generation going through a
-/// per-terminal [`crate::TrackCache`]: never-visible satellites are
-/// discarded from boundary elevations alone and consecutive slots share
-/// boundary work. Results are bit-identical to [`identify_slot`] and
-/// [`identify_slot_through`] — the cache's prefilter is exact (see
-/// [`crate::track_cache`] for the argument and the property tests).
-pub fn identify_slot_tracked(
-    tracks: &mut crate::TrackCache<'_, '_>,
-    prev: &ObstructionMap,
-    curr: &ObstructionMap,
-    slot_start: JulianDate,
-) -> Option<IdentifiedSat> {
-    match verdict_slot_tracked(tracks, prev, curr, slot_start, 0.0) {
-        IdentVerdict::Identified { sat, .. } | IdentVerdict::Ambiguous { best: sat } => Some(sat),
-        IdentVerdict::NoData(_) => None,
-    }
-}
-
-/// [`identify_slot_tracked`] with the degradation taxonomy surfaced: the
-/// result distinguishes *why* nothing was identified (empty vs. tiny
-/// trail, no candidates) and demotes matches whose margin falls below
-/// `min_margin` to [`IdentVerdict::Ambiguous`] instead of forcing the
-/// best match. With `min_margin = 0.0` the best match is always
-/// reported, bit-identical to `identify_slot_tracked`.
+/// [`identify_slot`] with candidate generation going through a
+/// per-terminal [`crate::TrackCache`] and the degradation taxonomy
+/// surfaced. The cache discards never-visible satellites from boundary
+/// elevations alone and shares boundary work between consecutive slots;
+/// its prefilter is exact (see [`crate::track_cache`] for the argument and
+/// the property tests). The result distinguishes *why* nothing was
+/// identified (empty vs. tiny trail, no candidates) and demotes matches
+/// whose margin falls below `min_margin` to [`IdentVerdict::Ambiguous`]
+/// instead of forcing the best match. With `min_margin = 0.0` the best
+/// match is always reported, bit-identical to [`identify_slot`].
 pub fn verdict_slot_tracked(
     tracks: &mut crate::TrackCache<'_, '_>,
     prev: &ObstructionMap,
@@ -470,7 +430,7 @@ mod tests {
     }
 
     #[test]
-    fn identify_slot_through_cache_matches_direct() {
+    fn tracked_verdict_matches_direct_identification() {
         let (c, loc, start) = setup();
         let truth = c.field_of_view(loc, start, 45.0);
         let serving = truth.first().expect("a high satellite").norad_id;
@@ -480,13 +440,14 @@ mod tests {
 
         let direct = identify_slot(&prev, &cap.map, &c, loc, start).expect("direct");
         let cache = starsense_constellation::PropagationCache::new(&c);
-        let cached = identify_slot_through(&cache, &prev, &cap.map, loc, start).expect("cached");
-        assert_eq!(direct, cached);
+        let mut tracks = crate::TrackCache::new(&cache, loc, 25.0, 16);
+        let verdict = verdict_slot_tracked(&mut tracks, &prev, &cap.map, start, 0.0);
+        assert_eq!(verdict.best(), Some(&direct));
         assert!(cache.stats().published_entries > 0, "candidates must go through the cache");
     }
 
     #[test]
-    fn identify_slot_tracked_matches_through() {
+    fn tracked_verdicts_match_direct_across_consecutive_slots() {
         let (c, loc, start) = setup();
         let mut dish = DishSimulator::new(loc);
         let fov = c.field_of_view(loc, start, 40.0);
@@ -502,9 +463,9 @@ mod tests {
         let cap2 = dish.play_slot(&c, 1, next, Some(fov[1].norad_id));
 
         for (p, m, at) in [(&prev, &cap1.map, start), (&cap1.map, &cap2.map, next)] {
-            let through = identify_slot_through(&cache, p, m, loc, at);
-            let tracked = identify_slot_tracked(&mut tracks, p, m, at);
-            assert_eq!(through, tracked);
+            let direct = identify_slot(p, m, &c, loc, at);
+            let tracked = verdict_slot_tracked(&mut tracks, p, m, at, 0.0);
+            assert_eq!(tracked.best(), direct.as_ref());
         }
         assert!(tracks.stats().prefiltered > 0, "prefilter should do work on real slots");
     }
@@ -554,8 +515,7 @@ mod tests {
         );
 
         // min_margin 0.0 reproduces the legacy best match...
-        let legacy = identify_slot_tracked(&mut tracks, &prev, &cap.map, start)
-            .expect("legacy identification");
+        let legacy = identify_slot(&prev, &cap.map, &c, loc, start).expect("legacy identification");
         let v = verdict_slot_tracked(&mut tracks, &prev, &cap.map, start, 0.0);
         match &v {
             IdentVerdict::Identified { sat, confidence } => {

@@ -25,6 +25,17 @@
 //! the 45–90° band", not 100%) show exactly the graded preference a
 //! temperature parameter captures.
 //!
+//! # One slot as a pure step
+//!
+//! A terminal's assignment depends on four inputs only: its fixed
+//! [`SiteGeometry`], its [`TerminalSchedState`] (RNG stream position and
+//! previous satellite), the policy with its [`LoadModel`], and the slot's
+//! sky. One slot is therefore a step over borrowed state — select
+//! ([`cohort_fields_of_view`]) → score → pick ([`allocate_slot`]) — that
+//! advances a slice of states in place. [`GlobalScheduler`] is a thin
+//! owner of the sites, the states and the scratch buffers for callers that
+//! want one object.
+//!
 //! # Per-terminal randomness and shard invariance
 //!
 //! Every terminal draws from its **own** RNG stream, seeded from
@@ -33,8 +44,8 @@
 //! terminal's allocation sequence is a function of `(seed, terminal id,
 //! sky)` alone — independent of which other terminals are co-scheduled.
 //! That is what lets the campaign engine split the terminal population
-//! into contiguous shards, run one sub-scheduler per shard in parallel,
-//! and merge results bit-identical to a single serial scheduler over all
+//! into contiguous shards, step each shard's slice of sites and states in
+//! parallel, and merge results bit-identical to one step over all
 //! terminals (tested below in `sharded_sub_schedulers_match_monolith`).
 //!
 //! # The cohort fast path
@@ -43,15 +54,13 @@
 //! shares satellite-side work across terminals without changing a single
 //! output bit:
 //!
-//! * [`GlobalScheduler::fields_of_view_cohort`] groups terminals by the
-//!   visibility index's own grid cells and computes one conservative
-//!   candidate superset per cohort (cap at the smallest member radius,
-//!   widened by the exact anchor→member angle), then narrows it per
-//!   member with an exact cap-cosine prefilter before the exact
-//!   elevation test;
-//! * [`GlobalScheduler::allocate_from_available`] gathers the
-//!   `(satellite, slot)`-only score terms from a slot-stamped table and
-//!   runs the segment-pruned GSO tests.
+//! * [`cohort_fields_of_view`] groups terminals by the visibility index's
+//!   own grid cells and computes one conservative candidate superset per
+//!   cohort (cap at the smallest member radius, widened by the exact
+//!   anchor→member angle), then narrows it per member with an exact
+//!   cap-cosine prefilter before the exact elevation test;
+//! * [`allocate_slot`] gathers the `(satellite, slot)`-only score terms
+//!   from a slot-stamped table and runs the segment-pruned GSO tests.
 //!
 //! The per-terminal reference engine ([`GlobalScheduler::fields_of_view`]
 //! + [`GlobalScheduler::allocate_from_available_reference`]) is kept
@@ -67,8 +76,7 @@ use rand::{Rng, SeedableRng};
 use starsense_astro::frames::geodetic_to_ecef;
 use starsense_astro::time::JulianDate;
 use starsense_astro::vec3::Vec3;
-use starsense_constellation::{Constellation, PropagationCache, Snapshot, VisibleSat};
-use std::collections::BTreeMap;
+use starsense_constellation::{Constellation, Snapshot, VisibleSat};
 
 /// Pad (degrees) added to a cohort's measured anchor→member widening
 /// angle, dominating the rounding of the `acos` that measures it so the
@@ -164,16 +172,16 @@ impl Allocation {
     }
 }
 
-/// Reusable per-scheduler buffers for the hot allocation loop, so that
-/// scoring a terminal allocates nothing: candidate indices and scores live
-/// here across terminals and slots, and the softmax overwrites the score
-/// buffer in place instead of building a separate weight vector.
+/// Reusable buffers for [`allocate_slot`], so that scoring a terminal
+/// allocates nothing: candidate indices and scores live here across
+/// terminals and slots, and the softmax overwrites the score buffer in
+/// place instead of building a separate weight vector.
 ///
 /// Scratch contents never outlive one terminal's scoring pass, so carrying
 /// the buffers across calls cannot change results — only where the
 /// intermediate values are stored.
 #[derive(Debug, Clone, Default)]
-struct AllocScratch {
+pub struct AllocScratch {
     /// Indices into the current terminal's `available` list that survived
     /// the sky mask and the GSO exclusion.
     eligible: Vec<usize>,
@@ -196,22 +204,42 @@ struct AllocScratch {
     term_stamp: Vec<i64>,
 }
 
-/// Cached geocentric geometry of one terminal, computed at scheduler
-/// construction: its ECEF position, the unit direction (for cohort
-/// grouping, widening angles and the cap-cosine prefilter) and the
-/// geocentric radius the cap bound is evaluated at.
-#[derive(Debug, Clone, Copy)]
-struct TerminalGeom {
+/// The immutable half of one terminal's scheduler state: the terminal and
+/// the geometry every slot re-reads — its ECEF position, the unit
+/// direction (for cohort grouping, widening angles and the cap-cosine
+/// prefilter), the geocentric radius the cap bound is evaluated at, and
+/// its GSO exclusion zone.
+///
+/// A pure function of the terminal and the policy's GSO half-angle, so a
+/// campaign builds it once per run and shares it by reference across
+/// shards and segments.
+#[derive(Debug, Clone)]
+pub struct SiteGeometry {
+    terminal: Terminal,
     ecef: Vec3,
     unit: Vec3,
     r_km: f64,
+    gso: GsoExclusion,
+}
+
+impl SiteGeometry {
+    /// Builds `terminal`'s geometry under `policy`'s GSO zone. The zone
+    /// (720 arc look-angle evaluations) is most of the cost.
+    pub fn new(terminal: Terminal, policy: &SchedulerPolicy) -> SiteGeometry {
+        let gso = match policy.gso_half_angle_deg {
+            Some(half) => GsoExclusion::for_site(terminal.location, half),
+            None => GsoExclusion::disabled(),
+        };
+        let ecef = geodetic_to_ecef(terminal.location);
+        SiteGeometry { terminal, ecef, unit: ecef.unit(), r_km: ecef.norm(), gso }
+    }
 }
 
 /// Derives the per-terminal RNG stream seed from the scheduler seed and a
 /// terminal's stable id (a splitmix64-style finalizer — the same family
 /// the [`LoadModel`] hashes with). Using the terminal *id* rather than its
 /// position makes the stream a property of the terminal itself, so any
-/// partition of the terminal set into sub-schedulers reproduces it.
+/// partition of the terminal set into shards reproduces it.
 fn stream_seed(seed: u64, terminal_id: u64) -> u64 {
     let mut z = seed ^ terminal_id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -246,15 +274,15 @@ fn sample_in_place(rng: &mut StdRng, temperature: f64, scores: &mut [f64]) -> Op
     Some(scores.len() - 1)
 }
 
-/// The mutable cross-slot state of one terminal inside a
-/// [`GlobalScheduler`], exported at a slot boundary for checkpointing.
+/// The mutable half of one terminal's scheduler state, and its only
+/// representation: the RNG stream position and the previous assignment.
 ///
-/// Everything else a scheduler holds — GSO geometry, terminal geometry,
-/// the [`LoadModel`], the scratch buffers — is either a pure function of
-/// `(policy, terminals, seed)` or results-neutral caching, so this pair
-/// (RNG stream position + previous assignment) is the complete state a
-/// resumed scheduler needs to continue its allocation sequence
-/// bit-identically.
+/// Everything else a slot reads — the [`SiteGeometry`], the
+/// [`LoadModel`], the scratch buffers — is either a pure function of
+/// `(policy, terminal, seed)` or results-neutral caching, so this pair is
+/// the complete state that carries a terminal from one slot to the next.
+/// [`allocate_slot`] advances it in place; a campaign checkpoint stores it
+/// as is, and a copy continues the allocation sequence bit-identically.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TerminalSchedState {
     /// Stable id of the terminal this state belongs to.
@@ -266,10 +294,9 @@ pub struct TerminalSchedState {
 }
 
 impl TerminalSchedState {
-    /// The state a fresh [`GlobalScheduler`] built with `seed` holds for
-    /// terminal `terminal_id`: its RNG stream at the start, no previous
-    /// assignment. Needs no terminal geometry, so a campaign can seed
-    /// every terminal's state without building a scheduler.
+    /// The state of terminal `terminal_id` before its first slot under
+    /// scheduler seed `seed`: its RNG stream at the start, no previous
+    /// assignment.
     pub fn initial(seed: u64, terminal_id: usize) -> TerminalSchedState {
         TerminalSchedState {
             terminal_id,
@@ -277,102 +304,252 @@ impl TerminalSchedState {
             previous: None,
         }
     }
-}
 
-/// Why [`GlobalScheduler::restore_states`] rejected a state vector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StateRestoreError {
-    /// The vector length does not match the scheduler's terminal count.
-    CountMismatch {
-        /// Terminals the scheduler serves.
-        expected: usize,
-        /// States supplied.
-        got: usize,
-    },
-    /// A state's terminal id does not match the terminal at its position.
-    IdMismatch {
-        /// Position in the vector.
-        index: usize,
-        /// Terminal id the scheduler has at that position.
-        expected: usize,
-        /// Terminal id the state carries.
-        got: usize,
-    },
-}
-
-impl std::fmt::Display for StateRestoreError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            StateRestoreError::CountMismatch { expected, got } => {
-                write!(f, "scheduler state count mismatch: {expected} terminals, {got} states")
-            }
-            StateRestoreError::IdMismatch { index, expected, got } => write!(
-                f,
-                "scheduler state id mismatch at {index}: terminal {expected}, state for {got}"
-            ),
-        }
+    /// The softmax draw from this terminal's stream (see
+    /// [`sample_in_place`]), advancing the stream position.
+    fn draw(&mut self, temperature: f64, scores: &mut [f64]) -> Option<usize> {
+        let mut rng = StdRng::from_state(self.rng_state);
+        let pick = sample_in_place(&mut rng, temperature, scores);
+        self.rng_state = rng.state();
+        pick
     }
 }
 
-impl std::error::Error for StateRestoreError {}
+/// Select: per-site field-of-view lists for one prepared snapshot, in site
+/// order, answered through **terminal cohorts**. Sites are grouped by the
+/// grid cell of the snapshot's [`VisibilityIndex`] their geocentric
+/// direction falls into, each cohort shares one conservative candidate
+/// superset (the cap bound at the smallest member radius, widened by the
+/// largest exact anchor→member angle — a provable superset by the
+/// triangle inequality, see [`VisibilityIndex::cohort_candidates_into`]),
+/// and each member then narrows the shared list with its own exact
+/// cap-cosine prefilter before running the exact elevation test. Every
+/// satellite above a member's cutoff survives both conservative stages,
+/// so the result is bit-identical to [`GlobalScheduler::fields_of_view`]
+/// (equality- and property-tested below and in the constellation crate).
+///
+/// Cohort membership is a pure function of site position and the
+/// snapshot, so results are invariant under site order and sharding —
+/// the campaign engine's merge guarantees carry over.
+///
+/// [`VisibilityIndex`]: starsense_constellation::VisibilityIndex
+/// [`VisibilityIndex::cohort_candidates_into`]: starsense_constellation::VisibilityIndex::cohort_candidates_into
+pub fn cohort_fields_of_view(
+    sites: &[SiteGeometry],
+    min_elevation_deg: f64,
+    constellation: &Constellation,
+    snapshot: &Snapshot,
+) -> Vec<Vec<VisibleSat>> {
+    let mut out: Vec<Vec<VisibleSat>> = sites.iter().map(|_| Vec::new()).collect();
+    if sites.is_empty() {
+        return out;
+    }
+    let index = snapshot.visibility_index();
 
-/// The global scheduler: owns per-terminal GSO geometry, the background
-/// load model, one softmax RNG stream per terminal and the
-/// previous-assignment state.
+    // Cohorts are runs of equal cell key after sorting (cell, site
+    // position) pairs; results land in `out[position]`, so the cell-major
+    // visit order never shows downstream.
+    let mut order: Vec<(u32, u32)> =
+        sites.iter().enumerate().map(|(i, g)| (index.cell_key(g.ecef), i as u32)).collect();
+    order.sort_unstable();
+
+    let mut candidates: Vec<u32> = Vec::new();
+    let mut dirs: Vec<(u32, Vec3)> = Vec::new();
+    let mut filtered: Vec<u32> = Vec::new();
+    let mut start = 0usize;
+    while start < order.len() {
+        let cell = order[start].0;
+        let mut end = start + 1;
+        while end < order.len() && order[end].0 == cell {
+            end += 1;
+        }
+        let members = &order[start..end];
+
+        // Anchor on the first member; evaluate the cap at the smallest
+        // member radius (the bound is decreasing in observer radius) and
+        // widen it by the largest exact anchor→member angle.
+        let anchor = &sites[members[0].1 as usize];
+        let mut min_r = f64::INFINITY;
+        let mut widen = 0.0f64;
+        for &(_, ti) in members {
+            let g = &sites[ti as usize];
+            min_r = min_r.min(g.r_km);
+            widen = widen.max(anchor.unit.dot(g.unit).clamp(-1.0, 1.0).acos().to_degrees());
+        }
+        index.cohort_candidates_into(
+            anchor.ecef,
+            min_r,
+            widen + COHORT_WIDEN_PAD_DEG,
+            min_elevation_deg,
+            &mut candidates,
+        );
+
+        // Unit directions of the present candidates, shared by every
+        // member's prefilter.
+        dirs.clear();
+        let entries = snapshot.entries();
+        for &si in &candidates {
+            if let Some(entry) = &entries[si as usize] {
+                dirs.push((si, entry.ecef.unit()));
+            }
+        }
+
+        for &(_, ti) in members {
+            let g = &sites[ti as usize];
+            filtered.clear();
+            match index.cap_cos(g.r_km, min_elevation_deg) {
+                Some(cap_cos) => {
+                    let thr = cap_cos - CAP_COS_GUARD;
+                    filtered.extend(
+                        dirs.iter().filter(|(_, d)| g.unit.dot(*d) >= thr).map(|&(si, _)| si),
+                    );
+                }
+                None => filtered.extend(dirs.iter().map(|&(si, _)| si)),
+            }
+            out[ti as usize] = constellation.field_of_view_from_candidates(
+                snapshot,
+                g.terminal.location,
+                min_elevation_deg,
+                &filtered,
+            );
+        }
+        start = end;
+    }
+    out
+}
+
+/// Score → pick: scoring, the softmax draw and the hysteresis update for
+/// one slot, over per-site availability lists computed elsewhere (by
+/// [`cohort_fields_of_view`], possibly filtered). `states[i]` is site
+/// `i`'s state and advances in place; call once per slot, in slot order.
+/// Returns one [`Allocation`] per site, in site order.
+///
+/// Scoring runs the fast path: the `(satellite, slot)`-only score
+/// components are gathered from the slot-stamped term table (filled
+/// lazily by the first terminal scoring each satellite) and the GSO
+/// geometry goes through the segment-pruned tests — every term and its
+/// summation order matches `GlobalScheduler::score` exactly, so the
+/// emitted allocations and consumed RNG streams are bit-identical to
+/// [`GlobalScheduler::allocate_from_available_reference`] (tested below).
+///
+/// # Panics
+///
+/// Panics when `states` or `available` does not have one entry per site.
+pub fn allocate_slot(
+    policy: &SchedulerPolicy,
+    load: &LoadModel,
+    sites: &[SiteGeometry],
+    states: &mut [TerminalSchedState],
+    scratch: &mut AllocScratch,
+    at: JulianDate,
+    available: Vec<Vec<VisibleSat>>,
+) -> Vec<Allocation> {
+    assert_eq!(states.len(), sites.len(), "one state per site");
+    assert_eq!(available.len(), sites.len(), "one availability list per site");
+    let slot = slot_index(at);
+    let start = slot_start(at);
+    let p = policy;
+    let mut out = Vec::with_capacity(sites.len());
+
+    for ((site, state), available) in sites.iter().zip(states.iter_mut()).zip(available) {
+        // One fused GSO query per candidate decides the exclusion and
+        // yields the separation the scoring loop needs — where the
+        // reference path pays a full exclusion scan and then a second
+        // full separation scan per eligible candidate.
+        scratch.eligible.clear();
+        scratch.gso_sep.clear();
+        for (i, v) in available.iter().enumerate() {
+            if site.terminal.mask.blocks(v.look.elevation_deg, v.look.azimuth_deg) {
+                continue;
+            }
+            let Some(sep) = site.gso.separation_if_clear(&v.look) else { continue };
+            scratch.eligible.push(i);
+            scratch.gso_sep.push(sep);
+        }
+
+        let mut eligible_ids = Vec::with_capacity(scratch.eligible.len());
+        eligible_ids.extend(scratch.eligible.iter().map(|&i| available[i].norad_id));
+
+        scratch.scores.clear();
+        for (ei, &i) in scratch.eligible.iter().enumerate() {
+            let sat = &available[i];
+            let ci = sat.catalog_index as usize;
+            if scratch.term_stamp.len() <= ci {
+                scratch.term_stamp.resize(ci + 1, i64::MIN);
+                scratch.age_term.resize(ci + 1, 0.0);
+                scratch.load_term.resize(ci + 1, 0.0);
+            }
+            if scratch.term_stamp[ci] != slot {
+                scratch.term_stamp[ci] = slot;
+                let age_norm = 1.0 - (sat.age_days / p.max_age_days).clamp(0.0, 1.0);
+                scratch.age_term[ci] = p.w_age * age_norm;
+                scratch.load_term[ci] = p.w_load * (1.0 - load.utilization(sat.norad_id, slot));
+            }
+            let el_norm = ((sat.look.elevation_deg - p.min_elevation_deg)
+                / (90.0 - p.min_elevation_deg))
+                .clamp(0.0, 1.0);
+            let dark_penalty =
+                if sat.sunlit { 0.0 } else { p.w_dark_low_elevation * (1.0 - el_norm) };
+            let gso_margin = (scratch.gso_sep[ei] / 90.0).clamp(0.0, 1.0);
+            let hyst = if state.previous == Some(sat.norad_id) { p.w_hysteresis } else { 0.0 };
+            // Same terms, same left-to-right association as `score`.
+            scratch.scores.push(
+                p.w_elevation * el_norm - dark_penalty
+                    + scratch.age_term[ci]
+                    + if sat.sunlit { p.w_sunlit } else { 0.0 }
+                    + scratch.load_term[ci]
+                    + p.w_gso_margin * gso_margin
+                    + hyst,
+            );
+        }
+        let chosen = state
+            .draw(p.temperature, &mut scratch.scores)
+            .map(|i| available[scratch.eligible[i]].clone());
+        state.previous = chosen.as_ref().map(|c| c.norad_id);
+
+        out.push(Allocation {
+            terminal_id: site.terminal.id,
+            slot,
+            slot_start: start,
+            available,
+            eligible_ids,
+            chosen,
+        });
+    }
+    out
+}
+
+/// The global scheduler as one object: owns the [`SiteGeometry`] and the
+/// [`TerminalSchedState`] of every terminal, the background load model and
+/// the scratch buffers, and runs the slot step over all of them.
 #[derive(Debug, Clone)]
 pub struct GlobalScheduler {
     policy: SchedulerPolicy,
-    terminals: Vec<Terminal>,
-    /// Per-terminal geocentric geometry (same order as `terminals`),
-    /// cached once for the cohort field-of-view path.
-    geom: Vec<TerminalGeom>,
-    gso: Vec<GsoExclusion>,
     load: LoadModel,
-    /// One independent RNG stream per terminal (same order as
-    /// `terminals`), each seeded from `(seed, terminal id)` — see the
-    /// module docs on shard invariance.
-    rngs: Vec<StdRng>,
-    // Ordered map keyed by terminal id: access today is keyed-only, but
-    // any future iteration (snapshotting, sharded merges) must not depend
-    // on hash order.
-    previous: BTreeMap<usize, u32>,
+    /// The served terminals, contiguous for [`GlobalScheduler::terminals`]
+    /// (each site holds its own copy).
+    terminals: Vec<Terminal>,
+    sites: Vec<SiteGeometry>,
+    states: Vec<TerminalSchedState>,
     scratch: AllocScratch,
 }
 
 impl GlobalScheduler {
     /// Creates a scheduler for a set of terminals.
     ///
-    /// Terminal ids seed the per-terminal RNG streams and key the
-    /// hysteresis state, so a scheduler over any subset of a terminal
-    /// population allocates for those terminals exactly as a scheduler
-    /// over the whole population would (given the same `seed`).
+    /// Terminal ids seed the per-terminal RNG streams, so a scheduler over
+    /// any subset of a terminal population allocates for those terminals
+    /// exactly as a scheduler over the whole population would (given the
+    /// same `seed`).
     pub fn new(policy: SchedulerPolicy, terminals: Vec<Terminal>, seed: u64) -> GlobalScheduler {
-        let gso = terminals
-            .iter()
-            .map(|t| match policy.gso_half_angle_deg {
-                Some(half) => GsoExclusion::for_site(t.location, half),
-                None => GsoExclusion::disabled(),
-            })
-            .collect();
-        let rngs = terminals
-            .iter()
-            .map(|t| StdRng::seed_from_u64(stream_seed(seed, t.id as u64)))
-            .collect();
-        let geom = terminals
-            .iter()
-            .map(|t| {
-                let ecef = geodetic_to_ecef(t.location);
-                TerminalGeom { ecef, unit: ecef.unit(), r_km: ecef.norm() }
-            })
-            .collect();
+        let sites = terminals.iter().map(|t| SiteGeometry::new(t.clone(), &policy)).collect();
+        let states = terminals.iter().map(|t| TerminalSchedState::initial(seed, t.id)).collect();
         GlobalScheduler {
             policy,
+            load: LoadModel::for_scheduler(seed),
             terminals,
-            geom,
-            gso,
-            load: LoadModel::new(seed ^ 0x10AD, 0.5),
-            rngs,
-            previous: BTreeMap::new(),
+            sites,
+            states,
             scratch: AllocScratch::default(),
         }
     }
@@ -393,57 +570,6 @@ impl GlobalScheduler {
         &self.load
     }
 
-    /// Exports the mutable cross-slot state of every terminal, in
-    /// terminal order — the scheduler half of a campaign checkpoint.
-    pub fn export_states(&self) -> Vec<TerminalSchedState> {
-        self.terminals
-            .iter()
-            .zip(&self.rngs)
-            .map(|(t, rng)| TerminalSchedState {
-                terminal_id: t.id,
-                rng_state: rng.state(),
-                previous: self.previous.get(&t.id).copied(),
-            })
-            .collect()
-    }
-
-    /// Restores state exported by [`GlobalScheduler::export_states`],
-    /// positioning every RNG stream and hysteresis key exactly where the
-    /// exporting scheduler left them: the restored scheduler's subsequent
-    /// allocations are bit-identical to the exporter continuing.
-    ///
-    /// `states` must carry one entry per terminal, in this scheduler's
-    /// terminal order (sub-schedulers restore the matching slice of a
-    /// whole-population export).
-    pub fn restore_states(
-        &mut self,
-        states: &[TerminalSchedState],
-    ) -> Result<(), StateRestoreError> {
-        if states.len() != self.terminals.len() {
-            return Err(StateRestoreError::CountMismatch {
-                expected: self.terminals.len(),
-                got: states.len(),
-            });
-        }
-        for (index, (t, s)) in self.terminals.iter().zip(states).enumerate() {
-            if t.id != s.terminal_id {
-                return Err(StateRestoreError::IdMismatch {
-                    index,
-                    expected: t.id,
-                    got: s.terminal_id,
-                });
-            }
-        }
-        self.previous.clear();
-        for (rng, s) in self.rngs.iter_mut().zip(states) {
-            *rng = StdRng::from_state(s.rng_state);
-            if let Some(prev) = s.previous {
-                self.previous.insert(s.terminal_id, prev);
-            }
-        }
-        Ok(())
-    }
-
     /// Allocates a satellite to every terminal for the slot containing
     /// `at`. Returns one [`Allocation`] per terminal, in terminal order.
     ///
@@ -456,20 +582,6 @@ impl GlobalScheduler {
         // One propagation pass per slot, shared by every terminal.
         let snapshot = constellation.snapshot(slot_start(at));
         let available = self.fields_of_view_cohort(constellation, &snapshot);
-        self.allocate_from_available(at, available)
-    }
-
-    /// Like [`GlobalScheduler::allocate`], but reads the slot's snapshot
-    /// through a shared [`PropagationCache`], so several schedulers — or a
-    /// campaign's pre-warming workers — propagate each epoch only once.
-    /// Bit-identical to `allocate` on the same catalog.
-    pub fn allocate_through(
-        &mut self,
-        cache: &PropagationCache<'_>,
-        at: JulianDate,
-    ) -> Vec<Allocation> {
-        let snapshot = cache.snapshot(slot_start(at));
-        let available = self.fields_of_view_cohort(cache.constellation(), &snapshot);
         self.allocate_from_available(at, available)
     }
 
@@ -488,7 +600,7 @@ impl GlobalScheduler {
         snapshot: &Snapshot,
     ) -> Vec<Vec<VisibleSat>> {
         // One candidate buffer per call (not per terminal); `&self` keeps
-        // this callable from the campaign engine's parallel workers.
+        // this callable from parallel workers.
         let mut candidates = Vec::new();
         self.terminals
             .iter()
@@ -503,108 +615,14 @@ impl GlobalScheduler {
             .collect()
     }
 
-    /// Per-terminal field-of-view lists answered through **terminal
-    /// cohorts**: terminals are grouped by the grid cell of the snapshot's
-    /// [`VisibilityIndex`] their geocentric direction falls into, each
-    /// cohort shares one conservative candidate superset (the cap bound at
-    /// the smallest member radius, widened by the largest exact
-    /// anchor→member angle — a provable superset by the triangle
-    /// inequality, see
-    /// [`VisibilityIndex::cohort_candidates_into`]), and each member then
-    /// narrows the shared list with its own exact cap-cosine prefilter
-    /// before running the exact elevation test. Every satellite above a
-    /// member's cutoff survives both conservative stages, so the result is
-    /// bit-identical to [`GlobalScheduler::fields_of_view`] (equality- and
-    /// property-tested below and in the constellation crate).
-    ///
-    /// Cohort membership is a pure function of terminal position and the
-    /// snapshot, so results are invariant under terminal input order and
-    /// sharding — the campaign engine's merge guarantees carry over.
-    ///
-    /// [`VisibilityIndex`]: starsense_constellation::VisibilityIndex
-    /// [`VisibilityIndex::cohort_candidates_into`]: starsense_constellation::VisibilityIndex::cohort_candidates_into
+    /// [`cohort_fields_of_view`] over this scheduler's terminals — the
+    /// field-of-view half of `allocate`.
     pub fn fields_of_view_cohort(
         &self,
         constellation: &Constellation,
         snapshot: &Snapshot,
     ) -> Vec<Vec<VisibleSat>> {
-        let mut out: Vec<Vec<VisibleSat>> = self.terminals.iter().map(|_| Vec::new()).collect();
-        if self.terminals.is_empty() {
-            return out;
-        }
-        let index = snapshot.visibility_index();
-        let min_el = self.policy.min_elevation_deg;
-
-        // Cohorts are runs of equal cell key after sorting (cell, terminal
-        // position) pairs; results land in `out[position]`, so the
-        // cell-major visit order never shows downstream.
-        let mut order: Vec<(u32, u32)> =
-            self.geom.iter().enumerate().map(|(i, g)| (index.cell_key(g.ecef), i as u32)).collect();
-        order.sort_unstable();
-
-        let mut candidates: Vec<u32> = Vec::new();
-        let mut dirs: Vec<(u32, Vec3)> = Vec::new();
-        let mut filtered: Vec<u32> = Vec::new();
-        let mut start = 0usize;
-        while start < order.len() {
-            let cell = order[start].0;
-            let mut end = start + 1;
-            while end < order.len() && order[end].0 == cell {
-                end += 1;
-            }
-            let members = &order[start..end];
-
-            // Anchor on the first member; evaluate the cap at the smallest
-            // member radius (the bound is decreasing in observer radius)
-            // and widen it by the largest exact anchor→member angle.
-            let anchor = &self.geom[members[0].1 as usize];
-            let mut min_r = f64::INFINITY;
-            let mut widen = 0.0f64;
-            for &(_, ti) in members {
-                let g = &self.geom[ti as usize];
-                min_r = min_r.min(g.r_km);
-                widen = widen.max(anchor.unit.dot(g.unit).clamp(-1.0, 1.0).acos().to_degrees());
-            }
-            index.cohort_candidates_into(
-                anchor.ecef,
-                min_r,
-                widen + COHORT_WIDEN_PAD_DEG,
-                min_el,
-                &mut candidates,
-            );
-
-            // Unit directions of the present candidates, shared by every
-            // member's prefilter.
-            dirs.clear();
-            let entries = snapshot.entries();
-            for &si in &candidates {
-                if let Some(entry) = &entries[si as usize] {
-                    dirs.push((si, entry.ecef.unit()));
-                }
-            }
-
-            for &(_, ti) in members {
-                let g = &self.geom[ti as usize];
-                filtered.clear();
-                match index.cap_cos(g.r_km, min_el) {
-                    Some(cap_cos) => {
-                        let thr = cap_cos - CAP_COS_GUARD;
-                        filtered.extend(
-                            dirs.iter().filter(|(_, d)| g.unit.dot(*d) >= thr).map(|&(si, _)| si),
-                        );
-                    }
-                    None => filtered.extend(dirs.iter().map(|&(si, _)| si)),
-                }
-                out[ti as usize] = constellation.field_of_view_from_candidates(
-                    snapshot,
-                    self.terminals[ti as usize].location,
-                    min_el,
-                    &filtered,
-                );
-            }
-            start = end;
-        }
-        out
+        cohort_fields_of_view(&self.sites, self.policy.min_elevation_deg, constellation, snapshot)
     }
 
     /// [`GlobalScheduler::fields_of_view`] via the full-catalog linear
@@ -627,19 +645,10 @@ impl GlobalScheduler {
             .collect()
     }
 
-    /// The stateful half of `allocate`: scoring, the softmax draw and the
-    /// hysteresis update, consuming per-terminal availability lists that
-    /// were computed elsewhere (in slot order — each terminal's RNG stream
-    /// and previous-assignment state advance per call).
-    ///
-    /// Scoring runs the fast path: the `(satellite, slot)`-only score
-    /// components are gathered from the slot-stamped term table (filled
-    /// lazily by the first terminal scoring each satellite) and the GSO
-    /// geometry goes through the segment-pruned tests — every term and its
-    /// summation order matches `GlobalScheduler::score` exactly, so the
-    /// emitted allocations and consumed RNG streams are bit-identical to
-    /// [`GlobalScheduler::allocate_from_available_reference`] (tested
-    /// below).
+    /// [`allocate_slot`] over this scheduler's terminals and states — the
+    /// stateful half of `allocate`, consuming per-terminal availability
+    /// lists that were computed elsewhere (in slot order: each terminal's
+    /// RNG stream and previous-assignment state advance per call).
     ///
     /// # Panics
     ///
@@ -649,99 +658,15 @@ impl GlobalScheduler {
         at: JulianDate,
         available: Vec<Vec<VisibleSat>>,
     ) -> Vec<Allocation> {
-        assert_eq!(available.len(), self.terminals.len(), "one availability list per terminal");
-        let slot = slot_index(at);
-        let start = slot_start(at);
-        let mut out = Vec::with_capacity(self.terminals.len());
-
-        // Detach the scratch buffers so `self` stays borrowable for
-        // scoring and the RNG draw; reattached after the loop.
-        let mut scratch = std::mem::take(&mut self.scratch);
-
-        for (ti, available) in available.into_iter().enumerate() {
-            let terminal = &self.terminals[ti];
-            let tid = terminal.id;
-
-            // One fused GSO query per candidate decides the exclusion and
-            // yields the separation the scoring loop needs — where the
-            // reference path pays a full exclusion scan and then a second
-            // full separation scan per eligible candidate.
-            scratch.eligible.clear();
-            scratch.gso_sep.clear();
-            for (i, v) in available.iter().enumerate() {
-                if terminal.mask.blocks(v.look.elevation_deg, v.look.azimuth_deg) {
-                    continue;
-                }
-                let Some(sep) = self.gso[ti].separation_if_clear(&v.look) else { continue };
-                scratch.eligible.push(i);
-                scratch.gso_sep.push(sep);
-            }
-
-            let mut eligible_ids = Vec::with_capacity(scratch.eligible.len());
-            eligible_ids.extend(scratch.eligible.iter().map(|&i| available[i].norad_id));
-
-            scratch.scores.clear();
-            let p = &self.policy;
-            for (ei, &i) in scratch.eligible.iter().enumerate() {
-                let sat = &available[i];
-                let ci = sat.catalog_index as usize;
-                if scratch.term_stamp.len() <= ci {
-                    scratch.term_stamp.resize(ci + 1, i64::MIN);
-                    scratch.age_term.resize(ci + 1, 0.0);
-                    scratch.load_term.resize(ci + 1, 0.0);
-                }
-                if scratch.term_stamp[ci] != slot {
-                    scratch.term_stamp[ci] = slot;
-                    let age_norm = 1.0 - (sat.age_days / p.max_age_days).clamp(0.0, 1.0);
-                    scratch.age_term[ci] = p.w_age * age_norm;
-                    scratch.load_term[ci] =
-                        p.w_load * (1.0 - self.load.utilization(sat.norad_id, slot));
-                }
-                let el_norm = ((sat.look.elevation_deg - p.min_elevation_deg)
-                    / (90.0 - p.min_elevation_deg))
-                    .clamp(0.0, 1.0);
-                let dark_penalty =
-                    if sat.sunlit { 0.0 } else { p.w_dark_low_elevation * (1.0 - el_norm) };
-                let gso_margin = (scratch.gso_sep[ei] / 90.0).clamp(0.0, 1.0);
-                let hyst = if self.previous.get(&tid) == Some(&sat.norad_id) {
-                    p.w_hysteresis
-                } else {
-                    0.0
-                };
-                // Same terms, same left-to-right association as `score`.
-                scratch.scores.push(
-                    p.w_elevation * el_norm - dark_penalty
-                        + scratch.age_term[ci]
-                        + if sat.sunlit { p.w_sunlit } else { 0.0 }
-                        + scratch.load_term[ci]
-                        + p.w_gso_margin * gso_margin
-                        + hyst,
-                );
-            }
-            let chosen =
-                sample_in_place(&mut self.rngs[ti], self.policy.temperature, &mut scratch.scores)
-                    .map(|i| available[scratch.eligible[i]].clone());
-
-            match chosen.as_ref() {
-                Some(c) => {
-                    self.previous.insert(tid, c.norad_id);
-                }
-                None => {
-                    self.previous.remove(&tid);
-                }
-            }
-
-            out.push(Allocation {
-                terminal_id: tid,
-                slot,
-                slot_start: start,
-                available,
-                eligible_ids,
-                chosen,
-            });
-        }
-        self.scratch = scratch;
-        out
+        allocate_slot(
+            &self.policy,
+            &self.load,
+            &self.sites,
+            &mut self.states,
+            &mut self.scratch,
+            at,
+            available,
+        )
     }
 
     /// The frozen per-terminal reference for
@@ -760,20 +685,18 @@ impl GlobalScheduler {
         at: JulianDate,
         available: Vec<Vec<VisibleSat>>,
     ) -> Vec<Allocation> {
-        assert_eq!(available.len(), self.terminals.len(), "one availability list per terminal");
+        assert_eq!(available.len(), self.sites.len(), "one availability list per terminal");
         let slot = slot_index(at);
         let start = slot_start(at);
-        let mut out = Vec::with_capacity(self.terminals.len());
+        let mut out = Vec::with_capacity(self.sites.len());
         let mut scratch = std::mem::take(&mut self.scratch);
 
         for (ti, available) in available.into_iter().enumerate() {
-            let terminal = &self.terminals[ti];
-            let tid = terminal.id;
-
+            let site = &self.sites[ti];
             scratch.eligible.clear();
             scratch.eligible.extend(available.iter().enumerate().filter_map(|(i, v)| {
-                let open = !terminal.mask.blocks(v.look.elevation_deg, v.look.azimuth_deg)
-                    && !self.gso[ti].excludes(&v.look);
+                let open = !site.terminal.mask.blocks(v.look.elevation_deg, v.look.azimuth_deg)
+                    && !site.gso.excludes(&v.look);
                 open.then_some(i)
             }));
 
@@ -781,27 +704,17 @@ impl GlobalScheduler {
             eligible_ids.extend(scratch.eligible.iter().map(|&i| available[i].norad_id));
 
             scratch.scores.clear();
-            scratch.scores.extend(
-                scratch
-                    .eligible
-                    .iter()
-                    .map(|&i| self.score(tid, slot, &available[i], &self.gso[ti])),
-            );
-            let chosen =
-                sample_in_place(&mut self.rngs[ti], self.policy.temperature, &mut scratch.scores)
-                    .map(|i| available[scratch.eligible[i]].clone());
-
-            match chosen.as_ref() {
-                Some(c) => {
-                    self.previous.insert(tid, c.norad_id);
-                }
-                None => {
-                    self.previous.remove(&tid);
-                }
-            }
+            scratch
+                .scores
+                .extend(scratch.eligible.iter().map(|&i| self.score(ti, slot, &available[i])));
+            let state = &mut self.states[ti];
+            let chosen = state
+                .draw(self.policy.temperature, &mut scratch.scores)
+                .map(|i| available[scratch.eligible[i]].clone());
+            state.previous = chosen.as_ref().map(|c| c.norad_id);
 
             out.push(Allocation {
-                terminal_id: tid,
+                terminal_id: self.sites[ti].terminal.id,
                 slot,
                 slot_start: start,
                 available,
@@ -832,11 +745,12 @@ impl GlobalScheduler {
         out
     }
 
-    /// Scores one candidate for one terminal — the reference expression
-    /// the fast path's table-driven scoring mirrors term for term (the
-    /// `w_age·age_norm` and `w_load·(1−load)` products depend only on
-    /// `(satellite, slot)` and are what the slot term table caches).
-    fn score(&self, terminal_id: usize, slot: i64, sat: &VisibleSat, gso: &GsoExclusion) -> f64 {
+    /// Scores one candidate for the terminal at position `ti` — the
+    /// reference expression the fast path's table-driven scoring mirrors
+    /// term for term (the `w_age·age_norm` and `w_load·(1−load)` products
+    /// depend only on `(satellite, slot)` and are what the slot term table
+    /// caches).
+    fn score(&self, ti: usize, slot: i64, sat: &VisibleSat) -> f64 {
         let p = &self.policy;
         let el_norm = ((sat.look.elevation_deg - p.min_elevation_deg)
             / (90.0 - p.min_elevation_deg))
@@ -844,12 +758,9 @@ impl GlobalScheduler {
         let dark_penalty = if sat.sunlit { 0.0 } else { p.w_dark_low_elevation * (1.0 - el_norm) };
         let age_norm = 1.0 - (sat.age_days / p.max_age_days).clamp(0.0, 1.0);
         let load = self.load.utilization(sat.norad_id, slot);
-        let gso_margin = (gso.separation_deg(&sat.look) / 90.0).clamp(0.0, 1.0);
-        let hyst = if self.previous.get(&terminal_id) == Some(&sat.norad_id) {
-            p.w_hysteresis
-        } else {
-            0.0
-        };
+        let gso_margin = (self.sites[ti].gso.separation_deg(&sat.look) / 90.0).clamp(0.0, 1.0);
+        let hyst =
+            if self.states[ti].previous == Some(sat.norad_id) { p.w_hysteresis } else { 0.0 };
         p.w_elevation * el_norm - dark_penalty
             + p.w_age * age_norm
             + if sat.sunlit { p.w_sunlit } else { 0.0 }
@@ -1038,31 +949,6 @@ mod tests {
     }
 
     #[test]
-    fn allocate_through_cache_is_bit_identical_to_allocate() {
-        let c = constellation();
-        let cache = PropagationCache::new(&c);
-        let mut direct = GlobalScheduler::new(SchedulerPolicy::default(), terminals(), 3);
-        let mut cached = GlobalScheduler::new(SchedulerPolicy::default(), terminals(), 3);
-        for k in 0..6 {
-            let t = at().plus_seconds(15.0 * k as f64);
-            let a = direct.allocate(&c, t);
-            let b = cached.allocate_through(&cache, t);
-            assert_eq!(a.len(), b.len());
-            for (x, y) in a.iter().zip(&b) {
-                assert_eq!(x.chosen_id(), y.chosen_id());
-                assert_eq!(x.eligible_ids, y.eligible_ids);
-                assert_eq!(x.available.len(), y.available.len());
-                for (va, vb) in x.available.iter().zip(&y.available) {
-                    assert_eq!(va.norad_id, vb.norad_id);
-                    assert_eq!(va.look, vb.look);
-                }
-            }
-        }
-        // Every slot was propagated exactly once despite both schedulers.
-        assert_eq!(cache.stats().truth_entries, 6);
-    }
-
-    #[test]
     fn indexed_availability_is_bit_identical_to_linear() {
         // Two schedulers with the same seed, one fed by the indexed
         // field-of-view path and one by the linear scan, must produce
@@ -1204,7 +1090,7 @@ mod tests {
                 assert_eq!(x.eligible_ids, y.eligible_ids, "epoch {k}");
             }
         }
-        assert_eq!(cohort_sched.export_states(), per_sched.export_states());
+        assert_eq!(cohort_sched.states, per_sched.states);
     }
 
     #[test]
@@ -1248,9 +1134,8 @@ mod tests {
             let snap = c.snapshot(slot_start(t));
             let fov = g.fields_of_view_cohort(&c, &snap);
             for (ti, available) in fov.iter().enumerate() {
-                let tid = g.terminals[ti].id;
                 for sat in available {
-                    let reference = g.score(tid, slot, sat, &g.gso[ti]);
+                    let reference = g.score(ti, slot, sat);
                     let p = &g.policy;
                     let age_term =
                         p.w_age * (1.0 - (sat.age_days / p.max_age_days).clamp(0.0, 1.0));
@@ -1261,8 +1146,8 @@ mod tests {
                     let dark_penalty =
                         if sat.sunlit { 0.0 } else { p.w_dark_low_elevation * (1.0 - el_norm) };
                     let gso_margin =
-                        (g.gso[ti].separation_deg_fast(&sat.look) / 90.0).clamp(0.0, 1.0);
-                    let hyst = if g.previous.get(&tid) == Some(&sat.norad_id) {
+                        (g.sites[ti].gso.separation_deg_fast(&sat.look) / 90.0).clamp(0.0, 1.0);
+                    let hyst = if g.states[ti].previous == Some(sat.norad_id) {
                         p.w_hysteresis
                     } else {
                         0.0
@@ -1353,61 +1238,61 @@ mod tests {
         }
     }
 
+    /// One slot stepped the way a campaign shard runs it: select → score →
+    /// pick over borrowed sites and states.
+    fn step(
+        c: &Constellation,
+        sites: &[SiteGeometry],
+        states: &mut [TerminalSchedState],
+        scratch: &mut AllocScratch,
+        seed: u64,
+        t: JulianDate,
+    ) -> Vec<Allocation> {
+        let policy = SchedulerPolicy::default();
+        let snap = c.snapshot(slot_start(t));
+        let fov = cohort_fields_of_view(sites, policy.min_elevation_deg, c, &snap);
+        allocate_slot(&policy, &LoadModel::for_scheduler(seed), sites, states, scratch, t, fov)
+    }
+
     #[test]
-    fn exported_state_resumes_allocation_stream_bit_identically() {
-        // Run 5 slots, export, restore into a *fresh* scheduler, then both
-        // continue 6 more slots: the fresh scheduler must emit exactly the
-        // allocations the original does, hysteresis and RNG included.
+    fn copied_states_resume_allocation_stream_bit_identically() {
+        // Run 5 slots, copy the states, then step freshly built sites over
+        // the copy next to the live scheduler for 6 more slots: the step
+        // must emit exactly the allocations the original does, hysteresis
+        // and RNG included.
         let c = constellation();
         let mut live = GlobalScheduler::new(SchedulerPolicy::default(), cohort_terminals(), 3);
         // A fresh scheduler's state is the geometry-free initial state.
         let initial: Vec<TerminalSchedState> =
             cohort_terminals().iter().map(|t| TerminalSchedState::initial(3, t.id)).collect();
-        assert_eq!(live.export_states(), initial);
+        assert_eq!(live.states, initial);
         for k in 0..5 {
             live.allocate(&c, at().plus_seconds(15.0 * k as f64));
         }
-        let states = live.export_states();
-        assert_eq!(states.len(), cohort_terminals().len());
-
-        let mut resumed = GlobalScheduler::new(SchedulerPolicy::default(), cohort_terminals(), 3);
-        resumed.restore_states(&states).expect("states match terminals");
+        let mut states = live.states.clone();
+        let sites: Vec<SiteGeometry> = cohort_terminals()
+            .into_iter()
+            .map(|t| SiteGeometry::new(t, &SchedulerPolicy::default()))
+            .collect();
+        let mut scratch = AllocScratch::default();
         for k in 5..11 {
             let t = at().plus_seconds(15.0 * k as f64);
             let a = live.allocate(&c, t);
-            let b = resumed.allocate(&c, t);
+            let b = step(&c, &sites, &mut states, &mut scratch, 3, t);
             for (x, y) in a.iter().zip(&b) {
                 assert_eq!(x.terminal_id, y.terminal_id, "slot {k}");
                 assert_eq!(x.chosen_id(), y.chosen_id(), "slot {k}");
                 assert_eq!(x.eligible_ids, y.eligible_ids, "slot {k}");
             }
         }
-        // And the restored streams stay aligned: a second export agrees.
-        assert_eq!(live.export_states(), resumed.export_states());
+        // And the copied streams stay aligned.
+        assert_eq!(live.states, states);
     }
 
     #[test]
-    fn restore_rejects_mismatched_states() {
-        let mut g = GlobalScheduler::new(SchedulerPolicy::default(), terminals(), 3);
-        let states = g.export_states();
-        assert_eq!(
-            g.restore_states(&states[..1]),
-            Err(StateRestoreError::CountMismatch { expected: 2, got: 1 })
-        );
-        let mut wrong = states.clone();
-        wrong[1].terminal_id = 99;
-        assert_eq!(
-            g.restore_states(&wrong),
-            Err(StateRestoreError::IdMismatch { index: 1, expected: 1, got: 99 })
-        );
-        // A failed restore leaves the scheduler usable (state unchanged).
-        assert_eq!(g.export_states(), states);
-    }
-
-    #[test]
-    fn sub_scheduler_restores_slice_of_whole_population_export() {
-        // A shard scheduler over terminals [2..4] resumes from the
-        // matching slice of a whole-population export.
+    fn shard_steps_slice_of_whole_population_states() {
+        // A shard stepping sites [2..4] continues from the matching slice
+        // of the whole population's states.
         let c = constellation();
         let pop = vec![
             Terminal::new(0, "Iowa", Geodetic::new(41.66, -91.53, 0.2)),
@@ -1415,17 +1300,17 @@ mod tests {
             Terminal::new(2, "Austin", Geodetic::new(30.27, -97.74, 0.15)),
             Terminal::new(3, "Berlin", Geodetic::new(52.52, 13.40, 0.03)),
         ];
-        let mut whole = GlobalScheduler::new(SchedulerPolicy::default(), pop.clone(), 7);
+        let mut whole = GlobalScheduler::new(SchedulerPolicy::default(), pop, 7);
         for k in 0..4 {
             whole.allocate(&c, at().plus_seconds(15.0 * k as f64));
         }
-        let states = whole.export_states();
-        let mut shard = GlobalScheduler::new(SchedulerPolicy::default(), pop[2..].to_vec(), 7);
-        shard.restore_states(&states[2..]).expect("slice matches shard terminals");
+        let sites = whole.sites[2..].to_vec();
+        let mut states = whole.states[2..].to_vec();
+        let mut scratch = AllocScratch::default();
         for k in 4..8 {
             let t = at().plus_seconds(15.0 * k as f64);
             let mono = whole.allocate(&c, t);
-            let part = shard.allocate(&c, t);
+            let part = step(&c, &sites, &mut states, &mut scratch, 7, t);
             for (x, y) in mono[2..].iter().zip(&part) {
                 assert_eq!(x.terminal_id, y.terminal_id, "slot {k}");
                 assert_eq!(x.chosen_id(), y.chosen_id(), "slot {k}");

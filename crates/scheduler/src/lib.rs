@@ -32,7 +32,8 @@ pub mod slots;
 pub mod terminal;
 
 pub use global::{
-    Allocation, GlobalScheduler, SchedulerPolicy, StateRestoreError, TerminalSchedState,
+    allocate_slot, cohort_fields_of_view, AllocScratch, Allocation, GlobalScheduler,
+    SchedulerPolicy, SiteGeometry, TerminalSchedState,
 };
 pub use gso::GsoExclusion;
 pub use load::LoadModel;

@@ -30,6 +30,11 @@ impl LoadModel {
         LoadModel { seed, mean_utilization }
     }
 
+    /// The background load the hidden scheduler built with `seed` sees.
+    pub fn for_scheduler(seed: u64) -> LoadModel {
+        LoadModel::new(seed ^ 0x10AD, 0.5)
+    }
+
     /// Background utilization of a satellite in a slot, in `[0, 1)`.
     pub fn utilization(&self, norad_id: u32, slot: i64) -> f64 {
         let h = splitmix64(

@@ -77,6 +77,47 @@ fn campaign_streams_match_golden_fingerprints() {
     }
 }
 
+/// Terminal ids seed the scheduler's RNG streams, but two terminals that
+/// share an id are still two terminals: every position keeps its own
+/// observation stream, and that stream is the one the terminal produces
+/// when run alone (apart from its position index).
+#[test]
+fn terminals_sharing_an_id_keep_separate_streams() {
+    let constellation = ConstellationBuilder::starlink_mini().seed(5).build();
+    let from = JulianDate::from_ymd_hms(2023, 6, 1, 8, 0, 0.0);
+    let slots = 10;
+    let pair: Vec<Terminal> = paper_terminals()
+        .into_iter()
+        .filter(|t| t.name == "Iowa" || t.name == "Madrid")
+        .map(|t| Terminal { id: 0, ..t })
+        .collect();
+    let run = |terminals: Vec<Terminal>, shards: usize| {
+        let config = CampaignConfig { shards, ..CampaignConfig::default() };
+        Campaign::oracle(&constellation, terminals, config, 5).run(from, slots)
+    };
+    let alone: Vec<u64> =
+        pair.iter().map(|t| fingerprint_observations(&run(vec![t.clone()], 1))).collect();
+    for shards in [1, 2] {
+        let obs = run(pair.clone(), shards);
+        assert_eq!(obs.len(), slots * pair.len(), "{shards} shard(s) lost observations");
+        for (position, solo) in alone.iter().enumerate() {
+            // Slot-major, terminal-minor: every `pair.len()`-th row, with
+            // the position index a solo run would record.
+            let rows: Vec<SlotObservation> = obs
+                .iter()
+                .skip(position)
+                .step_by(pair.len())
+                .map(|o| SlotObservation { terminal_id: 0, ..o.clone() })
+                .collect();
+            assert_eq!(
+                fingerprint_observations(&rows),
+                *solo,
+                "{shards} shard(s): position {position} differs from its solo run"
+            );
+        }
+    }
+}
+
 #[test]
 fn probe_traces_are_identical_across_runs() {
     let constellation = ConstellationBuilder::starlink_mini().seed(5).build();
