@@ -7,13 +7,15 @@
 //! multi-section snapshot (checksums included), parsing and validating
 //! it back, the FNV-1a integrity hash itself, the primitive
 //! writer/reader lanes underneath every section codec, the durable
-//! rotating write (tmp + fsync + rename), and the observation-stream
+//! rotating write (sections streamed to tmp + fsync + rename, the path
+//! every campaign checkpoint takes), and the observation-stream
 //! fingerprint the chaos harness compares across process lives.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use starsense_astro::time::JulianDate;
 use starsense_checkpoint::{
-    fnv1a, load_latest, write_rotating, ByteReader, ByteWriter, Snapshot, SnapshotBuilder,
+    fnv1a, load_latest, write_snapshot_rotating, ByteReader, ByteWriter, SectionRef, Snapshot,
+    SnapshotBuilder,
 };
 use starsense_constellation::ConstellationBuilder;
 use starsense_core::campaign::{Campaign, CampaignConfig};
@@ -102,11 +104,18 @@ fn bench_primitives(c: &mut Criterion) {
 }
 
 fn bench_durable_write(c: &mut Criterion) {
-    let bytes = encoded_snapshot();
+    // Checksums are computed once up front, the way the campaign engine
+    // carries its observation log's hash forward: the timed write frames
+    // the header and streams the borrowed payloads, hashing nothing.
+    let sections = sample_sections();
+    let refs: Vec<SectionRef<'_>> =
+        sections.iter().map(|(id, payload)| SectionRef::new(*id, payload)).collect();
     let path = std::env::temp_dir()
         .join(format!("starsense-bench-checkpoint-{}.ckpt", std::process::id()));
-    c.bench_function("checkpoint/write_rotating_fsync_2.4MB", |b| {
-        b.iter(|| write_rotating(black_box(&path), black_box(&bytes)).expect("durable write"))
+    c.bench_function("checkpoint/write_snapshot_rotating_fsync_2.4MB", |b| {
+        b.iter(|| {
+            write_snapshot_rotating(black_box(&path), black_box(&refs)).expect("durable write")
+        })
     });
     c.bench_function("checkpoint/load_latest_2.4MB", |b| {
         b.iter(|| black_box(load_latest(black_box(&path)).expect("load")))

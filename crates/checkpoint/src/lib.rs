@@ -14,11 +14,16 @@
 //! 2. **Container format** ([`SnapshotBuilder`] / [`Snapshot`]): a magic
 //!    tag, a format version, a section table (id → offset/length), and
 //!    FNV-1a checksums over both the header and every section payload.
-//!    A single flipped bit anywhere in the file fails validation.
-//! 3. **Atomic persistence** ([`write_rotating`] / [`load_latest`]): temp
-//!    file + fsync + rename so a crash mid-write never tears the current
-//!    snapshot, plus a rotating `.prev` last-good copy so a corrupted
-//!    primary degrades to the previous checkpoint instead of a cold start.
+//!    A single flipped bit anywhere in the file fails validation. One
+//!    header encoder serves both the in-memory builder and the streamed
+//!    write, so the two cannot drift apart.
+//! 3. **Atomic persistence** ([`write_snapshot_rotating`] /
+//!    [`write_rotating`] / [`load_latest`]): temp file + fsync + rename so
+//!    a crash mid-write never tears the current snapshot, plus a rotating
+//!    `.prev` last-good copy so a corrupted primary degrades to the
+//!    previous checkpoint instead of a cold start. The snapshot is
+//!    streamed from borrowed section payloads straight into the temp
+//!    file, never assembled in memory.
 //!
 //! The on-disk layout is specified in DESIGN.md ("Snapshot wire format");
 //! the summary:
@@ -175,12 +180,23 @@ impl From<std::io::Error> for CheckpointError {
     }
 }
 
+/// FNV-1a of the empty input (the 64-bit offset basis): the starting
+/// state for [`fnv1a_extend`].
+pub const FNV1A_EMPTY: u64 = 0xcbf2_9ce4_8422_2325;
+
 /// 64-bit FNV-1a over `bytes` — the same hash the golden-trace
 /// fingerprints use, chosen for simplicity and zero dependencies. This is
 /// an integrity check against torn writes and bit rot, not an
 /// authenticity check.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a_extend(FNV1A_EMPTY, bytes)
+}
+
+/// Continues the FNV-1a hash `h` of some prefix over `bytes`:
+/// `fnv1a_extend(fnv1a(a), b) == fnv1a(a ++ b)`. This is what lets an
+/// append-only buffer carry its checksum forward, paying only for the
+/// appended tail.
+pub fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -203,6 +219,11 @@ impl ByteWriter {
     /// An empty writer with `cap` bytes preallocated.
     pub fn with_capacity(cap: usize) -> ByteWriter {
         ByteWriter { buf: Vec::with_capacity(cap) }
+    }
+
+    /// A writer that appends after the bytes already in `buf`.
+    pub fn from_bytes(buf: Vec<u8>) -> ByteWriter {
+        ByteWriter { buf }
     }
 
     /// Appends one byte.
@@ -261,6 +282,16 @@ impl ByteWriter {
     /// True when nothing has been written.
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
+    }
+
+    /// The bytes written so far.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.buf
+    }
+
+    /// Discards the bytes written so far, keeping the allocation.
+    pub fn clear(&mut self) {
+        self.buf.clear();
     }
 
     /// Consumes the writer, yielding the payload.
@@ -369,6 +400,59 @@ impl<'a> ByteReader<'a> {
     }
 }
 
+/// A section payload borrowed for serialization, paired with its FNV-1a
+/// checksum.
+#[derive(Clone, Copy, Debug)]
+pub struct SectionRef<'a> {
+    id: u32,
+    payload: &'a [u8],
+    checksum: u64,
+}
+
+impl<'a> SectionRef<'a> {
+    /// Section `id` over `payload`, hashing the payload.
+    pub fn new(id: u32, payload: &'a [u8]) -> SectionRef<'a> {
+        SectionRef { id, payload, checksum: fnv1a(payload) }
+    }
+
+    /// Section `id` over `payload` whose FNV-1a the caller already holds,
+    /// e.g. a running hash carried forward with [`fnv1a_extend`] as the
+    /// payload grew. `checksum` must equal `fnv1a(payload)`: a wrong value
+    /// produces a snapshot that fails validation on load.
+    pub fn with_checksum(id: u32, payload: &'a [u8], checksum: u64) -> SectionRef<'a> {
+        debug_assert_eq!(checksum, fnv1a(payload), "carried checksum of section {id}");
+        SectionRef { id, payload, checksum }
+    }
+}
+
+/// The container header for `sections`, whose payloads follow it
+/// contiguously in the given order: magic, version, section table and
+/// header checksum. The one encoder behind both
+/// [`SnapshotBuilder::finish`] and [`write_snapshot_rotating`].
+fn encode_header(sections: &[SectionRef<'_>]) -> Result<Vec<u8>, CheckpointError> {
+    for (i, s) in sections.iter().enumerate() {
+        if sections[..i].iter().any(|other| other.id == s.id) {
+            return Err(CheckpointError::DuplicateSection { id: s.id });
+        }
+    }
+    let header_len = HEADER_PREFIX_LEN + TABLE_ENTRY_LEN * sections.len();
+    let mut out = Vec::with_capacity(header_len + 8);
+    out.extend_from_slice(&MAGIC);
+    out.extend_from_slice(&VERSION.to_le_bytes());
+    out.extend_from_slice(&(sections.len() as u32).to_le_bytes());
+    let mut offset = (header_len + 8) as u64;
+    for s in sections {
+        out.extend_from_slice(&s.id.to_le_bytes());
+        out.extend_from_slice(&offset.to_le_bytes());
+        out.extend_from_slice(&(s.payload.len() as u64).to_le_bytes());
+        out.extend_from_slice(&s.checksum.to_le_bytes());
+        offset += s.payload.len() as u64;
+    }
+    let header_fnv = fnv1a(&out);
+    out.extend_from_slice(&header_fnv.to_le_bytes());
+    Ok(out)
+}
+
 /// Accumulates section payloads and serializes the container.
 #[derive(Clone, Debug, Default)]
 pub struct SnapshotBuilder {
@@ -388,32 +472,15 @@ impl SnapshotBuilder {
     }
 
     /// Serializes magic, version, section table, header checksum, and
-    /// payloads into one buffer.
+    /// payloads into one buffer — the same bytes
+    /// [`write_snapshot_rotating`] streams to disk.
     pub fn finish(self) -> Result<Vec<u8>, CheckpointError> {
-        for (i, (id, _)) in self.sections.iter().enumerate() {
-            if self.sections[..i].iter().any(|(other, _)| other == id) {
-                return Err(CheckpointError::DuplicateSection { id: *id });
-            }
-        }
-        let header_len = HEADER_PREFIX_LEN + TABLE_ENTRY_LEN * self.sections.len();
-        let total: usize =
-            header_len + 8 + self.sections.iter().map(|(_, p)| p.len()).sum::<usize>();
-        let mut out = Vec::with_capacity(total);
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        out.extend_from_slice(&(self.sections.len() as u32).to_le_bytes());
-        let mut offset = (header_len + 8) as u64;
-        for (id, payload) in &self.sections {
-            out.extend_from_slice(&id.to_le_bytes());
-            out.extend_from_slice(&offset.to_le_bytes());
-            out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-            out.extend_from_slice(&fnv1a(payload).to_le_bytes());
-            offset += payload.len() as u64;
-        }
-        let header_fnv = fnv1a(&out);
-        out.extend_from_slice(&header_fnv.to_le_bytes());
-        for (_, payload) in &self.sections {
-            out.extend_from_slice(payload);
+        let refs: Vec<SectionRef<'_>> =
+            self.sections.iter().map(|(id, payload)| SectionRef::new(*id, payload)).collect();
+        let mut out = encode_header(&refs)?;
+        out.reserve(refs.iter().map(|s| s.payload.len()).sum());
+        for s in &refs {
+            out.extend_from_slice(s.payload);
         }
         Ok(out)
     }
@@ -424,7 +491,8 @@ impl SnapshotBuilder {
 /// so holders can read payloads without re-checking integrity.
 #[derive(Clone, Debug)]
 pub struct Snapshot<'a> {
-    sections: Vec<(u32, &'a [u8])>,
+    /// `(id, payload, verified FNV-1a)` in file order.
+    sections: Vec<(u32, &'a [u8], u64)>,
 }
 
 impl<'a> Snapshot<'a> {
@@ -463,7 +531,7 @@ impl<'a> Snapshot<'a> {
         let body_start = (header_len + 8) as u64;
         let mut sections = Vec::with_capacity(count);
         for (id, offset, len, fnv) in table {
-            if sections.iter().any(|(other, _)| *other == id) {
+            if sections.iter().any(|(other, _, _)| *other == id) {
                 return Err(CheckpointError::DuplicateSection { id });
             }
             let end = offset.checked_add(len).ok_or(CheckpointError::SectionBounds { id })?;
@@ -475,14 +543,21 @@ impl<'a> Snapshot<'a> {
             if computed != fnv {
                 return Err(CheckpointError::SectionChecksum { id, stored: fnv, computed });
             }
-            sections.push((id, payload));
+            sections.push((id, payload, fnv));
         }
         Ok(Snapshot { sections })
     }
 
     /// The payload of section `id`, if present.
     pub fn section(&self, id: u32) -> Option<&'a [u8]> {
-        self.sections.iter().find(|(other, _)| *other == id).map(|(_, p)| *p)
+        self.sections.iter().find(|(other, _, _)| *other == id).map(|(_, p, _)| *p)
+    }
+
+    /// The FNV-1a of section `id`'s payload, if present — already verified
+    /// by [`Snapshot::parse`], so a holder never needs to hash the payload
+    /// again.
+    pub fn section_checksum(&self, id: u32) -> Option<u64> {
+        self.sections.iter().find(|(other, _, _)| *other == id).map(|(_, _, fnv)| *fnv)
     }
 
     /// The payload of section `id`, or [`CheckpointError::MissingSection`].
@@ -492,7 +567,7 @@ impl<'a> Snapshot<'a> {
 
     /// Section ids present, in file order.
     pub fn section_ids(&self) -> Vec<u32> {
-        self.sections.iter().map(|(id, _)| *id).collect()
+        self.sections.iter().map(|(id, _, _)| *id).collect()
     }
 }
 
@@ -537,10 +612,18 @@ fn temp_path(path: &Path) -> PathBuf {
 /// A crash at any point leaves either the old file or the new one —
 /// never a torn mix.
 pub fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), CheckpointError> {
+    atomic_write_parts(path, &[bytes])
+}
+
+/// [`atomic_write`] of the concatenation of `parts`, streamed into the
+/// temp file part by part.
+fn atomic_write_parts(path: &Path, parts: &[&[u8]]) -> Result<(), CheckpointError> {
     let tmp = temp_path(path);
     {
         let mut f = fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
+        for part in parts {
+            f.write_all(part)?;
+        }
         f.sync_all()?;
     }
     fs::rename(&tmp, path)?;
@@ -554,15 +637,37 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), CheckpointError> {
     Ok(())
 }
 
+/// Moves the current snapshot (if any) to `<path>.prev`.
+fn rotate(path: &Path) -> Result<(), CheckpointError> {
+    if path.exists() {
+        fs::rename(path, backup_path(path))?;
+    }
+    Ok(())
+}
+
 /// Rotates the current snapshot (if any) to `<path>.prev`, then
 /// atomically writes `bytes` as the new primary. After every successful
 /// call the previous checkpoint survives as the backup, so corruption of
 /// the newest file costs one interval, not the whole campaign.
 pub fn write_rotating(path: &Path, bytes: &[u8]) -> Result<(), CheckpointError> {
-    if path.exists() {
-        fs::rename(path, backup_path(path))?;
-    }
+    rotate(path)?;
     atomic_write(path, bytes)
+}
+
+/// [`write_rotating`] of the snapshot [`SnapshotBuilder::finish`] would
+/// build from `sections`, streamed: the header, then each borrowed
+/// payload, goes straight into the temp file, so the snapshot is never
+/// assembled in memory and no payload is hashed here. Duplicate ids are
+/// rejected before any file is touched.
+pub fn write_snapshot_rotating(
+    path: &Path,
+    sections: &[SectionRef<'_>],
+) -> Result<(), CheckpointError> {
+    let header = encode_header(sections)?;
+    let parts: Vec<&[u8]> =
+        std::iter::once(header.as_slice()).chain(sections.iter().map(|s| s.payload)).collect();
+    rotate(path)?;
+    atomic_write_parts(path, &parts)
 }
 
 /// Loads the newest snapshot that passes full validation: the primary if

@@ -1,11 +1,15 @@
 //! Property tests for the snapshot codec: encode→decode identity for
 //! arbitrary section sets, and *no input* — random bytes, truncations,
 //! bit flips, mangled headers — may panic the parser or hand back a
-//! snapshot that fails checksum validation silently.
+//! snapshot that fails checksum validation silently. The streamed
+//! rotating write must produce exactly the in-memory builder's bytes.
+
+use std::path::PathBuf;
 
 use proptest::prelude::*;
 use starsense_checkpoint::{
-    fnv1a, ByteReader, ByteWriter, CheckpointError, Snapshot, SnapshotBuilder, MAGIC, VERSION,
+    fnv1a, fnv1a_extend, write_snapshot_rotating, ByteReader, ByteWriter, CheckpointError,
+    SectionRef, Snapshot, SnapshotBuilder, FNV1A_EMPTY, MAGIC, VERSION,
 };
 
 fn build(sections: &[(u32, Vec<u8>)]) -> Vec<u8> {
@@ -33,8 +37,45 @@ fn section_set() -> impl Strategy<Value = Vec<(u32, Vec<u8>)>> {
         })
 }
 
+/// A snapshot path in a directory of its own, so parallel tests never
+/// rotate each other's files.
+fn scratch(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("sscp-codec-{}-{tag}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    dir.join("snapshot.ckpt")
+}
+
+/// Streams `sections` through `write_snapshot_rotating` (carrying each
+/// checksum in, as the campaign engine does) and reads the file back.
+fn streamed(path: &PathBuf, sections: &[(u32, Vec<u8>)]) -> Vec<u8> {
+    let refs: Vec<SectionRef<'_>> = sections
+        .iter()
+        .map(|(id, payload)| SectionRef::with_checksum(*id, payload, fnv1a(payload)))
+        .collect();
+    write_snapshot_rotating(path, &refs).expect("streamed write");
+    std::fs::read(path).expect("read streamed snapshot")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Extending a hash over any split of a buffer equals hashing the
+    /// whole buffer — the property a carried-forward checksum rests on.
+    #[test]
+    fn fnv1a_extend_over_any_split_is_fnv1a(
+        bytes in proptest::collection::vec(0u8..=255, 0..300),
+        cuts in proptest::collection::vec(0usize..300, 0..4),
+    ) {
+        let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c % (bytes.len() + 1)).collect();
+        cuts.sort_unstable();
+        let mut h = FNV1A_EMPTY;
+        let mut from = 0;
+        for cut in cuts.into_iter().chain([bytes.len()]) {
+            h = fnv1a_extend(h, &bytes[from..cut]);
+            from = cut;
+        }
+        prop_assert_eq!(h, fnv1a(&bytes));
+    }
 
     /// Encode→parse returns exactly the sections that went in, ids and
     /// payload bytes alike.
@@ -103,6 +144,56 @@ proptest! {
         let _ = r.get_bytes("g");
         let _ = r.get_str("h");
         let _ = r.expect_exhausted("i");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The streamed write is the builder's bytes, whatever the sections.
+    #[test]
+    fn streamed_write_matches_builder(sections in section_set()) {
+        let path = scratch("prop");
+        prop_assert_eq!(streamed(&path, &sections), build(&sections));
+    }
+}
+
+#[test]
+fn streamed_multi_section_file_matches_builder_and_detects_every_bit_flip() {
+    let sections = vec![
+        (1, (0u8..40).collect::<Vec<u8>>()),
+        (2, Vec::new()),
+        (4, (0u16..300).map(|i| (i * 7) as u8).collect()),
+        (5, vec![0xAB; 9]),
+    ];
+    let path = scratch("flips");
+    let bytes = streamed(&path, &sections);
+    assert_eq!(bytes, build(&sections), "streamed file must equal SnapshotBuilder::finish");
+    let snap = Snapshot::parse(&bytes).expect("streamed snapshot parses");
+    for (id, payload) in &sections {
+        assert_eq!(snap.section(*id), Some(payload.as_slice()));
+        assert_eq!(snap.section_checksum(*id), Some(fnv1a(payload)));
+    }
+    for byte in 0..bytes.len() {
+        for bit in 0..8 {
+            let mut corrupt = bytes.clone();
+            corrupt[byte] ^= 1 << bit;
+            assert!(
+                Snapshot::parse(&corrupt).is_err(),
+                "flip of byte {byte} bit {bit} must fail validation"
+            );
+        }
+    }
+
+    // A duplicate id is refused before either file is touched.
+    let dup = [SectionRef::new(3, &[1]), SectionRef::new(3, &[2])];
+    assert_eq!(
+        write_snapshot_rotating(&path, &dup),
+        Err(CheckpointError::DuplicateSection { id: 3 })
+    );
+    assert_eq!(std::fs::read(&path).expect("primary kept"), bytes);
+    if let Some(dir) = path.parent() {
+        let _ = std::fs::remove_dir_all(dir);
     }
 }
 

@@ -21,14 +21,14 @@
 //!   ledger.
 //!
 //! With checkpointing on, the full state is serialized after each segment
-//! into a checksummed [`starsense_checkpoint`] snapshot and persisted
-//! with [`write_rotating`] (atomic rename + a rotating last-good backup). A
-//! later call with the same campaign finds the snapshot via
-//! [`load_latest`], validates a configuration fingerprint, restores, and
-//! continues — the resumed run's observation stream is byte-identical to
-//! an uninterrupted one because segmentation never crosses a slot and
-//! every cache rebuilt per segment (propagation table, track cache) is a
-//! pure function of the catalog.
+//! into a checksummed [`starsense_checkpoint`] snapshot and streamed to
+//! disk with [`write_snapshot_rotating`] (atomic rename + a rotating
+//! last-good backup). A later call with the same campaign finds the
+//! snapshot via [`load_latest`], validates a configuration fingerprint,
+//! restores, and continues — the resumed run's observation stream is
+//! byte-identical to an uninterrupted one because segmentation never
+//! crosses a slot and every cache rebuilt per segment (propagation table,
+//! track cache) is a pure function of the catalog.
 //!
 //! # Supervision
 //!
@@ -55,6 +55,18 @@
 //! fingerprint ([`SEC_META`]), scheduler states ([`SEC_SCHED`]), dish
 //! states and baselines ([`SEC_DISH`], empty in oracle mode), accumulated
 //! observations ([`SEC_OBS`]), and the supervisor ledger ([`SEC_STATS`]).
+//!
+//! [`SEC_OBS`] is the observation log: the encoded observations back to
+//! back, with no count prefix — the decoder reads exactly
+//! `done × terminals` of them (both from [`SEC_META`]) and rejects
+//! leftover bytes. Without a prefix the section only ever grows at its
+//! end, so the engine keeps it encoded between checkpoints, appends each
+//! segment's observations, and extends the section's FNV-1a over the
+//! appended tail alone: a checkpoint encodes and hashes only the slots
+//! added since the previous one. The section checksum is therefore
+//! exactly [`fingerprint_observations`] of the stream so far. On resume
+//! the log is seeded from the validated section bytes and the checksum
+//! [`Snapshot::parse`] already verified.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
@@ -65,8 +77,8 @@ use crate::campaign::{
 use crate::degrade::{DegradationStats, DegradeReason, SlotOutcome};
 use starsense_astro::time::JulianDate;
 use starsense_checkpoint::{
-    fnv1a, load_latest, write_rotating, ByteReader, ByteWriter, CheckpointError, LoadedFrom,
-    Snapshot, SnapshotBuilder,
+    fnv1a, fnv1a_extend, load_latest, write_snapshot_rotating, ByteReader, ByteWriter,
+    CheckpointError, LoadedFrom, SectionRef, Snapshot, FNV1A_EMPTY,
 };
 use starsense_constellation::PropagationCache;
 use starsense_faults::{FaultRng, PropagationSchedule, WorkerFault};
@@ -78,8 +90,9 @@ use starsense_scheduler::slots::{slot_index, slot_start, SLOT_PERIOD_SECONDS};
 use starsense_scheduler::{Allocation, SiteGeometry, TerminalSchedState};
 
 /// Campaign-state payload layout version (inside the checkpoint
-/// container, which versions itself separately).
-pub const CAMPAIGN_STATE_VERSION: u32 = 2;
+/// container, which versions itself separately). Version 3 dropped the
+/// observation count that prefixed [`SEC_OBS`].
+pub const CAMPAIGN_STATE_VERSION: u32 = 3;
 
 /// Section id: campaign metadata + configuration fingerprint.
 pub const SEC_META: u32 = 1;
@@ -87,7 +100,8 @@ pub const SEC_META: u32 = 1;
 pub const SEC_SCHED: u32 = 2;
 /// Section id: per-terminal dish states + differencing baselines.
 pub const SEC_DISH: u32 = 3;
-/// Section id: accumulated slot observations.
+/// Section id: accumulated slot observations, encoded back to back
+/// (no count prefix; see the module docs).
 pub const SEC_OBS: u32 = 4;
 /// Section id: supervisor ledger (retries, failures, quarantine).
 pub const SEC_STATS: u32 = 5;
@@ -194,11 +208,37 @@ pub struct ResumeReport {
 /// fingerprint equal iff they are byte-identical under the snapshot
 /// encoding, which is the equality the resume tests assert.
 pub fn fingerprint_observations(obs: &[SlotObservation]) -> u64 {
-    let mut w = ByteWriter::with_capacity(obs.len() * 64);
-    for o in obs {
+    let mut w = ByteWriter::new();
+    obs.iter().fold(FNV1A_EMPTY, |h, o| {
+        w.clear();
         encode_observation(&mut w, o);
+        fnv1a_extend(h, w.as_bytes())
+    })
+}
+
+/// The [`SEC_OBS`] payload of an observation stream, kept encoded between
+/// checkpoints with its running FNV-1a.
+struct ObsLog {
+    bytes: ByteWriter,
+    /// `fnv1a` of `bytes`, i.e. [`fingerprint_observations`] of the
+    /// stream the log encodes.
+    fnv: u64,
+}
+
+impl ObsLog {
+    fn new() -> ObsLog {
+        ObsLog { bytes: ByteWriter::new(), fnv: FNV1A_EMPTY }
     }
-    fnv1a(&w.into_bytes())
+
+    /// Encodes `obs` onto the end of the log and hashes only what it
+    /// appended.
+    fn append(&mut self, obs: &[SlotObservation]) {
+        let start = self.bytes.len();
+        for o in obs {
+            encode_observation(&mut self.bytes, o);
+        }
+        self.fnv = fnv1a_extend(self.fnv, &self.bytes.as_bytes()[start..]);
+    }
 }
 
 /// Engine-owned mutable state: everything that must survive a crash.
@@ -292,14 +332,15 @@ impl<'a> Campaign<'a> {
         // Resume if a snapshot validates; otherwise start fresh. A
         // snapshot for a *different* campaign (config, window, or seed)
         // is a hard error, not a silent restart — resuming someone
-        // else's state would fabricate data.
-        let loaded = match fingerprint {
-            Some(fingerprint) => self.load_state(opts, fingerprint, slots, &mut report)?,
-            None => None,
-        };
-        let mut state = match loaded {
-            Some(state) => state,
-            None => self.fresh_state(),
+        // else's state would fabricate data. The encoded observation log
+        // exists only while checkpointing: a run without checkpoints
+        // builds none.
+        let (mut state, mut checkpointing) = match fingerprint {
+            Some(fingerprint) => match self.load_state(opts, fingerprint, slots, &mut report)? {
+                Some((state, log)) => (state, Some((fingerprint, log))),
+                None => (self.fresh_state(), Some((fingerprint, ObsLog::new()))),
+            },
+            None => (self.fresh_state(), None),
         };
 
         // Site geometry is a pure function of (terminal, policy): built
@@ -319,11 +360,12 @@ impl<'a> Campaign<'a> {
                 n => n.min(slots - state.done),
             };
             let seg_mids = &mids[state.done..state.done + seg_len];
+            let logged = state.obs.len();
             self.run_segment(&mut state, &sites, seg_mids, threads, schedule.as_ref(), opts)?;
             report.segments_run += 1;
-            if let Some(fingerprint) = fingerprint {
-                let snapshot = self.encode_state(&state, fingerprint, first_mid, slots)?;
-                write_rotating(&opts.checkpoint_path, &snapshot)?;
+            if let Some((fingerprint, log)) = &mut checkpointing {
+                log.append(&state.obs[logged..]);
+                self.write_checkpoint(&state, log, *fingerprint, first_mid, slots, opts)?;
                 report.checkpoints_written += 1;
                 if let Some(stop) = opts.stop_after_checkpoints {
                     if report.checkpoints_written >= stop && state.done < slots {
@@ -753,14 +795,19 @@ impl<'a> Campaign<'a> {
 
     // ---- Encode ---------------------------------------------------------
 
-    /// Serializes the full engine state into a checkpoint snapshot.
-    fn encode_state(
+    /// Serializes the full engine state into a checkpoint snapshot and
+    /// streams it to [`ResumeConfig::checkpoint_path`]. `log` already
+    /// holds `state.obs` encoded and hashed; every other section is small
+    /// and re-encoded each time.
+    fn write_checkpoint(
         &self,
         state: &EngineState,
+        log: &ObsLog,
         fingerprint: u64,
         first_mid: JulianDate,
         total_slots: usize,
-    ) -> Result<Vec<u8>, CampaignError> {
+        opts: &ResumeConfig,
+    ) -> Result<(), CampaignError> {
         let mut meta = ByteWriter::with_capacity(64);
         meta.put_u32(CAMPAIGN_STATE_VERSION);
         meta.put_u64(fingerprint);
@@ -801,12 +848,6 @@ impl<'a> Campaign<'a> {
             }
         }
 
-        let mut obs = ByteWriter::with_capacity(state.obs.len() * 64 + 16);
-        obs.put_usize(state.obs.len());
-        for o in &state.obs {
-            encode_observation(&mut obs, o);
-        }
-
         let mut ledger = ByteWriter::with_capacity(64);
         ledger.put_usize(state.retries);
         ledger.put_usize(state.failures.len());
@@ -819,20 +860,21 @@ impl<'a> Campaign<'a> {
             ledger.put_u64(*unit);
         }
 
-        let mut builder = SnapshotBuilder::new();
-        builder.add_section(SEC_META, meta.into_bytes());
-        builder.add_section(SEC_SCHED, sched.into_bytes());
-        builder.add_section(SEC_DISH, dish.into_bytes());
-        builder.add_section(SEC_OBS, obs.into_bytes());
-        builder.add_section(SEC_STATS, ledger.into_bytes());
-        Ok(builder.finish()?)
+        let sections = [
+            SectionRef::new(SEC_META, meta.as_bytes()),
+            SectionRef::new(SEC_SCHED, sched.as_bytes()),
+            SectionRef::new(SEC_DISH, dish.as_bytes()),
+            SectionRef::with_checksum(SEC_OBS, log.bytes.as_bytes(), log.fnv),
+            SectionRef::new(SEC_STATS, ledger.as_bytes()),
+        ];
+        Ok(write_snapshot_rotating(&opts.checkpoint_path, &sections)?)
     }
 
     // ---- Decode ---------------------------------------------------------
 
-    /// Loads and validates the newest snapshot, if any. `Ok(None)` means
-    /// "start fresh" (no file, or only corrupt files — the corrupt count
-    /// is reported either way). A snapshot whose fingerprint or window
+    /// Loads and validates the newest snapshot, if any, with its
+    /// observation log. `Ok(None)` means "start fresh" (no file, or only
+    /// corrupt files — the corrupt count is reported either way). A snapshot whose fingerprint or window
     /// disagrees with this campaign is a hard error.
     fn load_state(
         &self,
@@ -840,7 +882,7 @@ impl<'a> Campaign<'a> {
         fingerprint: u64,
         total_slots: usize,
         report: &mut ResumeReport,
-    ) -> Result<Option<EngineState>, CampaignError> {
+    ) -> Result<Option<(EngineState, ObsLog)>, CampaignError> {
         if opts.checkpoint_every == 0 {
             return Ok(None);
         }
@@ -920,16 +962,22 @@ impl<'a> Campaign<'a> {
         }
         r.expect_exhausted("dish section")?;
 
-        let mut r = ByteReader::new(snap.require_section(SEC_OBS)?);
-        let count = r.get_usize("observation count")?;
-        if count != done.saturating_mul(n_terminals) {
-            return Err(CheckpointError::Malformed { context: "observation count" }.into());
-        }
+        // `done` and `n_terminals` were checked against this campaign
+        // above, so the capacity is bounded by its own window.
+        let log_bytes = snap.require_section(SEC_OBS)?;
+        let mut r = ByteReader::new(log_bytes);
+        let count = done * n_terminals;
         let mut obs = Vec::with_capacity(count);
         for _ in 0..count {
             obs.push(decode_observation(&mut r)?);
         }
         r.expect_exhausted("observation section")?;
+        let log = ObsLog {
+            bytes: ByteWriter::from_bytes(log_bytes.to_vec()),
+            fnv: snap
+                .section_checksum(SEC_OBS)
+                .ok_or(CheckpointError::MissingSection { id: SEC_OBS })?,
+        };
 
         let mut r = ByteReader::new(snap.require_section(SEC_STATS)?);
         let retries = r.get_usize("retry count")?;
@@ -949,7 +997,8 @@ impl<'a> Campaign<'a> {
 
         report.resumed_at_slot = Some(done);
         report.loaded_from = Some(origin);
-        Ok(Some(EngineState { sched, dish, prev, obs, done, retries, failures, quarantined }))
+        let state = EngineState { sched, dish, prev, obs, done, retries, failures, quarantined };
+        Ok(Some((state, log)))
     }
 }
 

@@ -11,11 +11,16 @@ use std::path::PathBuf;
 
 use starsense_astro::frames::Geodetic;
 use starsense_astro::time::JulianDate;
-use starsense_checkpoint::{atomic_write, CheckpointError, LoadedFrom, Snapshot, SnapshotBuilder};
+use starsense_checkpoint::{
+    atomic_write, fnv1a, fnv1a_extend, CheckpointError, LoadedFrom, Snapshot, SnapshotBuilder,
+    FNV1A_EMPTY,
+};
 use starsense_constellation::{Constellation, ConstellationBuilder};
 use starsense_core::campaign::{Campaign, CampaignConfig, CampaignError, ShardFailure};
-use starsense_core::resume::{fingerprint_observations, ResumeConfig, SEC_SCHED};
-use starsense_core::{DegradeReason, SlotOutcome};
+use starsense_core::resume::{
+    fingerprint_observations, ResumeConfig, CAMPAIGN_STATE_VERSION, SEC_META, SEC_OBS, SEC_SCHED,
+};
+use starsense_core::{DegradeReason, SlotObservation, SlotOutcome};
 use starsense_faults::{bit_flipped_copy, FaultPlan, FaultRates, FaultRng};
 use starsense_obstruction::{MaskSector, SkyMask};
 use starsense_scheduler::Terminal;
@@ -138,6 +143,41 @@ fn kill_resume_matrix_is_bit_identical() {
                  kill/resume must not move a bit"
             );
         }
+    }
+}
+
+#[test]
+fn final_snapshot_is_one_file_for_every_kill_schedule_and_layout() {
+    // The observation log is carried from checkpoint to checkpoint (and
+    // re-seeded from disk on resume) instead of re-encoded, so the final
+    // snapshot must still be the very same file however the run got
+    // there — and its `OBS` checksum must be the stream fingerprint.
+    let c = mini();
+    for mode in [Mode::Oracle, Mode::Identified, Mode::Faulted] {
+        let mut files = Vec::new();
+        for (threads, shards) in [(1, 1), (4, 4)] {
+            let campaign = campaign(&c, mode, threads, shards);
+            let path = scratch(&format!("identity-whole-{mode:?}-{threads}"));
+            let (obs, _, report) =
+                campaign.run_resumable(start(), SLOTS, &opts(path.clone(), 3)).expect("whole run");
+            assert!(report.completed);
+            let bytes = std::fs::read(&path).expect("final snapshot");
+            let snap = Snapshot::parse(&bytes).expect("valid snapshot");
+            assert_eq!(
+                snap.section_checksum(SEC_OBS),
+                Some(fingerprint_observations(&obs)),
+                "mode {mode:?}: the OBS checksum is the stream fingerprint"
+            );
+            files.push(bytes);
+
+            let path = scratch(&format!("identity-killed-{mode:?}-{threads}"));
+            run_killed_at_every_checkpoint(&campaign, &opts(path.clone(), 3));
+            files.push(std::fs::read(&path).expect("final snapshot"));
+        }
+        assert!(
+            files.windows(2).all(|pair| pair[0] == pair[1]),
+            "mode {mode:?}: whole and killed runs at 1 and 4 threads must leave the same file"
+        );
     }
 }
 
@@ -291,28 +331,31 @@ fn snapshot_under_a_mirrored_mask_is_rejected() {
     );
 }
 
-#[test]
-fn scheduler_state_for_another_terminal_is_rejected_on_decode() {
-    // A checksum-valid snapshot whose scheduler section carries another
-    // terminal's id at one position, every other section byte-identical:
-    // only the decode-time id check can catch it, and it must do so before
-    // any segment runs.
+/// Stops an oracle campaign after one checkpoint (every 2 slots), then
+/// rewrites one section of the snapshot through `edit` into a new
+/// checksum-valid file — every other section byte-identical — and
+/// resumes. Returns the resume error; the tampered file must survive
+/// untouched, proving no segment ran. `edit` also sees the stream the
+/// partial run returned.
+fn resume_tampered(
+    tag: &str,
+    section: u32,
+    edit: impl Fn(&mut Vec<u8>, &[SlotObservation]),
+) -> CampaignError {
     let c = mini();
     let campaign = campaign(&c, Mode::Oracle, 1, 1);
-    let path = scratch("sched-id");
+    let path = scratch(tag);
     let config = opts(path.clone(), 2);
     let stopped = ResumeConfig { stop_after_checkpoints: Some(1), ..config.clone() };
-    campaign.run_resumable(start(), SLOTS, &stopped).expect("partial run");
+    let (obs, _, _) = campaign.run_resumable(start(), SLOTS, &stopped).expect("partial run");
 
     let bytes = std::fs::read(&path).expect("snapshot written");
     let snap = Snapshot::parse(&bytes).expect("valid snapshot");
     let mut builder = SnapshotBuilder::new();
     for id in snap.section_ids() {
         let mut payload = snap.require_section(id).expect("listed section").to_vec();
-        if id == SEC_SCHED {
-            // The first entry opens with terminal 0's id, a little-endian u64.
-            assert_eq!(payload[..8], 0u64.to_le_bytes());
-            payload[..8].copy_from_slice(&7u64.to_le_bytes());
+        if id == section {
+            edit(&mut payload, &obs);
         }
         builder.add_section(id, payload);
     }
@@ -320,14 +363,70 @@ fn scheduler_state_for_another_terminal_is_rejected_on_decode() {
     atomic_write(&path, &tampered).expect("write tampered snapshot");
 
     let err = campaign.run_resumable(start(), SLOTS, &config).expect_err("must refuse");
+    assert_eq!(std::fs::read(&path).expect("snapshot kept"), tampered, "{tag}: no segment ran");
+    err
+}
+
+#[test]
+fn scheduler_state_for_another_terminal_is_rejected_on_decode() {
+    // A checksum-valid snapshot whose scheduler section carries another
+    // terminal's id at one position: only the decode-time id check can
+    // catch it, and it must do so before any segment runs.
+    let err = resume_tampered("sched-id", SEC_SCHED, |payload, _| {
+        // The first entry opens with terminal 0's id, a little-endian u64.
+        assert_eq!(payload[..8], 0u64.to_le_bytes());
+        payload[..8].copy_from_slice(&7u64.to_le_bytes());
+    });
     assert_eq!(
         err,
         CampaignError::Checkpoint(CheckpointError::Malformed {
             context: "scheduler state terminal-id mismatch"
         })
     );
-    // No segment ran: none wrote a checkpoint over the tampered snapshot.
-    assert_eq!(std::fs::read(&path).expect("snapshot kept"), tampered);
+}
+
+#[test]
+fn observation_log_must_hold_exactly_done_times_terminals_entries() {
+    // `OBS` has no count prefix: `META`'s done × terminals fixes how many
+    // observations it holds. One short runs out mid-decode; one byte over
+    // is trailing garbage.
+    let err = resume_tampered("obs-short", SEC_OBS, |payload, obs| {
+        // The last observation starts where the prefix hash equals the
+        // fingerprint of the stream without it.
+        let target = fingerprint_observations(&obs[..obs.len() - 1]);
+        let mut h = FNV1A_EMPTY;
+        let mut cut = None;
+        for (i, byte) in payload.iter().enumerate() {
+            if h == target {
+                cut = Some(i);
+            }
+            h = fnv1a_extend(h, std::slice::from_ref(byte));
+        }
+        assert_eq!(h, fnv1a(payload));
+        payload.truncate(cut.expect("last observation boundary"));
+    });
+    assert_eq!(
+        err,
+        CampaignError::Checkpoint(CheckpointError::Truncated { context: "obs terminal id" })
+    );
+
+    let err = resume_tampered("obs-trailing", SEC_OBS, |payload, _| payload.push(0));
+    assert_eq!(
+        err,
+        CampaignError::Checkpoint(CheckpointError::Malformed { context: "observation section" })
+    );
+}
+
+#[test]
+fn earlier_payload_version_is_rejected() {
+    // A version-2 payload carried an observation count before `OBS`;
+    // reading it as version 3 would misparse, so it is refused outright.
+    assert_eq!(CAMPAIGN_STATE_VERSION, 3);
+    let err = resume_tampered("meta-v2", SEC_META, |payload, _| {
+        assert_eq!(payload[..4], CAMPAIGN_STATE_VERSION.to_le_bytes());
+        payload[..4].copy_from_slice(&2u32.to_le_bytes());
+    });
+    assert_eq!(err, CampaignError::Checkpoint(CheckpointError::UnsupportedVersion { found: 2 }));
 }
 
 #[test]
