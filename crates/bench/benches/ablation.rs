@@ -43,17 +43,33 @@ fn bench_scheduler_variants(c: &mut Criterion) {
 
 fn bench_gso(c: &mut Criterion) {
     let iowa = Geodetic::new(41.66, -91.53, 0.2);
-    c.bench_function("gso/build_site_zone", |b| {
-        b.iter(|| black_box(GsoExclusion::for_site(black_box(iowa), 12.0)))
-    });
+    // Seen from 10°E the visible arc spans belt longitude 0°: the case
+    // where storing the samples from the belt gap on reorders them.
+    let wrap = Geodetic::new(40.0, 10.0, 0.1);
+    for (name, site) in [("gso/build_site_zone", iowa), ("gso/build_site_zone_wrap", wrap)] {
+        c.bench_function(name, |b| {
+            b.iter(|| black_box(GsoExclusion::for_site(black_box(site), 12.0)))
+        });
+    }
     let zone = GsoExclusion::for_site(iowa, 12.0);
-    let look = LookAngles { elevation_deg: 42.0, azimuth_deg: 180.0, range_km: 900.0 };
-    c.bench_function("gso/excludes_query", |b| {
-        b.iter(|| black_box(zone.excludes(black_box(&look))))
-    });
-    c.bench_function("gso/separation_query", |b| {
-        b.iter(|| black_box(zone.separation_deg(black_box(&look))))
-    });
+    // The reference queries beside the scheduler's production query
+    // (exclusion and separation from one pruned scan), on a look inside
+    // the zone and on a clear one, where the separation fold runs too.
+    let looks = [
+        ("", LookAngles { elevation_deg: 42.0, azimuth_deg: 180.0, range_km: 900.0 }),
+        ("_clear", LookAngles { elevation_deg: 60.0, azimuth_deg: 20.0, range_km: 900.0 }),
+    ];
+    for (suffix, look) in looks {
+        c.bench_function(&format!("gso/excludes_query{suffix}"), |b| {
+            b.iter(|| black_box(zone.excludes(black_box(&look))))
+        });
+        c.bench_function(&format!("gso/separation_query{suffix}"), |b| {
+            b.iter(|| black_box(zone.separation_deg(black_box(&look))))
+        });
+        c.bench_function(&format!("gso/separation_if_clear_query{suffix}"), |b| {
+            b.iter(|| black_box(zone.separation_if_clear(black_box(&look))))
+        });
+    }
 }
 
 criterion_group!(benches, bench_scheduler_variants, bench_gso);

@@ -224,7 +224,9 @@ pub struct SiteGeometry {
 
 impl SiteGeometry {
     /// Builds `terminal`'s geometry under `policy`'s GSO zone. The zone
-    /// (720 arc look-angle evaluations) is most of the cost.
+    /// is most of the cost: 720 belt samples through one observer frame,
+    /// look angles for the samples near or above the horizon, and the
+    /// segment caps over them.
     pub fn new(terminal: Terminal, policy: &SchedulerPolicy) -> SiteGeometry {
         let gso = match policy.gso_half_angle_deg {
             Some(half) => GsoExclusion::for_site(terminal.location, half),
@@ -1124,7 +1126,7 @@ mod tests {
     #[test]
     fn precomputed_score_expression_matches_score_bit_for_bit() {
         // The fast path's score expression, reconstructed term for term
-        // (table terms + pruned GSO margin), against the reference
+        // (table terms + fused GSO margin), against the reference
         // `score` — with and without hysteresis engaged.
         let c = constellation();
         let mut g = GlobalScheduler::new(SchedulerPolicy::default(), cohort_terminals(), 3);
@@ -1145,8 +1147,13 @@ mod tests {
                         .clamp(0.0, 1.0);
                     let dark_penalty =
                         if sat.sunlit { 0.0 } else { p.w_dark_low_elevation * (1.0 - el_norm) };
-                    let gso_margin =
-                        (g.sites[ti].gso.separation_deg_fast(&sat.look) / 90.0).clamp(0.0, 1.0);
+                    // The production GSO query: `None` marks a satellite
+                    // inside the zone, which the fast path never scores.
+                    let Some(sep) = g.sites[ti].gso.separation_if_clear(&sat.look) else {
+                        assert!(g.sites[ti].gso.excludes(&sat.look));
+                        continue;
+                    };
+                    let gso_margin = (sep / 90.0).clamp(0.0, 1.0);
                     let hyst = if g.states[ti].previous == Some(sat.norad_id) {
                         p.w_hysteresis
                     } else {
