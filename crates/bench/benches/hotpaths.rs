@@ -65,10 +65,11 @@ fn bench_constellation(c: &mut Criterion) {
         b.iter(|| black_box(ConstellationBuilder::starlink_mini().seed(1).build()))
     });
 
-    // The campaign engine's shared cache: a warm hit versus re-propagating
-    // the same epoch — the per-terminal saving of the per-slot snapshot.
+    // The campaign engine's shared cache: a prepared hit versus
+    // re-propagating the same epoch — the per-terminal saving of the
+    // per-slot snapshot.
     let cache = PropagationCache::new(&mini);
-    let _ = cache.snapshot(at);
+    cache.prepare(&[at], &[], 1);
     c.bench_function("constellation/snapshot_cached_hit", |b| {
         b.iter(|| black_box(cache.snapshot(black_box(at))))
     });

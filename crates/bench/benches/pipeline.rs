@@ -3,11 +3,13 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use starsense_astro::frames::Geodetic;
 use starsense_astro::time::JulianDate;
-use starsense_constellation::ConstellationBuilder;
+use starsense_constellation::{ConstellationBuilder, PropagationCache};
 use starsense_dtw::{
     dtw_distance, dtw_distance_banded, dtw_distance_early_abandon, NearestSequence,
 };
-use starsense_ident::{candidate_tracks, identify_slot, DishSimulator};
+use starsense_ident::{
+    candidate_tracks, slot_boundary_epochs, verdict_slot_tracked, DishSimulator, TrackCache,
+};
 use starsense_obstruction::{extract_trajectory, isolate, paint, ObstructionMap};
 use starsense_scheduler::slots::slot_start;
 use starsense_stats::{mann_whitney_u, pearson, Ecdf};
@@ -100,14 +102,21 @@ fn bench_identification(c: &mut Criterion) {
         b.iter(|| black_box(candidate_tracks(&constellation, iowa, start, 25.0, 16)))
     });
 
-    // A realistic identify_slot call against the mini constellation.
+    // A realistic production identification against the mini
+    // constellation: a fresh track cache over the slot's prepared boundary
+    // rows, as the campaign engine's first slot for a terminal sees it.
     let fov = constellation.field_of_view(iowa, start, 35.0);
     if let Some(serving) = fov.first() {
         let mut dish = DishSimulator::new(iowa);
         let prev = dish.map().clone();
         let cap = dish.play_slot(&constellation, 0, start, Some(serving.norad_id));
-        c.bench_function("ident/identify_slot_mini", |b| {
-            b.iter(|| black_box(identify_slot(&prev, &cap.map, &constellation, iowa, start)))
+        let cache = PropagationCache::new(&constellation);
+        cache.prepare(&[], &slot_boundary_epochs(start, 16), 1);
+        c.bench_function("ident/verdict_slot_tracked_mini", |b| {
+            b.iter(|| {
+                let mut tracks = TrackCache::new(&cache, iowa, 25.0, 16);
+                black_box(verdict_slot_tracked(&mut tracks, &prev, &cap.map, start, 0.0))
+            })
         });
     }
 }

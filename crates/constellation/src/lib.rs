@@ -20,10 +20,11 @@
 //! the "available satellites" set that every analysis in §5 compares
 //! against.
 //!
-//! [`PropagationCache`] memoizes per-epoch propagation (true snapshots and
-//! published-TLE positions) behind a thread-safe read-through interface, so
-//! campaign engines propagate the constellation once per slot regardless of
-//! terminal count or worker-thread count.
+//! [`PropagationCache`] holds a prepared, immutable table of per-epoch
+//! propagation (true snapshots and published-TLE positions) that worker
+//! threads read without locks, so campaign engines propagate the
+//! constellation once per slot regardless of terminal count or
+//! worker-thread count.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -419,7 +419,7 @@ impl<'a> Campaign<'a> {
         // The terminal replays its slots in order, which is exactly the
         // access pattern the track cache's boundary reuse and elevation
         // prefilter are built for; its output is bit-identical to the
-        // uncached `identify_slot` path.
+        // direct `candidate_tracks` generator's.
         let mut ident = dish.map(|(dish, prev_cap)| {
             let tracks = TrackCache::new(
                 cache,

@@ -12,9 +12,8 @@ use starsense_astro::frames::Geodetic;
 use starsense_constellation::ConstellationBuilder;
 use starsense_core::report::{csv, pct, text_table};
 use starsense_experiments::{campaign_start, slots_from_env, write_artifact, WORLD_SEED};
-use starsense_ident::{identify_slot, DishSimulator};
-use starsense_scheduler::slots::SLOT_PERIOD_SECONDS;
-use starsense_scheduler::{slots::slot_start, GlobalScheduler, SchedulerPolicy, Terminal};
+use starsense_ident::run_validation;
+use starsense_scheduler::{GlobalScheduler, SchedulerPolicy, Terminal};
 
 fn main() {
     println!("== identification margin: precision vs coverage ==\n");
@@ -27,30 +26,9 @@ fn main() {
     let terminals = vec![Terminal::new(0, "Iowa", location)];
     let mut scheduler = GlobalScheduler::new(SchedulerPolicy::default(), terminals, WORLD_SEED);
 
-    // Collect (margin, correct) pairs for every attempted slot.
-    let mut attempts: Vec<(f64, bool)> = Vec::new();
-    let mut dish = DishSimulator::new(location);
-    let first_mid = slot_start(campaign_start()).plus_seconds(SLOT_PERIOD_SECONDS / 2.0);
-    let mut prev = None;
-    for k in 0..slots {
-        let at = first_mid.plus_seconds(k as f64 * SLOT_PERIOD_SECONDS);
-        let alloc = scheduler.allocate(&constellation, at).swap_remove(0);
-        let capture =
-            dish.play_slot(&constellation, alloc.slot, alloc.slot_start, alloc.chosen_id());
-        let usable_prev = if capture.after_reset { None } else { prev.as_ref() };
-        if let (Some(p), Some(truth)) = (usable_prev, alloc.chosen_id()) {
-            if let Some(id) = identify_slot(
-                &(p as &starsense_ident::SlotCapture).map,
-                &capture.map,
-                &constellation,
-                location,
-                alloc.slot_start,
-            ) {
-                attempts.push((id.margin(), id.norad_id == truth));
-            }
-        }
-        prev = Some(capture);
-    }
+    // (margin, correct) pairs for every attempted slot.
+    let attempts =
+        run_validation(&constellation, &mut scheduler, 0, campaign_start(), slots).outcomes;
 
     let total = attempts.len();
     let mut rows = Vec::new();

@@ -17,9 +17,10 @@
 //!    Cartesian conversion, and DTW matching against the candidates (the
 //!    candidate with the lowest DTW distance wins);
 //! 4. [`validate`] — the end-to-end harness that replays a measurement
-//!    campaign against the hidden scheduler and scores identification
-//!    accuracy against ground truth, reproducing the paper's 500-sample
-//!    pilot validation (>99% agreement).
+//!    campaign against the hidden scheduler and scores the production
+//!    identifier ([`verdict_slot_tracked`]) against ground truth,
+//!    reproducing the paper's 500-sample pilot validation (>99%
+//!    agreement).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -30,14 +31,12 @@ pub mod pipeline;
 pub mod track_cache;
 pub mod validate;
 
-pub use candidates::{
-    candidate_tracks, candidate_tracks_through, slot_boundary_epochs, CandidateTrack,
-};
+pub use candidates::{candidate_tracks, slot_boundary_epochs, CandidateTrack};
 pub use dish::{DishSimulator, DishState, FrameFetch, FrameStatus, SlotCapture};
 pub use pipeline::{
-    classify_identification, identify_from_trajectory, identify_from_trajectory_counted,
-    identify_slot, verdict_slot_tracked, IdentVerdict, IdentifiedSat, NoDataReason,
-    CANDIDATE_SAMPLES_PER_SLOT, DEFAULT_MIN_MARGIN, MIN_CANDIDATE_ELEVATION_DEG,
+    classify_identification, identify_from_trajectory_counted, verdict_slot_tracked, IdentVerdict,
+    IdentifiedSat, NoDataReason, CANDIDATE_SAMPLES_PER_SLOT, DEFAULT_MIN_MARGIN,
+    MIN_CANDIDATE_ELEVATION_DEG,
 };
 pub use track_cache::{prefilter_margin_deg, TrackCache, TrackCacheStats};
 pub use validate::{run_validation, ValidationReport};

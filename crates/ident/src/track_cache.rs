@@ -1,9 +1,9 @@
 //! Cross-slot candidate-track generation with an exact elevation prefilter.
 //!
-//! [`crate::candidate_tracks_through`] pays for the whole catalog at every
-//! one of a slot's 16 sample epochs — propagation plus look angles — even
-//! though the overwhelming majority of satellites are below the horizon
-//! the entire slot. [`TrackCache`] removes that waste in three ways, without
+//! [`crate::candidate_tracks`] pays for the whole catalog at every one of
+//! a slot's 16 sample epochs — propagation plus look angles — even though
+//! the overwhelming majority of satellites are below the horizon the
+//! entire slot. [`TrackCache`] removes that waste in three ways, without
 //! changing a single bit of the produced candidate set:
 //!
 //! 1. **Elevation prefilter.** Before any per-epoch work, each satellite's
@@ -170,8 +170,8 @@ fn polar(look: LookAngles) -> PolarSample {
 
 /// Per-observer candidate-track generator that reuses boundary work across
 /// consecutive slots and prefilters never-visible satellites. Produces
-/// candidate sets bit-identical to [`crate::candidate_tracks_through`] on
-/// the same [`PropagationCache`] (property-tested in this module).
+/// candidate sets bit-identical to [`crate::candidate_tracks`] on the
+/// cache's catalog (property-tested in this module).
 #[derive(Debug)]
 pub struct TrackCache<'a, 'c> {
     cache: &'c PropagationCache<'a>,
@@ -213,8 +213,8 @@ pub fn prefilter_margin_deg(observer: Geodetic, min_elevation_deg: f64) -> f64 {
 
 impl<'a, 'c> TrackCache<'a, 'c> {
     /// Creates a track cache for one observer over `cache`'s catalog,
-    /// matching [`crate::candidate_tracks_through`]'s `min_elevation_deg`
-    /// and `samples_per_slot` parameters.
+    /// matching [`crate::candidate_tracks`]' `min_elevation_deg` and
+    /// `samples_per_slot` parameters.
     pub fn new(
         cache: &'c PropagationCache<'a>,
         observer: Geodetic,
@@ -248,7 +248,7 @@ impl<'a, 'c> TrackCache<'a, 'c> {
     }
 
     /// Candidate set for the slot starting at `slot_start` — bit-identical
-    /// to `candidate_tracks_through(cache, observer, slot_start, ...)`.
+    /// to `candidate_tracks(catalog, observer, slot_start, ...)`.
     pub fn candidate_tracks(&mut self, slot_start: JulianDate) -> Vec<CandidateTrack> {
         let n = self.samples_per_slot.max(2) as usize;
         let epochs = sample_epochs(slot_start, n as u32);
@@ -334,7 +334,7 @@ impl<'a, 'c> TrackCache<'a, 'c> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::candidates::candidate_tracks_through;
+    use crate::candidates::candidate_tracks;
     use starsense_astro::frames::look_angles_teme;
     use starsense_constellation::ConstellationBuilder;
     use starsense_scheduler::slots::{slot_start, SLOT_PERIOD_SECONDS};
@@ -367,7 +367,7 @@ mod tests {
         let first = slot_start(JulianDate::from_ymd_hms(2023, 6, 1, 16, 0, 13.0));
         for k in 0..8 {
             let start = slot_start(first.plus_seconds(k as f64 * SLOT_PERIOD_SECONDS + 1.0));
-            let direct = candidate_tracks_through(&cache, loc, start, 25.0, 16);
+            let direct = candidate_tracks(&c, loc, start, 25.0, 16);
             let tracked = tracks.candidate_tracks(start);
             assert_same_tracks(&direct, &tracked);
         }
@@ -389,7 +389,7 @@ mod tests {
         let first = JulianDate::from_ymd_hms(2023, 6, 1, 9, 0, 3.7);
         for k in 0..6 {
             let start = first.plus_seconds(k as f64 * SLOT_PERIOD_SECONDS);
-            let direct = candidate_tracks_through(&cache, loc, start, 25.0, 16);
+            let direct = candidate_tracks(&c, loc, start, 25.0, 16);
             let tracked = tracks.candidate_tracks(start);
             assert_same_tracks(&direct, &tracked);
         }
@@ -413,7 +413,7 @@ mod tests {
             let mut tracks = TrackCache::new(cache, site, cutoff, 16);
             let mut found = 0;
             for k in 0..slots {
-                let direct = candidate_tracks_through(cache, site, start(k), cutoff, 16);
+                let direct = candidate_tracks(cache.constellation(), site, start(k), cutoff, 16);
                 assert_same_tracks(&direct, &tracks.candidate_tracks(start(k)));
                 found += direct.len();
             }
@@ -459,7 +459,7 @@ mod tests {
         let (mut rising, mut setting) = (0, 0);
         for k in 0..40 {
             let head = tracks.last_end.as_ref().map(|row| row.sats.clone());
-            let direct = candidate_tracks_through(&cache, site, start(k), 25.0, 16);
+            let direct = candidate_tracks(&gen1, site, start(k), 25.0, 16);
             assert_same_tracks(&direct, &tracks.candidate_tracks(start(k)));
             let tail = tracks.last_end.as_ref().expect("a served slot keeps its end row");
             let at = JulianDate(f64::from_bits(tail.epoch_bits));
@@ -485,10 +485,10 @@ mod tests {
 
     #[test]
     fn prepared_boundaries_keep_the_hot_path_lock_free() {
-        // With every slot's boundary epochs prepared, boundary rows come
-        // from the immutable table and interior epochs propagate survivors
-        // directly: no full row is propagated and the fallback map stays
-        // empty.
+        // With every slot's boundary epochs prepared, every boundary row
+        // not reused from the previous slot comes from the immutable table
+        // and interior epochs propagate survivors directly: no full row is
+        // propagated.
         let c = ConstellationBuilder::starlink_mini().seed(42).build();
         let cache = PropagationCache::new(&c);
         let loc = Geodetic::new(41.66, -91.53, 0.2);
@@ -499,14 +499,13 @@ mod tests {
         let boundaries: Vec<JulianDate> =
             starts.iter().flat_map(|&s| crate::slot_boundary_epochs(s, 16)).collect();
         assert!(cache.prepare(&[], &boundaries, 1));
-        let prepared = cache.stats().published_entries;
         let mut tracks = TrackCache::new(&cache, loc, 25.0, 16);
         for &start in &starts {
             let _ = tracks.candidate_tracks(start);
         }
         let s = cache.stats();
         assert_eq!(s.misses, 0, "{s:?}");
-        assert_eq!(s.published_entries, prepared, "{s:?}");
+        assert_eq!(s.hits + tracks.stats().boundary_rows_reused, 2 * starts.len(), "{s:?}");
         assert!(tracks.stats().interior_propagations > 0);
     }
 
@@ -520,7 +519,7 @@ mod tests {
         let _ = tracks.candidate_tracks(start);
         // Only the two boundary epochs took full catalog rows; interior
         // epochs propagated survivors alone.
-        assert_eq!(cache.stats().published_entries, 2);
+        assert_eq!(cache.stats().misses, 2);
         let s = tracks.stats();
         assert!(
             s.interior_propagations < c.len() * 14,

@@ -6,6 +6,8 @@
 //! cargo run --release --example quickstart
 //! ```
 
+use starsense::constellation::PropagationCache;
+use starsense::ident::{CANDIDATE_SAMPLES_PER_SLOT, MIN_CANDIDATE_ELEVATION_DEG};
 use starsense::prelude::*;
 
 fn main() {
@@ -42,14 +44,15 @@ fn main() {
     // Now pretend we never saw the scheduler: identify the serving
     // satellite from the two map snapshots and the published (stale) TLEs,
     // exactly as §4 of the paper does against the real network.
-    let identified = identify_slot(
-        &cap1.map,
-        &cap2.map,
-        &constellation,
+    let cache = PropagationCache::new(&constellation);
+    let mut tracks = TrackCache::new(
+        &cache,
         Geodetic::new(41.66, -91.53, 0.2),
-        second.slot_start,
-    )
-    .expect("a trajectory to match");
+        MIN_CANDIDATE_ELEVATION_DEG,
+        CANDIDATE_SAMPLES_PER_SLOT,
+    );
+    let verdict = verdict_slot_tracked(&mut tracks, &cap1.map, &cap2.map, second.slot_start, 0.0);
+    let identified = verdict.best().expect("a trajectory to match");
 
     println!(
         "identified satellite {} (DTW distance {:.1}, runner-up {:.1}, {} candidates)",
