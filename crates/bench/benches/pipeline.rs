@@ -4,9 +4,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use starsense_astro::frames::Geodetic;
 use starsense_astro::time::JulianDate;
 use starsense_constellation::{ConstellationBuilder, PropagationCache};
-use starsense_dtw::{
-    dtw_distance, dtw_distance_banded, dtw_distance_early_abandon, NearestSequence,
-};
+use starsense_dtw::{best_match, dtw_distance, dtw_distance_early_abandon};
 use starsense_ident::{
     candidate_tracks, slot_boundary_epochs, verdict_slot_tracked, DishSimulator, TrackCache,
 };
@@ -35,9 +33,6 @@ fn bench_dtw(c: &mut Criterion) {
     c.bench_function("dtw/64x64_2d", |bch| {
         bch.iter(|| black_box(dtw_distance(black_box(&a64), black_box(&b64))))
     });
-    c.bench_function("dtw/64x64_banded_10pct", |bch| {
-        bch.iter(|| black_box(dtw_distance_banded(black_box(&a64), black_box(&b64), 0.1)))
-    });
     // Early abandoning with a cutoff a 1-NN search would actually carry:
     // the distance of a nearby competitor.
     let cutoff = dtw_distance(&a64, &track(64, 0.05));
@@ -47,16 +42,23 @@ fn bench_dtw(c: &mut Criterion) {
 
     // Full-vs-pruned 1-NN over a candidate pool shaped like a slot's
     // candidate set (a couple dozen tracks, one close, the rest spread).
-    let mut ns = NearestSequence::<2>::new();
-    for i in 0..24 {
-        ns.add(track(16, 0.05 + 0.3 * i as f64));
-    }
+    let candidates: Vec<[Vec<[f64; 2]>; 1]> =
+        (0..24).map(|i| [track(16, 0.05 + 0.3 * i as f64)]).collect();
     let query = track(16, 0.1);
     c.bench_function("dtw/1nn_24cands_exhaustive", |bch| {
-        bch.iter(|| black_box(ns.ranked(black_box(&query)).first().copied()))
+        bch.iter(|| {
+            let mut best = (usize::MAX, f64::INFINITY);
+            for (i, [cand]) in candidates.iter().enumerate() {
+                let d = dtw_distance(black_box(&query), cand);
+                if d < best.1 {
+                    best = (i, d);
+                }
+            }
+            black_box(best)
+        })
     });
     c.bench_function("dtw/1nn_24cands_pruned", |bch| {
-        bch.iter(|| black_box(ns.best_match(black_box(&query))))
+        bch.iter(|| black_box(best_match(black_box(&query), &candidates)))
     });
 }
 

@@ -14,22 +14,19 @@
 //! This crate implements:
 //!
 //! * [`dtw_distance`] — classic O(n·m) DTW with an O(min(n,m)) rolling row,
-//! * [`dtw_distance_banded`] — the Sakoe-Chiba band variant,
+//!   the exhaustive reference,
 //! * [`dtw_distance_early_abandon`] — DTW that gives up as soon as every
 //!   alignment provably exceeds a cutoff (the 1-NN pruning workhorse),
 //! * [`dtw_lower_bound`] — an O(1) endpoint lower bound used to order and
 //!   prune candidates before any matrix work,
-//! * [`dtw_path`] — full-matrix DTW that also returns the warping path,
-//! * [`downsample`] — evenly spaced subsampling for cheap coarse passes,
-//! * [`NearestSequence`] — a tiny 1-nearest-neighbour classifier over DTW,
-//!   which is exactly the matching rule of §4.1. Its [`NearestSequence::best_match`]
-//!   runs an exact two-stage cascade: a downsampled coarse DTW pass orders
-//!   the candidates (so the best and runner-up are almost always measured
-//!   first, seeding a tight running cutoff), then the exact early-abandon
-//!   pass confirms each candidate against that cutoff, with the O(1) lower
-//!   bound skipping candidates outright. The coarse distances influence
-//!   only the visit *order*, never a skip decision, so the result stays
-//!   **bit-identical** to the exhaustive scan.
+//! * [`best_match`] — the 1-nearest-neighbour search over DTW that is
+//!   exactly the matching rule of §4.1. Each candidate is a group of
+//!   alternative sequences (the identifier passes a track and its reversal)
+//!   scored by the smallest of their distances. The search visits
+//!   candidates in ascending lower-bound order, stops at the first whose
+//!   bound exceeds the running runner-up, and measures the rest with early
+//!   abandoning against that runner-up; the result stays **bit-identical**
+//!   to the exhaustive scan.
 //!
 //! Distances are Euclidean over fixed-size points (`[f64; N]`), covering the
 //! 2-D Cartesian sky tracks the paper uses as well as 3-D variants.
@@ -146,127 +143,7 @@ pub fn dtw_distance_early_abandon<const N: usize>(
     AbandonableDtw { distance: prev[n], cells, abandoned: false }
 }
 
-/// DTW distance constrained to a Sakoe-Chiba band of half-width `band`
-/// (expressed in *fraction of the longer sequence*, so `0.1` allows indices
-/// to deviate by 10%).
-///
-/// A band both speeds the computation up and rejects pathological alignments
-/// (e.g. the whole of one trajectory mapping onto a single point of another).
-/// Returns `f64::INFINITY` for empty input or a band too narrow to connect
-/// the corners.
-pub fn dtw_distance_banded<const N: usize>(a: &[[f64; N]], b: &[[f64; N]], band: f64) -> f64 {
-    if a.is_empty() || b.is_empty() {
-        return f64::INFINITY;
-    }
-    let n = a.len();
-    let m = b.len();
-    // A band narrower than |n − m| cannot connect (0,0) to (n,m): the
-    // diagonal slope requires |i·m/n − j| to reach |m − n|. The request is
-    // infeasible as stated, so report that rather than silently widening.
-    let w = (band * n.max(m) as f64).ceil() as i64;
-    if w < (n as i64 - m as i64).abs() {
-        return f64::INFINITY;
-    }
-
-    let mut prev = vec![f64::INFINITY; m + 1];
-    let mut curr = vec![f64::INFINITY; m + 1];
-    prev[0] = 0.0;
-
-    for i in 1..=n {
-        curr.fill(f64::INFINITY);
-        // Column indices allowed for this row under the band.
-        let center = (i as f64 * m as f64 / n as f64).round() as i64;
-        let lo = (center - w).max(1) as usize;
-        let hi = ((center + w).min(m as i64)) as usize;
-        if i == 1 {
-            // Ensure the (1,1) cell can see the (0,0) anchor.
-            curr[0] = f64::INFINITY;
-        }
-        for j in lo..=hi {
-            let cost = euclidean(&a[i - 1], &b[j - 1]);
-            let best = prev[j].min(curr[j - 1]).min(prev[j - 1]);
-            // The (0,0) anchor lives at prev[0] on the first row.
-            curr[j] = cost + best;
-        }
-        std::mem::swap(&mut prev, &mut curr);
-    }
-    prev[m]
-}
-
-/// Points per sequence in the cascade's coarse pass: long enough to keep
-/// the shape of a sky track, short enough that a coarse DTW costs at most
-/// 64 cells — around 5% of a typical full matrix in the §4.1 workload.
-pub const COARSE_LEN: usize = 8;
-
-/// Evenly spaced subsample of `seq` with at most `max_len` points, always
-/// keeping both endpoints. Sequences already short enough are returned
-/// verbatim. Used by the cascade's coarse pass: DTW over two downsampled
-/// sequences costs `max_len²` cells instead of `n·m`.
-///
-/// The subsample is a *heuristic* summary — its DTW distance is neither an
-/// upper nor a lower bound of the full distance — so exact callers may use
-/// it only to choose evaluation order, never to discard a candidate.
-pub fn downsample<const N: usize>(seq: &[[f64; N]], max_len: usize) -> Vec<[f64; N]> {
-    let max_len = max_len.max(2);
-    if seq.len() <= max_len {
-        return seq.to_vec();
-    }
-    (0..max_len)
-        .map(|i| {
-            // Integer rounding of i·(len−1)/(max_len−1): deterministic and
-            // strictly monotone because the real step exceeds one.
-            let idx = (i * (seq.len() - 1) + (max_len - 1) / 2) / (max_len - 1);
-            seq[idx]
-        })
-        .collect()
-}
-
-/// A step of a DTW warping path: indices into the two sequences.
-pub type PathStep = (usize, usize);
-
-/// DTW distance plus the optimal warping path, computed with the full
-/// O(n·m) matrix. Use for diagnostics and tests; prefer [`dtw_distance`] in
-/// hot loops.
-pub fn dtw_path<const N: usize>(a: &[[f64; N]], b: &[[f64; N]]) -> (f64, Vec<PathStep>) {
-    if a.is_empty() || b.is_empty() {
-        return (f64::INFINITY, Vec::new());
-    }
-    let n = a.len();
-    let m = b.len();
-    let mut d = vec![f64::INFINITY; (n + 1) * (m + 1)];
-    let idx = |i: usize, j: usize| i * (m + 1) + j;
-    d[idx(0, 0)] = 0.0;
-
-    for i in 1..=n {
-        for j in 1..=m {
-            let cost = euclidean(&a[i - 1], &b[j - 1]);
-            let best = d[idx(i - 1, j)].min(d[idx(i, j - 1)]).min(d[idx(i - 1, j - 1)]);
-            d[idx(i, j)] = cost + best;
-        }
-    }
-
-    // Backtrack from (n, m).
-    let mut path = Vec::with_capacity(n + m);
-    let (mut i, mut j) = (n, m);
-    while i > 0 && j > 0 {
-        path.push((i - 1, j - 1));
-        let diag = d[idx(i - 1, j - 1)];
-        let up = d[idx(i - 1, j)];
-        let left = d[idx(i, j - 1)];
-        if diag <= up && diag <= left {
-            i -= 1;
-            j -= 1;
-        } else if up <= left {
-            i -= 1;
-        } else {
-            j -= 1;
-        }
-    }
-    path.reverse();
-    (d[idx(n, m)], path)
-}
-
-/// Result of a nearest-sequence query.
+/// Result of a [`best_match`] query.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Match {
     /// Index of the best-matching candidate.
@@ -281,148 +158,106 @@ pub struct Match {
     pub runner_up: f64,
 }
 
-/// Work counters for a pruned [`NearestSequence::best_match_with_stats`]
-/// query, for benches and regression tests of pruning effectiveness.
+/// Work counters for a [`best_match`] query, for benches and regression
+/// tests of pruning effectiveness.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PruneStats {
     /// DTW matrix cells actually evaluated across all candidates.
     pub cells_evaluated: usize,
-    /// Cells an exhaustive scan would have evaluated (Σ n·mᵢ).
+    /// Cells an exhaustive scan would have evaluated (Σ n·mᵢ over every
+    /// member of every candidate).
     pub cells_full: usize,
     /// Candidates whose DTW evaluation was started.
     pub evaluated: usize,
     /// Candidates skipped outright by the lower bound (no matrix work).
     pub pruned: usize,
-    /// Matrix cells spent in the cascade's downsampled coarse pass (these
-    /// are extra work on top of `cells_evaluated`, bounded by
-    /// candidates × coarse-length²).
+    /// Always 0: [`best_match`] has no coarse pass. The field stays only
+    /// because the campaign benchmark's traced pass
+    /// (`campaign_bench/src/trace.rs`) and `crates/bench/benches/campaign.rs`
+    /// read it.
     pub coarse_cells: usize,
 }
 
-/// 1-nearest-neighbour search over candidate sequences by DTW distance —
-/// the matching rule of §4.1 ("the available satellite with the lowest DTW
-/// distance is chosen as the current serving satellite").
-#[derive(Debug, Clone, Default)]
-pub struct NearestSequence<const N: usize> {
-    candidates: Vec<Vec<[f64; N]>>,
-}
-
-impl<const N: usize> NearestSequence<N> {
-    /// Creates an empty matcher.
-    pub fn new() -> Self {
-        NearestSequence { candidates: Vec::new() }
+/// Finds the candidate with the lowest DTW distance to `query` — the
+/// matching rule of §4.1 ("the available satellite with the lowest DTW
+/// distance is chosen as the current serving satellite") — plus counters
+/// describing how much work the pruning saved.
+///
+/// Each candidate is a group of one or more alternative sequences and
+/// scores the smallest of their distances (an empty group scores
+/// `f64::INFINITY`). Returns `None` when `query` or `candidates` is empty.
+///
+/// The result is bit-identical to an exhaustive scan (every member measured
+/// with [`dtw_distance`], candidates in index order, strict `<` updates):
+/// same winning index (ties broken by lowest index), same `distance`, same
+/// exact `runner_up`. The search gets there with less work:
+///
+/// * a candidate's bound is the minimum [`dtw_lower_bound`] over its
+///   members, and candidates are visited in ascending (bound, index) order,
+///   so the true best and runner-up are usually measured first;
+/// * once a bound exceeds the running runner-up the scan stops, counting
+///   that candidate and every later one as `pruned`;
+/// * each member is measured with [`dtw_distance_early_abandon`], cut
+///   against the runner-up or the group's best member so far, whichever is
+///   smaller.
+///
+/// Exactness argument: the runner-up only ever decreases, every
+/// candidate's true distance is at least its bound, and the abandon test is
+/// strict; a skipped candidate therefore has distance `> runner_up ≥ best`
+/// and an abandoned member one `> runner_up` (or above a sibling it cannot
+/// undercut) — neither can change the winner *or* the runner-up, for any
+/// visit order. Cutting against the runner-up rather than the best keeps
+/// distances in `(best, runner_up]` measured exactly. Minimal-distance
+/// candidates can never be skipped (their bound never exceeds the
+/// runner-up), so ties still resolve on the full set of minima, by lowest
+/// index.
+pub fn best_match<const N: usize, G: AsRef<[Vec<[f64; N]>]>>(
+    query: &[[f64; N]],
+    candidates: &[G],
+) -> Option<(Match, PruneStats)> {
+    if query.is_empty() || candidates.is_empty() {
+        return None;
     }
 
-    /// Adds a candidate sequence; returns its index.
-    pub fn add(&mut self, seq: Vec<[f64; N]>) -> usize {
-        self.candidates.push(seq);
-        self.candidates.len() - 1
-    }
+    let mut stats = PruneStats::default();
+    let mut order: Vec<(f64, usize)> = candidates
+        .iter()
+        .enumerate()
+        .map(|(index, group)| {
+            let members = group.as_ref();
+            stats.cells_full += members.iter().map(|m| query.len() * m.len()).sum::<usize>();
+            let bound =
+                members.iter().map(|m| dtw_lower_bound(query, m)).fold(f64::INFINITY, f64::min);
+            (bound, index)
+        })
+        .collect();
+    order.sort_by(|x, y| x.0.total_cmp(&y.0).then(x.1.cmp(&y.1)));
 
-    /// Number of stored candidates.
-    pub fn len(&self) -> usize {
-        self.candidates.len()
-    }
-
-    /// True when no candidates are stored.
-    pub fn is_empty(&self) -> bool {
-        self.candidates.is_empty()
-    }
-
-    /// Finds the candidate with the lowest DTW distance to `query`.
-    /// Returns `None` when there are no candidates or the query is empty.
-    ///
-    /// The search is an exact two-stage cascade — a downsampled coarse DTW
-    /// pass orders candidates, then the exact early-abandon pass confirms
-    /// them against the running runner-up — but the result is bit-identical
-    /// to an exhaustive scan: same winning index (ties broken by lowest
-    /// index, as a forward scan would), same `distance`, same exact
-    /// `runner_up`.
-    pub fn best_match(&self, query: &[[f64; N]]) -> Option<Match> {
-        self.best_match_with_stats(query).map(|(m, _)| m)
-    }
-
-    /// [`NearestSequence::best_match`] plus counters describing how much
-    /// work the cascade saved.
-    ///
-    /// Stage 1 (coarse): every candidate's DTW distance to the query is
-    /// estimated on [`downsample`]d copies (≤ [`COARSE_LEN`] points each)
-    /// and candidates are visited cheapest-estimate first, so the true best
-    /// and runner-up are almost always measured immediately and the cutoff
-    /// is tight for everyone else. Stage 2 (exact): each candidate is
-    /// skipped when its O(1) lower bound exceeds the running runner-up,
-    /// otherwise confirmed by [`dtw_distance_early_abandon`].
-    ///
-    /// Exactness argument: coarse distances influence only the visit
-    /// *order*. The runner-up only ever decreases, every candidate's true
-    /// distance is at least its lower bound, and the abandon test is
-    /// strict; a skipped candidate therefore has distance `> runner_up ≥
-    /// best` and an abandoned one `> runner_up` — neither can change the
-    /// winner *or* the runner-up, for any visit order. Minimal-distance
-    /// candidates can never be skipped (their lower bound never exceeds the
-    /// runner-up), so ties still resolve on the full set of minima, by
-    /// lowest index.
-    pub fn best_match_with_stats(&self, query: &[[f64; N]]) -> Option<(Match, PruneStats)> {
-        if query.is_empty() || self.candidates.is_empty() {
-            return None;
+    let mut best_index = usize::MAX;
+    let mut best = f64::INFINITY;
+    let mut runner = f64::INFINITY;
+    for (visited, &(bound, index)) in order.iter().enumerate() {
+        if bound > runner {
+            // Sorted by bound, so every later candidate is skipped too.
+            stats.pruned = order.len() - visited;
+            break;
         }
-
-        let mut stats = PruneStats::default();
-        let coarse_query = downsample(query, COARSE_LEN);
-        // (index, lower bound, coarse estimate) per candidate; visited in
-        // ascending coarse-estimate order, ties by index so the order is
-        // deterministic.
-        let mut order: Vec<(usize, f64, f64)> = self
-            .candidates
-            .iter()
-            .enumerate()
-            .map(|(i, c)| {
-                stats.cells_full += query.len() * c.len();
-                let coarse = downsample(c, COARSE_LEN);
-                stats.coarse_cells += coarse_query.len() * coarse.len();
-                (i, dtw_lower_bound(query, c), dtw_distance(&coarse_query, &coarse))
-            })
-            .collect();
-        order.sort_by(|x, y| x.2.total_cmp(&y.2).then(x.0.cmp(&y.0)));
-
-        let mut best_index = usize::MAX;
-        let mut best = f64::INFINITY;
-        let mut runner = f64::INFINITY;
-        for &(index, lb, _) in &order {
-            if lb > runner {
-                // Not sorted by bound any more, so skip (not break): a
-                // later candidate may still have a smaller bound.
-                stats.pruned += 1;
-                continue;
-            }
-            // Cut against the runner-up, not the best: distances in
-            // (best, runner_up] still have to be measured exactly so the
-            // reported runner-up matches the exhaustive scan.
-            let result = dtw_distance_early_abandon(query, &self.candidates[index], runner);
-            stats.evaluated += 1;
+        stats.evaluated += 1;
+        let mut distance = f64::INFINITY;
+        for member in candidates[index].as_ref() {
+            let result = dtw_distance_early_abandon(query, member, runner.min(distance));
             stats.cells_evaluated += result.cells;
-            if result.abandoned {
-                continue;
-            }
-            let distance = result.distance;
-            if distance < best || (distance == best && index < best_index) {
-                runner = best;
-                best = distance;
-                best_index = index;
-            } else if distance < runner {
-                runner = distance;
-            }
+            distance = distance.min(result.distance);
         }
-        Some((Match { index: best_index, distance: best, runner_up: runner }, stats))
+        if distance < best || (distance == best && index < best_index) {
+            runner = best;
+            best = distance;
+            best_index = index;
+        } else if distance < runner {
+            runner = distance;
+        }
     }
-
-    /// Ranks all candidates by ascending DTW distance.
-    pub fn ranked(&self, query: &[[f64; N]]) -> Vec<(usize, f64)> {
-        let mut out: Vec<(usize, f64)> =
-            self.candidates.iter().enumerate().map(|(i, c)| (i, dtw_distance(query, c))).collect();
-        out.sort_by(|a, b| a.1.total_cmp(&b.1));
-        out
-    }
+    Some((Match { index: best_index, distance: best, runner_up: runner }, stats))
 }
 
 #[cfg(test)]
@@ -471,34 +306,9 @@ mod tests {
         let empty: Vec<[f64; 1]> = Vec::new();
         assert_eq!(dtw_distance(&a, &empty), f64::INFINITY);
         assert_eq!(dtw_distance(&empty, &a), f64::INFINITY);
-        assert_eq!(dtw_distance_banded(&a, &empty, 0.1), f64::INFINITY);
-        assert_eq!(dtw_distance_banded(&empty, &a, 0.1), f64::INFINITY);
-        assert_eq!(dtw_distance_banded(&empty, &empty, 1.0), f64::INFINITY);
         assert_eq!(dtw_lower_bound(&a, &empty), f64::INFINITY);
         let ea = dtw_distance_early_abandon(&a, &empty, f64::INFINITY);
         assert_eq!((ea.distance, ea.cells, ea.abandoned), (f64::INFINITY, 0, false));
-    }
-
-    #[test]
-    fn band_narrower_than_length_gap_is_infeasible() {
-        // |n − m| = 5 but the band only allows deviation 1: no monotone
-        // path can connect the corners, so the answer is INFINITY — not a
-        // silently widened band producing a bogus finite distance.
-        let a = seq1d(&[0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]);
-        let b = seq1d(&[0.0, 1.0, 2.0]);
-        assert_eq!(dtw_distance_banded(&a, &b, 0.125), f64::INFINITY);
-        assert_eq!(dtw_distance_banded(&b, &a, 0.125), f64::INFINITY);
-        // Widening the band past the gap makes it feasible again.
-        assert!(dtw_distance_banded(&a, &b, 1.0).is_finite());
-    }
-
-    #[test]
-    fn banded_full_band_matches_unbanded_on_unequal_lengths() {
-        let a = seq1d(&[0.0, 2.0, 1.0, 4.0, 3.0, 6.0, 5.0, 8.0]);
-        let b = seq1d(&[0.5, 1.5, 3.5, 5.5]);
-        let full = dtw_distance(&a, &b);
-        let banded = dtw_distance_banded(&a, &b, 1.0);
-        assert!((full - banded).abs() < 1e-12, "{full} vs {banded}");
     }
 
     #[test]
@@ -536,81 +346,37 @@ mod tests {
     }
 
     #[test]
-    fn banded_with_full_band_matches_unbanded() {
-        let a = seq1d(&[0.0, 1.5, 3.0, 2.0, 5.0, 4.0]);
-        let b = seq1d(&[0.5, 1.0, 2.5, 2.5, 4.5]);
-        let full = dtw_distance(&a, &b);
-        let banded = dtw_distance_banded(&a, &b, 1.0);
-        assert!((full - banded).abs() < 1e-12, "{full} vs {banded}");
-    }
-
-    #[test]
-    fn banded_distance_upper_bounds_unbanded() {
-        let a = seq1d(&[0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]);
-        let b = seq1d(&[0.0, 0.0, 0.0, 0.0, 4.0, 5.0, 6.0, 7.0]);
-        let full = dtw_distance(&a, &b);
-        let banded = dtw_distance_banded(&a, &b, 0.125);
-        assert!(banded >= full - 1e-12, "banded {banded} < full {full}");
-    }
-
-    #[test]
-    fn path_connects_corners_and_is_monotone() {
-        let a = seq1d(&[1.0, 2.0, 3.0, 2.0]);
-        let b = seq1d(&[1.0, 3.0, 2.0]);
-        let (dist, path) = dtw_path(&a, &b);
-        assert_eq!(path.first(), Some(&(0usize, 0usize)));
-        assert_eq!(path.last(), Some(&(3usize, 2usize)));
-        for w in path.windows(2) {
-            let (i0, j0) = w[0];
-            let (i1, j1) = w[1];
-            assert!(i1 >= i0 && j1 >= j0, "path must be monotone");
-            assert!(i1 - i0 <= 1 && j1 - j0 <= 1, "path must move by single steps");
-        }
-        assert!((dist - dtw_distance(&a, &b)).abs() < 1e-12);
-    }
-
-    #[test]
     fn two_dimensional_points_work() {
         let a: Vec<[f64; 2]> = vec![[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]];
         let b: Vec<[f64; 2]> = vec![[0.0, 0.0], [1.0, 1.0], [1.0, 1.0], [2.0, 2.0]];
         assert_eq!(dtw_distance(&a, &b), 0.0);
     }
 
-    #[test]
-    fn nearest_sequence_picks_the_closest_track() {
-        let mut ns = NearestSequence::<2>::new();
-        ns.add(vec![[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]); // along +x
-        ns.add(vec![[0.0, 0.0], [0.0, 1.0], [0.0, 2.0]]); // along +y
-        let query = vec![[0.1, 0.0], [1.1, 0.05], [2.0, -0.1]];
-        let m = ns.best_match(&query).unwrap();
-        assert_eq!(m.index, 0);
-        assert!(m.distance < m.runner_up);
+    /// Wraps each sequence as a single-member candidate group.
+    fn singles<const N: usize>(seqs: Vec<Vec<[f64; N]>>) -> Vec<[Vec<[f64; N]>; 1]> {
+        seqs.into_iter().map(|s| [s]).collect()
     }
 
-    #[test]
-    fn nearest_sequence_handles_edge_cases() {
-        let ns = NearestSequence::<1>::new();
-        assert!(ns.is_empty());
-        assert!(ns.best_match(&seq1d(&[1.0])).is_none());
-
-        let mut ns = NearestSequence::<1>::new();
-        ns.add(seq1d(&[5.0]));
-        assert!(ns.best_match(&[]).is_none());
-        let m = ns.best_match(&seq1d(&[5.0])).unwrap();
-        assert_eq!(m.runner_up, f64::INFINITY);
+    /// A match as (index, distance bits, runner-up bits), for bit-exact
+    /// comparison.
+    fn bits(m: &Match) -> (usize, u64, u64) {
+        (m.index, m.distance.to_bits(), m.runner_up.to_bits())
     }
 
-    /// The pre-pruning exhaustive scan, kept as the test oracle.
-    fn exhaustive_best_match<const N: usize>(
-        ns: &NearestSequence<N>,
+    /// The exhaustive scan, kept as the test oracle: every member measured
+    /// with the full matrix, a candidate scoring the smallest of its
+    /// members' distances, candidates scanned forward with strict `<`.
+    fn exhaustive_best_match<const N: usize, G: AsRef<[Vec<[f64; N]>]>>(
         query: &[[f64; N]],
+        candidates: &[G],
     ) -> Option<Match> {
         if query.is_empty() {
             return None;
         }
         let mut best: Option<Match> = None;
-        for (index, cand) in ns.candidates.iter().enumerate() {
-            let distance = dtw_distance(query, cand);
+        for (index, group) in candidates.iter().enumerate() {
+            let distance =
+                group.as_ref().iter().map(|m| dtw_distance(query, m)).fold(f64::INFINITY, f64::min);
             best = Some(match best {
                 None => Match { index, distance, runner_up: f64::INFINITY },
                 Some(b) if distance < b.distance => {
@@ -628,18 +394,42 @@ mod tests {
     }
 
     #[test]
+    fn nearest_sequence_picks_the_closest_track() {
+        let candidates = singles(vec![
+            vec![[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], // along +x
+            vec![[0.0, 0.0], [0.0, 1.0], [0.0, 2.0]], // along +y
+        ]);
+        let query = vec![[0.1, 0.0], [1.1, 0.05], [2.0, -0.1]];
+        let (m, _) = best_match(&query, &candidates).unwrap();
+        assert_eq!(m.index, 0);
+        assert!(m.distance < m.runner_up);
+    }
+
+    #[test]
+    fn nearest_sequence_handles_edge_cases() {
+        let none: Vec<[Vec<[f64; 1]>; 1]> = Vec::new();
+        assert!(best_match(&seq1d(&[1.0]), &none).is_none());
+
+        let candidates = singles(vec![seq1d(&[5.0])]);
+        assert!(best_match(&[], &candidates).is_none());
+        let (m, _) = best_match(&seq1d(&[5.0]), &candidates).unwrap();
+        assert_eq!(m.runner_up, f64::INFINITY);
+    }
+
+    #[test]
     fn pruned_best_match_is_bit_identical_on_ties() {
         // Two candidates at the exact same distance: the winner must be the
         // lower index, and the runner-up must equal the winning distance —
         // exactly what a forward exhaustive scan reports.
-        let mut ns = NearestSequence::<1>::new();
-        ns.add(seq1d(&[10.0, 11.0, 12.0]));
-        ns.add(seq1d(&[0.0, 1.0, 2.0]));
-        ns.add(seq1d(&[0.0, 1.0, 2.0]));
+        let candidates = singles(vec![
+            seq1d(&[10.0, 11.0, 12.0]),
+            seq1d(&[0.0, 1.0, 2.0]),
+            seq1d(&[0.0, 1.0, 2.0]),
+        ]);
         let query = seq1d(&[0.5, 1.5, 2.5]);
-        let pruned = ns.best_match(&query).unwrap();
-        let full = exhaustive_best_match(&ns, &query).unwrap();
-        assert_eq!(pruned, full);
+        let (pruned, _) = best_match(&query, &candidates).unwrap();
+        let full = exhaustive_best_match(&query, &candidates).unwrap();
+        assert_eq!(bits(&pruned), bits(&full));
         assert_eq!(pruned.index, 1);
         assert_eq!(pruned.distance, pruned.runner_up);
     }
@@ -648,14 +438,14 @@ mod tests {
     fn pruned_best_match_evaluates_fewer_cells() {
         // One near candidate and many far ones: the far ones should be
         // abandoned early or skipped outright by the lower bound.
-        let mut ns = NearestSequence::<1>::new();
-        ns.add(seq1d(&[0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]));
+        let mut seqs = vec![seq1d(&[0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0])];
         for k in 1..=12 {
             let off = 1000.0 * k as f64;
-            ns.add(seq1d(&[off, off + 1.0, off + 2.0, off + 3.0, off + 4.0, off + 5.0]));
+            seqs.push(seq1d(&[off, off + 1.0, off + 2.0, off + 3.0, off + 4.0, off + 5.0]));
         }
+        let candidates = singles(seqs);
         let query = seq1d(&[0.1, 1.1, 2.1, 3.1, 4.1, 5.1, 6.1, 7.1]);
-        let (m, stats) = ns.best_match_with_stats(&query).unwrap();
+        let (m, stats) = best_match(&query, &candidates).unwrap();
         assert_eq!(m.index, 0);
         assert!(
             stats.cells_evaluated < stats.cells_full / 2,
@@ -664,97 +454,48 @@ mod tests {
             stats.cells_full
         );
         assert!(stats.pruned > 0, "lower bound should skip distant candidates outright");
-        assert_eq!(m, exhaustive_best_match(&ns, &query).unwrap());
+        assert_eq!(bits(&m), bits(&exhaustive_best_match(&query, &candidates).unwrap()));
     }
 
     #[test]
     fn pruned_best_match_handles_empty_candidates() {
-        // Empty candidate sequences have infinite distance; the scan must
-        // still agree with the exhaustive oracle (first index wins).
-        let mut ns = NearestSequence::<1>::new();
-        ns.add(Vec::new());
-        ns.add(Vec::new());
+        // Empty candidate sequences and an empty group have infinite
+        // distance; the scan must still agree with the exhaustive oracle
+        // (first index wins).
+        let candidates: Vec<Vec<Vec<[f64; 1]>>> = vec![vec![Vec::new()], vec![Vec::new()], vec![]];
         let query = seq1d(&[1.0]);
-        let pruned = ns.best_match(&query).unwrap();
-        assert_eq!(pruned, exhaustive_best_match(&ns, &query).unwrap());
+        let (pruned, _) = best_match(&query, &candidates).unwrap();
+        assert_eq!(bits(&pruned), bits(&exhaustive_best_match(&query, &candidates).unwrap()));
         assert_eq!(pruned.index, 0);
         assert_eq!(pruned.distance, f64::INFINITY);
-    }
-
-    #[test]
-    fn downsample_keeps_endpoints_and_order() {
-        let seq: Vec<[f64; 1]> = (0..100).map(|i| [i as f64]).collect();
-        let coarse = downsample(&seq, 8);
-        assert_eq!(coarse.len(), 8);
-        assert_eq!(coarse[0], [0.0]);
-        assert_eq!(coarse[7], [99.0]);
-        for w in coarse.windows(2) {
-            assert!(w[0][0] < w[1][0], "downsample must preserve order");
-        }
-    }
-
-    #[test]
-    fn downsample_short_sequences_are_verbatim() {
-        let seq = seq1d(&[3.0, 1.0, 4.0]);
-        assert_eq!(downsample(&seq, 8), seq);
-        assert_eq!(downsample(&seq, 3), seq);
-        let empty: Vec<[f64; 1]> = Vec::new();
-        assert!(downsample(&empty, 8).is_empty());
-        // max_len below 2 is clamped, never a panic or a truncation to one.
-        let two = seq1d(&[1.0, 2.0]);
-        assert_eq!(downsample(&two, 0), two);
-    }
-
-    #[test]
-    fn cascade_counts_coarse_work_separately() {
-        let mut ns = NearestSequence::<1>::new();
-        let long: Vec<f64> = (0..40).map(|i| i as f64).collect();
-        ns.add(seq1d(&long));
-        ns.add(seq1d(&long));
-        let query = seq1d(&long);
-        let (_, stats) = ns.best_match_with_stats(&query).unwrap();
-        // Coarse matrices are COARSE_LEN² per candidate, far below full.
-        assert_eq!(stats.coarse_cells, 2 * COARSE_LEN * COARSE_LEN);
-        assert!(stats.coarse_cells < stats.cells_full / 10);
     }
 
     #[test]
     fn cascade_orders_far_candidates_out_of_the_exact_pass() {
         // The best candidate and its close runner-up are placed LAST by
         // index, so index-ordered visiting would evaluate every far
-        // candidate exactly first; the coarse pass must instead surface the
-        // two of them immediately, after which the tight runner-up cutoff
-        // lets the lower bound or a first-column abandon dispatch the far
-        // candidates with almost no matrix work.
-        let mut ns = NearestSequence::<1>::new();
+        // candidate exactly first; lower-bound order must instead surface
+        // the two of them immediately, after which the tight runner-up
+        // cutoff stops the scan before any far candidate's matrix work.
         let n = 32;
+        let mut seqs = Vec::new();
         for k in 0..12 {
             let off = 500.0 + 40.0 * k as f64;
-            ns.add(seq1d(&(0..n).map(|i| off + i as f64).collect::<Vec<_>>()));
+            seqs.push(seq1d(&(0..n).map(|i| off + i as f64).collect::<Vec<_>>()));
         }
-        ns.add(seq1d(&(0..n).map(|i| i as f64).collect::<Vec<_>>()));
-        ns.add(seq1d(&(0..n).map(|i| i as f64 + 1.0).collect::<Vec<_>>()));
+        seqs.push(seq1d(&(0..n).map(|i| i as f64).collect::<Vec<_>>()));
+        seqs.push(seq1d(&(0..n).map(|i| i as f64 + 1.0).collect::<Vec<_>>()));
+        let candidates = singles(seqs);
         let query = seq1d(&(0..n).map(|i| i as f64 + 0.25).collect::<Vec<_>>());
-        let (m, stats) = ns.best_match_with_stats(&query).unwrap();
+        let (m, stats) = best_match(&query, &candidates).unwrap();
         assert_eq!(m.index, 12);
-        assert_eq!(m, exhaustive_best_match(&ns, &query).unwrap());
+        assert_eq!(bits(&m), bits(&exhaustive_best_match(&query, &candidates).unwrap()));
         assert!(
             stats.cells_evaluated < stats.cells_full / 4,
             "cascade saved too little: {} of {} cells",
             stats.cells_evaluated,
             stats.cells_full
         );
-    }
-
-    #[test]
-    fn ranked_is_sorted_ascending() {
-        let mut ns = NearestSequence::<1>::new();
-        ns.add(seq1d(&[10.0, 11.0]));
-        ns.add(seq1d(&[0.0, 1.0]));
-        ns.add(seq1d(&[5.0, 6.0]));
-        let r = ns.ranked(&seq1d(&[0.0, 1.0]));
-        assert_eq!(r[0].0, 1);
-        assert!(r[0].1 <= r[1].1 && r[1].1 <= r[2].1);
     }
 
     mod properties {
@@ -836,31 +577,60 @@ mod tests {
                     prop::collection::vec(-50.0f64..50.0, 1..10), 1..8),
                 query in prop::collection::vec(-50.0f64..50.0, 1..10),
             ) {
-                let mut ns = NearestSequence::<1>::new();
-                for c in &cands {
-                    ns.add(seq1d(c));
-                }
+                let candidates = singles(cands.iter().map(|c| seq1d(c)).collect());
                 let query = seq1d(&query);
-                let (pruned, stats) = ns.best_match_with_stats(&query)
+                let (pruned, stats) = best_match(&query, &candidates)
                     .expect("non-empty query and candidates");
-                let full = exhaustive_best_match(&ns, &query)
+                let full = exhaustive_best_match(&query, &candidates)
                     .expect("non-empty query and candidates");
                 // Bit-identical, not approximately equal: same index, same
                 // distance bits, same runner-up bits.
-                prop_assert_eq!(pruned, full);
+                prop_assert_eq!(bits(&pruned), bits(&full));
                 prop_assert!(stats.cells_evaluated <= stats.cells_full);
             }
 
             #[test]
-            fn path_cost_equals_distance(
-                a in prop::collection::vec(-20.0f64..20.0, 1..10),
-                b in prop::collection::vec(-20.0f64..20.0, 1..10),
+            fn grouped_best_match_equals_exhaustive_scan(
+                specs in prop::collection::vec(
+                    (prop::collection::vec(-4i32..5, 1..8), 1usize..4, 0usize..4), 1..8),
+                query in prop::collection::vec(-4i32..5, 1..8),
             ) {
-                let a = seq1d(&a);
-                let b = seq1d(&b);
-                let (dist, path) = dtw_path(&a, &b);
-                let cost: f64 = path.iter().map(|&(i, j)| euclidean(&a[i], &b[j])).sum();
-                prop_assert!((cost - dist).abs() < 1e-9);
+                // Small integer points make equal distances common. Each
+                // spec is a fresh group (the sequence, its reversal and the
+                // sequence again, cut to 1–3 members), a duplicate of an
+                // earlier group, or an earlier group with every member
+                // reversed — so ties occur within a group, across
+                // orientations and across candidates.
+                let ints = |xs: &[i32]| -> Vec<[f64; 1]> { xs.iter().map(|&x| [f64::from(x)]).collect() };
+                let mut candidates: Vec<Vec<Vec<[f64; 1]>>> = Vec::new();
+                for (i, (xs, members, kind)) in specs.iter().enumerate() {
+                    let earlier = if i > 0 { candidates.get(xs.len() % i).cloned() } else { None };
+                    let group = match (kind, earlier) {
+                        (0, Some(g)) => g,
+                        (1, Some(g)) => g
+                            .into_iter()
+                            .rev()
+                            .map(|mut m| {
+                                m.reverse();
+                                m
+                            })
+                            .collect(),
+                        _ => {
+                            let seq = ints(xs);
+                            let mut rev = seq.clone();
+                            rev.reverse();
+                            [seq.clone(), rev, seq].into_iter().take(*members).collect()
+                        }
+                    };
+                    candidates.push(group);
+                }
+                let query = ints(&query);
+                let (pruned, stats) = best_match(&query, &candidates)
+                    .expect("non-empty query and candidates");
+                let full = exhaustive_best_match(&query, &candidates)
+                    .expect("non-empty query and candidates");
+                prop_assert_eq!(bits(&pruned), bits(&full));
+                prop_assert!(stats.cells_evaluated <= stats.cells_full);
             }
         }
     }

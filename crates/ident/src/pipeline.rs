@@ -1,23 +1,19 @@
 //! The identification pipeline: XOR → extract → DTW match.
 //!
-//! The DTW matching stage is a two-stage cascade: a cheap coarse pass on
-//! [`starsense_dtw::downsample`]d sequences orders the candidates so the
-//! near-certain winner is evaluated first, then the exact early-abandon
-//! pass visits them in that order (both track orientations per candidate),
-//! skipping any whose O(1) lower bound already exceeds the running
-//! runner-up. The cascade is exact — coarse distances only pick the visit
-//! order, and the winner, its distance, and the runner-up are bit-identical
-//! to the exhaustive scan (see [`starsense_dtw::dtw_distance_early_abandon`]
-//! for the argument) — so identification accuracy is untouched while most
-//! matrix cells are never evaluated.
+//! The DTW matching stage is [`starsense_dtw::best_match`] with both
+//! orientations of every candidate track as one group: candidates are
+//! visited in ascending order of their O(1) lower bound, the scan stops at
+//! the first bound above the running runner-up, and the rest are measured
+//! with early abandoning against it. The search is exact — the winner, its
+//! distance, and the runner-up are bit-identical to the exhaustive scan
+//! (see [`starsense_dtw::best_match`] for the argument) — so identification
+//! accuracy is untouched while most matrix cells are never evaluated.
 
 use crate::candidates::{candidate_tracks, CandidateTrack};
 use starsense_astro::frames::Geodetic;
 use starsense_astro::time::JulianDate;
 use starsense_constellation::Constellation;
-use starsense_dtw::{
-    downsample, dtw_distance, dtw_distance_early_abandon, dtw_lower_bound, PruneStats, COARSE_LEN,
-};
+use starsense_dtw::{best_match, PruneStats};
 use starsense_obstruction::{extract_trajectory, isolate, ObstructionMap, PolarSample};
 
 /// Elevation cutoff (deg) for candidate generation: the obstruction plot's
@@ -130,92 +126,33 @@ pub fn classify_identification(sat: IdentifiedSat, min_margin: f64) -> IdentVerd
     }
 }
 
-/// Cascaded, pruned 1-NN over both orientations of every candidate — a
-/// track is tried in both directions because a bitmap has no arrow of time,
-/// and the smaller of the two alignments counts.
-///
-/// Stage one runs full DTW on [`downsample`]d copies (≤ [`COARSE_LEN`]
-/// points per side) of the query and every candidate; the coarse distances
-/// only decide the *visit order* of the exact pass, so they carry no
-/// correctness burden — a bad coarse estimate costs cells, never accuracy.
-/// Stage two is the exact early-abandon pass, visiting candidates in coarse
-/// order so the running runner-up cutoff tightens as early as possible.
-///
-/// Bit-identical to the exhaustive scan (full DTW in both orientations per
+/// Pruned, exact 1-NN over both orientations of every candidate — a track
+/// is tried in both directions because a bitmap has no arrow of time, and
+/// the smaller of the two alignments counts. Each candidate goes to
+/// [`best_match`] as the group `[forward, reversed]`; the result is
+/// bit-identical to the exhaustive scan (full DTW in both orientations per
 /// candidate, strict `<` update in index order; the tests keep that scan as
-/// the oracle): minimal-distance candidates can never be skipped — the
-/// lower bound never exceeds the runner-up for them — and every candidate
-/// that *is* skipped or abandoned has a true distance strictly above the
-/// final runner-up, so neither winner nor runner-up can differ.
+/// the oracle).
 fn match_candidates(
     trajectory: &[PolarSample],
     candidates: &[CandidateTrack],
 ) -> Option<(IdentifiedSat, PruneStats)> {
-    if candidates.is_empty() {
-        return None;
-    }
     let isolated: Vec<[f64; 2]> = trajectory.iter().map(|s| s.to_cartesian()).collect();
-    let coarse_query = downsample(&isolated, COARSE_LEN);
-
-    let mut stats = PruneStats::default();
-    // Both orientations per candidate, an O(1) lower bound on the cheaper
-    // of the two for skipping, and a coarse DTW estimate for ordering;
-    // visit cheapest-estimate first (ties by index).
-    let mut tracks: Vec<(Vec<[f64; 2]>, Vec<[f64; 2]>)> = Vec::with_capacity(candidates.len());
-    let mut order: Vec<(usize, f64, f64)> = Vec::with_capacity(candidates.len());
-    for (i, cand) in candidates.iter().enumerate() {
-        let fwd = cand.cartesian();
-        let mut rev = fwd.clone();
-        rev.reverse();
-        stats.cells_full += 2 * isolated.len() * fwd.len();
-        let lb = dtw_lower_bound(&isolated, &fwd).min(dtw_lower_bound(&isolated, &rev));
-        let coarse_fwd = downsample(&fwd, COARSE_LEN);
-        let coarse_rev = downsample(&rev, COARSE_LEN);
-        stats.coarse_cells += 2 * coarse_query.len() * coarse_fwd.len();
-        let coarse =
-            dtw_distance(&coarse_query, &coarse_fwd).min(dtw_distance(&coarse_query, &coarse_rev));
-        order.push((i, lb, coarse));
-        tracks.push((fwd, rev));
-    }
-    order.sort_by(|x, y| x.2.total_cmp(&y.2).then(x.0.cmp(&y.0)));
-
-    let mut best_index = usize::MAX;
-    let mut best = f64::INFINITY;
-    let mut runner = f64::INFINITY;
-    for &(i, lb, _) in &order {
-        if lb > runner {
-            // Coarse order is a heuristic, not sorted by bound — skip this
-            // candidate but keep scanning the rest.
-            stats.pruned += 1;
-            continue;
-        }
-        let (fwd, rev) = &tracks[i];
-        // Cut against the runner-up (not the best) so the reported
-        // runner-up stays exact; the forward result tightens the backward
-        // cutoff further.
-        let f = dtw_distance_early_abandon(&isolated, fwd, runner);
-        let b = dtw_distance_early_abandon(&isolated, rev, runner.min(f.distance));
-        stats.evaluated += 1;
-        stats.cells_evaluated += f.cells + b.cells;
-        if f.abandoned && b.abandoned {
-            // Both orientations provably exceed the runner-up.
-            continue;
-        }
-        let d = f.distance.min(b.distance);
-        if d < best || (d == best && i < best_index) {
-            runner = best;
-            best = d;
-            best_index = i;
-        } else if d < runner {
-            runner = d;
-        }
-    }
-
+    let orientations: Vec<[Vec<[f64; 2]>; 2]> = candidates
+        .iter()
+        .map(|cand| {
+            let fwd = cand.cartesian();
+            let mut rev = fwd.clone();
+            rev.reverse();
+            [fwd, rev]
+        })
+        .collect();
+    let (m, stats) = best_match(&isolated, &orientations)?;
     Some((
         IdentifiedSat {
-            norad_id: candidates[best_index].norad_id,
-            distance: best,
-            runner_up: runner,
+            norad_id: candidates[m.index].norad_id,
+            distance: m.distance,
+            runner_up: m.runner_up,
             n_candidates: candidates.len(),
             trail_pixels: trajectory.len(),
         },

@@ -312,14 +312,6 @@ impl Sgp4Batch {
     }
 }
 
-/// One-shot batched propagation of a propagator slice to a single instant.
-///
-/// Prefer holding a persistent [`Sgp4Batch`] when propagating the same set to
-/// many instants — this helper re-transposes on every call.
-pub fn propagate_batch(props: &[Sgp4], at: JulianDate) -> Vec<Option<Vec3>> {
-    Sgp4Batch::from_propagators(props.iter()).positions_at(at)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -383,7 +375,7 @@ mod tests {
     fn one_shot_helper_matches_scalar() {
         let props = shell_propagators();
         let at = props[0].epoch().plus_minutes(321.5);
-        let batch = propagate_batch(&props, at);
+        let batch = Sgp4Batch::from_propagators(props.iter()).positions_at(at);
         let scalar: Vec<_> = props.iter().map(|p| scalar_position(p, at)).collect();
         assert_lane_bits(&batch, &scalar);
     }

@@ -38,7 +38,7 @@ mod error;
 mod propagator;
 mod tle;
 
-pub use batch::{propagate_batch, Sgp4Batch};
+pub use batch::Sgp4Batch;
 pub use elements::Elements;
 pub use error::Sgp4Error;
 pub use propagator::{Sgp4, State};
