@@ -22,9 +22,6 @@
 //! * Earth-fixed coordinates are ECEF (IAU-76/WGS-84 ellipsoid for geodesy).
 //! * Inertial satellite states are TEME (the frame SGP4 natively produces).
 
-#![warn(missing_docs)]
-#![forbid(unsafe_code)]
-
 pub mod angles;
 pub mod frames;
 pub mod mat3;

@@ -122,7 +122,7 @@ impl JulianDate {
     pub fn gmst_rad(self) -> f64 {
         let t = self.centuries_since_j2000();
         let gmst_sec =
-            67_310.54841 + (876_600.0 * 3600.0 + 8_640_184.812866) * t + 0.093104 * t * t
+            67_310.548_41 + (876_600.0 * 3600.0 + 8_640_184.812_866) * t + 0.093_104 * t * t
                 - 6.2e-6 * t * t * t;
         let gmst_deg = (gmst_sec % SECONDS_PER_DAY) / 240.0; // 86400 s / 360°
         wrap_tau(gmst_deg.to_radians())

@@ -73,7 +73,7 @@ proptest! {
         x in -8000.0f64..8000.0,
         y in -8000.0f64..8000.0,
         z in -8000.0f64..8000.0,
-        minutes in 0.0f64..52_560_0.0,
+        minutes in 0.0f64..525_600.0,
     ) {
         let at = JulianDate::from_ymd_hms(2022, 1, 1, 0, 0, 0.0).plus_minutes(minutes);
         let v = Vec3::new(x, y, z);

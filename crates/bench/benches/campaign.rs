@@ -314,7 +314,7 @@ fn exhaustive_winner(
         let mut rev = fwd.clone();
         rev.reverse();
         let d = dtw_distance(&isolated, &fwd).min(dtw_distance(&isolated, &rev));
-        if best.map_or(true, |(_, bd)| d < bd) {
+        if best.is_none_or(|(_, bd)| d < bd) {
             best = Some((cand.norad_id, d));
         }
     }

@@ -1,7 +1,6 @@
 //! Criterion benches live in `benches/`; the library hosts the tiny JSON
 //! helpers the campaign bench uses to compare a fresh `BENCH_campaign.json`
 //! against the committed baseline (the workspace vendors no JSON crate).
-#![warn(missing_docs)]
 
 /// Extracts the number at `path` (a chain of object keys, outermost first)
 /// from a JSON document, e.g. `json_number(src, &["identified",

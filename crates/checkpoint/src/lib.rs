@@ -37,8 +37,6 @@
 //! 12+28N  8     FNV-1a of bytes [0, 12+28N)           (header checksum)
 //! ...           section payloads, in table order, contiguous
 //! ```
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 use std::fmt;
 use std::fs;

@@ -21,7 +21,7 @@ fn build(sections: &[(u32, Vec<u8>)]) -> Vec<u8> {
 }
 
 fn section_set() -> impl Strategy<Value = Vec<(u32, Vec<u8>)>> {
-    proptest::collection::vec((0u32..50, proptest::collection::vec((0u8..=255), 0..200)), 0..6)
+    proptest::collection::vec((0u32..50, proptest::collection::vec(0u8..=255, 0..200)), 0..6)
         .prop_map(|mut sections| {
             // Deduplicate ids, keeping first occurrence, so finish() succeeds.
             let mut seen = Vec::new();
@@ -116,7 +116,7 @@ proptest! {
     /// Arbitrary garbage never panics the parser (it may occasionally be
     /// rejected with any error variant, but must always return).
     #[test]
-    fn random_bytes_never_panic(bytes in proptest::collection::vec((0u8..=255), 0..400)) {
+    fn random_bytes_never_panic(bytes in proptest::collection::vec(0u8..=255, 0..400)) {
         let _ = Snapshot::parse(&bytes);
     }
 
@@ -124,7 +124,7 @@ proptest! {
     /// panics — exercises the table/checksum paths rather than dying on
     /// the magic check.
     #[test]
-    fn magic_prefixed_garbage_never_panics(tail in proptest::collection::vec((0u8..=255), 0..400)) {
+    fn magic_prefixed_garbage_never_panics(tail in proptest::collection::vec(0u8..=255, 0..400)) {
         let mut bytes = MAGIC.to_vec();
         bytes.extend_from_slice(&VERSION.to_le_bytes());
         bytes.extend_from_slice(&tail);
@@ -133,7 +133,7 @@ proptest! {
 
     /// The primitive reader tolerates arbitrary input for every getter.
     #[test]
-    fn byte_reader_never_panics(bytes in proptest::collection::vec((0u8..=255), 0..64)) {
+    fn byte_reader_never_panics(bytes in proptest::collection::vec(0u8..=255, 0..64)) {
         let mut r = ByteReader::new(&bytes);
         let _ = r.get_u8("a");
         let _ = r.get_bool("b");

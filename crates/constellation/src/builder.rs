@@ -224,8 +224,11 @@ impl ConstellationBuilder {
 
             let published = self.publish(&elements, launch, &mut rng);
             let name = format!("STARSENSE-{norad_id}");
+            #[expect(
+                clippy::expect_used,
+                reason = "builder only samples valid LEO bands; an SGP4 init failure is a builder bug and must abort loudly"
+            )]
             let sat = Satellite::new(name, launch, elements, published)
-                // starlint: allow(P102, reason = "builder only samples valid LEO bands; an SGP4 init failure is a builder bug and must abort loudly")
                 .expect("generated elements must initialize SGP4");
             sats.push(sat);
         }

@@ -225,8 +225,11 @@ mod tests {
         [v.x, v.y, v.z].map(f64::to_bits)
     }
 
+    /// The TEME bits, ECEF bits and sunlit flag of one snapshot entry.
+    type EntryBits = Option<([u64; 3], [u64; 3], bool)>;
+
     /// Every bit of a snapshot, entry by entry.
-    fn snapshot_bits(s: &Snapshot) -> Vec<Option<([u64; 3], [u64; 3], bool)>> {
+    fn snapshot_bits(s: &Snapshot) -> Vec<EntryBits> {
         let entries = s.entries().iter();
         entries
             .map(|e| e.as_ref().map(|e| (vec_bits(e.teme), vec_bits(e.ecef), e.sunlit)))

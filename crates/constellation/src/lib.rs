@@ -26,9 +26,6 @@
 //! constellation once per slot regardless of terminal count or
 //! worker-thread count.
 
-#![warn(missing_docs)]
-#![forbid(unsafe_code)]
-
 mod builder;
 mod cache;
 mod catalog;

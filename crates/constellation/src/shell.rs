@@ -120,8 +120,8 @@ mod tests {
         let s = Shell { planes: 4, sats_per_plane: 6, phasing: 0, ..shell_53() };
         let slots = s.slots();
         // First plane: mean anomalies 0, 60, 120, ...
-        for k in 0..6 {
-            assert!((slots[k].mean_anomaly_deg - k as f64 * 60.0).abs() < 1e-12);
+        for (k, slot) in slots.iter().enumerate().take(6) {
+            assert!((slot.mean_anomaly_deg - k as f64 * 60.0).abs() < 1e-12);
         }
     }
 

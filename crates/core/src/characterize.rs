@@ -10,10 +10,10 @@ use starsense_astro::angles::Quadrant;
 use starsense_stats::{median, pearson, Ecdf};
 use std::collections::BTreeMap;
 
-fn per_terminal<'a>(
-    obs: &'a [SlotObservation],
+fn per_terminal(
+    obs: &[SlotObservation],
     terminal_id: usize,
-) -> impl Iterator<Item = &'a SlotObservation> {
+) -> impl Iterator<Item = &SlotObservation> {
     obs.iter().filter(move |o| o.terminal_id == terminal_id)
 }
 

@@ -33,9 +33,6 @@
 //! println!("median chosen AOE: {:.1}°", fig4.chosen_median_deg);
 //! ```
 
-#![warn(missing_docs)]
-#![forbid(unsafe_code)]
-
 pub mod campaign;
 pub mod characterize;
 pub mod degrade;

@@ -101,7 +101,7 @@ mod tests {
     fn pct_and_num_formatting() {
         assert_eq!(pct(0.723), "72.3%");
         assert_eq!(pct(f64::NAN), "n/a");
-        assert_eq!(num(3.14159, 2), "3.14");
+        assert_eq!(num(3.14499, 2), "3.14");
         assert_eq!(num(f64::NAN, 1), "n/a");
     }
 }

@@ -612,6 +612,10 @@ impl<'a> Campaign<'a> {
             } else {
                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     if injected == WorkerFault::Panic {
+                        #[expect(
+                            clippy::panic,
+                            reason = "the fault plan injects a real worker panic to exercise the catch_unwind supervisor"
+                        )]
                         std::panic::panic_any(format!(
                             "injected worker panic: unit {unit}, segment slot {seg_first_slot}, attempt {attempt}"
                         ));

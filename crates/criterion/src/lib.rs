@@ -9,9 +9,8 @@
 //! of criterion's outlier analysis, HTML reports, or baseline storage.
 //!
 //! This is benchmarking *tooling*, not simulation code: it reads the
-//! monotonic clock, which `starlint`'s D-series determinism rules ban in
-//! simulation crates. The lint policy classifies this crate as tooling.
-#![warn(missing_docs)]
+//! monotonic clock, which the workspace lints ban in simulation crates.
+//! Its `clippy.toml` and `tests/lint.rs` classify this crate as tooling.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
@@ -89,6 +88,10 @@ fn format_ns(ns: f64) -> String {
     }
 }
 
+#[expect(
+    clippy::print_stdout,
+    reason = "the bench reporter's whole job is printing results to stdout"
+)]
 fn run_samples<F: FnMut(&mut Bencher)>(name: &str, samples: usize, mut f: F) {
     let samples = if is_smoke() { 1 } else { samples };
     let mut per_iter: Vec<f64> = Vec::with_capacity(samples);
@@ -100,7 +103,6 @@ fn run_samples<F: FnMut(&mut Bencher)>(name: &str, samples: usize, mut f: F) {
     per_iter.sort_by(|a, b| a.total_cmp(b));
     let median = per_iter[per_iter.len() / 2];
     let best = per_iter.first().copied().unwrap_or(0.0);
-    // starlint: allow(Q201, reason = "the bench reporter's whole job is printing results to stdout")
     println!(
         "{name:<44} median {}   best {}   ({} samples)",
         format_ns(median),

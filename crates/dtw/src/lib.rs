@@ -31,9 +31,6 @@
 //! Distances are Euclidean over fixed-size points (`[f64; N]`), covering the
 //! 2-D Cartesian sky tracks the paper uses as well as 3-D variants.
 
-#![warn(missing_docs)]
-#![forbid(unsafe_code)]
-
 /// Euclidean distance between two `N`-dimensional points.
 pub fn euclidean<const N: usize>(a: &[f64; N], b: &[f64; N]) -> f64 {
     a.iter().zip(b.iter()).map(|(x, y)| (x - y) * (x - y)).sum::<f64>().sqrt()
@@ -249,6 +246,10 @@ pub fn best_match<const N: usize, G: AsRef<[Vec<[f64; N]>]>>(
             stats.cells_evaluated += result.cells;
             distance = distance.min(result.distance);
         }
+        #[expect(
+            clippy::float_cmp,
+            reason = "exact tie: equal distances keep the lowest index, as the exhaustive oracle does"
+        )]
         if distance < best || (distance == best && index < best_index) {
             runner = best;
             best = distance;

@@ -62,6 +62,11 @@ fn resume_opts(seed: u64) -> ResumeConfig {
 /// Worker role: run until `kill_after` checkpoints are durable, then die
 /// the hard way. Prints the fingerprint and exits 0 when the campaign
 /// actually finishes.
+#[expect(
+    clippy::exit,
+    clippy::disallowed_methods,
+    reason = "the worker stands in for a crashing process: it must die without unwinding"
+)]
 fn worker(seed: u64, slots: usize, kill_after: usize) -> ! {
     let constellation = ConstellationBuilder::starlink_mini().seed(WORLD_SEED).build();
     let campaign = Campaign::identified(&constellation, terminals(), config(seed), seed);

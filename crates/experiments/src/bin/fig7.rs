@@ -30,7 +30,7 @@ fn main() {
             name.clone(),
             a.mixed_slots.to_string(),
             pct(a.sunlit_pick_share),
-            a.min_dark_share_when_dark_picked.map(|x| pct(x)).unwrap_or_else(|| "-".into()),
+            a.min_dark_share_when_dark_picked.map(pct).unwrap_or_else(|| "-".into()),
             pct(a.dark_chosen_above_60),
             pct(a.sunlit_chosen_above_60),
             a.n_dark_chosen.to_string(),

@@ -20,9 +20,6 @@
 //! campaign window below), print the figure's series as an aligned table,
 //! and drop CSV/PGM artifacts under `results/`.
 
-#![warn(missing_docs)]
-#![forbid(unsafe_code)]
-
 use starsense_astro::time::JulianDate;
 use starsense_constellation::{Constellation, ConstellationBuilder};
 use starsense_core::campaign::{Campaign, CampaignConfig, SlotObservation};
@@ -58,17 +55,26 @@ pub fn standard_campaign(constellation: &Constellation, slots: usize) -> Vec<Slo
 /// Output directory for CSV/PGM artifacts (`results/`, created on demand).
 pub fn out_dir() -> PathBuf {
     let dir = PathBuf::from("results");
-    // starlint: allow(P102, reason = "experiment harness helper; the bins have no recovery path for an unwritable working directory")
+    #[expect(
+        clippy::expect_used,
+        reason = "experiment harness helper; the bins have no recovery path for an unwritable working directory"
+    )]
     std::fs::create_dir_all(&dir).expect("create results/");
     dir
 }
 
 /// Writes an artifact under `results/` and logs the path.
+#[expect(
+    clippy::print_stdout,
+    reason = "experiment bins report artifact paths on stdout by design"
+)]
 pub fn write_artifact(name: &str, contents: &str) {
     let path = out_dir().join(name);
-    // starlint: allow(P102, reason = "experiment harness helper; losing an artifact silently would invalidate the run")
+    #[expect(
+        clippy::expect_used,
+        reason = "experiment harness helper; losing an artifact silently would invalidate the run"
+    )]
     std::fs::write(&path, contents).expect("write artifact");
-    // starlint: allow(Q201, reason = "experiment bins report artifact paths on stdout by design")
     println!("[wrote {}]", path.display());
 }
 

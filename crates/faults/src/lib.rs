@@ -20,9 +20,6 @@
 //! SGP4 propagation failures with quarantine of repeat offenders, and
 //! probe loss / jitter bursts in the network emulator.
 
-#![warn(missing_docs)]
-#![forbid(unsafe_code)]
-
 /// Hash-domain tags keeping the per-channel decision streams independent.
 const DOMAIN_FRAME: u64 = 0x4652_414d_4500_0001;
 const DOMAIN_TLE: u64 = 0x544c_4500_0000_0002;

@@ -18,9 +18,6 @@
 //! * [`cv`] — k-fold cross-validation and grid search,
 //! * [`metrics`] — accuracy and top-k accuracy.
 
-#![warn(missing_docs)]
-#![forbid(unsafe_code)]
-
 pub mod cv;
 pub mod dataset;
 pub mod forest;

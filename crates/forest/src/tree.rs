@@ -184,7 +184,6 @@ struct BestSplit {
     n_left: usize,
 }
 
-#[allow(clippy::too_many_arguments)]
 fn grow(
     data: &Dataset,
     indices: &mut [usize],
@@ -271,6 +270,7 @@ fn find_best_split(
 
             let v_prev = data.features()[prev][f];
             let v_next = data.features()[sorted[cut]][f];
+            #[expect(clippy::float_cmp, reason = "only a strict increase separates two samples")]
             if v_prev == v_next {
                 continue; // cannot split between equal values
             }

@@ -220,6 +220,10 @@ impl DishSimulator {
     ///
     /// With a fault-free plan this is bit-identical to `play_slot` (one
     /// attempt, `Fresh`, same capture).
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "`play_slot`'s arguments plus the fault plan and its two keys"
+    )]
     pub fn play_slot_faulted(
         &mut self,
         constellation: &Constellation,

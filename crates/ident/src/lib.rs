@@ -22,9 +22,6 @@
 //!    reproducing the paper's 500-sample pilot validation (>99%
 //!    agreement).
 
-#![warn(missing_docs)]
-#![forbid(unsafe_code)]
-
 pub mod candidates;
 pub mod dish;
 pub mod pipeline;

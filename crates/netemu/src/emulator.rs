@@ -168,9 +168,8 @@ impl<'a> Emulator<'a> {
             // to satellite-by-satellite [`Satellite::true_position`] calls.
             cohort.batch.positions_into(at, &mut teme);
 
-            for t in 0..n_terminals {
-                let record = self.probe_in_cohort(t, seq, at, &cohort, &teme);
-                traces[t].records.push(record);
+            for (t, trace) in traces.iter_mut().enumerate() {
+                trace.records.push(self.probe_in_cohort(t, seq, at, &cohort, &teme));
             }
         }
         traces

@@ -18,9 +18,6 @@
 //!
 //! Everything is deterministic under a seed.
 
-#![warn(missing_docs)]
-#![forbid(unsafe_code)]
-
 pub mod clock;
 pub mod emulator;
 pub mod groundstation;

@@ -23,9 +23,6 @@
 //!   authors ran on a 2-day saturated map,
 //! * [`render`] — PGM/ASCII output for Figure 3 reproductions.
 
-#![warn(missing_docs)]
-#![forbid(unsafe_code)]
-
 pub mod calibrate;
 pub mod extract;
 pub mod map;

@@ -20,7 +20,7 @@ pub const CENTER_ELEVATION_DEG: f64 = 90.0;
 pub const CENTER_PX: f64 = 61.0;
 
 /// Number of `u64` words backing the 123×123 bitmap.
-const WORDS: usize = (MAP_SIZE * MAP_SIZE + 63) / 64;
+const WORDS: usize = (MAP_SIZE * MAP_SIZE).div_ceil(64);
 
 /// Squared pixel radius of the "inside the polar plot" test. The float
 /// predicate is `sqrt(dx² + dy²) ≤ PLOT_RADIUS_PX + 0.5` with integer
@@ -207,7 +207,7 @@ impl ObstructionMap {
     /// Returns `None` below the rim elevation (such directions are outside
     /// the plot and are never painted by the dish).
     pub fn polar_to_pixel(elevation_deg: f64, azimuth_deg: f64) -> Option<(usize, usize)> {
-        if elevation_deg < RIM_ELEVATION_DEG || elevation_deg > CENTER_ELEVATION_DEG {
+        if !(RIM_ELEVATION_DEG..=CENTER_ELEVATION_DEG).contains(&elevation_deg) {
             return None;
         }
         let r = (CENTER_ELEVATION_DEG - elevation_deg) / (CENTER_ELEVATION_DEG - RIM_ELEVATION_DEG)

@@ -17,11 +17,10 @@
 //!    hash of its module path and name — never from the OS or the clock —
 //!    so a failure reproduces on every run and on every machine. This is
 //!    the same discipline DESIGN.md §5 demands of the simulation itself,
-//!    and `starlint` D-series rules enforce for simulation crates.
+//!    and the workspace lints enforce for simulation crates.
 //! 2. **No shrinking.** A failing case reports its case number and
 //!    message; since the stream is deterministic, the failing input can be
 //!    recovered by re-running. (`*.proptest-regressions` files are unused.)
-#![warn(missing_docs)]
 
 pub mod test_runner {
     //! Deterministic case runner and failure plumbing behind [`proptest!`](macro@crate::proptest).
@@ -335,7 +334,7 @@ pub mod sample {
 ///
 /// Supported grammar (the subset the workspace uses):
 ///
-/// ```
+/// ```no_run
 /// use proptest::prelude::*;
 /// proptest! {
 ///     #![proptest_config(ProptestConfig::with_cases(64))]  // optional
@@ -347,7 +346,7 @@ pub mod sample {
 /// }
 /// ```
 ///
-/// (In a doctest the generated `#[test]` functions are compiled but not
+/// (`no_run`: in a doctest the generated `#[test]` functions are compiled but not
 /// run; the macro's own unit tests below exercise the runtime behaviour.)
 #[macro_export]
 macro_rules! proptest {
@@ -379,7 +378,8 @@ macro_rules! __proptest_impl {
                             ::core::result::Result::Ok(())
                         })();
                     if let ::core::result::Result::Err(err) = outcome {
-                        // starlint: allow(P103, reason = "a failed property must abort the surrounding #[test]; panicking is the contract")
+                        // A failed property must abort the surrounding #[test]:
+                        // panicking is the contract.
                         panic!(
                             "property `{}` failed on case {}/{} (deterministic seed; rerun reproduces): {}",
                             label,

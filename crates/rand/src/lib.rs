@@ -15,14 +15,13 @@
 //!
 //! **Deliberately absent:** `thread_rng`, `rand::rng`, `from_entropy`, and
 //! every other ambient-entropy source. DESIGN.md §5 requires every figure to
-//! be a pure function of explicit seeds; `starlint`'s D-series rules ban the
-//! entropy APIs and this shim simply does not provide them, so such code
-//! fails to *compile*, not just to lint.
+//! be a pure function of explicit seeds; `tests/lint.rs` bans the entropy
+//! APIs and this shim simply does not provide them, so such code fails to
+//! *compile*, not just to lint.
 //!
 //! The streams produced here are stable across runs and platforms but are
 //! **not** bit-compatible with crates-io `rand`; all golden values in the
 //! test suite are derived from this implementation.
-#![warn(missing_docs)]
 
 /// A generator that can be constructed from a `u64` seed.
 ///

@@ -63,7 +63,7 @@
 //!   from a slot-stamped table and runs the segment-pruned GSO tests.
 //!
 //! The per-terminal reference engine ([`GlobalScheduler::fields_of_view`]
-//! + [`GlobalScheduler::allocate_from_available_reference`]) is kept
+//! then [`GlobalScheduler::allocate_from_available_reference`]) is kept
 //! frozen, both as the equality oracle for the tests below and as the
 //! baseline arm of the bench sweep's cohort-speedup measurement.
 

@@ -21,9 +21,6 @@
 //! The scheduler's preferences live in [`SchedulerPolicy`]; every weight
 //! can be zeroed for the ablation benches.
 
-#![warn(missing_docs)]
-#![forbid(unsafe_code)]
-
 pub mod global;
 pub mod gso;
 pub mod load;

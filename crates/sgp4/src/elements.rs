@@ -32,7 +32,7 @@ pub struct Elements {
 impl Elements {
     /// Builds elements from "catalog-style" units: mean motion in revolutions
     /// per day and angles in degrees — the units a TLE displays.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "one argument per TLE element field")]
     pub fn from_catalog_units(
         norad_id: u32,
         epoch: JulianDate,

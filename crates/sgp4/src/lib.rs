@@ -29,9 +29,6 @@
 //! assert!((state.position_km.x - 7022.46529).abs() < 1e-3);
 //! ```
 
-#![warn(missing_docs)]
-#![forbid(unsafe_code)]
-
 mod batch;
 mod elements;
 mod error;

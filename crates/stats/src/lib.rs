@@ -10,9 +10,6 @@
 //!
 //! Everything is implemented from scratch over `&[f64]` slices.
 
-#![warn(missing_docs)]
-#![forbid(unsafe_code)]
-
 pub mod describe;
 pub mod ecdf;
 pub mod histogram;

@@ -49,6 +49,10 @@ pub fn mann_whitney_u(a: &[f64], b: &[f64]) -> Option<MannWhitney> {
     let mut i = 0;
     while i < n {
         let mut j = i;
+        #[expect(
+            clippy::float_cmp,
+            reason = "ties are exactly equal values, as the U statistic defines them"
+        )]
         while j + 1 < n && pooled[j + 1].0 == pooled[i].0 {
             j += 1;
         }

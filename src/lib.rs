@@ -58,9 +58,6 @@
 //! `fig2`…`fig8`, `tab_*`) to regenerate every figure and table of the
 //! paper; see `EXPERIMENTS.md` for the recorded results.
 
-#![warn(missing_docs)]
-#![forbid(unsafe_code)]
-
 pub use starsense_astro as astro;
 pub use starsense_checkpoint as checkpoint;
 pub use starsense_constellation as constellation;
