@@ -69,7 +69,13 @@ fn fig3_bench(c: &mut Criterion) {
     let iowa = Geodetic::new(41.66, -91.53, 0.2);
     let start =
         starsense_scheduler::slots::slot_start(JulianDate::from_ymd_hms(2023, 6, 1, 16, 0, 13.0));
-    let fov = constellation.field_of_view(iowa, start, 30.0);
+    let snap = constellation.snapshot(start);
+    let fov = constellation.field_of_view(
+        &snap,
+        iowa,
+        30.0,
+        &snap.visibility_index().candidates(iowa, 30.0),
+    );
     let serving: Vec<u32> = fov.iter().map(|v| v.norad_id).collect();
 
     c.bench_function("fig3/obstruction_xor", |b| {

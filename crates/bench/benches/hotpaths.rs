@@ -57,8 +57,9 @@ fn bench_constellation(c: &mut Criterion) {
     });
 
     let snap = mini.snapshot(at);
+    let all: Vec<u32> = (0..mini.len() as u32).collect();
     c.bench_function("constellation/fov_from_snapshot", |b| {
-        b.iter(|| black_box(mini.field_of_view_from(black_box(&snap), iowa, 25.0)))
+        b.iter(|| black_box(mini.field_of_view(black_box(&snap), iowa, 25.0, &all)))
     });
 
     c.bench_function("constellation/build_mini", |b| {

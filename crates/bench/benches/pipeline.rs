@@ -107,7 +107,13 @@ fn bench_identification(c: &mut Criterion) {
     // A realistic production identification against the mini
     // constellation: a fresh track cache over the slot's prepared boundary
     // rows, as the campaign engine's first slot for a terminal sees it.
-    let fov = constellation.field_of_view(iowa, start, 35.0);
+    let snap = constellation.snapshot(start);
+    let fov = constellation.field_of_view(
+        &snap,
+        iowa,
+        35.0,
+        &snap.visibility_index().candidates(iowa, 35.0),
+    );
     if let Some(serving) = fov.first() {
         let mut dish = DishSimulator::new(iowa);
         let prev = dish.map().clone();

@@ -1,6 +1,6 @@
 //! Criterion benches live in `benches/`; the library hosts the tiny JSON
-//! helpers the campaign bench uses to compare a fresh `BENCH_campaign.json`
-//! against the committed baseline (the workspace vendors no JSON crate).
+//! reader the standalone campaign benchmark's self-tests use to read its
+//! result line back (the workspace vendors no JSON crate).
 
 /// Extracts the number at `path` (a chain of object keys, outermost first)
 /// from a JSON document, e.g. `json_number(src, &["identified",
@@ -9,8 +9,8 @@
 /// so a key name repeated across sections (both `oracle` and `identified`
 /// report `serial_slots_per_sec`) resolves to the right one. Returns
 /// `None` when a key is absent or the value is not a number. String
-/// escapes are not understood; this targets the bench's own emitted shape,
-/// not arbitrary JSON.
+/// escapes are not understood; this targets the benchmark's own emitted
+/// shape, not arbitrary JSON.
 pub fn json_number(src: &str, path: &[&str]) -> Option<f64> {
     let mut scope = src;
     let (last, parents) = path.split_last()?;

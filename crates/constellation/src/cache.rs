@@ -247,8 +247,9 @@ mod tests {
         let at = JulianDate::from_ymd_hms(2023, 6, 1, 9, 30, 0.0);
         let iowa = Geodetic::new(41.66, -91.53, 0.2);
 
-        let direct = c.field_of_view(iowa, at, 25.0);
-        let cached = c.field_of_view_from(&cache.snapshot(at), iowa, 25.0);
+        let all: Vec<u32> = (0..c.len() as u32).collect();
+        let direct = c.field_of_view(&c.snapshot(at), iowa, 25.0, &all);
+        let cached = c.field_of_view(&cache.snapshot(at), iowa, 25.0, &all);
         assert_eq!(direct.len(), cached.len());
         for (a, b) in direct.iter().zip(&cached) {
             assert_eq!(a.norad_id, b.norad_id);

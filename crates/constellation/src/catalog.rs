@@ -236,23 +236,6 @@ impl Constellation {
         self.sats.iter().find(|s| s.norad_id == norad_id)
     }
 
-    /// Every satellite above `min_elevation_deg` as seen from `observer` at
-    /// `at`, using **true** positions — this is the scheduler's view and the
-    /// ground truth for "available satellites".
-    ///
-    /// The paper: "terminals can connect to any satellite at an angle of
-    /// elevation higher than 25°" and "on average, there are ∼40 satellites
-    /// in the field of view of a user terminal during a 15 second slot".
-    pub fn field_of_view(
-        &self,
-        observer: Geodetic,
-        at: JulianDate,
-        min_elevation_deg: f64,
-    ) -> Vec<VisibleSat> {
-        let snap = self.snapshot(at);
-        self.field_of_view_from(&snap, observer, min_elevation_deg)
-    }
-
     /// Propagates the whole catalog once at `at` (true positions), so that
     /// several field-of-view queries at the same instant — one per terminal
     /// every slot — share the propagation work.
@@ -291,69 +274,31 @@ impl Constellation {
         self.published_batch.positions_at(at)
     }
 
-    /// Field-of-view query against a prepared [`Snapshot`].
+    /// Every satellite among `candidates` above `min_elevation_deg` as seen
+    /// from `observer` at the snapshot's instant, using **true** positions —
+    /// this is the scheduler's view and the ground truth for "available
+    /// satellites".
     ///
-    /// # Panics
+    /// The paper: "terminals can connect to any satellite at an angle of
+    /// elevation higher than 25°" and "on average, there are ∼40 satellites
+    /// in the field of view of a user terminal during a 15 second slot".
     ///
-    /// Panics when `snap` was taken from a different catalog (length
-    /// mismatch).
-    pub fn field_of_view_from(
-        &self,
-        snap: &Snapshot,
-        observer: Geodetic,
-        min_elevation_deg: f64,
-    ) -> Vec<VisibleSat> {
-        assert_eq!(snap.positions.len(), self.sats.len(), "snapshot/catalog mismatch");
-        let topo = Topocentric::new(observer);
-        let mut out = Vec::new();
-        for (si, entry) in snap.positions.iter().enumerate() {
-            let Some(entry) = entry else { continue };
-            self.admit(snap, si, entry, &topo, min_elevation_deg, &mut out);
-        }
-        out
-    }
-
-    /// Field-of-view query answered through the snapshot's
-    /// [`VisibilityIndex`]: only the candidate bucket neighborhood is
-    /// tested instead of the whole catalog. The index returns a provable
-    /// superset in catalog order and this method applies the *same*
-    /// per-satellite test as [`Constellation::field_of_view_from`], so the
-    /// result is bit-identical to the linear scan (property-tested in
-    /// `tests/properties.rs`).
+    /// `candidates` are ascending catalog indices (indices into
+    /// [`Constellation::sats`] and [`Snapshot::entries`]); each one gets
+    /// the exact look-angle test, so any superset of the satellites above
+    /// the cutoff gives the same result, in catalog order:
     ///
-    /// `scratch` holds the candidate indices between calls so a per-slot,
-    /// per-terminal caller allocates nothing here; pass any `Vec` (it is
-    /// cleared first).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `snap` was taken from a different catalog (length
-    /// mismatch).
-    pub fn field_of_view_indexed(
-        &self,
-        snap: &Snapshot,
-        observer: Geodetic,
-        min_elevation_deg: f64,
-        scratch: &mut Vec<u32>,
-    ) -> Vec<VisibleSat> {
-        assert_eq!(snap.positions.len(), self.sats.len(), "snapshot/catalog mismatch");
-        snap.visibility_index().candidates_into(observer, min_elevation_deg, scratch);
-        self.field_of_view_from_candidates(snap, observer, min_elevation_deg, scratch)
-    }
-
-    /// Field-of-view query over an explicit candidate list (ascending
-    /// catalog indices) — the exact-test half the cohort fast path runs
-    /// after its shared superset + prefilter stage. Applies the same
-    /// per-satellite `Constellation::admit` test as the linear scan, so
-    /// as long as `candidates` is a superset of the satellites above the
-    /// cutoff the result is bit-identical to
-    /// [`Constellation::field_of_view_from`].
+    /// * every index `0..len` is the full-catalog scan;
+    /// * [`VisibilityIndex::candidates`] narrows the scan to the observer's
+    ///   visibility cap;
+    /// * the scheduler's cohort path passes each member's prefiltered share
+    ///   of its cohort's superset.
     ///
     /// # Panics
     ///
     /// Panics when `snap` was taken from a different catalog (length
     /// mismatch) or a candidate index is out of range.
-    pub fn field_of_view_from_candidates(
+    pub fn field_of_view(
         &self,
         snap: &Snapshot,
         observer: Geodetic,
@@ -361,49 +306,33 @@ impl Constellation {
         candidates: &[u32],
     ) -> Vec<VisibleSat> {
         assert_eq!(snap.positions.len(), self.sats.len(), "snapshot/catalog mismatch");
+        // Look angles go through one cached observer frame, bit-identical
+        // to the free `look_angles`.
         let topo = Topocentric::new(observer);
-        // The candidate list is a tight superset (tens of entries), so
-        // sizing the result to it up front turns the ~log2(len) grow-and-
-        // copy reallocations per call into one allocation — measurable at
-        // 10⁴–10⁵ retained per-terminal lists per slot.
+        // On the cohort path the candidate list is a tight superset (tens
+        // of entries), so sizing the result to it up front turns the
+        // ~log2(len) grow-and-copy reallocations per call into one
+        // allocation — measurable at 10⁴–10⁵ retained per-terminal lists
+        // per slot.
         let mut out = Vec::with_capacity(candidates.len());
         for &si in candidates {
             let si = si as usize;
             let Some(entry) = &snap.positions[si] else { continue };
-            self.admit(snap, si, entry, &topo, min_elevation_deg, &mut out);
+            let sat = &self.sats[si];
+            let look = topo.look_angles(entry.ecef);
+            if look.elevation_deg >= min_elevation_deg {
+                out.push(VisibleSat {
+                    norad_id: sat.norad_id,
+                    catalog_index: si as u32,
+                    look,
+                    teme: entry.teme,
+                    sunlit: entry.sunlit,
+                    age_days: sat.age_days(snap.at),
+                    launch: sat.launch,
+                });
+            }
         }
         out
-    }
-
-    /// The one per-satellite visibility test every field-of-view path
-    /// shares: compute exact look angles (through the caller's cached
-    /// [`Topocentric`] frame — bit-identical to the free `look_angles`)
-    /// and admit the satellite when it clears the cutoff. Keeping this in
-    /// one place is what makes the indexed and cohort paths bit-identical
-    /// to the linear scan by construction.
-    #[inline]
-    fn admit(
-        &self,
-        snap: &Snapshot,
-        si: usize,
-        entry: &SnapshotEntry,
-        topo: &Topocentric,
-        min_elevation_deg: f64,
-        out: &mut Vec<VisibleSat>,
-    ) {
-        let sat = &self.sats[si];
-        let look = topo.look_angles(entry.ecef);
-        if look.elevation_deg >= min_elevation_deg {
-            out.push(VisibleSat {
-                norad_id: sat.norad_id,
-                catalog_index: si as u32,
-                look,
-                teme: entry.teme,
-                sunlit: entry.sunlit,
-                age_days: sat.age_days(snap.at),
-                launch: sat.launch,
-            });
-        }
     }
 
     /// Renders the published catalog as CelesTrak-style 3LE text, exercising
@@ -432,6 +361,12 @@ mod tests {
         ConstellationBuilder::starlink_mini().seed(42).build()
     }
 
+    /// The full-catalog scan: every satellite above the cutoff at `at`.
+    fn scan(c: &Constellation, observer: Geodetic, at: JulianDate) -> Vec<VisibleSat> {
+        let all: Vec<u32> = (0..c.len() as u32).collect();
+        c.field_of_view(&c.snapshot(at), observer, 25.0, &all)
+    }
+
     #[test]
     fn mini_constellation_has_expected_size() {
         let c = mini();
@@ -453,7 +388,7 @@ mod tests {
         let c = ConstellationBuilder::starlink_gen1().seed(1).build();
         let iowa = Geodetic::new(41.66, -91.53, 0.2);
         let at = JulianDate::from_ymd_hms(2023, 6, 1, 12, 0, 0.0);
-        let fov = c.field_of_view(iowa, at, 25.0);
+        let fov = scan(&c, iowa, at);
         assert!(
             (15..=90).contains(&fov.len()),
             "expected tens of visible satellites, got {}",
@@ -473,7 +408,7 @@ mod tests {
         let earliest = c.sats().iter().map(|s| s.launch.date.0).fold(f64::INFINITY, f64::min);
         let before = JulianDate(earliest - 10.0);
         let iowa = Geodetic::new(41.66, -91.53, 0.2);
-        assert!(c.field_of_view(iowa, before, 25.0).is_empty());
+        assert!(scan(&c, iowa, before).is_empty());
     }
 
     #[test]
@@ -504,22 +439,13 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_fov_matches_direct_fov() {
+    fn snapshot_reports_its_instant_and_catalog_length() {
         let c = mini();
         let at = JulianDate::from_ymd_hms(2023, 6, 1, 9, 30, 0.0);
-        let iowa = Geodetic::new(41.66, -91.53, 0.2);
-        let direct = c.field_of_view(iowa, at, 25.0);
         let snap = c.snapshot(at);
         assert_eq!(snap.len(), c.len());
         assert!(!snap.is_empty());
         assert!((snap.at().0 - at.0).abs() < 1e-12);
-        let via_snap = c.field_of_view_from(&snap, iowa, 25.0);
-        assert_eq!(direct.len(), via_snap.len());
-        for (a, b) in direct.iter().zip(&via_snap) {
-            assert_eq!(a.norad_id, b.norad_id);
-            assert_eq!(a.look, b.look);
-            assert_eq!(a.sunlit, b.sunlit);
-        }
     }
 
     #[test]
@@ -528,7 +454,7 @@ mod tests {
         let a = mini();
         let b = ConstellationBuilder::starlink_gen1().seed(1).build();
         let snap = a.snapshot(JulianDate::from_ymd_hms(2023, 6, 1, 0, 0, 0.0));
-        let _ = b.field_of_view_from(&snap, Geodetic::new(0.0, 0.0, 0.0), 25.0);
+        let _ = b.field_of_view(&snap, Geodetic::new(0.0, 0.0, 0.0), 25.0, &[]);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Spatial visibility index over one snapshot.
 //!
-//! `field_of_view_from` answers "which satellites sit above this
-//! terminal's elevation cutoff" with a linear scan: one `look_angles`
-//! evaluation per catalog satellite per terminal. That is fine for four
+//! `Constellation::field_of_view` over every catalog index answers "which
+//! satellites sit above this terminal's elevation cutoff" with a linear
+//! scan: one `look_angles` evaluation per catalog satellite per terminal. That is fine for four
 //! terminals and ruinous for hundreds — the scan is O(sats × terminals)
 //! per slot while the true answer only ever involves the few dozen
 //! satellites whose sub-satellite points fall inside the terminal's
@@ -199,23 +199,6 @@ impl VisibilityIndex {
         bucket_index(self.cell_deg, self.n_lat, self.n_lon, ecef) as u32
     }
 
-    /// Writes into `out` (cleared first) the catalog indices of every
-    /// satellite that could be at or above `min_elevation_deg` from
-    /// `observer`, in ascending catalog order. A **superset** of the true
-    /// field of view: callers still run the exact elevation test per
-    /// candidate, so downstream results cannot differ from a full scan.
-    pub fn candidates_into(&self, observer: Geodetic, min_elevation_deg: f64, out: &mut Vec<u32>) {
-        out.clear();
-        let obs_ecef = geodetic_to_ecef(observer);
-        match self.cap_radius_deg(obs_ecef.norm(), min_elevation_deg) {
-            Some(cap_deg) if cap_deg < FULL_SCAN_CAP_DEG => {
-                let (obs_lat, obs_lon) = direction_deg(obs_ecef);
-                self.walk_cap(obs_lat, obs_lon, cap_deg, out);
-            }
-            _ => out.extend(0..self.catalog_len as u32),
-        }
-    }
-
     /// Writes into `out` (cleared first) one conservative candidate
     /// superset for a whole **cohort** of observers: every satellite that
     /// could be at or above `min_elevation_deg` from *any* observer within
@@ -251,8 +234,7 @@ impl VisibilityIndex {
     /// Gathers every bucket intersecting the cap of angular radius
     /// `cap_deg` centred on the geocentric direction `(obs_lat, obs_lon)`
     /// into `out` (appended, then sorted into catalog order) — the shared
-    /// grid walk behind [`VisibilityIndex::candidates_into`] and
-    /// [`VisibilityIndex::cohort_candidates_into`].
+    /// grid walk behind [`VisibilityIndex::cohort_candidates_into`].
     fn walk_cap(&self, obs_lat: f64, obs_lon: f64, cap_deg: f64, out: &mut Vec<u32>) {
         let cap = cap_deg.to_radians();
         let lat0 = obs_lat.to_radians();
@@ -313,10 +295,16 @@ impl VisibilityIndex {
         out.sort_unstable();
     }
 
-    /// Convenience wrapper allocating the candidate vector.
+    /// The catalog indices of every satellite that could be at or above
+    /// `min_elevation_deg` from `observer`, in ascending catalog order: a
+    /// cohort of one, at the observer's own radius and unwidened. A
+    /// **superset** of the true field of view; feeding it to
+    /// [`Constellation::field_of_view`](crate::Constellation::field_of_view)
+    /// gives the full-catalog result.
     pub fn candidates(&self, observer: Geodetic, min_elevation_deg: f64) -> Vec<u32> {
+        let obs_ecef = geodetic_to_ecef(observer);
         let mut out = Vec::new();
-        self.candidates_into(observer, min_elevation_deg, &mut out);
+        self.cohort_candidates_into(obs_ecef, obs_ecef.norm(), 0.0, min_elevation_deg, &mut out);
         out
     }
 
@@ -359,9 +347,10 @@ mod tests {
         JulianDate::from_ymd_hms(2023, 6, 1, 9, 30, 0.0)
     }
 
-    /// Catalog indices above the cutoff, straight from the linear scan.
+    /// Catalog indices above the cutoff, straight from the full-catalog scan.
     fn linear_above(c: &Constellation, snap: &Snapshot, obs: Geodetic, min_el: f64) -> Vec<u32> {
-        let fov = c.field_of_view_from(snap, obs, min_el);
+        let all: Vec<u32> = (0..c.len() as u32).collect();
+        let fov = c.field_of_view(snap, obs, min_el, &all);
         fov.iter()
             .map(|v| c.sats().iter().position(|s| s.norad_id == v.norad_id).unwrap() as u32)
             .collect()

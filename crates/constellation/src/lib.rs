@@ -16,9 +16,10 @@
 //!   §5.2 has ground truth to recover.
 //!
 //! [`Constellation::field_of_view`] returns every satellite above a minimum
-//! angle of elevation for a terminal, with look angles and sunlit status —
-//! the "available satellites" set that every analysis in §5 compares
-//! against.
+//! angle of elevation for a terminal in a [`Snapshot`], with look angles and
+//! sunlit status — the "available satellites" set that every analysis in §5
+//! compares against. It tests a list of candidate catalog indices: the
+//! whole catalog, or the superset a [`VisibilityIndex`] gathers.
 //!
 //! [`PropagationCache`] holds a prepared, immutable table of per-epoch
 //! propagation (true snapshots and published-TLE positions) that worker

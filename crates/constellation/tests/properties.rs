@@ -1,16 +1,16 @@
 //! Property tests for the constellation crate's spatial visibility index.
 //!
 //! The contract under test is the repo's standing invariant for every
-//! optimization: the indexed field-of-view path must be **bit-identical**
-//! to the linear scan — same satellites, same order, same look-angle bit
-//! patterns — for arbitrary epochs, elevation cutoffs, and observer
-//! locations, and the candidate set must be a superset of the true field
-//! of view.
+//! optimization: the field-of-view query over the index's candidates must
+//! be **bit-identical** to the same query over every catalog index — same
+//! satellites, same order, same look-angle bit patterns — for arbitrary
+//! epochs, elevation cutoffs, and observer locations, and the candidate set
+//! must be a superset of the true field of view.
 
 use proptest::prelude::*;
 use starsense_astro::frames::{geodetic_to_ecef, Geodetic};
 use starsense_astro::time::JulianDate;
-use starsense_constellation::{Constellation, ConstellationBuilder, VisibleSat};
+use starsense_constellation::{Constellation, ConstellationBuilder, Snapshot, VisibleSat};
 use std::sync::OnceLock;
 
 /// One shared catalog for every case: building it is the expensive part,
@@ -18,6 +18,17 @@ use std::sync::OnceLock;
 fn catalog() -> &'static Constellation {
     static CATALOG: OnceLock<Constellation> = OnceLock::new();
     CATALOG.get_or_init(|| ConstellationBuilder::starlink_mini().seed(42).build())
+}
+
+/// The full-catalog scan: the query over every catalog index.
+fn linear(c: &Constellation, snap: &Snapshot, obs: Geodetic, min_el: f64) -> Vec<VisibleSat> {
+    let all: Vec<u32> = (0..c.len() as u32).collect();
+    c.field_of_view(snap, obs, min_el, &all)
+}
+
+/// The indexed query: the same call over the index's candidate superset.
+fn indexed(c: &Constellation, snap: &Snapshot, obs: Geodetic, min_el: f64) -> Vec<VisibleSat> {
+    c.field_of_view(snap, obs, min_el, &snap.visibility_index().candidates(obs, min_el))
 }
 
 fn assert_fov_bit_identical(linear: &[VisibleSat], indexed: &[VisibleSat]) {
@@ -49,10 +60,7 @@ proptest! {
         let at = JulianDate::from_ymd_hms(2023, 6, 1, 0, 0, 0.0).plus_seconds(hours * 3600.0);
         let obs = Geodetic::new(lat, lon, alt);
         let snap = c.snapshot(at);
-        let linear = c.field_of_view_from(&snap, obs, min_el);
-        let mut scratch = Vec::new();
-        let indexed = c.field_of_view_indexed(&snap, obs, min_el, &mut scratch);
-        assert_fov_bit_identical(&linear, &indexed);
+        assert_fov_bit_identical(&linear(c, &snap, obs, min_el), &indexed(c, &snap, obs, min_el));
     }
 
     #[test]
@@ -68,7 +76,7 @@ proptest! {
         let snap = c.snapshot(at);
         let cand = snap.visibility_index().candidates(obs, min_el);
         prop_assert!(cand.windows(2).all(|w| w[0] < w[1]), "sorted and unique");
-        for v in c.field_of_view_from(&snap, obs, min_el) {
+        for v in linear(c, &snap, obs, min_el) {
             let si = c.sats().iter().position(|s| s.norad_id == v.norad_id).unwrap() as u32;
             prop_assert!(
                 cand.binary_search(&si).is_ok(),
@@ -86,20 +94,26 @@ proptest! {
         lat in -60.0f64..60.0,
         lon in -180.0f64..180.0,
     ) {
-        // The same scratch vector survives across unrelated queries; stale
-        // contents must never leak into a later result.
+        // The same candidate buffer survives across unrelated cohort
+        // gathers, as in the scheduler's cohort loop; stale contents must
+        // never leak into a later result.
         let c = catalog();
         let at = JulianDate::from_ymd_hms(2023, 6, 1, 0, 0, 0.0).plus_seconds(hours * 3600.0);
         let snap = c.snapshot(at);
+        let index = snap.visibility_index();
         let mut scratch = vec![3, 1, 4, 1, 5];
-        let first = c.field_of_view_indexed(&snap, Geodetic::new(lat, lon, 0.1), 25.0, &mut scratch);
-        let second =
-            c.field_of_view_indexed(&snap, Geodetic::new(lat, lon, 0.1), 25.0, &mut scratch);
-        assert_fov_bit_identical(&first, &second);
-        let fresh = c.field_of_view_from(&snap, Geodetic::new(-lat, lon, 0.1), 40.0);
-        let reused =
-            c.field_of_view_indexed(&snap, Geodetic::new(-lat, lon, 0.1), 40.0, &mut scratch);
-        assert_fov_bit_identical(&fresh, &reused);
+        for (obs, min_el) in [
+            (Geodetic::new(lat, lon, 0.1), 25.0),
+            (Geodetic::new(lat, lon, 0.1), 25.0),
+            (Geodetic::new(-lat, lon, 0.1), 40.0),
+        ] {
+            let e = geodetic_to_ecef(obs);
+            index.cohort_candidates_into(e, e.norm(), 0.0, min_el, &mut scratch);
+            assert_fov_bit_identical(
+                &linear(c, &snap, obs, min_el),
+                &c.field_of_view(&snap, obs, min_el, &scratch),
+            );
+        }
     }
 
     #[test]
@@ -147,7 +161,7 @@ proptest! {
         prop_assert!(cand.windows(2).all(|w| w[0] < w[1]), "sorted and unique");
 
         for m in &members {
-            for v in c.field_of_view_from(&snap, *m, min_el) {
+            for v in linear(c, &snap, *m, min_el) {
                 prop_assert!(
                     cand.binary_search(&v.catalog_index).is_ok(),
                     "satellite {} at elevation {:.2} visible from member ({:.3},{:.3}) \
@@ -177,11 +191,7 @@ fn deep_cutoff_degenerates_to_a_full_scan_and_stays_bit_identical() {
         (0..c.len() as u32).collect::<Vec<u32>>(),
         "degenerate cap must fall back to the whole catalog"
     );
-    let mut scratch = Vec::new();
-    assert_fov_bit_identical(
-        &c.field_of_view_from(&snap, obs, -40.0),
-        &c.field_of_view_indexed(&snap, obs, -40.0, &mut scratch),
-    );
+    assert_fov_bit_identical(&linear(c, &snap, obs, -40.0), &indexed(c, &snap, obs, -40.0));
 }
 
 #[test]
@@ -191,7 +201,6 @@ fn polar_observers_straddling_the_lon_wrap_stay_bit_identical() {
     // scan exactly.
     let c = catalog();
     let base = JulianDate::from_ymd_hms(2023, 6, 1, 0, 0, 0.0);
-    let mut scratch = Vec::new();
     for hours in [0.0, 37.5, 111.0] {
         let snap = c.snapshot(base.plus_seconds(hours * 3600.0));
         for &(lat, lon) in
@@ -202,8 +211,8 @@ fn polar_observers_straddling_the_lon_wrap_stay_bit_identical() {
                 let cand = snap.visibility_index().candidates(obs, min_el);
                 assert!(cand.windows(2).all(|w| w[0] < w[1]), "sorted unique at ({lat},{lon})");
                 assert_fov_bit_identical(
-                    &c.field_of_view_from(&snap, obs, min_el),
-                    &c.field_of_view_indexed(&snap, obs, min_el, &mut scratch),
+                    &linear(c, &snap, obs, min_el),
+                    &indexed(c, &snap, obs, min_el),
                 );
             }
         }
@@ -231,16 +240,15 @@ fn empty_snapshot_yields_empty_fov_through_every_path() {
     );
     assert_eq!(cand.len(), c.len(), "degenerate bound falls back to the whole catalog");
 
-    let mut scratch = Vec::new();
-    assert!(c.field_of_view_from(&snap, obs, 25.0).is_empty());
-    assert!(c.field_of_view_indexed(&snap, obs, 25.0, &mut scratch).is_empty());
-    assert!(c.field_of_view_from_candidates(&snap, obs, 25.0, &cand).is_empty());
+    assert!(linear(c, &snap, obs, 25.0).is_empty());
+    assert!(indexed(c, &snap, obs, 25.0).is_empty());
+    assert!(c.field_of_view(&snap, obs, 25.0, &cand).is_empty());
 }
 
 #[test]
 fn singleton_cohort_with_zero_widen_matches_per_terminal_candidates() {
-    // A cohort of one, unwidened, must gather exactly the candidate set of
-    // the plain per-terminal query: same cap formula, same grid walk.
+    // The per-terminal query is a cohort of one at the observer's own
+    // radius, unwidened: the two calls must gather the same candidate set.
     let c = catalog();
     let snap = c.snapshot(JulianDate::from_ymd_hms(2023, 6, 1, 9, 30, 0.0));
     for &(lat, lon) in &[(41.66, -91.53), (-33.86, 151.21), (78.0, 15.0), (0.0, -179.99)] {

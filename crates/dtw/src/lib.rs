@@ -170,8 +170,7 @@ pub struct PruneStats {
     pub pruned: usize,
     /// Always 0: [`best_match`] has no coarse pass. The field stays only
     /// because the campaign benchmark's traced pass
-    /// (`campaign_bench/src/trace.rs`) and `crates/bench/benches/campaign.rs`
-    /// read it.
+    /// (`campaign_bench/src/trace.rs`) reads it.
     pub coarse_cells: usize,
 }
 

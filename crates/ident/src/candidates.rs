@@ -143,7 +143,9 @@ mod tests {
         let start = slot_start(JulianDate::from_ymd_hms(2023, 6, 1, 16, 0, 13.0));
         let cands: std::collections::HashSet<u32> =
             candidate_tracks(&c, loc, start, 25.0, 8).iter().map(|t| t.norad_id).collect();
-        let fov = c.field_of_view(loc, start, 30.0); // margin above the 25° cutoff
+        let all: Vec<u32> = (0..c.len() as u32).collect();
+        // 30°: margin above the 25° cutoff.
+        let fov = c.field_of_view(&c.snapshot(start), loc, 30.0, &all);
         let missing = fov.iter().filter(|v| !cands.contains(&v.norad_id)).count();
         assert!(
             missing * 10 <= fov.len(),

@@ -324,8 +324,19 @@ mod tests {
         (c, loc, at)
     }
 
+    /// Every satellite above `min_el` at `at`, by the full-catalog scan.
+    fn visible(
+        c: &Constellation,
+        loc: Geodetic,
+        at: JulianDate,
+        min_el: f64,
+    ) -> Vec<starsense_constellation::VisibleSat> {
+        let all: Vec<u32> = (0..c.len() as u32).collect();
+        c.field_of_view(&c.snapshot(at), loc, min_el, &all)
+    }
+
     fn a_visible_sat(c: &Constellation, loc: Geodetic, at: JulianDate) -> u32 {
-        c.field_of_view(loc, at, 40.0).first().expect("some satellite above 40°").norad_id
+        visible(c, loc, at, 40.0).first().expect("some satellite above 40°").norad_id
     }
 
     #[test]
@@ -352,7 +363,7 @@ mod tests {
         let (c, loc, at) = setup();
         let start = slot_start(at);
         let mut dish = DishSimulator::new(loc);
-        let fov = c.field_of_view(loc, start, 40.0);
+        let fov = visible(&c, loc, start, 40.0);
         let cap1 = dish.play_slot(&c, 0, start, Some(fov[0].norad_id));
         let n1 = cap1.map.count_set();
         let cap2 =

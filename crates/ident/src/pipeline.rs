@@ -250,11 +250,22 @@ mod tests {
         (c, loc, slot_start(at))
     }
 
+    /// Every satellite above `min_el` at `at`, by the full-catalog scan.
+    fn visible(
+        c: &Constellation,
+        loc: Geodetic,
+        at: JulianDate,
+        min_el: f64,
+    ) -> Vec<starsense_constellation::VisibleSat> {
+        let all: Vec<u32> = (0..c.len() as u32).collect();
+        c.field_of_view(&c.snapshot(at), loc, min_el, &all)
+    }
+
     #[test]
     fn identifies_the_painted_satellite() {
         let (c, loc, start) = setup();
         // Serve a high-elevation satellite for one slot after an empty map.
-        let truth = c.field_of_view(loc, start, 45.0);
+        let truth = visible(&c, loc, start, 45.0);
         let serving = truth.first().expect("a high satellite").norad_id;
 
         let mut dish = DishSimulator::new(loc);
@@ -281,7 +292,7 @@ mod tests {
 
         // Slot 1: one satellite; slot 2: a different one. Identify slot 2
         // from the XOR of the two captures.
-        let fov = c.field_of_view(loc, start, 40.0);
+        let fov = visible(&c, loc, start, 40.0);
         assert!(fov.len() >= 2);
         let cap1 = dish.play_slot(&c, 0, start, Some(fov[0].norad_id));
         let next_start = start.plus_seconds(15.0);
@@ -331,7 +342,7 @@ mod tests {
     #[test]
     fn pruned_matching_is_bit_identical_to_exhaustive_scan() {
         let (c, loc, start) = setup();
-        let truth = c.field_of_view(loc, start, 45.0);
+        let truth = visible(&c, loc, start, 45.0);
         let serving = truth.first().expect("a high satellite").norad_id;
         let mut dish = DishSimulator::new(loc);
         let prev = dish.map().clone();
@@ -357,7 +368,7 @@ mod tests {
     #[test]
     fn tracked_verdict_matches_direct_identification() {
         let (c, loc, start) = setup();
-        let truth = c.field_of_view(loc, start, 45.0);
+        let truth = visible(&c, loc, start, 45.0);
         let serving = truth.first().expect("a high satellite").norad_id;
         let mut dish = DishSimulator::new(loc);
         let prev = dish.map().clone();
@@ -375,7 +386,7 @@ mod tests {
     fn tracked_verdicts_match_direct_across_consecutive_slots() {
         let (c, loc, start) = setup();
         let mut dish = DishSimulator::new(loc);
-        let fov = c.field_of_view(loc, start, 40.0);
+        let fov = visible(&c, loc, start, 40.0);
         assert!(fov.len() >= 2);
 
         // Two consecutive identified slots, as the campaign engine replays
@@ -414,7 +425,7 @@ mod tests {
     #[test]
     fn verdict_distinguishes_nodata_reasons_and_thresholds() {
         let (c, loc, start) = setup();
-        let truth = c.field_of_view(loc, start, 45.0);
+        let truth = visible(&c, loc, start, 45.0);
         let serving = truth.first().expect("a high satellite").norad_id;
         let mut dish = DishSimulator::new(loc);
         let prev = dish.map().clone();

@@ -62,10 +62,9 @@
 //! * [`allocate_slot`] gathers the `(satellite, slot)`-only score terms
 //!   from a slot-stamped table and runs the segment-pruned GSO tests.
 //!
-//! The per-terminal reference engine ([`GlobalScheduler::fields_of_view`]
-//! then [`GlobalScheduler::allocate_from_available_reference`]) is kept
-//! frozen, both as the equality oracle for the tests below and as the
-//! baseline arm of the bench sweep's cohort-speedup measurement.
+//! The tests below hold both to test-only oracles: the field of view over
+//! every catalog index per terminal, and the per-candidate reference
+//! allocator with its exhaustive GSO tests.
 
 use crate::gso::GsoExclusion;
 use crate::load::LoadModel;
@@ -327,8 +326,9 @@ impl TerminalSchedState {
 /// and each member then narrows the shared list with its own exact
 /// cap-cosine prefilter before running the exact elevation test. Every
 /// satellite above a member's cutoff survives both conservative stages,
-/// so the result is bit-identical to [`GlobalScheduler::fields_of_view`]
-/// (equality- and property-tested below and in the constellation crate).
+/// so the result is bit-identical to [`Constellation::field_of_view`] over
+/// every catalog index (equality-tested below; the superset is
+/// property-tested in the constellation crate).
 ///
 /// Cohort membership is a pure function of site position and the
 /// snapshot, so results are invariant under site order and sharding —
@@ -408,7 +408,7 @@ pub fn cohort_fields_of_view(
                 }
                 None => filtered.extend(dirs.iter().map(|&(si, _)| si)),
             }
-            out[ti as usize] = constellation.field_of_view_from_candidates(
+            out[ti as usize] = constellation.field_of_view(
                 snapshot,
                 g.terminal.location,
                 min_elevation_deg,
@@ -430,9 +430,9 @@ pub fn cohort_fields_of_view(
 /// components are gathered from the slot-stamped term table (filled
 /// lazily by the first terminal scoring each satellite) and the GSO
 /// geometry goes through the segment-pruned tests — every term and its
-/// summation order matches `GlobalScheduler::score` exactly, so the
-/// emitted allocations and consumed RNG streams are bit-identical to
-/// [`GlobalScheduler::allocate_from_available_reference`] (tested below).
+/// summation order matches the per-candidate reference score exactly, so
+/// the emitted allocations and consumed RNG streams are bit-identical to
+/// the reference allocator the tests below keep as the oracle.
 ///
 /// # Panics
 ///
@@ -566,8 +566,9 @@ impl GlobalScheduler {
         &self.policy
     }
 
-    /// The (hidden) background load model — exposed for ablation benches
-    /// and oracle analyses only; the measurement pipeline never reads it.
+    /// The (hidden) background load model. The network emulator reads it
+    /// to size each serving satellite's MAC cycle, so probe RTTs carry the
+    /// load; the measurement analyses see it only through those RTTs.
     pub fn load_model(&self) -> &LoadModel {
         &self.load
     }
@@ -576,45 +577,13 @@ impl GlobalScheduler {
     /// `at`. Returns one [`Allocation`] per terminal, in terminal order.
     ///
     /// Runs through the cohort field-of-view path and the precomputed
-    /// scoring table — both bit-identical to the frozen per-terminal
-    /// reference ([`GlobalScheduler::fields_of_view`] +
-    /// [`GlobalScheduler::allocate_from_available_reference`]), as the
-    /// equality tests below hold them to.
+    /// scoring table — both bit-identical to the per-terminal reference
+    /// the equality tests below hold them to.
     pub fn allocate(&mut self, constellation: &Constellation, at: JulianDate) -> Vec<Allocation> {
         // One propagation pass per slot, shared by every terminal.
         let snapshot = constellation.snapshot(slot_start(at));
         let available = self.fields_of_view_cohort(constellation, &snapshot);
         self.allocate_from_available(at, available)
-    }
-
-    /// Per-terminal field-of-view lists for one prepared snapshot, in
-    /// terminal order — the stateless (parallelizable) half of `allocate`.
-    ///
-    /// Queries go through the snapshot's [`VisibilityIndex`], so the cost
-    /// per terminal is proportional to the satellites near its sky rather
-    /// than to the whole catalog; the index's property tests guarantee the
-    /// result is bit-identical to [`GlobalScheduler::fields_of_view_linear`].
-    ///
-    /// [`VisibilityIndex`]: starsense_constellation::VisibilityIndex
-    pub fn fields_of_view(
-        &self,
-        constellation: &Constellation,
-        snapshot: &Snapshot,
-    ) -> Vec<Vec<VisibleSat>> {
-        // One candidate buffer per call (not per terminal); `&self` keeps
-        // this callable from parallel workers.
-        let mut candidates = Vec::new();
-        self.terminals
-            .iter()
-            .map(|t| {
-                constellation.field_of_view_indexed(
-                    snapshot,
-                    t.location,
-                    self.policy.min_elevation_deg,
-                    &mut candidates,
-                )
-            })
-            .collect()
     }
 
     /// [`cohort_fields_of_view`] over this scheduler's terminals — the
@@ -625,26 +594,6 @@ impl GlobalScheduler {
         snapshot: &Snapshot,
     ) -> Vec<Vec<VisibleSat>> {
         cohort_fields_of_view(&self.sites, self.policy.min_elevation_deg, constellation, snapshot)
-    }
-
-    /// [`GlobalScheduler::fields_of_view`] via the full-catalog linear
-    /// scan. Kept as the reference implementation the spatial index is
-    /// measured and property-tested against; not used on any hot path.
-    pub fn fields_of_view_linear(
-        &self,
-        constellation: &Constellation,
-        snapshot: &Snapshot,
-    ) -> Vec<Vec<VisibleSat>> {
-        self.terminals
-            .iter()
-            .map(|t| {
-                constellation.field_of_view_from(
-                    snapshot,
-                    t.location,
-                    self.policy.min_elevation_deg,
-                )
-            })
-            .collect()
     }
 
     /// [`allocate_slot`] over this scheduler's terminals and states — the
@@ -670,106 +619,6 @@ impl GlobalScheduler {
             available,
         )
     }
-
-    /// The frozen per-terminal reference for
-    /// [`GlobalScheduler::allocate_from_available`]: per-candidate
-    /// `GlobalScheduler::score` evaluation and the exhaustive-fold GSO
-    /// tests, exactly as the pre-cohort engine ran them. Kept (like
-    /// [`GlobalScheduler::fields_of_view_linear`]) as the baseline the
-    /// fast path is equality-tested and benchmarked against; not used on
-    /// any hot path.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `available` does not have one entry per terminal.
-    pub fn allocate_from_available_reference(
-        &mut self,
-        at: JulianDate,
-        available: Vec<Vec<VisibleSat>>,
-    ) -> Vec<Allocation> {
-        assert_eq!(available.len(), self.sites.len(), "one availability list per terminal");
-        let slot = slot_index(at);
-        let start = slot_start(at);
-        let mut out = Vec::with_capacity(self.sites.len());
-        let mut scratch = std::mem::take(&mut self.scratch);
-
-        for (ti, available) in available.into_iter().enumerate() {
-            let site = &self.sites[ti];
-            scratch.eligible.clear();
-            scratch.eligible.extend(available.iter().enumerate().filter_map(|(i, v)| {
-                let open = !site.terminal.mask.blocks(v.look.elevation_deg, v.look.azimuth_deg)
-                    && !site.gso.excludes(&v.look);
-                open.then_some(i)
-            }));
-
-            let mut eligible_ids = Vec::with_capacity(scratch.eligible.len());
-            eligible_ids.extend(scratch.eligible.iter().map(|&i| available[i].norad_id));
-
-            scratch.scores.clear();
-            scratch
-                .scores
-                .extend(scratch.eligible.iter().map(|&i| self.score(ti, slot, &available[i])));
-            let state = &mut self.states[ti];
-            let chosen = state
-                .draw(self.policy.temperature, &mut scratch.scores)
-                .map(|i| available[scratch.eligible[i]].clone());
-            state.previous = chosen.as_ref().map(|c| c.norad_id);
-
-            out.push(Allocation {
-                terminal_id: self.sites[ti].terminal.id,
-                slot,
-                slot_start: start,
-                available,
-                eligible_ids,
-                chosen,
-            });
-        }
-        self.scratch = scratch;
-        out
-    }
-
-    /// Runs `slots` consecutive allocations starting from the slot
-    /// containing `from`, returning all allocations flattened
-    /// (slot-major, terminal-minor).
-    pub fn allocate_range(
-        &mut self,
-        constellation: &Constellation,
-        from: JulianDate,
-        slots: usize,
-    ) -> Vec<Allocation> {
-        let mut out = Vec::with_capacity(slots * self.terminals.len());
-        // Query mid-slot so float rounding can never straddle a boundary.
-        let period = crate::slots::SLOT_PERIOD_SECONDS;
-        let first_mid = slot_start(from).plus_seconds(period / 2.0);
-        for k in 0..slots {
-            out.extend(self.allocate(constellation, first_mid.plus_seconds(k as f64 * period)));
-        }
-        out
-    }
-
-    /// Scores one candidate for the terminal at position `ti` — the
-    /// reference expression the fast path's table-driven scoring mirrors
-    /// term for term (the `w_age·age_norm` and `w_load·(1−load)` products
-    /// depend only on `(satellite, slot)` and are what the slot term table
-    /// caches).
-    fn score(&self, ti: usize, slot: i64, sat: &VisibleSat) -> f64 {
-        let p = &self.policy;
-        let el_norm = ((sat.look.elevation_deg - p.min_elevation_deg)
-            / (90.0 - p.min_elevation_deg))
-            .clamp(0.0, 1.0);
-        let dark_penalty = if sat.sunlit { 0.0 } else { p.w_dark_low_elevation * (1.0 - el_norm) };
-        let age_norm = 1.0 - (sat.age_days / p.max_age_days).clamp(0.0, 1.0);
-        let load = self.load.utilization(sat.norad_id, slot);
-        let gso_margin = (self.sites[ti].gso.separation_deg(&sat.look) / 90.0).clamp(0.0, 1.0);
-        let hyst =
-            if self.states[ti].previous == Some(sat.norad_id) { p.w_hysteresis } else { 0.0 };
-        p.w_elevation * el_norm - dark_penalty
-            + p.w_age * age_norm
-            + if sat.sunlit { p.w_sunlit } else { 0.0 }
-            + p.w_load * (1.0 - load)
-            + p.w_gso_margin * gso_margin
-            + hyst
-    }
 }
 
 #[cfg(test)]
@@ -793,6 +642,123 @@ mod tests {
 
     fn at() -> JulianDate {
         JulianDate::from_ymd_hms(2023, 6, 1, 16, 0, 5.0)
+    }
+
+    /// Test-only reference engine and helpers over the scheduler's
+    /// private state.
+    impl GlobalScheduler {
+        /// The per-terminal reference for
+        /// [`GlobalScheduler::allocate_from_available`]: per-candidate
+        /// `GlobalScheduler::score` evaluation and the exhaustive-fold GSO
+        /// tests, exactly as the pre-cohort engine ran them — the oracle the
+        /// fast path is equality-tested against.
+        ///
+        /// # Panics
+        ///
+        /// Panics when `available` does not have one entry per terminal.
+        fn allocate_from_available_reference(
+            &mut self,
+            at: JulianDate,
+            available: Vec<Vec<VisibleSat>>,
+        ) -> Vec<Allocation> {
+            assert_eq!(available.len(), self.sites.len(), "one availability list per terminal");
+            let slot = slot_index(at);
+            let start = slot_start(at);
+            let mut out = Vec::with_capacity(self.sites.len());
+            let mut scratch = std::mem::take(&mut self.scratch);
+
+            for (ti, available) in available.into_iter().enumerate() {
+                let site = &self.sites[ti];
+                scratch.eligible.clear();
+                scratch.eligible.extend(available.iter().enumerate().filter_map(|(i, v)| {
+                    let open = !site.terminal.mask.blocks(v.look.elevation_deg, v.look.azimuth_deg)
+                        && !site.gso.excludes(&v.look);
+                    open.then_some(i)
+                }));
+
+                let mut eligible_ids = Vec::with_capacity(scratch.eligible.len());
+                eligible_ids.extend(scratch.eligible.iter().map(|&i| available[i].norad_id));
+
+                scratch.scores.clear();
+                scratch
+                    .scores
+                    .extend(scratch.eligible.iter().map(|&i| self.score(ti, slot, &available[i])));
+                let state = &mut self.states[ti];
+                let chosen = state
+                    .draw(self.policy.temperature, &mut scratch.scores)
+                    .map(|i| available[scratch.eligible[i]].clone());
+                state.previous = chosen.as_ref().map(|c| c.norad_id);
+
+                out.push(Allocation {
+                    terminal_id: self.sites[ti].terminal.id,
+                    slot,
+                    slot_start: start,
+                    available,
+                    eligible_ids,
+                    chosen,
+                });
+            }
+            self.scratch = scratch;
+            out
+        }
+
+        /// Runs `slots` consecutive allocations starting from the slot
+        /// containing `from`, returning all allocations flattened
+        /// (slot-major, terminal-minor).
+        fn allocate_range(
+            &mut self,
+            constellation: &Constellation,
+            from: JulianDate,
+            slots: usize,
+        ) -> Vec<Allocation> {
+            let mut out = Vec::with_capacity(slots * self.terminals.len());
+            // Query mid-slot so float rounding can never straddle a boundary.
+            let period = crate::slots::SLOT_PERIOD_SECONDS;
+            let first_mid = slot_start(from).plus_seconds(period / 2.0);
+            for k in 0..slots {
+                out.extend(self.allocate(constellation, first_mid.plus_seconds(k as f64 * period)));
+            }
+            out
+        }
+
+        /// Scores one candidate for the terminal at position `ti` — the
+        /// reference expression the fast path's table-driven scoring mirrors
+        /// term for term (the `w_age·age_norm` and `w_load·(1−load)` products
+        /// depend only on `(satellite, slot)` and are what the slot term table
+        /// caches).
+        fn score(&self, ti: usize, slot: i64, sat: &VisibleSat) -> f64 {
+            let p = &self.policy;
+            let el_norm = ((sat.look.elevation_deg - p.min_elevation_deg)
+                / (90.0 - p.min_elevation_deg))
+                .clamp(0.0, 1.0);
+            let dark_penalty =
+                if sat.sunlit { 0.0 } else { p.w_dark_low_elevation * (1.0 - el_norm) };
+            let age_norm = 1.0 - (sat.age_days / p.max_age_days).clamp(0.0, 1.0);
+            let load = self.load.utilization(sat.norad_id, slot);
+            let gso_margin = (self.sites[ti].gso.separation_deg(&sat.look) / 90.0).clamp(0.0, 1.0);
+            let hyst =
+                if self.states[ti].previous == Some(sat.norad_id) { p.w_hysteresis } else { 0.0 };
+            p.w_elevation * el_norm - dark_penalty
+                + p.w_age * age_norm
+                + if sat.sunlit { p.w_sunlit } else { 0.0 }
+                + p.w_load * (1.0 - load)
+                + p.w_gso_margin * gso_margin
+                + hyst
+        }
+    }
+
+    /// The field-of-view oracle: the catalog query over every catalog
+    /// index, per terminal, in terminal order.
+    fn scan_fields_of_view(
+        g: &GlobalScheduler,
+        c: &Constellation,
+        snap: &Snapshot,
+    ) -> Vec<Vec<VisibleSat>> {
+        let all: Vec<u32> = (0..c.len() as u32).collect();
+        g.terminals
+            .iter()
+            .map(|t| c.field_of_view(snap, t.location, g.policy.min_elevation_deg, &all))
+            .collect()
     }
 
     #[test]
@@ -950,38 +916,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn indexed_availability_is_bit_identical_to_linear() {
-        // Two schedulers with the same seed, one fed by the indexed
-        // field-of-view path and one by the linear scan, must produce
-        // byte-identical allocations and consume identical RNG streams.
-        let c = constellation();
-        let mut indexed = GlobalScheduler::new(SchedulerPolicy::default(), terminals(), 3);
-        let mut linear = indexed.clone();
-        for k in 0..8 {
-            let t = at().plus_seconds(15.0 * k as f64);
-            let snap = c.snapshot(crate::slots::slot_start(t));
-            let fov_i = indexed.fields_of_view(&c, &snap);
-            let fov_l = linear.fields_of_view_linear(&c, &snap);
-            assert_eq!(fov_i.len(), fov_l.len());
-            for (a, b) in fov_i.iter().zip(&fov_l) {
-                assert_eq!(a.len(), b.len(), "slot {k} FOV size");
-                for (x, y) in a.iter().zip(b) {
-                    assert_eq!(x.norad_id, y.norad_id);
-                    assert_eq!(x.look.elevation_deg.to_bits(), y.look.elevation_deg.to_bits());
-                    assert_eq!(x.look.azimuth_deg.to_bits(), y.look.azimuth_deg.to_bits());
-                    assert_eq!(x.look.range_km.to_bits(), y.look.range_km.to_bits());
-                }
-            }
-            let aa = indexed.allocate_from_available(t, fov_i);
-            let bb = linear.allocate_from_available(t, fov_l);
-            for (x, y) in aa.iter().zip(&bb) {
-                assert_eq!(x.chosen_id(), y.chosen_id(), "slot {k}");
-                assert_eq!(x.eligible_ids, y.eligible_ids, "slot {k}");
-            }
-        }
-    }
-
     /// Clustered + isolated sites: the clusters land in shared visibility
     /// grid cells (~4° at gen1 shells), exercising true multi-member
     /// cohorts; the polar pair straddles the longitude wrap.
@@ -1034,7 +968,7 @@ mod tests {
     #[test]
     fn cohort_fov_is_bit_identical_to_per_terminal() {
         // The cohort path is the campaign's only field-of-view path and
-        // the per-terminal query is its oracle. Many slot epochs (a
+        // the full-catalog scan per terminal is its oracle. Many slot epochs (a
         // consecutive run plus epochs spread over a day) and extra masked
         // and polar sites stand in for whole-campaign A/B runs: the fields
         // of view must match bit for bit, and so must the allocations two
@@ -1071,7 +1005,7 @@ mod tests {
         for (k, t) in epochs.enumerate() {
             let snap = c.snapshot(crate::slots::slot_start(t));
             let cohort = cohort_sched.fields_of_view_cohort(&c, &snap);
-            let per = per_sched.fields_of_view(&c, &snap);
+            let per = scan_fields_of_view(&per_sched, &c, &snap);
             assert_eq!(cohort.len(), per.len());
             for (ti, (a, b)) in cohort.iter().zip(&per).enumerate() {
                 assert_eq!(a.len(), b.len(), "terminal {ti} epoch {k} FOV size");
@@ -1098,7 +1032,7 @@ mod tests {
     #[test]
     fn fast_allocate_matches_reference_engine_bit_for_bit() {
         // The full fast engine (cohort FOV + table-driven scoring + pruned
-        // GSO) against the frozen PR-7 reference engine (per-terminal FOV
+        // GSO) against the reference engine (full-catalog FOV per terminal
         // + per-candidate score): identical allocations, identical RNG
         // stream consumption, across consecutive slots with hysteresis in
         // play.
@@ -1109,7 +1043,7 @@ mod tests {
             let t = at().plus_seconds(15.0 * k as f64);
             let snap = c.snapshot(crate::slots::slot_start(t));
             let fov_fast = fast.fields_of_view_cohort(&c, &snap);
-            let fov_ref = reference.fields_of_view(&c, &snap);
+            let fov_ref = scan_fields_of_view(&reference, &c, &snap);
             let a = fast.allocate_from_available(t, fov_fast);
             let b = reference.allocate_from_available_reference(t, fov_ref);
             assert_eq!(a.len(), b.len());
