@@ -26,6 +26,15 @@ fn bench_sgp4(c: &mut Criterion) {
             black_box(sgp4.propagate_minutes(black_box(t % 1440.0)).unwrap())
         })
     });
+    // The production call: catalog rows and probe positions need no
+    // velocity.
+    c.bench_function("sgp4/position_one_step", |b| {
+        let mut t = 0.0;
+        b.iter(|| {
+            t += 1.0;
+            black_box(sgp4.position(black_box(sgp4.epoch().plus_minutes(t % 1440.0))).unwrap())
+        })
+    });
     c.bench_function("sgp4/init", |b| {
         let elements = tle.elements();
         b.iter(|| black_box(Sgp4::new(black_box(&elements)).unwrap()))
@@ -60,6 +69,13 @@ fn bench_constellation(c: &mut Criterion) {
     let all: Vec<u32> = (0..mini.len() as u32).collect();
     c.bench_function("constellation/fov_from_snapshot", |b| {
         b.iter(|| black_box(mini.field_of_view(black_box(&snap), iowa, 25.0, &all)))
+    });
+
+    // One published-TLE row of the full first-generation catalog: the
+    // per-row cost of the campaign's Prepare phase.
+    let gen1 = ConstellationBuilder::starlink_gen1().seed(1).build();
+    c.bench_function("constellation/published_row_gen1", |b| {
+        b.iter(|| black_box(gen1.published_row(black_box(at))))
     });
 
     c.bench_function("constellation/build_mini", |b| {

@@ -8,12 +8,12 @@
 //! side) per exact epoch, so the constellation is SGP4-propagated once per
 //! instant no matter how many terminals — or worker threads — observe it.
 //!
-//! The table is built once by [`PropagationCache::prepare`] (a single
-//! batched, optionally parallel fill through the struct-of-arrays SGP4
-//! path) and never changes after that. Lookups are a binary search over a
-//! frozen `Vec` behind a `OnceLock`: **no lock, no write, no contention**,
-//! which is what lets the sharded campaign workers scale with cores. The
-//! campaign engine prepares every slot epoch (and, in identified mode,
+//! The table is built once by [`PropagationCache::prepare`] (a single,
+//! optionally parallel fill: one position-only SGP4 call per satellite
+//! per epoch) and never changes after that. Lookups are a binary search
+//! over a frozen `Vec` behind a `OnceLock`: **no lock, no write, no
+//! contention**, which is what lets the sharded campaign workers scale
+//! with cores. The campaign engine prepares every slot epoch (and, in identified mode,
 //! every slot boundary epoch) up front. A lookup of an epoch nobody
 //! prepared propagates the row directly and returns it without storing
 //! it; it counts as a miss.
@@ -127,7 +127,7 @@ impl<'a> PropagationCache<'a> {
 
     /// Builds the immutable epoch table: true snapshots for every
     /// epoch in `truth_epochs` and published-TLE rows for every epoch in
-    /// `published_epochs`, filled by one batched pass fanned across up to
+    /// `published_epochs`, filled by one pass fanned across up to
     /// `threads` scoped workers (≤ 1 fills serially).
     ///
     /// Returns `false` (and changes nothing) if the table was already

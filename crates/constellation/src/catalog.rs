@@ -5,7 +5,7 @@ use starsense_astro::frames::{teme_to_ecef, Geodetic, LookAngles, Topocentric};
 use starsense_astro::sun::{is_sunlit_given_sun, sun_position_teme};
 use starsense_astro::time::JulianDate;
 use starsense_astro::vec3::Vec3;
-use starsense_sgp4::{Elements, Sgp4, Sgp4Batch, Tle};
+use starsense_sgp4::{Elements, Sgp4, Tle};
 use std::sync::OnceLock;
 
 /// A launch batch: satellites launched together share a date, as Starlink
@@ -77,28 +77,18 @@ impl Satellite {
     /// Returns `None` if propagation fails (decay) — callers treat such a
     /// satellite as unavailable.
     pub fn true_position(&self, at: JulianDate) -> Option<Vec3> {
-        self.truth.propagate(at).ok().map(|s| s.position_km)
+        self.truth.position(at).ok()
     }
 
     /// TEME position predicted from the *published* TLE (what the paper's
     /// measurement methodology has access to).
     pub fn published_position(&self, at: JulianDate) -> Option<Vec3> {
-        self.published_sgp4.propagate(at).ok().map(|s| s.position_km)
+        self.published_sgp4.position(at).ok()
     }
 
     /// Age of the satellite at `at`, in days since launch.
     pub fn age_days(&self, at: JulianDate) -> f64 {
         at.seconds_since(self.launch.date) / 86_400.0
-    }
-
-    /// The initialized **truth** propagator (operator-side state).
-    ///
-    /// Exposed so operator-side engines — the netemu slot-cohort loop —
-    /// can transpose the serving set into an [`Sgp4Batch`] instead of
-    /// propagating satellite-by-satellite. Measurement-side code must keep
-    /// using [`Satellite::published_position`].
-    pub fn truth_propagator(&self) -> &Sgp4 {
-        &self.truth
     }
 }
 
@@ -109,8 +99,7 @@ pub struct VisibleSat {
     /// Catalog number.
     pub norad_id: u32,
     /// Position of the satellite in the catalog (index into
-    /// [`Constellation::sats`] and [`Snapshot::entries`]) — the key
-    /// per-slot satellite tables are indexed by.
+    /// [`Constellation::sats`] and [`Snapshot::entries`]).
     pub catalog_index: u32,
     /// Look angles from the terminal (true positions).
     pub look: LookAngles,
@@ -192,12 +181,6 @@ impl Snapshot {
 #[derive(Debug, Clone)]
 pub struct Constellation {
     sats: Vec<Satellite>,
-    /// Struct-of-arrays transposes of every satellite's propagators, built
-    /// once at construction so whole-catalog propagation (snapshots,
-    /// published rows) runs through the batched SGP4 path. Lane `i`
-    /// corresponds to `sats[i]`.
-    truth_batch: Sgp4Batch,
-    published_batch: Sgp4Batch,
 }
 
 impl Constellation {
@@ -211,9 +194,7 @@ impl Constellation {
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), sats.len(), "duplicate NORAD ids in catalog");
-        let truth_batch = Sgp4Batch::from_propagators(sats.iter().map(|s| &s.truth));
-        let published_batch = Sgp4Batch::from_propagators(sats.iter().map(|s| &s.published_sgp4));
-        Constellation { sats, truth_batch, published_batch }
+        Constellation { sats }
     }
 
     /// All satellites.
@@ -238,24 +219,18 @@ impl Constellation {
 
     /// Propagates the whole catalog once at `at` (true positions), so that
     /// several field-of-view queries at the same instant — one per terminal
-    /// every slot — share the propagation work.
-    ///
-    /// Runs through the struct-of-arrays [`Sgp4Batch`] path; each entry is
-    /// bit-identical to what per-satellite [`Satellite::true_position`]
-    /// calls would produce (the batch propagator's contract).
+    /// every slot — share the propagation work. Each entry's position is
+    /// [`Satellite::true_position`].
     pub fn snapshot(&self, at: JulianDate) -> Snapshot {
         let sun = sun_position_teme(at);
-        let mut teme = Vec::new();
-        self.truth_batch.positions_into(at, &mut teme);
         let positions = self
             .sats
             .iter()
-            .zip(&teme)
-            .map(|(sat, lane)| {
+            .map(|sat| {
                 if sat.launch.date > at {
                     return None; // not yet in orbit
                 }
-                let teme = (*lane)?;
+                let teme = sat.true_position(at)?;
                 Some(SnapshotEntry {
                     teme,
                     ecef: teme_to_ecef(teme, at),
@@ -266,12 +241,11 @@ impl Constellation {
         Snapshot { at, positions, index: OnceLock::new() }
     }
 
-    /// Published-TLE TEME positions of the whole catalog at `at`, through
-    /// the batched path — bit-identical, entry for entry, to calling
-    /// [`Satellite::published_position`] per satellite. Indexed like
+    /// Published-TLE TEME positions of the whole catalog at `at`: one
+    /// [`Satellite::published_position`] per satellite, indexed like
     /// [`Constellation::sats`].
     pub fn published_row(&self, at: JulianDate) -> Vec<Option<Vec3>> {
-        self.published_batch.positions_at(at)
+        self.sats.iter().map(|sat| sat.published_position(at)).collect()
     }
 
     /// Every satellite among `candidates` above `min_elevation_deg` as seen
@@ -465,6 +439,64 @@ mod tests {
         let dup = sats[0].clone();
         sats.push(dup);
         let _ = Constellation::new(sats);
+    }
+
+    #[test]
+    fn decayed_satellite_reads_none_without_disturbing_neighbors() {
+        let epoch = JulianDate::from_ymd_hms(2023, 6, 1, 0, 0, 0.0);
+        let launch =
+            LaunchBatch { index: 0, date: JulianDate(epoch.0 - 30.0), year: 2023, month: 5 };
+        let sat = |id: u32, raan: f64, argp: f64, ma: f64, bstar: f64| {
+            let elements =
+                Elements::from_catalog_units(id, epoch, 15.06, 0.0001, 53.0, raan, argp, ma, bstar);
+            let published = Tle {
+                name: None,
+                norad_id: id,
+                classification: 'U',
+                intl_designator: "23001A".to_string(),
+                epoch,
+                ndot: 0.0,
+                nddot: 0.0,
+                bstar,
+                element_set_no: 999,
+                inclination_deg: 53.0,
+                raan_deg: raan,
+                eccentricity: 0.0001,
+                arg_perigee_deg: argp,
+                mean_anomaly_deg: ma,
+                mean_motion_rev_day: 15.06,
+                rev_number: 1,
+            };
+            Satellite::new(format!("TEST-{id}"), launch, elements, published).unwrap()
+        };
+        // Healthy, absurd drag (decays within days), healthy.
+        let c = Constellation::new(vec![
+            sat(1, 10.0, 20.0, 30.0, 0.00012),
+            sat(2, 40.0, 50.0, 60.0, 0.1),
+            sat(3, 10.0, 20.0, 30.0, 0.00012),
+        ]);
+        let all = [0, 1, 2];
+        let (mut truth_decayed, mut published_decayed) = (false, false);
+        for day in 1..60 {
+            let at = epoch.plus_minutes(day as f64 * 1440.0);
+            let snap = c.snapshot(at);
+            let row = c.published_row(at);
+            let entries = snap.entries();
+            assert!(entries[0].is_some() && entries[2].is_some(), "day {day}");
+            assert!(row[0].is_some() && row[2].is_some(), "day {day}");
+            truth_decayed |= entries[1].is_none();
+            published_decayed |= row[1].is_none();
+            // A cutoff below the horizon admits every available satellite.
+            let fov = c.field_of_view(&snap, Geodetic::new(0.0, 0.0, 0.0), -90.0, &all);
+            let ids: Vec<u32> = fov.iter().map(|v| v.norad_id).collect();
+            if entries[1].is_none() {
+                assert_eq!(ids, [1, 3], "day {day}");
+            } else {
+                assert_eq!(ids, [1, 2, 3], "day {day}");
+            }
+        }
+        assert!(truth_decayed, "expected the draggy satellite's truth to decay");
+        assert!(published_decayed, "expected the draggy satellite's published TLE to decay");
     }
 
     #[test]

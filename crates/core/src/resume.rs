@@ -38,10 +38,10 @@
 //! [`starsense_faults::FaultPlan::worker_fault`] channel) or by a *virtual* deadline
 //! overrun reported by the same fault plan — no wall clock ever feeds a
 //! decision, so chaos campaigns stay bit-reproducible. Failed attempts
-//! are retried up to [`ResumeConfig::worker_retries`] times with bounded
-//! exponential backoff (deterministically jittered; the sleep is skipped
-//! entirely when the base is zero). A unit that exhausts its budget is
-//! charged one *unit failure*; after
+//! are retried up to [`ResumeConfig::worker_retries`] times, at once: a
+//! retry re-runs a pure function under faults keyed by (unit, slot,
+//! attempt), so waiting could not change its outcome. A unit that
+//! exhausts its budget is charged one *unit failure*; after
 //! [`ResumeConfig::worker_quarantine_after`] unit failures the unit is
 //! quarantined for the rest of the campaign and its slots degrade to
 //! [`DegradeReason::WorkerFailed`] — visible in [`DegradationStats`],
@@ -81,7 +81,7 @@ use starsense_checkpoint::{
     CheckpointError, LoadedFrom, SectionRef, Snapshot, FNV1A_EMPTY,
 };
 use starsense_constellation::PropagationCache;
-use starsense_faults::{FaultRng, PropagationSchedule, WorkerFault};
+use starsense_faults::{PropagationSchedule, WorkerFault};
 use starsense_ident::{
     slot_boundary_epochs, DishSimulator, DishState, SlotCapture, CANDIDATE_SAMPLES_PER_SLOT,
 };
@@ -125,12 +125,6 @@ pub struct ResumeConfig {
     /// the campaign. `0` disables quarantine: the first exhausted unit
     /// fails the run with [`CampaignError::WorkerExhausted`].
     pub worker_quarantine_after: u32,
-    /// Base backoff before a retry, milliseconds. `0` (the default, and
-    /// what tests use) skips the sleep entirely; the backoff *schedule*
-    /// stays deterministic either way.
-    pub backoff_base_ms: u64,
-    /// Upper bound on the exponential backoff, milliseconds.
-    pub backoff_cap_ms: u64,
     /// Stop (successfully, with [`ResumeReport::completed`] `false`)
     /// after writing this many checkpoints. This is the in-process kill
     /// switch the chaos tests use to simulate a crash at an exact
@@ -147,8 +141,6 @@ impl Default for ResumeConfig {
             checkpoint_every: 0,
             worker_retries: 0,
             worker_quarantine_after: 0,
-            backoff_base_ms: 0,
-            backoff_cap_ms: 1_000,
             stop_after_checkpoints: None,
         }
     }
@@ -157,8 +149,7 @@ impl Default for ResumeConfig {
 impl ResumeConfig {
     /// A resumable run checkpointing to `path` with the default cadence
     /// (240 slots — one hour of 15-second slots) and supervision budget
-    /// (2 retries per attempt budget, quarantine after 3 unit failures,
-    /// no backoff sleep).
+    /// (2 retries per attempt budget, quarantine after 3 unit failures).
     pub fn new(path: impl Into<PathBuf>) -> ResumeConfig {
         ResumeConfig {
             checkpoint_path: path.into(),
@@ -167,20 +158,6 @@ impl ResumeConfig {
             worker_quarantine_after: 3,
             ..ResumeConfig::default()
         }
-    }
-
-    /// The deterministic backoff delay before retry `attempt` of `unit`:
-    /// exponential in the attempt number, capped, plus a jitter drawn
-    /// from a counter-based stream keyed by `(seed, unit, attempt)` —
-    /// two runs of the same campaign back off identically. The value is
-    /// defined (and tested) even when `backoff_base_ms == 0`, in which
-    /// case the engine never sleeps at all.
-    pub fn backoff_delay_ms(&self, seed: u64, unit: u64, attempt: u32) -> u64 {
-        let base = self.backoff_base_ms.saturating_mul(1u64 << attempt.min(16));
-        let capped = base.min(self.backoff_cap_ms.max(self.backoff_base_ms));
-        let mut rng =
-            FaultRng::from_salt(seed ^ unit.rotate_left(17) ^ (u64::from(attempt) << 1 | 1));
-        capped.saturating_add(rng.below(self.backoff_base_ms.max(1)))
     }
 }
 
@@ -583,9 +560,8 @@ impl<'a> Campaign<'a> {
     }
 
     /// Runs one supervised unit: up to `1 + worker_retries` attempts,
-    /// each preceded (after the first) by a deterministic bounded
-    /// backoff, with injected faults drawn from the campaign's fault
-    /// plan and real panics caught at the attempt boundary.
+    /// with injected faults drawn from the campaign's fault plan and real
+    /// panics caught at the attempt boundary.
     fn run_supervised<T>(
         &self,
         unit: u64,
@@ -600,10 +576,6 @@ impl<'a> Campaign<'a> {
         let mut last_failure = None;
         let mut failed = 0u32;
         for attempt in 0..=opts.worker_retries {
-            if attempt > 0 && opts.backoff_base_ms > 0 {
-                let delay = opts.backoff_delay_ms(self.seed, unit, attempt);
-                std::thread::sleep(std::time::Duration::from_millis(delay));
-            }
             let injected = self.config.faults.worker_fault(unit, seg_first_slot, attempt);
             let outcome = if injected == WorkerFault::Overrun {
                 // A virtual deadline miss: the attempt is charged without

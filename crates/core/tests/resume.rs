@@ -528,23 +528,3 @@ fn overruns_fail_fast_when_quarantine_is_disabled() {
         other => panic!("expected WorkerExhausted, got {other:?}"),
     }
 }
-
-#[test]
-fn backoff_schedule_is_deterministic_bounded_and_inert_at_zero() {
-    let a = ResumeConfig { backoff_base_ms: 10, backoff_cap_ms: 80, ..ResumeConfig::new("x") };
-    let b = a.clone();
-    for unit in 0..8u64 {
-        for attempt in 1..6u32 {
-            let d = a.backoff_delay_ms(33, unit, attempt);
-            assert_eq!(d, b.backoff_delay_ms(33, unit, attempt), "deterministic");
-            assert!(d <= 80 + 10, "cap plus one jitter quantum");
-        }
-    }
-    // Exponential ramp until the cap dominates.
-    assert!(a.backoff_delay_ms(33, 1, 3) >= a.backoff_delay_ms(33, 1, 1));
-    let zero = ResumeConfig::new("y");
-    assert_eq!(zero.backoff_base_ms, 0);
-    for attempt in 1..4 {
-        assert_eq!(zero.backoff_delay_ms(33, 7, attempt), 0, "zero base never sleeps");
-    }
-}

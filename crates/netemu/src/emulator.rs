@@ -13,7 +13,6 @@ use starsense_constellation::{Constellation, Satellite};
 use starsense_faults::{BurstKind, FaultPlan};
 use starsense_scheduler::slots::slot_index;
 use starsense_scheduler::{Allocation, GlobalScheduler, MacScheduler};
-use starsense_sgp4::Sgp4Batch;
 
 /// Emulator tunables.
 #[derive(Debug, Clone, PartialEq)]
@@ -148,7 +147,7 @@ impl<'a> Emulator<'a> {
             allocations: Vec::new(),
             macs: Vec::new(),
             serving: Vec::new(),
-            batch: Sgp4Batch::default(),
+            sats: Vec::new(),
         };
         // Reusable per-probe buffer: this instant's TEME position of each
         // cohort satellite.
@@ -163,10 +162,11 @@ impl<'a> Emulator<'a> {
             }
 
             // Serving satellites move ~150 km within a slot, so positions
-            // are per-probe — but the cohort's distinct satellites are
-            // propagated as one SoA batch per probe instant, bit-identical
-            // to satellite-by-satellite [`Satellite::true_position`] calls.
-            cohort.batch.positions_into(at, &mut teme);
+            // are per-probe — but each distinct cohort satellite is
+            // propagated once per probe instant, however many terminals it
+            // carries.
+            teme.clear();
+            teme.extend(cohort.sats.iter().map(|sat| sat.true_position(at)));
 
             for (t, trace) in traces.iter_mut().enumerate() {
                 trace.records.push(self.probe_in_cohort(t, seq, at, &cohort, &teme));
@@ -252,7 +252,7 @@ impl<'a> Emulator<'a> {
     /// of every distinct serving satellite. The per-probe
     /// `Constellation::get` linear scans this replaces dominated the old
     /// engine's probe loop at terminal scale.
-    fn build_cohort(&mut self, at: JulianDate) -> SlotCohort {
+    fn build_cohort(&mut self, at: JulianDate) -> SlotCohort<'a> {
         let allocations = self.scheduler.allocate(self.constellation, at);
         let mut macs = Vec::with_capacity(allocations.len());
         let mut serving = Vec::with_capacity(allocations.len());
@@ -285,11 +285,7 @@ impl<'a> Emulator<'a> {
                 }
             }));
         }
-        // Transpose the distinct serving set into an SoA batch once per
-        // slot; every probe instant then propagates all cohort satellites
-        // in one 3-pass sweep.
-        let batch = Sgp4Batch::from_propagators(sats.iter().map(|s| s.truth_propagator()));
-        SlotCohort { allocations, macs, serving, batch }
+        SlotCohort { allocations, macs, serving, sats }
     }
 
     /// Emulates one probe from one terminal against its slot cohort.
@@ -400,19 +396,16 @@ impl<'a> Emulator<'a> {
 
 /// Per-slot cohort state: everything about a slot that is shared by all of
 /// its probes, hoisted out of the per-probe loop.
-struct SlotCohort {
+struct SlotCohort<'a> {
     /// The slot's allocations, in terminal order.
     allocations: Vec<Allocation>,
     /// MAC cycle (and the terminal's marker in it) per terminal.
     macs: Vec<Option<(MacScheduler, usize)>>,
-    /// For each terminal, lane in `batch` of its serving satellite
+    /// For each terminal, index in `sats` of its serving satellite
     /// (`None` = outage, or a catalog id the constellation does not know).
     serving: Vec<Option<usize>>,
-    /// The slot's distinct serving satellites' truth propagators,
-    /// catalog-resolved once and transposed to struct-of-arrays:
-    /// `batch.positions_into(at, ..)` fills one lane per satellite,
-    /// bit-identical to per-satellite propagation.
-    batch: Sgp4Batch,
+    /// The slot's distinct serving satellites, catalog-resolved once.
+    sats: Vec<&'a Satellite>,
 }
 
 fn mix(a: u64, b: u64) -> u64 {

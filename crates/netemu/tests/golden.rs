@@ -78,8 +78,7 @@ fn fingerprint(traces: &[RttTrace]) -> u64 {
 
 /// Fingerprint of the 3-terminal, 90-second, seed-77 workload, captured
 /// from the serial per-satellite engine at the time the per-terminal RNG
-/// streams landed. The batched slot-cohort engine must reproduce it
-/// exactly.
+/// streams landed. The slot-cohort engine must reproduce it exactly.
 const GOLDEN_MINI_SEED77: u64 = 0xf9ce_b828_7756_c463;
 
 /// Same workload, different seed: a distinct RNG stream must change the

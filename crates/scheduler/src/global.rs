@@ -59,8 +59,8 @@
 //!   cohort (cap at the smallest member radius, widened by the exact
 //!   anchor→member angle), then narrows it per member with an exact
 //!   cap-cosine prefilter before the exact elevation test;
-//! * [`allocate_slot`] gathers the `(satellite, slot)`-only score terms
-//!   from a slot-stamped table and runs the segment-pruned GSO tests.
+//! * [`allocate_slot`] runs the segment-pruned GSO tests, one fused query
+//!   per candidate.
 //!
 //! The tests below hold both to test-only oracles: the field of view over
 //! every catalog index per terminal, and the per-candidate reference
@@ -191,16 +191,6 @@ pub struct AllocScratch {
     /// Scores for the eligible candidates; the softmax draw overwrites
     /// them with their weights in place.
     scores: Vec<f64>,
-    /// Slot-stamped satellite term table, indexed by catalog index: the
-    /// score components that depend only on `(satellite, slot)` — the age
-    /// term `w_age · age_norm` and the load term `w_load · (1 − load)` —
-    /// computed once per (satellite, slot) by the first terminal that
-    /// scores the satellite and gathered by every later one. `term_stamp`
-    /// holds the slot each lane was filled for, so advancing to a new
-    /// slot invalidates the table without an O(catalog) clear.
-    age_term: Vec<f64>,
-    load_term: Vec<f64>,
-    term_stamp: Vec<i64>,
 }
 
 /// The immutable half of one terminal's scheduler state: the terminal and
@@ -426,13 +416,11 @@ pub fn cohort_fields_of_view(
 /// `i`'s state and advances in place; call once per slot, in slot order.
 /// Returns one [`Allocation`] per site, in site order.
 ///
-/// Scoring runs the fast path: the `(satellite, slot)`-only score
-/// components are gathered from the slot-stamped term table (filled
-/// lazily by the first terminal scoring each satellite) and the GSO
-/// geometry goes through the segment-pruned tests — every term and its
-/// summation order matches the per-candidate reference score exactly, so
-/// the emitted allocations and consumed RNG streams are bit-identical to
-/// the reference allocator the tests below keep as the oracle.
+/// Scoring runs the fast path: the GSO geometry goes through the
+/// segment-pruned tests — every term and its summation order matches the
+/// per-candidate reference score exactly, so the emitted allocations and
+/// consumed RNG streams are bit-identical to the reference allocator the
+/// tests below keep as the oracle.
 ///
 /// # Panics
 ///
@@ -475,18 +463,7 @@ pub fn allocate_slot(
         scratch.scores.clear();
         for (ei, &i) in scratch.eligible.iter().enumerate() {
             let sat = &available[i];
-            let ci = sat.catalog_index as usize;
-            if scratch.term_stamp.len() <= ci {
-                scratch.term_stamp.resize(ci + 1, i64::MIN);
-                scratch.age_term.resize(ci + 1, 0.0);
-                scratch.load_term.resize(ci + 1, 0.0);
-            }
-            if scratch.term_stamp[ci] != slot {
-                scratch.term_stamp[ci] = slot;
-                let age_norm = 1.0 - (sat.age_days / p.max_age_days).clamp(0.0, 1.0);
-                scratch.age_term[ci] = p.w_age * age_norm;
-                scratch.load_term[ci] = p.w_load * (1.0 - load.utilization(sat.norad_id, slot));
-            }
+            let age_norm = 1.0 - (sat.age_days / p.max_age_days).clamp(0.0, 1.0);
             let el_norm = ((sat.look.elevation_deg - p.min_elevation_deg)
                 / (90.0 - p.min_elevation_deg))
                 .clamp(0.0, 1.0);
@@ -497,9 +474,9 @@ pub fn allocate_slot(
             // Same terms, same left-to-right association as `score`.
             scratch.scores.push(
                 p.w_elevation * el_norm - dark_penalty
-                    + scratch.age_term[ci]
+                    + p.w_age * age_norm
                     + if sat.sunlit { p.w_sunlit } else { 0.0 }
-                    + scratch.load_term[ci]
+                    + p.w_load * (1.0 - load.utilization(sat.norad_id, slot))
                     + p.w_gso_margin * gso_margin
                     + hyst,
             );

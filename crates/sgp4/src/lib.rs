@@ -8,7 +8,10 @@
 //! * [`Tle`] — parse and format standard two-line element sets, including the
 //!   "implied decimal" fields and modulo-10 checksums,
 //! * [`Sgp4`] — the near-earth SGP4 propagator (Vallado's reference
-//!   algorithm, WGS-72 constants), producing TEME position/velocity.
+//!   algorithm, WGS-72 constants), producing TEME position/velocity
+//!   ([`Sgp4::propagate`]) or position alone ([`Sgp4::position`], the
+//!   entry catalog rows and probe positions use). Both run one body of
+//!   code, so the position bits are the same either way.
 //!
 //! Only the near-earth branch is implemented: every satellite in a Starlink
 //! shell has an orbital period around 95 minutes, far below the 225-minute
@@ -29,13 +32,11 @@
 //! assert!((state.position_km.x - 7022.46529).abs() < 1e-3);
 //! ```
 
-mod batch;
 mod elements;
 mod error;
 mod propagator;
 mod tle;
 
-pub use batch::Sgp4Batch;
 pub use elements::Elements;
 pub use error::Sgp4Error;
 pub use propagator::{Sgp4, State};

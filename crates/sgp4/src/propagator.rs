@@ -29,45 +29,47 @@ pub struct State {
 /// Initialization is the expensive part of SGP4; one `Sgp4` can then be
 /// propagated to any number of instants. The struct is immutable and
 /// therefore freely shareable across threads.
-// Coefficient fields are crate-visible so `batch::Sgp4Batch` can transpose
-// them into a struct-of-arrays layout without re-running initialization.
 #[derive(Debug, Clone)]
 pub struct Sgp4 {
-    pub(crate) epoch: JulianDate,
+    epoch: JulianDate,
     // Elements retained for propagation.
-    pub(crate) ecco: f64,
-    pub(crate) inclo: f64,
-    pub(crate) nodeo: f64,
-    pub(crate) argpo: f64,
-    pub(crate) mo: f64,
-    pub(crate) bstar: f64,
+    ecco: f64,
+    inclo: f64,
+    // sin/cos of the (constant) inclination, used by the short-period
+    // periodics on every call.
+    sinio: f64,
+    cosio: f64,
+    nodeo: f64,
+    argpo: f64,
+    mo: f64,
+    bstar: f64,
     // Derived at initialization.
-    pub(crate) no_unkozai: f64,
-    pub(crate) isimp: bool,
-    pub(crate) con41: f64,
-    pub(crate) x1mth2: f64,
-    pub(crate) x7thm1: f64,
-    pub(crate) cc1: f64,
-    pub(crate) cc4: f64,
-    pub(crate) cc5: f64,
-    pub(crate) d2: f64,
-    pub(crate) d3: f64,
-    pub(crate) d4: f64,
-    pub(crate) delmo: f64,
-    pub(crate) eta: f64,
-    pub(crate) sinmao: f64,
-    pub(crate) mdot: f64,
-    pub(crate) argpdot: f64,
-    pub(crate) nodedot: f64,
-    pub(crate) nodecf: f64,
-    pub(crate) omgcof: f64,
-    pub(crate) xmcof: f64,
-    pub(crate) t2cof: f64,
-    pub(crate) t3cof: f64,
-    pub(crate) t4cof: f64,
-    pub(crate) t5cof: f64,
-    pub(crate) xlcof: f64,
-    pub(crate) aycof: f64,
+    no_unkozai: f64,
+    isimp: bool,
+    con41: f64,
+    x1mth2: f64,
+    x7thm1: f64,
+    cc1: f64,
+    cc4: f64,
+    cc5: f64,
+    d2: f64,
+    d3: f64,
+    d4: f64,
+    delmo: f64,
+    eta: f64,
+    sinmao: f64,
+    mdot: f64,
+    argpdot: f64,
+    nodedot: f64,
+    nodecf: f64,
+    omgcof: f64,
+    xmcof: f64,
+    t2cof: f64,
+    t3cof: f64,
+    t4cof: f64,
+    t5cof: f64,
+    xlcof: f64,
+    aycof: f64,
 }
 
 impl Sgp4 {
@@ -223,6 +225,8 @@ impl Sgp4 {
             epoch: elements.epoch,
             ecco,
             inclo,
+            sinio,
+            cosio,
             nodeo: elements.nodeo,
             argpo: elements.argpo,
             mo: elements.mo,
@@ -268,6 +272,24 @@ impl Sgp4 {
 
     /// Propagates to `t` minutes past the element-set epoch.
     pub fn propagate_minutes(&self, t: f64) -> Result<State, Sgp4Error> {
+        self.step::<true>(t)
+    }
+
+    /// TEME position at an absolute UTC instant, km, without the velocity
+    /// terms. Bit-identical to `propagate(at)?.position_km`, and fails
+    /// exactly when [`Sgp4::propagate`] does, with the same error: both run
+    /// the same code, this one skipping the velocity arithmetic. Catalog
+    /// rows and probe positions need nothing else.
+    pub fn position(&self, at: JulianDate) -> Result<Vec3, Sgp4Error> {
+        self.step::<false>(at.minutes_since(self.epoch)).map(|s| s.position_km)
+    }
+
+    /// One propagation step to `t` minutes past epoch. With `VELOCITY`
+    /// false the velocity terms are not evaluated and the returned
+    /// velocity is [`Vec3::ZERO`]; everything that feeds the position is
+    /// the same arithmetic either way.
+    #[inline(always)]
+    fn step<const VELOCITY: bool>(&self, t: f64) -> Result<State, Sgp4Error> {
         // ---- Secular gravity and atmospheric drag. ----
         let xmdf = self.mo + self.mdot * t;
         let argpdf = self.argpo + self.argpdot * t;
@@ -298,7 +320,6 @@ impl Sgp4 {
             return Err(Sgp4Error::NonPositiveMeanMotion);
         }
         let am = (XKE / nm).powf(2.0 / 3.0) * tempa * tempa;
-        let nm = XKE / am.powf(1.5);
         let em = self.ecco - tempe;
 
         #[expect(
@@ -319,8 +340,7 @@ impl Sgp4 {
         let mm = wrap_tau(xlm - argpm - nodem);
 
         // ---- Long-period periodics. ----
-        let sinip = self.inclo.sin();
-        let cosip = self.inclo.cos();
+        let (sinip, cosip) = (self.sinio, self.cosio);
         let (ep, xincp, argpp, nodep, mp) = (em, self.inclo, argpm, nodem, mm);
 
         let axnl = ep * argpp.cos();
@@ -355,8 +375,6 @@ impl Sgp4 {
         }
 
         let rl = am * (1.0 - ecose);
-        let rdotl = am.sqrt() * esine / rl;
-        let rvdotl = pl.sqrt() / rl;
         let betal = (1.0 - el2).sqrt();
         let temp = esine / (1.0 + betal);
         let sinu = am / rl * (sineo1 - aynl - axnl * temp);
@@ -373,8 +391,6 @@ impl Sgp4 {
         let su = su - 0.25 * temp2 * self.x7thm1 * sin2u;
         let xnode = nodep + 1.5 * temp2 * cosip * sin2u;
         let xinc = xincp + 1.5 * temp2 * cosip * sinip * cos2u;
-        let mvt = rdotl - nm * temp1 * self.x1mth2 * sin2u / XKE;
-        let rvdot = rvdotl + nm * temp1 * (self.x1mth2 * cos2u + 1.5 * self.con41) / XKE;
 
         // ---- Orientation vectors and final state. ----
         let (sinsu, cossu) = su.sin_cos();
@@ -385,17 +401,26 @@ impl Sgp4 {
         let ux = xmx * sinsu + cnod * cossu;
         let uy = xmy * sinsu + snod * cossu;
         let uz = sini * sinsu;
-        let vx = xmx * cossu - cnod * sinsu;
-        let vy = xmy * cossu - snod * sinsu;
-        let vz = sini * cossu;
 
         if mrt < 1.0 {
             return Err(Sgp4Error::Decayed { minutes_past_epoch: t });
         }
 
+        let position_km = Vec3::new(ux, uy, uz) * (mrt * EARTH_RADIUS_KM);
+        if !VELOCITY {
+            return Ok(State { position_km, velocity_km_s: Vec3::ZERO });
+        }
+        let nm = XKE / am.powf(1.5);
+        let rdotl = am.sqrt() * esine / rl;
+        let rvdotl = pl.sqrt() / rl;
+        let mvt = rdotl - nm * temp1 * self.x1mth2 * sin2u / XKE;
+        let rvdot = rvdotl + nm * temp1 * (self.x1mth2 * cos2u + 1.5 * self.con41) / XKE;
+        let vx = xmx * cossu - cnod * sinsu;
+        let vy = xmy * cossu - snod * sinsu;
+        let vz = sini * cossu;
         let vkmpersec = EARTH_RADIUS_KM * XKE / 60.0;
         Ok(State {
-            position_km: Vec3::new(ux, uy, uz) * (mrt * EARTH_RADIUS_KM),
+            position_km,
             velocity_km_s: (Vec3::new(ux, uy, uz) * mvt + Vec3::new(vx, vy, vz) * rvdot)
                 * vkmpersec,
         })

@@ -1,9 +1,11 @@
-//! Property-based tests: TLE wire-format round trips and propagator
-//! physical invariants over randomized LEO element sets.
+//! Property-based tests: TLE wire-format round trips, propagator
+//! physical invariants over randomized LEO element sets, and the
+//! position-only entry against the full propagation.
 
 use proptest::prelude::*;
 use starsense_astro::time::JulianDate;
 use starsense_sgp4::{checksum, Elements, Sgp4, Tle};
+use std::mem::discriminant;
 
 fn leo_elements() -> impl Strategy<Value = Elements> {
     (
@@ -116,6 +118,39 @@ proptest! {
             let s = sgp4.propagate_minutes(k as f64 * 3.7).unwrap();
             let lat = (s.position_km.z / s.position_km.norm()).asin().to_degrees();
             prop_assert!(lat.abs() <= incl_deg + 0.5, "lat {lat} vs incl {incl_deg}");
+        }
+    }
+}
+
+proptest! {
+    /// `position` is `propagate(..).position_km`, bit for bit, and fails
+    /// exactly when `propagate` does, with the same error variant — for
+    /// arbitrary near-earth element sets (including heavy drag) and
+    /// offsets on both sides of the epoch.
+    #[test]
+    fn position_equals_propagate_position(
+        revs in 11.3f64..16.4,
+        ecc in 0.0f64..0.05,
+        incl in 0.0f64..98.0,
+        raan in 0.0f64..360.0,
+        argp in 0.0f64..360.0,
+        ma in 0.0f64..360.0,
+        bstar in -0.001f64..0.01,
+        minutes in -3000.0f64..3000.0,
+    ) {
+        let epoch = JulianDate::from_ymd_hms(2023, 6, 1, 0, 0, 0.0);
+        let e = Elements::from_catalog_units(7, epoch, revs, ecc, incl, raan, argp, ma, bstar);
+        if let Ok(p) = Sgp4::new(&e) {
+            let at = epoch.plus_minutes(minutes);
+            match (p.position(at), p.propagate(at)) {
+                (Ok(r), Ok(s)) => {
+                    prop_assert_eq!(r.x.to_bits(), s.position_km.x.to_bits());
+                    prop_assert_eq!(r.y.to_bits(), s.position_km.y.to_bits());
+                    prop_assert_eq!(r.z.to_bits(), s.position_km.z.to_bits());
+                }
+                (Err(a), Err(b)) => prop_assert_eq!(discriminant(&a), discriminant(&b)),
+                (a, b) => prop_assert!(false, "position {:?} vs propagate {:?}", a, b),
+            }
         }
     }
 }
