@@ -1,32 +1,12 @@
 //! Angle helpers: wrapping, conversion, and azimuth quadrants.
 
-use std::f64::consts::{PI, TAU};
-
-/// Converts degrees to radians.
-pub fn deg_to_rad(deg: f64) -> f64 {
-    deg * PI / 180.0
-}
-
-/// Converts radians to degrees.
-pub fn rad_to_deg(rad: f64) -> f64 {
-    rad * 180.0 / PI
-}
+use std::f64::consts::TAU;
 
 /// Wraps an angle in radians to `[0, 2π)`.
 pub fn wrap_tau(angle: f64) -> f64 {
     let a = angle % TAU;
     if a < 0.0 {
         a + TAU
-    } else {
-        a
-    }
-}
-
-/// Wraps an angle in radians to `(-π, π]`.
-pub fn wrap_pi(angle: f64) -> f64 {
-    let a = wrap_tau(angle);
-    if a > PI {
-        a - TAU
     } else {
         a
     }
@@ -39,16 +19,6 @@ pub fn wrap_deg(angle: f64) -> f64 {
         a + 360.0
     } else {
         a
-    }
-}
-
-/// Smallest absolute difference between two angles in degrees, in `[0, 180]`.
-pub fn angular_separation_deg(a: f64, b: f64) -> f64 {
-    let d = (wrap_deg(a) - wrap_deg(b)).abs();
-    if d > 180.0 {
-        360.0 - d
-    } else {
-        d
     }
 }
 
@@ -87,11 +57,6 @@ impl Quadrant {
         }
     }
 
-    /// True for the two quadrants facing north.
-    pub fn is_northern(self) -> bool {
-        matches!(self, Quadrant::NorthEast | Quadrant::NorthWest)
-    }
-
     /// Human-readable label matching the paper's figure annotations.
     pub fn label(self) -> &'static str {
         match self {
@@ -106,17 +71,12 @@ impl Quadrant {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::f64::consts::PI;
 
     #[test]
     fn wrap_tau_handles_negative_angles() {
         assert!((wrap_tau(-PI / 2.0) - 3.0 * PI / 2.0).abs() < 1e-12);
         assert!((wrap_tau(5.0 * TAU + 0.25) - 0.25).abs() < 1e-9);
-    }
-
-    #[test]
-    fn wrap_pi_is_symmetric() {
-        assert!((wrap_pi(3.0 * PI) - PI).abs() < 1e-12);
-        assert!((wrap_pi(-3.5 * PI) - 0.5 * PI).abs() < 1e-12);
     }
 
     #[test]
@@ -127,12 +87,6 @@ mod tests {
     }
 
     #[test]
-    fn angular_separation_crosses_north() {
-        assert!((angular_separation_deg(350.0, 10.0) - 20.0).abs() < 1e-12);
-        assert!((angular_separation_deg(10.0, 350.0) - 20.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn quadrant_boundaries_follow_figure_five() {
         assert_eq!(Quadrant::of_azimuth_deg(0.0), Quadrant::NorthEast);
         assert_eq!(Quadrant::of_azimuth_deg(89.9), Quadrant::NorthEast);
@@ -140,20 +94,5 @@ mod tests {
         assert_eq!(Quadrant::of_azimuth_deg(180.0), Quadrant::SouthWest);
         assert_eq!(Quadrant::of_azimuth_deg(270.0), Quadrant::NorthWest);
         assert_eq!(Quadrant::of_azimuth_deg(359.9), Quadrant::NorthWest);
-    }
-
-    #[test]
-    fn northern_quadrants() {
-        assert!(Quadrant::NorthEast.is_northern());
-        assert!(Quadrant::NorthWest.is_northern());
-        assert!(!Quadrant::SouthEast.is_northern());
-        assert!(!Quadrant::SouthWest.is_northern());
-    }
-
-    #[test]
-    fn deg_rad_round_trip() {
-        for d in [-720.0, -1.0, 0.0, 45.0, 180.0, 359.0, 1080.0] {
-            assert!((rad_to_deg(deg_to_rad(d)) - d).abs() < 1e-9);
-        }
     }
 }

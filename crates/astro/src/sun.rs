@@ -79,19 +79,6 @@ pub fn is_sunlit_given_sun(sat: Vec3, sun: Vec3) -> bool {
     perp > umbra_radius
 }
 
-/// Fraction of satellites in `positions` that are sunlit at `at`.
-///
-/// Convenience for the §5.3 analyses, which repeatedly ask "what share of the
-/// field of view is dark right now".
-pub fn sunlit_fraction(positions: &[Vec3], at: JulianDate) -> f64 {
-    if positions.is_empty() {
-        return 0.0;
-    }
-    let sun = sun_position_teme(at);
-    let lit = positions.iter().filter(|&&p| is_sunlit_given_sun(p, sun)).count();
-    lit as f64 / positions.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,16 +151,5 @@ mod tests {
         assert!(!is_sunlit(near, at));
         let far = -sun_dir * 1_000_000.0 + perp * (EARTH_RADIUS_KM - 50.0);
         assert!(is_sunlit(far, at));
-    }
-
-    #[test]
-    fn sunlit_fraction_counts() {
-        let at = JulianDate::from_ymd_hms(2023, 6, 1, 0, 0, 0.0);
-        let sun_dir = sun_position_teme(at).unit();
-        let lit = sun_dir * (EARTH_RADIUS_KM + 550.0);
-        let dark = -sun_dir * (EARTH_RADIUS_KM + 550.0);
-        let f = sunlit_fraction(&[lit, dark, lit, lit], at);
-        assert!((f - 0.75).abs() < 1e-12);
-        assert_eq!(sunlit_fraction(&[], at), 0.0);
     }
 }

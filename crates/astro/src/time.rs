@@ -128,15 +128,6 @@ impl JulianDate {
         wrap_tau(gmst_deg.to_radians())
     }
 
-    /// Seconds past the top of the current UTC minute, in `[0, 60)`.
-    ///
-    /// The paper observes global reallocation at seconds :12/:27/:42/:57 —
-    /// the scheduler crate uses this to anchor slot boundaries.
-    pub fn seconds_past_minute(self) -> f64 {
-        let c = self.to_civil();
-        c.second
-    }
-
     /// Local mean solar hour at longitude `lon_deg` (east positive), `[0, 24)`.
     ///
     /// Used as the `local_hour` model feature in §6: one hour per 15° of
@@ -288,11 +279,5 @@ mod tests {
         assert!((jd.local_solar_hour(0.0) - 12.0).abs() < 1e-6);
         assert!((jd.local_solar_hour(-90.0) - 6.0).abs() < 1e-6); // Iowa-ish
         assert!((jd.local_solar_hour(180.0) - 0.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn seconds_past_minute_tracks_probe_cadence() {
-        let jd = JulianDate::from_ymd_hms(2023, 5, 5, 5, 38, 12.0);
-        assert!((jd.seconds_past_minute() - 12.0).abs() < 1e-4);
     }
 }

@@ -57,11 +57,6 @@ impl Vec3 {
         self.dot(self).sqrt()
     }
 
-    /// Squared Euclidean norm (avoids the square root).
-    pub fn norm_sq(self) -> f64 {
-        self.dot(self)
-    }
-
     /// Returns the unit vector in this direction.
     ///
     /// # Panics
@@ -85,11 +80,6 @@ impl Vec3 {
     /// Euclidean distance between two points.
     pub fn distance(self, rhs: Vec3) -> f64 {
         (self - rhs).norm()
-    }
-
-    /// Linear interpolation: `self + t * (rhs - self)`.
-    pub fn lerp(self, rhs: Vec3, t: f64) -> Vec3 {
-        self + (rhs - self) * t
     }
 
     /// True when every component is finite.
@@ -198,15 +188,6 @@ mod tests {
         let a = Vec3::new(1.0, 0.0, 0.0);
         let b = Vec3::new(-1.0, 1e-14, 0.0);
         assert!((a.angle_to(b) - std::f64::consts::PI).abs() < 1e-9);
-    }
-
-    #[test]
-    fn lerp_endpoints_and_midpoint() {
-        let a = Vec3::new(0.0, 0.0, 0.0);
-        let b = Vec3::new(2.0, 4.0, 6.0);
-        assert_eq!(a.lerp(b, 0.0), a);
-        assert_eq!(a.lerp(b, 1.0), b);
-        assert_eq!(a.lerp(b, 0.5), Vec3::new(1.0, 2.0, 3.0));
     }
 
     #[test]

@@ -14,10 +14,11 @@ use starsense_core::characterize::{
 };
 use starsense_core::model::build_dataset;
 use starsense_core::vantage::paper_terminals;
+use starsense_faults::FaultPlan;
 use starsense_forest::{ForestParams, MaxFeatures, RandomForest, TreeParams};
 use starsense_ident::run_validation;
 use starsense_netemu::groundstation::paper_pops;
-use starsense_netemu::{Emulator, EmulatorConfig};
+use starsense_netemu::Emulator;
 use starsense_scheduler::{GlobalScheduler, SchedulerPolicy};
 use starsense_stats::mann_whitney_u;
 use std::hint::black_box;
@@ -42,13 +43,8 @@ fn fig2_benches(c: &mut Criterion) {
     g.bench_function("rtt_series_10s", |b| {
         b.iter(|| {
             let scheduler = GlobalScheduler::new(SchedulerPolicy::default(), paper_terminals(), 3);
-            let mut emu = Emulator::new(
-                &constellation,
-                scheduler,
-                paper_pops(),
-                EmulatorConfig::default(),
-                3,
-            );
+            let mut emu =
+                Emulator::new(&constellation, scheduler, paper_pops(), FaultPlan::none(), 3);
             black_box(emu.probe_trace(0, from, 10.0))
         })
     });

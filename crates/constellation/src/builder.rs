@@ -8,6 +8,14 @@ use rand::{Rng, SeedableRng};
 use starsense_astro::time::JulianDate;
 use starsense_sgp4::{Elements, Tle};
 
+/// Start of the synthetic launch history, 2020-01-15 00:00 UTC (the left
+/// end of Figure 6's x-axis). Launch batches are spread evenly from here
+/// to [`LAUNCH_END`].
+const LAUNCH_START: JulianDate = JulianDate(2_458_863.5);
+
+/// End of the synthetic launch history, 2023-01-15 00:00 UTC.
+const LAUNCH_END: JulianDate = JulianDate(2_459_959.5);
+
 /// Builds a synthetic constellation: Walker shells → satellites with truth
 /// elements, published (stale + noisy) TLEs, and launch batches.
 ///
@@ -21,8 +29,8 @@ pub struct ConstellationBuilder {
     seed: u64,
     staleness_hours: (f64, f64),
     fit_noise: f64,
-    launch_start: JulianDate,
-    launch_end: JulianDate,
+    /// Satellites per launch batch: 60 for full scale, 12 for
+    /// [`ConstellationBuilder::starlink_mini`].
     batch_size: u32,
     first_norad_id: u32,
 }
@@ -39,8 +47,6 @@ impl ConstellationBuilder {
             seed: 0,
             staleness_hours: (0.0, 6.0),
             fit_noise: 1.0,
-            launch_start: JulianDate::from_ymd_hms(2020, 1, 15, 0, 0, 0.0),
-            launch_end: JulianDate::from_ymd_hms(2023, 1, 15, 0, 0, 0.0),
             batch_size: 60,
             first_norad_id: 44_000,
         }
@@ -87,7 +93,7 @@ impl ConstellationBuilder {
     /// A ~1/11-scale constellation (≈380 satellites) with the same shell
     /// structure, for unit tests and quick examples.
     pub fn starlink_mini() -> ConstellationBuilder {
-        ConstellationBuilder::new()
+        ConstellationBuilder { batch_size: 12, ..ConstellationBuilder::new() }
             .add_shell(Shell {
                 name: "mini-1 (53.0°/550km)".into(),
                 inclination_deg: 53.0,
@@ -120,7 +126,6 @@ impl ConstellationBuilder {
                 sats_per_plane: 14,
                 phasing: 1,
             })
-            .batch_size(12)
     }
 
     /// Adds a Walker shell.
@@ -156,21 +161,6 @@ impl ConstellationBuilder {
         self
     }
 
-    /// Sets the synthetic launch-history window.
-    pub fn launch_window(mut self, start: JulianDate, end: JulianDate) -> Self {
-        assert!(end.0 > start.0, "launch window must be non-empty");
-        self.launch_start = start;
-        self.launch_end = end;
-        self
-    }
-
-    /// Sets how many satellites share a launch batch.
-    pub fn batch_size(mut self, n: u32) -> Self {
-        assert!(n > 0);
-        self.batch_size = n;
-        self
-    }
-
     /// Generates the constellation.
     ///
     /// # Panics
@@ -192,7 +182,7 @@ impl ConstellationBuilder {
         slots.shuffle(&mut rng);
 
         let n_batches = slots.len().div_ceil(self.batch_size as usize);
-        let span_days = self.launch_end.0 - self.launch_start.0;
+        let span_days = LAUNCH_END.0 - LAUNCH_START.0;
 
         let mut sats = Vec::with_capacity(slots.len());
         for (i, (si, slot)) in slots.iter().enumerate() {
@@ -200,7 +190,7 @@ impl ConstellationBuilder {
             let batch_index = (i / self.batch_size as usize) as u32;
             let frac =
                 if n_batches > 1 { batch_index as f64 / (n_batches - 1) as f64 } else { 0.0 };
-            let date = JulianDate(self.launch_start.0 + frac * span_days);
+            let date = JulianDate(LAUNCH_START.0 + frac * span_days);
             let civil = date.to_civil();
             let launch =
                 LaunchBatch { index: batch_index, date, year: civil.year, month: civil.month };
@@ -299,6 +289,14 @@ fn intl_designator(launch: LaunchBatch) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn launch_window_constants_are_the_civil_dates() {
+        let start = JulianDate::from_ymd_hms(2020, 1, 15, 0, 0, 0.0);
+        let end = JulianDate::from_ymd_hms(2023, 1, 15, 0, 0, 0.0);
+        assert_eq!(LAUNCH_START.0.to_bits(), start.0.to_bits());
+        assert_eq!(LAUNCH_END.0.to_bits(), end.0.to_bits());
+    }
 
     #[test]
     fn build_is_deterministic_for_a_seed() {

@@ -98,9 +98,6 @@ impl Satellite {
 pub struct VisibleSat {
     /// Catalog number.
     pub norad_id: u32,
-    /// Position of the satellite in the catalog (index into
-    /// [`Constellation::sats`] and [`Snapshot::entries`]).
-    pub catalog_index: u32,
     /// Look angles from the terminal (true positions).
     pub look: LookAngles,
     /// True TEME position, km.
@@ -297,7 +294,6 @@ impl Constellation {
             if look.elevation_deg >= min_elevation_deg {
                 out.push(VisibleSat {
                     norad_id: sat.norad_id,
-                    catalog_index: si as u32,
                     look,
                     teme: entry.teme,
                     sunlit: entry.sunlit,

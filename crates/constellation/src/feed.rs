@@ -9,7 +9,7 @@
 //! and why — so a measurement campaign degrades to a smaller candidate
 //! catalog instead of failing outright.
 
-use starsense_sgp4::{CatalogDefect, Sgp4, Sgp4Error, Tle, TleError};
+use starsense_sgp4::{CatalogDefect, Sgp4, Sgp4Error, Tle};
 
 /// Outcome of resiliently loading a (possibly corrupted) TLE feed.
 #[derive(Debug, Clone)]
@@ -28,16 +28,6 @@ impl CatalogLoad {
     /// Total records the feed appeared to contain.
     pub fn total(&self) -> usize {
         self.usable.len() + self.defects.len() + self.rejected.len()
-    }
-
-    /// Fraction of records that survived, in `[0, 1]`; 1.0 for an empty
-    /// feed (nothing was lost).
-    pub fn usable_rate(&self) -> f64 {
-        if self.total() == 0 {
-            1.0
-        } else {
-            self.usable.len() as f64 / self.total() as f64
-        }
     }
 
     /// Whether the feed loaded without losing anything.
@@ -63,19 +53,6 @@ pub fn load_catalog_text(text: &str) -> CatalogLoad {
     CatalogLoad { usable, defects, rejected }
 }
 
-/// Convenience predicate: whether a defect list contains a given error
-/// kind (ignoring payload), used by degradation reports to break down
-/// feed quality.
-pub fn defect_kind(error: &TleError) -> &'static str {
-    match error {
-        TleError::LineTooShort { .. } => "line-too-short",
-        TleError::BadLineNumber { .. } => "bad-line-number",
-        TleError::BadChecksum { .. } => "bad-checksum",
-        TleError::CatalogMismatch => "catalog-mismatch",
-        TleError::BadField { .. } => "bad-field",
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -90,14 +67,13 @@ mod tests {
         assert!(load.is_clean());
         assert_eq!(load.usable.len(), 1);
         assert_eq!(load.total(), 1);
-        assert_eq!(load.usable_rate(), 1.0);
     }
 
     #[test]
     fn empty_feed_is_clean() {
         let load = load_catalog_text("");
         assert!(load.is_clean());
-        assert_eq!(load.usable_rate(), 1.0);
+        assert_eq!(load.total(), 0);
     }
 
     #[test]
@@ -108,8 +84,8 @@ mod tests {
         let load = load_catalog_text(&text);
         assert_eq!(load.usable.len(), 1);
         assert_eq!(load.defects.len(), 1);
-        assert_eq!(defect_kind(&load.defects[0].error), "bad-checksum");
-        assert!(load.usable_rate() > 0.49 && load.usable_rate() < 0.51);
+        assert!(matches!(load.defects[0].error, starsense_sgp4::TleError::BadChecksum { .. }));
+        assert_eq!(load.total(), 2);
     }
 
     #[test]

@@ -37,6 +37,6 @@ mod shell;
 pub use builder::ConstellationBuilder;
 pub use cache::{CacheStats, PropagationCache};
 pub use catalog::{Constellation, LaunchBatch, Satellite, Snapshot, SnapshotEntry, VisibleSat};
-pub use feed::{defect_kind, load_catalog_text, CatalogLoad};
+pub use feed::{load_catalog_text, CatalogLoad};
 pub use index::VisibilityIndex;
 pub use shell::{Shell, WalkerSlot};

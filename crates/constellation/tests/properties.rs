@@ -162,8 +162,9 @@ proptest! {
 
         for m in &members {
             for v in linear(c, &snap, *m, min_el) {
+                let position = c.sats().iter().position(|s| s.norad_id == v.norad_id);
                 prop_assert!(
-                    cand.binary_search(&v.catalog_index).is_ok(),
+                    position.is_some_and(|p| cand.binary_search(&(p as u32)).is_ok()),
                     "satellite {} at elevation {:.2} visible from member ({:.3},{:.3}) \
                      missing from cohort candidates (anchor ({lat:.2},{lon:.2}), \
                      spread {spread:.2}, cutoff {min_el:.2})",

@@ -52,7 +52,6 @@
 
 use crate::degrade::{DegradeReason, SlotOutcome};
 use crate::resume::ResumeConfig;
-use crate::vantage;
 use starsense_astro::time::JulianDate;
 use starsense_constellation::{Constellation, PropagationCache, VisibleSat};
 use starsense_faults::{FaultPlan, PropagationSchedule};
@@ -181,7 +180,7 @@ impl From<&VisibleSat> for SatObs {
 /// One slot's observation from one terminal.
 #[derive(Debug, Clone)]
 pub struct SlotObservation {
-    /// Terminal id (index into [`vantage::paper_terminals`]-style lists).
+    /// Terminal id (index into [`crate::vantage::paper_terminals`]-style lists).
     pub terminal_id: usize,
     /// Global slot index.
     pub slot: i64,
@@ -207,9 +206,6 @@ pub struct SlotObservation {
 pub struct CampaignConfig {
     /// The hidden scheduler's policy.
     pub policy: SchedulerPolicy,
-    /// Observe through the §4 identification pipeline instead of reading
-    /// the scheduler directly.
-    pub identified: bool,
     /// Worker threads for the parallel phases (epoch preparation, sharded
     /// scheduling, and per-terminal observation). `0` means auto-detect
     /// from the host; `1` runs everything inline with no threads spawned.
@@ -243,7 +239,6 @@ impl Default for CampaignConfig {
     fn default() -> Self {
         CampaignConfig {
             policy: SchedulerPolicy::default(),
-            identified: false,
             threads: 0,
             shards: 0,
             faults: FaultPlan::none(),
@@ -259,6 +254,9 @@ pub struct Campaign<'a> {
     pub(crate) constellation: &'a Constellation,
     pub(crate) terminals: Vec<Terminal>,
     pub(crate) config: CampaignConfig,
+    /// Observe through the §4 identification pipeline instead of reading
+    /// the scheduler directly; fixed by the constructor.
+    pub(crate) identified: bool,
     pub(crate) seed: u64,
 }
 
@@ -270,12 +268,7 @@ impl<'a> Campaign<'a> {
         config: CampaignConfig,
         seed: u64,
     ) -> Campaign<'a> {
-        Campaign {
-            constellation,
-            terminals,
-            config: CampaignConfig { identified: false, ..config },
-            seed,
-        }
+        Campaign { constellation, terminals, config, identified: false, seed }
     }
 
     /// Identified-mode campaign (through the obstruction-map pipeline).
@@ -285,12 +278,7 @@ impl<'a> Campaign<'a> {
         config: CampaignConfig,
         seed: u64,
     ) -> Campaign<'a> {
-        Campaign {
-            constellation,
-            terminals,
-            config: CampaignConfig { identified: true, ..config },
-            seed,
-        }
+        Campaign { constellation, terminals, config, identified: true, seed }
     }
 
     /// The terminals under measurement.
@@ -575,16 +563,6 @@ pub(crate) fn chunk_interleaved<T>(work: &mut [Option<T>], threads: usize) -> Ve
         }
     }
     chunks
-}
-
-/// Convenience: observations of one terminal only.
-pub fn for_terminal(obs: &[SlotObservation], terminal_id: usize) -> Vec<&SlotObservation> {
-    obs.iter().filter(|o| o.terminal_id == terminal_id).collect()
-}
-
-/// Convenience: the standard four-terminal oracle campaign of the paper.
-pub fn paper_campaign(constellation: &Constellation, seed: u64) -> Campaign<'_> {
-    Campaign::oracle(constellation, vantage::paper_terminals(), CampaignConfig::default(), seed)
 }
 
 #[cfg(test)]
@@ -1014,15 +992,5 @@ mod tests {
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.truth_id, y.truth_id);
         }
-    }
-
-    #[test]
-    fn for_terminal_filters() {
-        let c = ConstellationBuilder::starlink_gen1().seed(33).build();
-        let campaign = paper_campaign(&c, 7);
-        let obs = campaign.run(JulianDate::from_ymd_hms(2023, 6, 1, 16, 0, 0.0), 3);
-        assert_eq!(obs.len(), 12);
-        assert_eq!(for_terminal(&obs, 2).len(), 3);
-        assert!(for_terminal(&obs, 2).iter().all(|o| o.terminal_id == 2));
     }
 }

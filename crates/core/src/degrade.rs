@@ -61,8 +61,8 @@ pub enum SlotOutcome {
     },
     /// No identification at all, with the cause.
     NoData(DegradeReason),
-    /// Outcome information is absent — observations imported from CSV or
-    /// produced before the taxonomy existed.
+    /// Outcome information is absent — hand-built observations that carry
+    /// no resolution.
     Unrecorded,
 }
 
@@ -70,12 +70,6 @@ impl SlotOutcome {
     /// Whether the slot produced a usable identification.
     pub fn is_observed(&self) -> bool {
         matches!(self, SlotOutcome::Observed { .. })
-    }
-
-    /// Whether the slot degraded (ambiguous or no data). `Unrecorded`
-    /// outcomes are neither observed nor degraded.
-    pub fn is_degraded(&self) -> bool {
-        matches!(self, SlotOutcome::Ambiguous { .. } | SlotOutcome::NoData(_))
     }
 }
 
@@ -144,14 +138,6 @@ impl DegradationStats {
         self.observed as f64 / self.slots as f64
     }
 
-    /// Fraction of slots that degraded (`0.0` when empty).
-    pub fn degraded_rate(&self) -> f64 {
-        if self.slots == 0 {
-            return 0.0;
-        }
-        (self.ambiguous + self.no_data) as f64 / self.slots as f64
-    }
-
     /// Accumulates another run's counters into this one (for seed-sweep
     /// aggregation in the chaos harness).
     pub fn merge(&mut self, other: &DegradationStats) {
@@ -212,14 +198,12 @@ mod tests {
         assert_eq!(s.outages, 1);
         assert_eq!(s.worker_failed, 1);
         assert!((s.observed_rate() - 2.0 / 9.0).abs() < 1e-12);
-        assert!((s.degraded_rate() - 6.0 / 9.0).abs() < 1e-12);
     }
 
     #[test]
     fn empty_stats_are_healthy() {
         let s = DegradationStats::collect(&[]);
         assert_eq!(s.observed_rate(), 1.0);
-        assert_eq!(s.degraded_rate(), 0.0);
     }
 
     #[test]
@@ -245,9 +229,7 @@ mod tests {
             SlotOutcome::NoData(DegradeReason::TinyTrail),
             SlotOutcome::Unrecorded,
         ];
-        assert!(outcomes[0].is_observed() && !outcomes[0].is_degraded());
-        assert!(!outcomes[1].is_observed() && outcomes[1].is_degraded());
-        assert!(!outcomes[2].is_observed() && outcomes[2].is_degraded());
-        assert!(!outcomes[3].is_observed() && !outcomes[3].is_degraded());
+        assert!(outcomes[0].is_observed());
+        assert!(outcomes[1..].iter().all(|o| !o.is_observed()));
     }
 }

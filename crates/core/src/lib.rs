@@ -36,7 +36,6 @@
 pub mod campaign;
 pub mod characterize;
 pub mod degrade;
-pub mod export;
 pub mod features;
 pub mod model;
 pub mod report;

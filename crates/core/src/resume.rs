@@ -365,7 +365,7 @@ impl<'a> Campaign<'a> {
     fn fresh_state(&self) -> EngineState {
         let sched =
             self.terminals.iter().map(|t| TerminalSchedState::initial(self.seed, t.id)).collect();
-        let dish_terminals = if self.config.identified { &self.terminals[..] } else { &[] };
+        let dish_terminals = if self.identified { &self.terminals[..] } else { &[] };
         EngineState {
             sched,
             dish: dish_terminals
@@ -419,7 +419,7 @@ impl<'a> Campaign<'a> {
         // uninterrupted run's values bit for bit.
         let cache = PropagationCache::new(self.constellation);
         let starts: Vec<JulianDate> = seg_mids.iter().map(|&at| slot_start(at)).collect();
-        let boundaries: Vec<JulianDate> = if self.config.identified {
+        let boundaries: Vec<JulianDate> = if self.identified {
             starts
                 .iter()
                 .flat_map(|&s| slot_boundary_epochs(s, CANDIDATE_SAMPLES_PER_SLOT))
@@ -488,7 +488,7 @@ impl<'a> Campaign<'a> {
         let run_terminal = |tid: usize, allocs: Option<Vec<Allocation>>| {
             let allocs = allocs?;
             let body = || {
-                if !self.config.identified {
+                if !self.identified {
                     let obs = self.observe_terminal_segment(&cache, tid, None, &allocs);
                     return (obs, None);
                 }
@@ -721,7 +721,7 @@ impl<'a> Campaign<'a> {
         w.put_f64_bits(p.w_gso_margin);
         w.put_f64_bits(p.temperature);
         w.put_f64_bits(p.max_age_days);
-        w.put_bool(self.config.identified);
+        w.put_bool(self.identified);
         w.put_f64_bits(self.config.min_margin);
         w.put_u32(self.config.frame_retries);
         w.put_u32(self.config.quarantine_after);
@@ -917,7 +917,7 @@ impl<'a> Campaign<'a> {
         }
 
         // Oracle-mode snapshots carry no dish states.
-        let n_dishes = if self.config.identified { n_terminals } else { 0 };
+        let n_dishes = if self.identified { n_terminals } else { 0 };
         let mut r = ByteReader::new(snap.require_section(SEC_DISH)?);
         let mut dish = Vec::with_capacity(n_dishes);
         let mut prev = Vec::with_capacity(n_dishes);

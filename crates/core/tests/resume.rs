@@ -331,6 +331,23 @@ fn snapshot_under_a_mirrored_mask_is_rejected() {
     );
 }
 
+#[test]
+fn snapshot_of_the_other_mode_is_rejected() {
+    // Same catalog, terminals, config and seed; only the observation mode
+    // differs, so the mode alone must keep the fingerprints apart.
+    let c = mini();
+    let config = CampaignConfig { threads: 1, shards: 1, ..CampaignConfig::default() };
+    let err = resume_into(
+        &Campaign::oracle(&c, terminals(), config.clone(), 33),
+        &Campaign::identified(&c, terminals(), config, 33),
+        "other-mode",
+    );
+    assert!(
+        matches!(err, CampaignError::Checkpoint(CheckpointError::ConfigMismatch { .. })),
+        "got {err:?}"
+    );
+}
+
 /// Stops an oracle campaign after one checkpoint (every 2 slots), then
 /// rewrites one section of the snapshot through `edit` into a new
 /// checksum-valid file — every other section byte-identical — and

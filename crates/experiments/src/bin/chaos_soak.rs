@@ -29,11 +29,13 @@ use starsense_core::degrade::DegradationStats;
 use starsense_core::report::{csv, pct, text_table};
 use starsense_core::resume::{fingerprint_observations, ResumeConfig};
 use starsense_core::vantage::paper_terminals;
-use starsense_experiments::{campaign_start, slots_from_env, write_artifact, WORLD_SEED};
+use starsense_experiments::{
+    campaign_start, env_integer, slots_from_env, write_artifact, WORLD_SEED,
+};
 use starsense_faults::{FaultPlan, FaultRates};
 use starsense_ident::DEFAULT_MIN_MARGIN;
 use starsense_netemu::groundstation::paper_pops;
-use starsense_netemu::{Emulator, EmulatorConfig, LossCause};
+use starsense_netemu::{Emulator, LossCause};
 use starsense_scheduler::{GlobalScheduler, SchedulerPolicy, Terminal};
 
 /// Escalating uniform fault tiers (tier 0 must stay fault-free: it is
@@ -44,12 +46,8 @@ const TIER_RATES: &[f64] = &[0.0, 0.05, 0.15, 0.35];
 const PROBE_WINDOW_S: f64 = 180.0;
 
 fn chaos_seeds() -> Vec<u64> {
-    let n = std::env::var("STARSENSE_CHAOS_SEEDS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(8usize)
-        .max(1);
-    (0..n as u64).map(|i| 101 + i).collect()
+    let n: u64 = env_integer("STARSENSE_CHAOS_SEEDS", 8, 1);
+    (0..n).map(|i| 101 + i).collect()
 }
 
 /// The per-(seed, tier) fault plan. The plan seed is decorrelated from
@@ -90,8 +88,7 @@ fn run_probes(constellation: &Constellation, seed: u64, rate: f64) -> (usize, us
     let scheduler = GlobalScheduler::new(SchedulerPolicy::default(), one_terminal(), seed);
     let mut pops = paper_pops();
     pops.truncate(1);
-    let config = EmulatorConfig { faults: plan(seed, rate), ..EmulatorConfig::default() };
-    let mut emulator = Emulator::new(constellation, scheduler, pops, config, seed);
+    let mut emulator = Emulator::new(constellation, scheduler, pops, plan(seed, rate), seed);
     let trace = emulator.probe_trace(0, campaign_start(), PROBE_WINDOW_S);
     for r in &trace.records {
         assert_eq!(
@@ -236,11 +233,7 @@ fn main() {
     // resumable engine, crashed after every STARSENSE_CHAOS_KILL
     // checkpoints and resumed, must reassemble the uninterrupted stream bit
     // for bit.
-    let kill_every = std::env::var("STARSENSE_CHAOS_KILL")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1usize)
-        .max(1);
+    let kill_every: usize = env_integer("STARSENSE_CHAOS_KILL", 1, 1);
     let mid_rate = TIER_RATES[TIER_RATES.len() / 2];
     let mut total_lives = 0usize;
     for &seed in &seeds {

@@ -28,7 +28,9 @@ use starsense_constellation::ConstellationBuilder;
 use starsense_core::campaign::{Campaign, CampaignConfig};
 use starsense_core::resume::{fingerprint_observations, ResumeConfig};
 use starsense_core::vantage::paper_terminals;
-use starsense_experiments::{campaign_start, slots_from_env, write_artifact, WORLD_SEED};
+use starsense_experiments::{
+    campaign_start, env_integer, slots_from_env, write_artifact, WORLD_SEED,
+};
 use starsense_faults::{FaultPlan, FaultRates};
 use starsense_ident::DEFAULT_MIN_MARGIN;
 use starsense_scheduler::Terminal;
@@ -86,12 +88,9 @@ fn worker(seed: u64, slots: usize, kill_after: usize) -> ! {
 
 fn main() {
     let slots = slots_from_env(24);
-    if let Ok(kill) = std::env::var("STARSENSE_CHAOS_KILL") {
-        let kill_after = kill.parse().unwrap_or(1).max(1);
-        let seed = std::env::var("STARSENSE_CRASH_SEED")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(SEEDS[0]);
+    if std::env::var_os("STARSENSE_CHAOS_KILL").is_some() {
+        let kill_after = env_integer("STARSENSE_CHAOS_KILL", 1, 1);
+        let seed = env_integer("STARSENSE_CRASH_SEED", SEEDS[0], 0);
         worker(seed, slots, kill_after);
     }
 

@@ -6,8 +6,9 @@
 use starsense_core::report::{num, pct, text_table};
 use starsense_core::vantage::{paper_terminals, MADRID};
 use starsense_experiments::{standard_constellation, write_artifact, WORLD_SEED};
+use starsense_faults::FaultPlan;
 use starsense_netemu::groundstation::paper_pops;
-use starsense_netemu::{Emulator, EmulatorConfig};
+use starsense_netemu::Emulator;
 use starsense_scheduler::GlobalScheduler;
 use starsense_scheduler::SchedulerPolicy;
 use starsense_stats::mannwhitney::mann_whitney_u;
@@ -20,8 +21,7 @@ fn main() {
     let pops = paper_pops();
 
     let scheduler = GlobalScheduler::new(SchedulerPolicy::default(), terminals, WORLD_SEED);
-    let mut emu =
-        Emulator::new(&constellation, scheduler, pops, EmulatorConfig::default(), WORLD_SEED);
+    let mut emu = Emulator::new(&constellation, scheduler, pops, FaultPlan::none(), WORLD_SEED);
 
     // The paper's Figure 2 spans ~3 minutes starting at 05:37:30 UTC.
     let from = starsense_astro::time::JulianDate::from_ymd_hms(2023, 6, 1, 5, 37, 30.0);

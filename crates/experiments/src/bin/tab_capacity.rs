@@ -10,8 +10,9 @@ use starsense_astro::time::JulianDate;
 use starsense_core::report::{csv, num, pct, text_table};
 use starsense_core::vantage::{paper_terminals, IOWA};
 use starsense_experiments::{slots_from_env, standard_constellation, write_artifact, WORLD_SEED};
+use starsense_faults::FaultPlan;
 use starsense_netemu::groundstation::paper_pops;
-use starsense_netemu::{Emulator, EmulatorConfig, IperfSender};
+use starsense_netemu::{Emulator, IperfSender};
 use starsense_scheduler::{GlobalScheduler, SchedulerPolicy};
 
 fn main() {
@@ -22,13 +23,8 @@ fn main() {
 
     // Capacity trace.
     let scheduler = GlobalScheduler::new(SchedulerPolicy::default(), paper_terminals(), WORLD_SEED);
-    let mut emu = Emulator::new(
-        &constellation,
-        scheduler,
-        paper_pops(),
-        EmulatorConfig::default(),
-        WORLD_SEED,
-    );
+    let mut emu =
+        Emulator::new(&constellation, scheduler, paper_pops(), FaultPlan::none(), WORLD_SEED);
     let recs = emu.throughput_trace(IOWA, from, slots);
 
     // The paper's iPerf at 50% of a 40 Mbit/s-class upstream.
@@ -90,13 +86,8 @@ fn main() {
 
     // Handover loss profile: loss rate by offset within the slot.
     let scheduler = GlobalScheduler::new(SchedulerPolicy::default(), paper_terminals(), WORLD_SEED);
-    let mut emu = Emulator::new(
-        &constellation,
-        scheduler,
-        paper_pops(),
-        EmulatorConfig::default(),
-        WORLD_SEED,
-    );
+    let mut emu =
+        Emulator::new(&constellation, scheduler, paper_pops(), FaultPlan::none(), WORLD_SEED);
     let trace = emu.probe_trace(IOWA, from, slots as f64 * 15.0);
 
     let mut bins = vec![(0usize, 0usize); 15]; // (lost, total) per 1 s offset

@@ -24,7 +24,9 @@ use starsense_astro::time::JulianDate;
 use starsense_constellation::{Constellation, ConstellationBuilder};
 use starsense_core::campaign::{Campaign, CampaignConfig, SlotObservation};
 use starsense_core::vantage::paper_terminals;
+use std::fmt::Display;
 use std::path::PathBuf;
+use std::str::FromStr;
 
 /// The seed every experiment derives its world from.
 pub const WORLD_SEED: u64 = 42;
@@ -42,7 +44,43 @@ pub fn standard_constellation() -> Constellation {
 
 /// Number of campaign slots: `STARSENSE_SLOTS` env var or the default.
 pub fn slots_from_env(default: usize) -> usize {
-    std::env::var("STARSENSE_SLOTS").ok().and_then(|s| s.parse().ok()).unwrap_or(default)
+    env_integer("STARSENSE_SLOTS", default, 1)
+}
+
+/// Reads an integer knob from the environment variable `name`: `default`
+/// when it is unset, otherwise its value, which must be an integer no
+/// smaller than `min` (pass `1` for counts, so zero is rejected too).
+///
+/// # Panics
+///
+/// Panics with a message naming the variable and its value when the
+/// variable is set to anything else, so a typo never silently runs the
+/// default.
+pub fn env_integer<T: FromStr + PartialOrd + Display>(name: &str, default: T, min: T) -> T {
+    let value = std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
+    match parse_env_integer(name, value.as_deref(), default, min) {
+        Ok(n) => n,
+        #[expect(
+            clippy::panic,
+            reason = "experiment bins have no recovery path for a malformed knob; stopping beats running the default"
+        )]
+        Err(message) => panic!("{message}"),
+    }
+}
+
+/// The parse behind [`env_integer`], as a pure function of the
+/// variable's value (`None` when unset).
+fn parse_env_integer<T: FromStr + PartialOrd + Display>(
+    name: &str,
+    value: Option<&str>,
+    default: T,
+    min: T,
+) -> Result<T, String> {
+    let Some(value) = value else { return Ok(default) };
+    match value.parse::<T>() {
+        Ok(n) if n >= min => Ok(n),
+        _ => Err(format!("{name}={value:?}: expected an integer of at least {min}")),
+    }
 }
 
 /// Runs the standard four-terminal oracle campaign.
@@ -91,9 +129,31 @@ mod tests {
     use super::*;
 
     #[test]
-    fn slots_env_default_applies() {
-        std::env::remove_var("STARSENSE_SLOTS");
-        assert_eq!(slots_from_env(77), 77);
+    fn unset_knob_takes_the_default() {
+        assert_eq!(parse_env_integer("STARSENSE_SLOTS", None, 77usize, 1), Ok(77));
+    }
+
+    #[test]
+    fn set_knob_overrides_the_default() {
+        assert_eq!(parse_env_integer("STARSENSE_SLOTS", Some("12"), 77usize, 1), Ok(12));
+        assert_eq!(parse_env_integer("STARSENSE_CRASH_SEED", Some("0"), 201u64, 0), Ok(0));
+    }
+
+    #[test]
+    fn malformed_knob_is_rejected_by_name_and_value() {
+        for bad in ["1e3", "", " 5", "-1", "twelve", "2.5"] {
+            let err = parse_env_integer("STARSENSE_SLOTS", Some(bad), 2_400usize, 1)
+                .expect_err("a malformed value must not fall back to the default");
+            assert!(err.contains("STARSENSE_SLOTS"), "{err}");
+            assert!(err.contains(&format!("{bad:?}")), "{err}");
+        }
+    }
+
+    #[test]
+    fn zero_count_is_rejected() {
+        let err = parse_env_integer("STARSENSE_CHAOS_KILL", Some("0"), 1usize, 1)
+            .expect_err("zero is not a count");
+        assert_eq!(err, "STARSENSE_CHAOS_KILL=\"0\": expected an integer of at least 1");
     }
 
     #[test]

@@ -448,19 +448,6 @@ impl FaultPlan {
     }
 }
 
-/// Produce a torn copy of a snapshot: the byte stream is cut at a
-/// deterministic point drawn from `rng`, anywhere from the empty prefix
-/// to one byte short of complete. Used by the crash harness to model a
-/// writer killed mid-`write` (which the checkpoint layer's atomic
-/// rename normally prevents, and its checksums must catch regardless).
-pub fn truncated_copy(bytes: &[u8], rng: &mut FaultRng) -> Vec<u8> {
-    if bytes.is_empty() {
-        return Vec::new();
-    }
-    let keep = rng.below(bytes.len() as u64) as usize;
-    bytes[..keep].to_vec()
-}
-
 /// Produce a copy of a snapshot with a single bit flipped at a
 /// deterministic position drawn from `rng` — the classic torn-sector /
 /// cosmic-ray model the checkpoint checksums must detect. An empty
@@ -808,16 +795,10 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_corruptors_are_deterministic_and_bounded() {
+    fn bit_flipped_copy_is_deterministic_and_flips_one_bit() {
         let bytes: Vec<u8> = (0..257u32).map(|i| (i % 251) as u8).collect();
         let mut r1 = FaultRng::from_salt(9);
         let mut r2 = FaultRng::from_salt(9);
-        let t1 = truncated_copy(&bytes, &mut r1);
-        let t2 = truncated_copy(&bytes, &mut r2);
-        assert_eq!(t1, t2);
-        assert!(t1.len() < bytes.len(), "truncation must remove at least one byte");
-        assert_eq!(t1[..], bytes[..t1.len()]);
-
         let f1 = bit_flipped_copy(&bytes, &mut r1);
         let f2 = bit_flipped_copy(&bytes, &mut r2);
         assert_eq!(f1, f2);
@@ -826,7 +807,6 @@ mod tests {
             f1.iter().zip(&bytes).map(|(a, b)| (a ^ b).count_ones() as usize).sum();
         assert_eq!(flipped, 1, "exactly one bit must differ");
 
-        assert!(truncated_copy(&[], &mut r1).is_empty());
         assert!(bit_flipped_copy(&[], &mut r1).is_empty());
     }
 

@@ -237,11 +237,6 @@ impl<'a, 'c> TrackCache<'a, 'c> {
         }
     }
 
-    /// The shared propagation cache this generator reads through.
-    pub fn propagation_cache(&self) -> &'c PropagationCache<'a> {
-        self.cache
-    }
-
     /// Work counters accumulated since construction.
     pub fn stats(&self) -> TrackCacheStats {
         self.stats

@@ -14,48 +14,21 @@ use starsense_faults::{BurstKind, FaultPlan};
 use starsense_scheduler::slots::slot_index;
 use starsense_scheduler::{Allocation, GlobalScheduler, MacScheduler};
 
-/// Emulator tunables.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EmulatorConfig {
-    /// Probe period, ms (the paper: 1 packet / 20 ms).
-    pub probe_period_ms: f64,
-    /// MAC radio-frame length, ms.
-    pub frame_ms: f64,
-    /// Gaussian RTT jitter sigma, ms.
-    pub jitter_ms: f64,
-    /// Loss chain parameters.
-    pub loss: GilbertElliott,
-    /// Extra loss probability during the handover window at the start of
-    /// each slot.
-    pub handover_loss_prob: f64,
-    /// Length of the handover window, ms.
-    pub handover_window_ms: f64,
-    /// Minimum satellite elevation from a ground station, degrees.
-    pub min_gs_elevation_deg: f64,
-    /// Largest number of terminals sharing a satellite's MAC cycle.
-    pub max_mac_share: usize,
-    /// Deterministic fault-injection plan. The default
-    /// ([`FaultPlan::none`]) disables injection entirely and leaves probe
-    /// traces bit-identical to a plan-less emulator: fault decisions come
-    /// from counter-based hashes, never from the emulator's RNG stream.
-    pub faults: FaultPlan,
-}
-
-impl Default for EmulatorConfig {
-    fn default() -> Self {
-        EmulatorConfig {
-            probe_period_ms: 20.0,
-            frame_ms: 1.5,
-            jitter_ms: 0.18,
-            loss: GilbertElliott::starlink_nominal(),
-            handover_loss_prob: 0.35,
-            handover_window_ms: 120.0,
-            min_gs_elevation_deg: 25.0,
-            max_mac_share: 6,
-            faults: FaultPlan::none(),
-        }
-    }
-}
+/// Probe period, ms (the paper: 1 packet / 20 ms).
+const PROBE_PERIOD_MS: f64 = 20.0;
+/// MAC radio-frame length, ms.
+const FRAME_MS: f64 = 1.5;
+/// Gaussian RTT jitter sigma, ms.
+const JITTER_MS: f64 = 0.18;
+/// Extra loss probability during the handover window at the start of
+/// each slot.
+const HANDOVER_LOSS_PROB: f64 = 0.35;
+/// Length of the handover window, ms.
+const HANDOVER_WINDOW_MS: f64 = 120.0;
+/// Minimum satellite elevation from a ground station, degrees.
+const MIN_GS_ELEVATION_DEG: f64 = 25.0;
+/// Largest number of terminals sharing a satellite's MAC cycle.
+const MAX_MAC_SHARE: usize = 6;
 
 /// One slot of the iPerf-style capacity measurement.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -80,7 +53,7 @@ pub struct Emulator<'a> {
     scheduler: GlobalScheduler,
     /// PoP (with ground stations) for each terminal, by terminal id.
     terminal_pops: Vec<PopSite>,
-    config: EmulatorConfig,
+    faults: FaultPlan,
     clocks: Vec<ClockModel>,
     rng: StdRng,
     loss_chains: Vec<GilbertElliott>,
@@ -88,7 +61,13 @@ pub struct Emulator<'a> {
 
 impl<'a> Emulator<'a> {
     /// Creates an emulator. `terminal_pops[i]` must be the PoP serving
-    /// `scheduler.terminals()[i]`.
+    /// `scheduler.terminals()[i]`. Every terminal's loss follows
+    /// [`GilbertElliott::starlink_nominal`].
+    ///
+    /// `faults` is the deterministic fault-injection plan.
+    /// [`FaultPlan::none`] disables injection entirely and leaves probe
+    /// traces bit-identical to a plan-less emulator: fault decisions come
+    /// from counter-based hashes, never from the emulator's RNG stream.
     ///
     /// # Panics
     ///
@@ -97,27 +76,22 @@ impl<'a> Emulator<'a> {
         constellation: &'a Constellation,
         scheduler: GlobalScheduler,
         terminal_pops: Vec<PopSite>,
-        config: EmulatorConfig,
+        faults: FaultPlan,
         seed: u64,
     ) -> Emulator<'a> {
         assert_eq!(terminal_pops.len(), scheduler.terminals().len(), "one PoP per terminal");
         let n = scheduler.terminals().len();
         let clocks = (0..n).map(|i| ClockModel::ntp_nominal(seed ^ i as u64)).collect();
-        let loss_chains = (0..n).map(|_| config.loss).collect();
+        let loss_chains = (0..n).map(|_| GilbertElliott::starlink_nominal()).collect();
         Emulator {
             constellation,
             scheduler,
             terminal_pops,
-            config,
+            faults,
             clocks,
             rng: StdRng::seed_from_u64(seed),
             loss_chains,
         }
-    }
-
-    /// Read access to the scheduler (for oracle analyses in tests/benches).
-    pub fn scheduler(&self) -> &GlobalScheduler {
-        &self.scheduler
     }
 
     /// Runs probes from every terminal simultaneously for `duration_s`
@@ -141,7 +115,7 @@ impl<'a> Emulator<'a> {
             .map(|terminal_id| RttTrace { terminal_id, records: Vec::new() })
             .collect();
 
-        let n_probes = (duration_s * 1_000.0 / self.config.probe_period_ms).floor() as u64;
+        let n_probes = (duration_s * 1_000.0 / PROBE_PERIOD_MS).floor() as u64;
         let mut current_slot: Option<i64> = None;
         let mut cohort = SlotCohort {
             allocations: Vec::new(),
@@ -154,7 +128,7 @@ impl<'a> Emulator<'a> {
         let mut teme: Vec<Option<Vec3>> = Vec::new();
 
         for seq in 0..n_probes {
-            let at = from.plus_seconds(seq as f64 * self.config.probe_period_ms / 1_000.0);
+            let at = from.plus_seconds(seq as f64 * PROBE_PERIOD_MS / 1_000.0);
             let slot = slot_index(at);
             if current_slot != Some(slot) {
                 cohort = self.build_cohort(at);
@@ -227,7 +201,7 @@ impl<'a> Emulator<'a> {
     /// hidden background load.
     fn mac_share(&self, sat_id: u32, slot: i64) -> usize {
         let load = self.scheduler.load_model().utilization(sat_id, slot);
-        1 + (load * (self.config.max_mac_share - 1) as f64).round() as usize
+        1 + (load * (MAX_MAC_SHARE - 1) as f64).round() as usize
     }
 
     /// Builds the serving satellite's MAC cycle for one terminal's
@@ -242,7 +216,7 @@ impl<'a> Emulator<'a> {
         let marker = usize::MAX - alloc.terminal_id; // avoid clashing with bg ids
         let mut attached: Vec<usize> = (0..share - 1).map(|k| 10_000 + k).collect();
         attached.insert(position, marker);
-        let mut mac = MacScheduler::new(self.config.frame_ms);
+        let mut mac = MacScheduler::new(FRAME_MS);
         mac.set_attached(attached);
         Some((mac, marker))
     }
@@ -325,11 +299,9 @@ impl<'a> Emulator<'a> {
         // Loss chain + handover burst. These draws stay first and
         // unconditional so the RNG stream matches the historical engine
         // regardless of any fault plan.
-        let in_handover =
-            at.seconds_since(alloc.slot_start) * 1_000.0 < self.config.handover_window_ms;
+        let in_handover = at.seconds_since(alloc.slot_start) * 1_000.0 < HANDOVER_WINDOW_MS;
         let chain_lost = self.loss_chains[terminal_id].step(&mut self.rng);
-        let handover_lost =
-            in_handover && self.rng.random_range(0.0..1.0) < self.config.handover_loss_prob;
+        let handover_lost = in_handover && self.rng.random_range(0.0..1.0) < HANDOVER_LOSS_PROB;
         if chain_lost {
             return lost(LossCause::Chain);
         }
@@ -342,7 +314,7 @@ impl<'a> Emulator<'a> {
         // fault-free plan leaves the trace bit-identical.
         let slot_frac =
             at.seconds_since(alloc.slot_start) / starsense_scheduler::slots::SLOT_PERIOD_SECONDS;
-        let burst = self.config.faults.probe_burst(terminal_id as u64, slot);
+        let burst = self.faults.probe_burst(terminal_id as u64, slot);
         if let Some(b) = &burst {
             if b.kind == BurstKind::Loss && b.covers(slot_frac) {
                 return lost(LossCause::FaultBurst);
@@ -356,8 +328,7 @@ impl<'a> Emulator<'a> {
 
         // Bent-pipe geometry through the best ground station.
         let pop = &self.terminal_pops[terminal_id];
-        let Some((_gs, gs_range)) =
-            pop.best_ground_station(sat_teme, at, self.config.min_gs_elevation_deg)
+        let Some((_gs, gs_range)) = pop.best_ground_station(sat_teme, at, MIN_GS_ELEVATION_DEG)
         else {
             // The satellite cannot reach any of the PoP's gateways.
             return lost(LossCause::NoGateway);
@@ -370,10 +341,10 @@ impl<'a> Emulator<'a> {
         let t_in_slot_ms = at.seconds_since(alloc.slot_start) * 1_000.0;
         let wait = mac.wait_ms(*marker, t_in_slot_ms).unwrap_or(0.0);
 
-        let jitter = gauss(&mut self.rng) * self.config.jitter_ms;
+        let jitter = gauss(&mut self.rng) * JITTER_MS;
         let fault_jitter = match &burst {
             Some(b) if b.kind == BurstKind::Jitter && b.covers(slot_frac) => {
-                self.config.faults.burst_jitter_ms(b, terminal_id as u64, slot, seq)
+                self.faults.burst_jitter_ms(b, terminal_id as u64, slot, seq)
             }
             _ => 0.0,
         };
@@ -440,7 +411,7 @@ mod tests {
             constellation,
             scheduler,
             vec![pops[0].clone(), pops[2].clone()],
-            EmulatorConfig::default(),
+            FaultPlan::none(),
             77,
         )
     }
@@ -566,7 +537,7 @@ mod tests {
             );
         }
         // A window of exactly one probe period carries exactly one probe.
-        let traces = emu.probe_all(from, EmulatorConfig::default().probe_period_ms / 1_000.0);
+        let traces = emu.probe_all(from, PROBE_PERIOD_MS / 1_000.0);
         assert!(traces.iter().all(|t| t.records.len() == 1));
     }
 
@@ -577,8 +548,7 @@ mod tests {
         ];
         let pops = paper_pops();
         let scheduler = GlobalScheduler::new(SchedulerPolicy::default(), terminals, 77);
-        let config = EmulatorConfig { faults: plan, ..EmulatorConfig::default() };
-        Emulator::new(constellation, scheduler, vec![pops[0].clone(), pops[2].clone()], config, 77)
+        Emulator::new(constellation, scheduler, vec![pops[0].clone(), pops[2].clone()], plan, 77)
     }
 
     #[test]

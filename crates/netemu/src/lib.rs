@@ -12,7 +12,10 @@
 //! * [`path`] — bent-pipe propagation latency from real geometry,
 //! * [`Emulator`] — drives the hidden global scheduler slot by slot, builds
 //!   the per-slot MAC round-robin, and produces [`RttTrace`]s with loss and
-//!   clock effects,
+//!   clock effects. The probe cadence (20 ms), frame length, jitter,
+//!   handover window and MAC share cap are fixed constants of the emulated
+//!   path; the only per-run input besides the seed is a
+//!   [`starsense_faults::FaultPlan`],
 //! * [`RttTrace`] — probe records with 15-second window segmentation, the
 //!   exact shape the paper's Figure 2 and Mann-Whitney analyses consume.
 //!
@@ -27,7 +30,7 @@ pub mod throughput;
 pub mod trace;
 
 pub use clock::ClockModel;
-pub use emulator::{Emulator, EmulatorConfig, ThroughputRecord};
+pub use emulator::{Emulator, ThroughputRecord};
 pub use groundstation::{GroundStation, PopSite};
 pub use loss::GilbertElliott;
 pub use path::{bent_pipe_rtt_ms, SPEED_OF_LIGHT_KM_S};

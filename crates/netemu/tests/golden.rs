@@ -14,8 +14,9 @@
 use starsense_astro::frames::Geodetic;
 use starsense_astro::time::JulianDate;
 use starsense_constellation::{Constellation, ConstellationBuilder};
+use starsense_faults::FaultPlan;
 use starsense_netemu::groundstation::paper_pops;
-use starsense_netemu::{Emulator, EmulatorConfig, RttTrace};
+use starsense_netemu::{Emulator, RttTrace};
 use starsense_scheduler::{GlobalScheduler, SchedulerPolicy, Terminal};
 
 fn terminals() -> Vec<Terminal> {
@@ -33,7 +34,7 @@ fn emulator(constellation: &Constellation, seed: u64) -> Emulator<'_> {
         constellation,
         scheduler,
         vec![pops[0].clone(), pops[3].clone(), pops[2].clone()],
-        EmulatorConfig::default(),
+        FaultPlan::none(),
         seed,
     )
 }

@@ -56,44 +56,10 @@ pub fn to_ascii(map: &ObstructionMap) -> String {
     out
 }
 
-/// Parses a P2 PGM produced by [`to_pgm`] back into a map (testing aid and
-/// a way to load maps captured by external tooling).
-pub fn from_pgm(text: &str) -> Option<ObstructionMap> {
-    let mut tokens = text.split_whitespace();
-    if tokens.next()? != "P2" {
-        return None;
-    }
-    let w: usize = tokens.next()?.parse().ok()?;
-    let h: usize = tokens.next()?.parse().ok()?;
-    let _maxval: u32 = tokens.next()?.parse().ok()?;
-    if w != MAP_SIZE || h != MAP_SIZE {
-        return None;
-    }
-    let mut map = ObstructionMap::new();
-    for y in 0..h {
-        for x in 0..w {
-            let v: u32 = tokens.next()?.parse().ok()?;
-            if v > 0 {
-                map.set(x, y, true);
-            }
-        }
-    }
-    Some(map)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::paint::paint;
-
-    #[test]
-    fn pgm_round_trips() {
-        let mut m = ObstructionMap::new();
-        paint(&mut m, &[(30.0, 0.0), (60.0, 40.0), (80.0, 90.0)]);
-        let pgm = to_pgm(&m);
-        let back = from_pgm(&pgm).expect("own output must parse");
-        assert_eq!(back, m);
-    }
 
     #[test]
     fn pgm_header_is_valid() {
@@ -102,13 +68,6 @@ mod tests {
         assert_eq!(lines.next(), Some("P2"));
         assert_eq!(lines.next(), Some("123 123"));
         assert_eq!(lines.next(), Some("1"));
-    }
-
-    #[test]
-    fn from_pgm_rejects_garbage() {
-        assert!(from_pgm("not a pgm").is_none());
-        assert!(from_pgm("P2\n10 10\n1\n0 0 0").is_none()); // wrong size
-        assert!(from_pgm("P5\n123 123\n1\n").is_none()); // wrong magic
     }
 
     #[test]

@@ -988,7 +988,6 @@ mod tests {
                 assert_eq!(a.len(), b.len(), "terminal {ti} epoch {k} FOV size");
                 for (x, y) in a.iter().zip(b) {
                     assert_eq!(x.norad_id, y.norad_id);
-                    assert_eq!(x.catalog_index, y.catalog_index);
                     assert_eq!(x.look.elevation_deg.to_bits(), y.look.elevation_deg.to_bits());
                     assert_eq!(x.look.azimuth_deg.to_bits(), y.look.azimuth_deg.to_bits());
                     assert_eq!(x.look.range_km.to_bits(), y.look.range_km.to_bits());

@@ -44,18 +44,6 @@ impl MacScheduler {
         &self.attached
     }
 
-    /// Attaches a terminal (no-op when already attached).
-    pub fn attach(&mut self, terminal: usize) {
-        if !self.attached.contains(&terminal) {
-            self.attached.push(terminal);
-        }
-    }
-
-    /// Detaches a terminal (no-op when not attached).
-    pub fn detach(&mut self, terminal: usize) {
-        self.attached.retain(|&t| t != terminal);
-    }
-
     /// Replaces the attachment set (a global-scheduler reallocation).
     pub fn set_attached(&mut self, terminals: Vec<usize>) {
         self.attached = terminals;
@@ -181,20 +169,6 @@ mod tests {
         for w in bands.windows(2) {
             assert!((w[1] - w[0] - 2.0).abs() < 1e-6, "bands 2 ms apart: {bands:?}");
         }
-    }
-
-    #[test]
-    fn attach_detach_lifecycle() {
-        let mut m = MacScheduler::new(1.0);
-        m.attach(7);
-        m.attach(7); // duplicate ignored
-        m.attach(9);
-        assert_eq!(m.attached(), &[7, 9]);
-        assert_eq!(m.cycle_ms(), 2.0);
-        m.detach(7);
-        assert_eq!(m.attached(), &[9]);
-        m.detach(100); // absent: no-op
-        assert_eq!(m.attached(), &[9]);
     }
 
     #[test]

@@ -15,10 +15,9 @@ fn catalog() -> &'static Constellation {
     CATALOG.get_or_init(|| ConstellationBuilder::starlink_mini().seed(42).build())
 }
 
-fn fov_bits(v: &VisibleSat) -> (u32, u32, u64, u64, u64) {
+fn fov_bits(v: &VisibleSat) -> (u32, u64, u64, u64) {
     (
         v.norad_id,
-        v.catalog_index,
         v.look.elevation_deg.to_bits(),
         v.look.azimuth_deg.to_bits(),
         v.look.range_km.to_bits(),

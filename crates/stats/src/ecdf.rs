@@ -39,17 +39,6 @@ impl Ecdf {
         count as f64 / self.sorted.len() as f64
     }
 
-    /// Generalized inverse: smallest sample value `x` with `F(x) ≥ q`.
-    pub fn inverse(&self, q: f64) -> f64 {
-        if self.sorted.is_empty() {
-            return f64::NAN;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let n = self.sorted.len();
-        let idx = ((q * n as f64).ceil() as usize).clamp(1, n) - 1;
-        self.sorted[idx]
-    }
-
     /// Samples the curve at `points` evenly spaced x values over
     /// `[lo, hi]`, returning `(x, F(x))` pairs — the series the figure
     /// regeneration binaries print.
@@ -106,25 +95,7 @@ mod tests {
         let e = Ecdf::new(&[]);
         assert!(e.is_empty());
         assert!(e.eval(0.0).is_nan());
-        assert!(e.inverse(0.5).is_nan());
         assert!(e.mass_in(0.0, 1.0).is_nan());
-    }
-
-    #[test]
-    fn inverse_recovers_median() {
-        let e = Ecdf::new(&[10.0, 20.0, 30.0, 40.0, 50.0]);
-        assert_eq!(e.inverse(0.5), 30.0);
-        assert_eq!(e.inverse(0.0), 10.0);
-        assert_eq!(e.inverse(1.0), 50.0);
-    }
-
-    #[test]
-    fn inverse_is_generalized_inverse_of_eval() {
-        let e = Ecdf::new(&[1.0, 3.0, 3.0, 7.0, 9.0]);
-        for q in [0.2, 0.4, 0.6, 0.8, 1.0] {
-            let x = e.inverse(q);
-            assert!(e.eval(x) >= q - 1e-12, "q={q} x={x} F={}", e.eval(x));
-        }
     }
 
     #[test]

@@ -12,12 +12,10 @@
 
 pub mod describe;
 pub mod ecdf;
-pub mod histogram;
 pub mod mannwhitney;
 pub mod pearson;
 
 pub use describe::{mean, median, quantile, std_dev, Summary};
 pub use ecdf::Ecdf;
-pub use histogram::Histogram;
 pub use mannwhitney::{mann_whitney_u, MannWhitney};
 pub use pearson::pearson;

@@ -7,8 +7,6 @@
 //! correction — appropriate here because each 15-second window contains
 //! ~750 probe samples, far beyond where the exact distribution matters.
 
-use crate::describe::mean;
-
 /// Result of a Mann-Whitney U test.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MannWhitney {
@@ -119,23 +117,6 @@ fn erf(x: f64) -> f64 {
     sign * y
 }
 
-/// Effect-size helper: the common-language effect size U / (n1·n2) — the
-/// probability a random draw from the first sample exceeds one from the
-/// second (ties counted half).
-pub fn common_language_effect(a: &[f64], b: &[f64]) -> Option<f64> {
-    if a.is_empty() || b.is_empty() {
-        return None;
-    }
-    let u = mann_whitney_u(a, b)?.u;
-    Some(u / (a.len() as f64 * b.len() as f64))
-}
-
-/// Convenience: difference of means, used when reporting which window is
-/// slower alongside the test result.
-pub fn mean_shift(a: &[f64], b: &[f64]) -> f64 {
-    mean(a) - mean(b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -196,23 +177,5 @@ mod tests {
         assert!((standard_normal_cdf(1.96) - 0.975).abs() < 1e-3);
         assert!((standard_normal_cdf(-1.96) - 0.025).abs() < 1e-3);
         assert!(standard_normal_cdf(6.0) > 0.999_999);
-    }
-
-    #[test]
-    fn effect_size_is_half_for_identical_samples() {
-        let a = [1.0, 2.0, 3.0, 4.0];
-        let e = common_language_effect(&a, &a).unwrap();
-        assert!((e - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn effect_size_is_one_for_dominant_sample() {
-        let e = common_language_effect(&[10.0, 11.0], &[1.0, 2.0]).unwrap();
-        assert_eq!(e, 1.0);
-    }
-
-    #[test]
-    fn mean_shift_sign() {
-        assert!(mean_shift(&[3.0, 4.0], &[1.0, 2.0]) > 0.0);
     }
 }

@@ -34,28 +34,6 @@ pub fn pearson(xs: &[f64], ys: &[f64]) -> Option<f64> {
     Some(sxy / (sxx * syy).sqrt())
 }
 
-/// Ordinary least-squares slope and intercept of `y` on `x`, for drawing the
-/// trend line through Figure 6's scatter.
-pub fn linear_fit(xs: &[f64], ys: &[f64]) -> Option<(f64, f64)> {
-    if xs.len() != ys.len() || xs.len() < 2 {
-        return None;
-    }
-    let n = xs.len() as f64;
-    let mx = xs.iter().sum::<f64>() / n;
-    let my = ys.iter().sum::<f64>() / n;
-    let mut sxy = 0.0;
-    let mut sxx = 0.0;
-    for (&x, &y) in xs.iter().zip(ys) {
-        sxy += (x - mx) * (y - my);
-        sxx += (x - mx) * (x - mx);
-    }
-    if sxx <= 0.0 {
-        return None;
-    }
-    let slope = sxy / sxx;
-    Some((slope, my - slope * mx))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -103,19 +81,5 @@ mod tests {
         let xs2: Vec<f64> = xs.iter().map(|x| 100.0 * x - 7.0).collect();
         let r2 = pearson(&xs2, &ys).unwrap();
         assert!((r1 - r2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn linear_fit_recovers_line() {
-        let xs = [0.0, 1.0, 2.0, 3.0];
-        let ys: Vec<f64> = xs.iter().map(|x| 2.5 * x - 1.0).collect();
-        let (slope, intercept) = linear_fit(&xs, &ys).unwrap();
-        assert!((slope - 2.5).abs() < 1e-12);
-        assert!((intercept + 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn linear_fit_degenerate_returns_none() {
-        assert!(linear_fit(&[1.0, 1.0], &[2.0, 3.0]).is_none());
     }
 }

@@ -14,7 +14,7 @@ fn main() {
     let constellation = ConstellationBuilder::starlink_gen1().seed(11).build();
     let scheduler = GlobalScheduler::new(SchedulerPolicy::default(), paper_terminals(), 11);
     let mut emulator =
-        Emulator::new(&constellation, scheduler, paper_pops(), EmulatorConfig::default(), 11);
+        Emulator::new(&constellation, scheduler, paper_pops(), FaultPlan::none(), 11);
 
     // One minute of probing from the Madrid terminal (the paper's Figure 2
     // is its EU dish).

@@ -87,6 +87,6 @@ pub mod prelude {
     pub use starsense_core::vantage::paper_terminals;
     pub use starsense_faults::{FaultPlan, FaultRates};
     pub use starsense_ident::{run_validation, verdict_slot_tracked, DishSimulator, TrackCache};
-    pub use starsense_netemu::{Emulator, EmulatorConfig};
+    pub use starsense_netemu::Emulator;
     pub use starsense_scheduler::{GlobalScheduler, MacScheduler, SchedulerPolicy, Terminal};
 }

@@ -206,19 +206,18 @@ fn probe_bursts_escalate_losses_and_stay_attributed() {
         let scheduler = GlobalScheduler::new(SchedulerPolicy::default(), one_terminal(), seed);
         let mut pops = paper_pops();
         pops.truncate(1);
-        let config = EmulatorConfig { faults: plan(seed, rate), ..EmulatorConfig::default() };
-        let mut emulator = Emulator::new(&constellation, scheduler, pops, config, seed);
+        let mut emulator = Emulator::new(&constellation, scheduler, pops, plan(seed, rate), seed);
         emulator.probe_trace(0, start(), 120.0)
     };
 
-    // Fault-free plan: bit-identical to the default config.
+    // Fault-free plan: bit-identical to no plan at all.
     let zero = probe(SEEDS[0], 0.0);
     let plain = {
         let scheduler = GlobalScheduler::new(SchedulerPolicy::default(), one_terminal(), SEEDS[0]);
         let mut pops = paper_pops();
         pops.truncate(1);
         let mut emulator =
-            Emulator::new(&constellation, scheduler, pops, EmulatorConfig::default(), SEEDS[0]);
+            Emulator::new(&constellation, scheduler, pops, FaultPlan::none(), SEEDS[0]);
         emulator.probe_trace(0, start(), 120.0)
     };
     assert_eq!(zero.records.len(), plain.records.len());

@@ -124,7 +124,7 @@ fn probe_traces_are_identical_across_runs() {
     let run = || {
         let scheduler = GlobalScheduler::new(SchedulerPolicy::default(), paper_terminals(), 5);
         let mut emulator =
-            Emulator::new(&constellation, scheduler, paper_pops(), EmulatorConfig::default(), 5);
+            Emulator::new(&constellation, scheduler, paper_pops(), FaultPlan::none(), 5);
         emulator.probe_trace(0, JulianDate::from_ymd_hms(2023, 6, 1, 8, 0, 0.0), 8.0)
     };
     let a = run();

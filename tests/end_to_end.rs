@@ -56,7 +56,7 @@ fn emulated_probes_expose_the_fifteen_second_regime() {
     let (constellation, terminals) = world();
     let scheduler = GlobalScheduler::new(SchedulerPolicy::default(), terminals, 99);
     let mut emulator =
-        Emulator::new(&constellation, scheduler, paper_pops(), EmulatorConfig::default(), 99);
+        Emulator::new(&constellation, scheduler, paper_pops(), FaultPlan::none(), 99);
     let from = JulianDate::from_ymd_hms(2023, 6, 1, 14, 0, 0.0);
     let trace = emulator.probe_trace(0, from, 65.0);
 
