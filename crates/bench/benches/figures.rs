@@ -1,7 +1,7 @@
 //! Per-figure regeneration benches: one harness per table/figure of the
 //! paper's evaluation, at reduced (mini-constellation) scale so the suite
-//! completes quickly. The full-scale regenerations live in the
-//! `starsense-experiments` binaries; these benches track the cost of each
+//! completes quickly. The full-scale regeneration is the
+//! `starsense-experiments` `reproduce` run; these benches track the cost of each
 //! figure's pipeline and guard it against regressions.
 
 use criterion::{criterion_group, criterion_main, Criterion};

@@ -371,12 +371,6 @@ impl<'a> ByteReader<'a> {
         self.take(n, context)
     }
 
-    /// Reads a `u64`-length-prefixed UTF-8 string.
-    pub fn get_str(&mut self, context: &'static str) -> Result<&'a str, CheckpointError> {
-        std::str::from_utf8(self.get_bytes(context)?)
-            .map_err(|_| CheckpointError::Malformed { context })
-    }
-
     /// Bytes left to read.
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
@@ -728,7 +722,7 @@ mod tests {
         assert_eq!(r.get_i64("e").expect("i64"), -42);
         assert_eq!(r.get_f64_bits("f").expect("f64").to_bits(), (-0.0f64).to_bits());
         assert!(r.get_f64_bits("g").expect("f64").is_nan());
-        assert_eq!(r.get_str("h").expect("str"), "terminal");
+        assert_eq!(r.get_bytes("h").expect("str bytes"), b"terminal");
         r.expect_exhausted("tail").expect("fully consumed");
         assert_eq!(snap.section(2).expect("section 2"), &[] as &[u8]);
         assert_eq!(snap.section(9).expect("section 9"), &[1, 2, 3]);

@@ -142,7 +142,6 @@ proptest! {
         let _ = r.get_i64("e");
         let _ = r.get_f64_bits("f");
         let _ = r.get_bytes("g");
-        let _ = r.get_str("h");
         let _ = r.expect_exhausted("i");
     }
 }

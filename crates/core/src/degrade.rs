@@ -61,9 +61,6 @@ pub enum SlotOutcome {
     },
     /// No identification at all, with the cause.
     NoData(DegradeReason),
-    /// Outcome information is absent — hand-built observations that carry
-    /// no resolution.
-    Unrecorded,
 }
 
 impl SlotOutcome {
@@ -124,7 +121,6 @@ impl DegradationStats {
                         _ => {}
                     }
                 }
-                SlotOutcome::Unrecorded => {}
             }
         }
         stats
@@ -186,10 +182,9 @@ mod tests {
             obs(SlotOutcome::NoData(DegradeReason::Outage)),
             obs(SlotOutcome::NoData(DegradeReason::EmptyTrail)),
             obs(SlotOutcome::NoData(DegradeReason::WorkerFailed)),
-            obs(SlotOutcome::Unrecorded),
         ];
         let s = DegradationStats::collect(&stream);
-        assert_eq!(s.slots, 9);
+        assert_eq!(s.slots, 8);
         assert_eq!(s.observed, 2);
         assert_eq!(s.ambiguous, 1);
         assert_eq!(s.no_data, 5);
@@ -197,7 +192,7 @@ mod tests {
         assert_eq!(s.stale_frames, 1);
         assert_eq!(s.outages, 1);
         assert_eq!(s.worker_failed, 1);
-        assert!((s.observed_rate() - 2.0 / 9.0).abs() < 1e-12);
+        assert!((s.observed_rate() - 2.0 / 8.0).abs() < 1e-12);
     }
 
     #[test]
@@ -227,7 +222,6 @@ mod tests {
             SlotOutcome::Observed { confidence: 0.5 },
             SlotOutcome::Ambiguous { margin: 0.0 },
             SlotOutcome::NoData(DegradeReason::TinyTrail),
-            SlotOutcome::Unrecorded,
         ];
         assert!(outcomes[0].is_observed());
         assert!(outcomes[1..].iter().all(|o| !o.is_observed()));

@@ -198,7 +198,7 @@ mod tests {
             available,
             chosen,
             truth_id: None,
-            outcome: crate::degrade::SlotOutcome::Unrecorded,
+            outcome: crate::degrade::SlotOutcome::Observed { confidence: 1.0 },
         }
     }
 

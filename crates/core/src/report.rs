@@ -1,6 +1,7 @@
-//! Plain-text table and CSV rendering for the experiment binaries.
+//! Markdown table and CSV rendering for the experiment binaries.
 
-/// Builds an aligned plain-text table from a header and rows.
+/// Builds a markdown (GitHub pipe) table from a header and rows, each
+/// column padded to its widest cell so the source reads aligned too.
 ///
 /// # Panics
 ///
@@ -9,24 +10,23 @@ pub fn text_table(header: &[&str], rows: &[Vec<String>]) -> String {
     for r in rows {
         assert_eq!(r.len(), header.len(), "row width mismatch");
     }
-    let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
-    for r in rows {
+    let head: Vec<String> = header.iter().map(|s| s.to_string()).collect();
+    let mut widths = vec![0; header.len()];
+    for r in std::iter::once(&head).chain(rows) {
         for (w, cell) in widths.iter_mut().zip(r) {
-            *w = (*w).max(cell.len());
+            *w = (*w).max(cell.chars().count());
         }
     }
-    let mut out = String::new();
-    let fmt_row = |cells: &[String], widths: &[usize]| -> String {
-        cells.iter().zip(widths).map(|(c, w)| format!("{c:>w$}")).collect::<Vec<_>>().join("  ")
+    let line = |cells: &[String]| -> String {
+        let cells: Vec<String> =
+            cells.iter().zip(&widths).map(|(c, w)| format!("{c:<w$}")).collect();
+        format!("| {} |\n", cells.join(" | "))
     };
-    let head: Vec<String> = header.iter().map(|s| s.to_string()).collect();
-    out.push_str(&fmt_row(&head, &widths));
-    out.push('\n');
-    out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1)));
-    out.push('\n');
+    let rule: Vec<String> = widths.iter().map(|w| "-".repeat(w + 2)).collect();
+    let mut out = line(&head);
+    out.push_str(&format!("|{}|\n", rule.join("|")));
     for r in rows {
-        out.push_str(&fmt_row(r, &widths));
-        out.push('\n');
+        out.push_str(&line(r));
     }
     out
 }
@@ -72,17 +72,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn table_is_aligned() {
+    fn table_is_markdown_with_padded_columns() {
         let t = text_table(
             &["k", "accuracy"],
-            &[vec!["1".into(), "0.30".into()], vec!["10".into(), "0.95".into()]],
+            &[vec!["1".into(), "0.30".into()], vec!["10".into(), "95.0%".into()]],
         );
-        let lines: Vec<&str> = t.lines().collect();
-        assert_eq!(lines.len(), 4);
-        assert!(lines[0].contains('k') && lines[0].contains("accuracy"));
-        assert!(lines[1].chars().all(|c| c == '-'));
-        // Right-aligned columns: equal line lengths.
-        assert_eq!(lines[2].len(), lines[3].len());
+        assert_eq!(
+            t,
+            "| k  | accuracy |\n|----|----------|\n| 1  | 0.30     |\n| 10 | 95.0%    |\n"
+        );
+    }
+
+    #[test]
+    fn columns_pad_by_characters_not_bytes() {
+        let t = text_table(&["shift°"], &[vec!["+1".into()]]);
+        assert_eq!(t, "| shift° |\n|--------|\n| +1     |\n");
     }
 
     #[test]

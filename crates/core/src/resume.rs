@@ -1073,7 +1073,6 @@ fn decode_launch_year(v: i64) -> Result<i32, CampaignError> {
 const OUTCOME_OBSERVED: u8 = 0;
 const OUTCOME_AMBIGUOUS: u8 = 1;
 const OUTCOME_NO_DATA: u8 = 2;
-const OUTCOME_UNRECORDED: u8 = 3;
 
 fn encode_reason(w: &mut ByteWriter, reason: DegradeReason) {
     match reason {
@@ -1145,7 +1144,6 @@ fn encode_observation(w: &mut ByteWriter, o: &SlotObservation) {
             w.put_u8(OUTCOME_NO_DATA);
             encode_reason(w, reason);
         }
-        SlotOutcome::Unrecorded => w.put_u8(OUTCOME_UNRECORDED),
     }
 }
 
@@ -1166,7 +1164,6 @@ fn decode_observation(r: &mut ByteReader<'_>) -> Result<SlotObservation, Campaig
         OUTCOME_OBSERVED => SlotOutcome::Observed { confidence: r.get_f64_bits("obs confidence")? },
         OUTCOME_AMBIGUOUS => SlotOutcome::Ambiguous { margin: r.get_f64_bits("obs margin")? },
         OUTCOME_NO_DATA => SlotOutcome::NoData(decode_reason(r)?),
-        OUTCOME_UNRECORDED => SlotOutcome::Unrecorded,
         _ => return Err(CheckpointError::Malformed { context: "obs outcome tag" }.into()),
     };
     Ok(SlotObservation {

@@ -432,6 +432,21 @@ fn observation_log_must_hold_exactly_done_times_terminals_entries() {
         err,
         CampaignError::Checkpoint(CheckpointError::Malformed { context: "observation section" })
     );
+
+    // Outcome tags run 0..=2; no engine ever wrote tag 3.
+    let err = resume_tampered("obs-tag", SEC_OBS, |payload, obs| {
+        // The last observation ends with its outcome: tag 0 (observed)
+        // and the confidence's eight bytes.
+        let last = obs.last().map(|o| o.outcome);
+        assert_eq!(last, Some(SlotOutcome::Observed { confidence: 1.0 }));
+        let tag = payload.len() - 9;
+        assert_eq!(payload[tag..], [&[0u8][..], &1.0f64.to_bits().to_le_bytes()].concat());
+        payload[tag] = 3;
+    });
+    assert_eq!(
+        err,
+        CampaignError::Checkpoint(CheckpointError::Malformed { context: "obs outcome tag" })
+    );
 }
 
 #[test]

@@ -1,0 +1,37 @@
+//! Regenerates every figure and table of the paper's evaluation in one
+//! run: prints each section as markdown, writes the CSV/PGM artifacts
+//! under `results/`, and splices each section into `EXPERIMENTS.md`
+//! between its `<!-- BEGIN reproduce:<id> -->` / `<!-- END reproduce:<id> -->`
+//! markers.
+//!
+//! Run from the repository root:
+//! `cargo run --release -p starsense-experiments --bin reproduce`.
+//! `STARSENSE_SLOTS` overrides every section's campaign length for a
+//! quick look; `EXPERIMENTS.md` records the defaults, so it is left as
+//! is when the knob is set.
+
+use starsense_experiments::{paper_results, slots_from_env, splice, write_artifact};
+
+const DOC: &str = "EXPERIMENTS.md";
+
+fn main() {
+    let slots = std::env::var_os("STARSENSE_SLOTS").map(|_| slots_from_env(1));
+    let results = paper_results(slots);
+    for section in &results.sections {
+        println!("## {}\n\n{}", section.id, section.markdown);
+        for (name, contents) in &section.artifacts {
+            write_artifact(name, contents);
+        }
+        println!();
+    }
+    if slots.is_some() {
+        println!("STARSENSE_SLOTS is set: {DOC} records the defaults and is left as is");
+        return;
+    }
+    let doc = std::fs::read_to_string(DOC).unwrap_or_else(|e| panic!("read {DOC}: {e}"));
+    let spliced = splice(&doc, &results).unwrap_or_else(|e| panic!("{e}"));
+    if spliced != doc {
+        std::fs::write(DOC, spliced).unwrap_or_else(|e| panic!("write {DOC}: {e}"));
+    }
+    println!("[spliced {} sections into {DOC}]", results.sections.len());
+}

@@ -54,9 +54,9 @@
 //! );
 //! ```
 //!
-//! Run `cargo run --release -p starsense-experiments --bin fig4` (and
-//! `fig2`…`fig8`, `tab_*`) to regenerate every figure and table of the
-//! paper; see `EXPERIMENTS.md` for the recorded results.
+//! Run `cargo run --release -p starsense-experiments --bin reproduce` to
+//! regenerate every figure and table of the paper; see `EXPERIMENTS.md`
+//! for the recorded results.
 
 pub use starsense_astro as astro;
 pub use starsense_checkpoint as checkpoint;
