@@ -261,15 +261,10 @@ impl ByteWriter {
         self.put_u64(v.to_bits());
     }
 
-    /// Appends raw bytes with a `u64` length prefix.
-    pub fn put_bytes(&mut self, v: &[u8]) {
-        self.put_usize(v.len());
-        self.buf.extend_from_slice(v);
-    }
-
-    /// Appends a UTF-8 string with a `u64` length prefix.
+    /// Appends a UTF-8 string with a `u64` byte-length prefix.
     pub fn put_str(&mut self, v: &str) {
-        self.put_bytes(v.as_bytes());
+        self.put_usize(v.len());
+        self.buf.extend_from_slice(v.as_bytes());
     }
 
     /// Bytes written so far.
@@ -365,19 +360,13 @@ impl<'a> ByteReader<'a> {
         Ok(f64::from_bits(self.get_u64(context)?))
     }
 
-    /// Reads a `u64`-length-prefixed byte string.
-    pub fn get_bytes(&mut self, context: &'static str) -> Result<&'a [u8], CheckpointError> {
-        let n = self.get_usize(context)?;
-        self.take(n, context)
-    }
-
     /// Bytes left to read.
-    pub fn remaining(&self) -> usize {
+    fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
     /// True when the reader has consumed its whole input.
-    pub fn is_exhausted(&self) -> bool {
+    fn is_exhausted(&self) -> bool {
         self.remaining() == 0
     }
 
@@ -722,7 +711,8 @@ mod tests {
         assert_eq!(r.get_i64("e").expect("i64"), -42);
         assert_eq!(r.get_f64_bits("f").expect("f64").to_bits(), (-0.0f64).to_bits());
         assert!(r.get_f64_bits("g").expect("f64").is_nan());
-        assert_eq!(r.get_bytes("h").expect("str bytes"), b"terminal");
+        assert_eq!(r.get_usize("h").expect("str length"), 8);
+        assert_eq!(r.take(8, "h").expect("str bytes"), b"terminal");
         r.expect_exhausted("tail").expect("fully consumed");
         assert_eq!(snap.section(2).expect("section 2"), &[] as &[u8]);
         assert_eq!(snap.section(9).expect("section 9"), &[1, 2, 3]);
@@ -784,9 +774,13 @@ mod tests {
         let mut r = ByteReader::new(&[2]);
         assert_eq!(r.clone().get_u32("x"), Err(CheckpointError::Truncated { context: "x" }));
         assert_eq!(r.get_bool("flag"), Err(CheckpointError::Malformed { context: "flag" }));
-        let huge_len = u64::MAX.to_le_bytes();
-        let mut r = ByteReader::new(&huge_len);
-        assert!(r.get_bytes("blob").is_err());
+    }
+
+    #[test]
+    fn put_str_writes_a_u64_length_then_utf8() {
+        let mut w = ByteWriter::new();
+        w.put_str("né");
+        assert_eq!(w.as_bytes(), &[3, 0, 0, 0, 0, 0, 0, 0, b'n', 0xC3, 0xA9]);
     }
 
     #[test]

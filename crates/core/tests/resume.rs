@@ -64,11 +64,23 @@ fn campaign(c: &Constellation, mode: Mode, threads: usize, shards: usize) -> Cam
     }
 }
 
-/// A unique checkpoint path under the target-scoped temp dir.
-fn scratch(tag: &str) -> PathBuf {
+/// A scratch directory that is removed when dropped, so a test cleans up
+/// after itself even when it fails.
+struct ScratchDir(PathBuf);
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// A unique checkpoint path in a fresh temp directory, and the guard that
+/// removes the directory: keep the guard alive while the path is in use.
+fn scratch(tag: &str) -> (ScratchDir, PathBuf) {
     let dir = std::env::temp_dir().join(format!("starsense-resume-{}-{tag}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir.join("campaign.ckpt")
+    let path = dir.join("campaign.ckpt");
+    (ScratchDir(dir), path)
 }
 
 fn opts(path: PathBuf, every: usize) -> ResumeConfig {
@@ -102,7 +114,7 @@ fn resumable_matches_one_shot_bit_for_bit() {
         let (one_shot, one_shot_stats, _) = campaign
             .run_resumable(start(), SLOTS, &ResumeConfig::default())
             .expect("plain run must succeed");
-        let path = scratch(&format!("oneshot-{mode:?}"));
+        let (_dir, path) = scratch(&format!("oneshot-{mode:?}"));
         let (resumed, stats, report) = campaign
             .run_resumable(start(), SLOTS, &opts(path, 3))
             .expect("resumable run must succeed");
@@ -125,7 +137,7 @@ fn kill_resume_matrix_is_bit_identical() {
     for mode in [Mode::Oracle, Mode::Identified, Mode::Faulted] {
         let baseline = {
             let campaign = campaign(&c, mode, 1, 1);
-            let path = scratch(&format!("matrix-base-{mode:?}"));
+            let (_dir, path) = scratch(&format!("matrix-base-{mode:?}"));
             let (obs, _, report) = campaign
                 .run_resumable(start(), SLOTS, &opts(path, 2))
                 .expect("baseline run must succeed");
@@ -134,7 +146,7 @@ fn kill_resume_matrix_is_bit_identical() {
         };
         for (threads, shards) in [(1, 1), (2, 1), (2, 4), (4, 4)] {
             let campaign = campaign(&c, mode, threads, shards);
-            let path = scratch(&format!("matrix-{mode:?}-{threads}x{shards}"));
+            let (_dir, path) = scratch(&format!("matrix-{mode:?}-{threads}x{shards}"));
             let (fp, lives) = run_killed_at_every_checkpoint(&campaign, &opts(path, 2));
             assert!(lives >= SLOTS / 2, "every checkpoint must actually interrupt");
             assert_eq!(
@@ -157,7 +169,7 @@ fn final_snapshot_is_one_file_for_every_kill_schedule_and_layout() {
         let mut files = Vec::new();
         for (threads, shards) in [(1, 1), (4, 4)] {
             let campaign = campaign(&c, mode, threads, shards);
-            let path = scratch(&format!("identity-whole-{mode:?}-{threads}"));
+            let (_dir, path) = scratch(&format!("identity-whole-{mode:?}-{threads}"));
             let (obs, _, report) =
                 campaign.run_resumable(start(), SLOTS, &opts(path.clone(), 3)).expect("whole run");
             assert!(report.completed);
@@ -170,7 +182,7 @@ fn final_snapshot_is_one_file_for_every_kill_schedule_and_layout() {
             );
             files.push(bytes);
 
-            let path = scratch(&format!("identity-killed-{mode:?}-{threads}"));
+            let (_dir, path) = scratch(&format!("identity-killed-{mode:?}-{threads}"));
             run_killed_at_every_checkpoint(&campaign, &opts(path.clone(), 3));
             files.push(std::fs::read(&path).expect("final snapshot"));
         }
@@ -185,7 +197,7 @@ fn final_snapshot_is_one_file_for_every_kill_schedule_and_layout() {
 fn resume_after_completion_returns_stored_stream() {
     let c = mini();
     let campaign = campaign(&c, Mode::Oracle, 1, 1);
-    let path = scratch("complete");
+    let (_dir, path) = scratch("complete");
     let config = opts(path, 4);
     let (first, _, report) = campaign.run_resumable(start(), SLOTS, &config).expect("first run");
     assert!(report.completed);
@@ -199,10 +211,10 @@ fn resume_after_completion_returns_stored_stream() {
 fn corrupt_primary_falls_back_to_last_good_and_converges() {
     let c = mini();
     let campaign = campaign(&c, Mode::Identified, 2, 2);
-    let base_path = scratch("corrupt-primary");
+    let (_dir, base_path) = scratch("corrupt-primary");
     let config = opts(base_path.clone(), 2);
     let baseline = {
-        let path = scratch("corrupt-primary-baseline");
+        let (_dir, path) = scratch("corrupt-primary-baseline");
         let (obs, _, _) = campaign.run_resumable(start(), SLOTS, &opts(path, 2)).expect("baseline");
         fingerprint_observations(&obs)
     };
@@ -235,7 +247,7 @@ fn corrupt_primary_falls_back_to_last_good_and_converges() {
 fn corruption_of_all_history_restarts_cleanly() {
     let c = mini();
     let campaign = campaign(&c, Mode::Oracle, 1, 1);
-    let path = scratch("corrupt-all");
+    let (_dir, path) = scratch("corrupt-all");
     let config = opts(path.clone(), 2);
     let stopped = ResumeConfig { stop_after_checkpoints: Some(2), ..config.clone() };
     let (_, _, _) = campaign.run_resumable(start(), SLOTS, &stopped).expect("partial run");
@@ -257,7 +269,7 @@ fn corruption_of_all_history_restarts_cleanly() {
 #[test]
 fn foreign_snapshot_is_rejected_not_resumed() {
     let c = mini();
-    let path = scratch("foreign");
+    let (_dir, path) = scratch("foreign");
     let config = opts(path, 2);
     let stopped = ResumeConfig { stop_after_checkpoints: Some(1), ..config.clone() };
     let (_, _, _) = campaign(&c, Mode::Oracle, 1, 1)
@@ -281,7 +293,8 @@ fn foreign_snapshot_is_rejected_not_resumed() {
 /// Stops `original` after one checkpoint, then resumes the same path
 /// with `other` and returns the error it must raise.
 fn resume_into(original: &Campaign<'_>, other: &Campaign<'_>, tag: &str) -> CampaignError {
-    let config = opts(scratch(tag), 2);
+    let (_dir, path) = scratch(tag);
+    let config = opts(path, 2);
     let stopped = ResumeConfig { stop_after_checkpoints: Some(1), ..config.clone() };
     original.run_resumable(start(), SLOTS, &stopped).expect("partial run");
     other.run_resumable(start(), SLOTS, &config).expect_err("must refuse")
@@ -361,7 +374,7 @@ fn resume_tampered(
 ) -> CampaignError {
     let c = mini();
     let campaign = campaign(&c, Mode::Oracle, 1, 1);
-    let path = scratch(tag);
+    let (_dir, path) = scratch(tag);
     let config = opts(path.clone(), 2);
     let stopped = ResumeConfig { stop_after_checkpoints: Some(1), ..config.clone() };
     let (obs, _, _) = campaign.run_resumable(start(), SLOTS, &stopped).expect("partial run");
@@ -469,7 +482,7 @@ fn injected_panics_retry_transparently() {
     let c = mini();
     let clean = campaign(&c, Mode::Oracle, 1, 2);
     let clean_fp = {
-        let path = scratch("retry-clean");
+        let (_dir, path) = scratch("retry-clean");
         let (obs, stats, _) =
             clean.run_resumable(start(), SLOTS, &opts(path, 4)).expect("clean run");
         assert_eq!(stats.worker_retries, 0);
@@ -488,7 +501,7 @@ fn injected_panics_retry_transparently() {
         },
         33,
     );
-    let path = scratch("retry-flaky");
+    let (_dir, path) = scratch("retry-flaky");
     let config = ResumeConfig { worker_retries: 6, ..opts(path, 4) };
     let (obs, stats, report) =
         flaky.run_resumable(start(), SLOTS, &config).expect("flaky run must recover");
@@ -520,7 +533,7 @@ fn exhausted_units_quarantine_and_degrade_visibly() {
         },
         33,
     );
-    let path = scratch("quarantine");
+    let (_dir, path) = scratch("quarantine");
     let config = ResumeConfig { worker_retries: 1, worker_quarantine_after: 1, ..opts(path, 5) };
     let (obs, stats, report) = campaign.run_resumable(start(), SLOTS, &config).expect("degrades");
     assert!(report.completed);
@@ -548,7 +561,7 @@ fn overruns_fail_fast_when_quarantine_is_disabled() {
         },
         33,
     );
-    let path = scratch("fail-fast");
+    let (_dir, path) = scratch("fail-fast");
     let config = ResumeConfig { worker_retries: 2, worker_quarantine_after: 0, ..opts(path, 5) };
     let err = campaign.run_resumable(start(), SLOTS, &config).expect_err("must fail fast");
     match err {

@@ -15,7 +15,7 @@ use starsense_experiments::{paper_results, slots_from_env, splice, write_artifac
 const DOC: &str = "EXPERIMENTS.md";
 
 fn main() {
-    let slots = std::env::var_os("STARSENSE_SLOTS").map(|_| slots_from_env(1));
+    let slots = slots_from_env();
     let results = paper_results(slots);
     for section in &results.sections {
         println!("## {}\n\n{}", section.id, section.markdown);

@@ -22,9 +22,8 @@
 //! | `tab_margin` | DTW-margin precision vs coverage |
 //! | `tab_capacity` | §3 iPerf side: per-slot capacity and handover loss |
 //!
-//! Two robustness drills keep binaries of their own: `chaos_soak`
-//! (seeded fault tiers, degradation monotonicity) and `crash_resume`
-//! (kill/resume across real process boundaries).
+//! The robustness checks (seeded fault tiers, kill/resume across real
+//! process boundaries) are the root package's `tests/chaos.rs`.
 //!
 //! Everything shares one deterministic world: seed 42, the constellation
 //! and campaign window below.
@@ -36,9 +35,7 @@ pub use paper::paper_results;
 use starsense_astro::time::JulianDate;
 use starsense_constellation::{Constellation, ConstellationBuilder};
 use starsense_core::report::text_table;
-use std::fmt::Display;
 use std::path::PathBuf;
-use std::str::FromStr;
 
 /// The seed every experiment derives its world from.
 pub const WORLD_SEED: u64 = 42;
@@ -54,44 +51,33 @@ pub fn standard_constellation() -> Constellation {
     ConstellationBuilder::starlink_gen1().seed(WORLD_SEED).build()
 }
 
-/// Number of campaign slots: `STARSENSE_SLOTS` env var or the default.
-pub fn slots_from_env(default: usize) -> usize {
-    env_integer("STARSENSE_SLOTS", default, 1)
-}
-
-/// Reads an integer knob from the environment variable `name`: `default`
-/// when it is unset, otherwise its value, which must be an integer no
-/// smaller than `min` (pass `1` for counts, so zero is rejected too).
+/// The campaign length `STARSENSE_SLOTS` asks for, `None` when it is
+/// unset.
 ///
 /// # Panics
 ///
-/// Panics with a message naming the variable and its value when the
-/// variable is set to anything else, so a typo never silently runs the
-/// default.
-pub fn env_integer<T: FromStr + PartialOrd + Display>(name: &str, default: T, min: T) -> T {
-    let value = std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
-    match parse_env_integer(name, value.as_deref(), default, min) {
-        Ok(n) => n,
+/// Panics with a message naming the variable and its value when it is
+/// set to anything but a positive integer, so a typo never silently runs
+/// the defaults.
+pub fn slots_from_env() -> Option<usize> {
+    let value = std::env::var_os("STARSENSE_SLOTS").map(|v| v.to_string_lossy().into_owned());
+    match parse_slots(value.as_deref()) {
+        Ok(slots) => slots,
         #[expect(
             clippy::panic,
-            reason = "experiment bins have no recovery path for a malformed knob; stopping beats running the default"
+            reason = "the reproduce bin has no recovery path for a malformed knob; stopping beats running the defaults"
         )]
         Err(message) => panic!("{message}"),
     }
 }
 
-/// The parse behind [`env_integer`], as a pure function of the
+/// The parse behind [`slots_from_env`], as a pure function of the
 /// variable's value (`None` when unset).
-fn parse_env_integer<T: FromStr + PartialOrd + Display>(
-    name: &str,
-    value: Option<&str>,
-    default: T,
-    min: T,
-) -> Result<T, String> {
-    let Some(value) = value else { return Ok(default) };
-    match value.parse::<T>() {
-        Ok(n) if n >= min => Ok(n),
-        _ => Err(format!("{name}={value:?}: expected an integer of at least {min}")),
+fn parse_slots(value: Option<&str>) -> Result<Option<usize>, String> {
+    let Some(value) = value else { return Ok(None) };
+    match value.parse::<usize>() {
+        Ok(n) if n >= 1 => Ok(Some(n)),
+        _ => Err(format!("STARSENSE_SLOTS={value:?}: expected an integer of at least 1")),
     }
 }
 
@@ -203,20 +189,19 @@ mod tests {
 
     #[test]
     fn unset_knob_takes_the_default() {
-        assert_eq!(parse_env_integer("STARSENSE_SLOTS", None, 77usize, 1), Ok(77));
+        assert_eq!(parse_slots(None), Ok(None));
     }
 
     #[test]
     fn set_knob_overrides_the_default() {
-        assert_eq!(parse_env_integer("STARSENSE_SLOTS", Some("12"), 77usize, 1), Ok(12));
-        assert_eq!(parse_env_integer("STARSENSE_CRASH_SEED", Some("0"), 201u64, 0), Ok(0));
+        assert_eq!(parse_slots(Some("12")), Ok(Some(12)));
     }
 
     #[test]
     fn malformed_knob_is_rejected_by_name_and_value() {
         for bad in ["1e3", "", " 5", "-1", "twelve", "2.5"] {
-            let err = parse_env_integer("STARSENSE_SLOTS", Some(bad), 2_400usize, 1)
-                .expect_err("a malformed value must not fall back to the default");
+            let err = parse_slots(Some(bad))
+                .expect_err("a malformed value must not fall back to the defaults");
             assert!(err.contains("STARSENSE_SLOTS"), "{err}");
             assert!(err.contains(&format!("{bad:?}")), "{err}");
         }
@@ -224,9 +209,8 @@ mod tests {
 
     #[test]
     fn zero_count_is_rejected() {
-        let err = parse_env_integer("STARSENSE_CHAOS_KILL", Some("0"), 1usize, 1)
-            .expect_err("zero is not a count");
-        assert_eq!(err, "STARSENSE_CHAOS_KILL=\"0\": expected an integer of at least 1");
+        let err = parse_slots(Some("0")).expect_err("zero is not a campaign length");
+        assert_eq!(err, "STARSENSE_SLOTS=\"0\": expected an integer of at least 1");
     }
 
     fn results(blocks: &[(&'static str, &str)]) -> PaperResults {

@@ -177,15 +177,27 @@ fn fig3(constellation: &Constellation, slots: usize) -> Section {
     let location = terminals[IOWA].location;
     let mut scheduler = GlobalScheduler::new(SchedulerPolicy::default(), terminals, WORLD_SEED);
     let first_mid = slot_start(campaign_start()).plus_seconds(SLOT_PERIOD_SECONDS / 2.0);
-    let mut play = |dish: &mut DishSimulator, k: usize| {
+
+    // One scheduler, played once: the dish with its 10-minute map reset
+    // sees slots 0-7 (panels b-d), the dish that never resets sees every
+    // slot of the saturation run (panel e).
+    let mut dish = DishSimulator::new(location);
+    let mut sat_dish = DishSimulator::new(location).with_reset_every_slots(0);
+    let mut captures = Vec::new();
+    let mut saturated = None;
+    for k in 0..slots.max(8) {
         let at = first_mid.plus_seconds(k as f64 * SLOT_PERIOD_SECONDS);
         let alloc = &scheduler.allocate(constellation, at)[IOWA];
-        dish.play_slot(constellation, alloc.slot, alloc.slot_start, alloc.chosen_id())
-    };
+        let (slot, start, chosen) = (alloc.slot, alloc.slot_start, alloc.chosen_id());
+        if k < 8 {
+            captures.push(dish.play_slot(constellation, slot, start, chosen));
+        }
+        if k < slots {
+            saturated = Some(sat_dish.play_slot(constellation, slot, start, chosen).map);
+        }
+    }
 
     // (b), (c), (d): two consecutive 15-second slots and their XOR.
-    let mut dish = DishSimulator::new(location);
-    let captures: Vec<_> = (0..8).map(|k| play(&mut dish, k)).collect();
     let (prev, curr) = (&captures[6], &captures[7]);
     let xor = isolate(&prev.map, &curr.map);
     s.artifact("fig3b_gRPC_t_minus_1.pgm", to_pgm(&prev.map));
@@ -198,14 +210,8 @@ fn fig3(constellation: &Constellation, slots: usize) -> Section {
         xor.count_set()
     ));
 
-    // (e): the saturation run, continuing the same scheduler with no map
-    // resets.
-    let mut sat_dish = DishSimulator::new(location).with_reset_every_slots(0);
-    let mut last = None;
-    for k in 0..slots {
-        last = Some(play(&mut sat_dish, k));
-    }
-    let saturated = last.expect("at least one slot").map;
+    // (e): the saturation run, with no map resets.
+    let saturated = saturated.expect("at least one slot");
     s.artifact("fig3e_saturated.pgm", to_pgm(&saturated));
     s.text(format!(
         "saturated map after {} slots ({:.1} h): {} px set, fill {:.1}%",

@@ -734,8 +734,8 @@ mod tests {
 
     #[test]
     fn worker_channels_are_opt_in_only() {
-        // uniform() must never arm the worker channels: the chaos-soak
-        // golden fingerprints were frozen before they existed.
+        // uniform() must never arm the worker channels: streams under
+        // uniform plans were pinned before those channels existed.
         let u = FaultRates::uniform(0.9);
         assert_eq!(u.worker_panic, 0.0);
         assert_eq!(u.worker_overrun, 0.0);

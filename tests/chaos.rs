@@ -1,16 +1,23 @@
-//! Chaos soak: the measurement pipeline under deterministic fault
-//! injection must degrade gracefully, never abort.
+//! The robustness harness: under deterministic fault injection the
+//! measurement pipeline must degrade gracefully, never abort, and a
+//! killed campaign must lose nothing.
 //!
 //! A seed sweep (≥8 seeds) runs identified-mode campaigns through
 //! escalating fault tiers (≥3 non-zero rates plus the fault-free
-//! control) and pins four properties:
+//! control) and pins these properties:
 //!
 //! * zero panics — every run completes and keeps its slot count;
 //! * slot times stay monotone under any fault mix;
 //! * a fault-free [`FaultPlan`] is bit-identical to a fault-unaware
 //!   configuration, in the campaign and in the probe emulator;
 //! * aggregated degradation is monotone in the injected rate, and every
-//!   slot lands in exactly one outcome bucket.
+//!   slot lands in exactly one outcome bucket;
+//! * a campaign killed at every checkpoint and resumed reassembles the
+//!   uninterrupted stream bit for bit — in-process, and across real
+//!   process deaths (the test binary re-runs itself as the dying worker).
+
+use std::path::{Path, PathBuf};
+use std::process::Command;
 
 use starsense::core::degrade::DegradationStats;
 use starsense::ident::DEFAULT_MIN_MARGIN;
@@ -48,6 +55,38 @@ fn chaos_config(seed: u64, rate: f64) -> CampaignConfig {
         min_margin: DEFAULT_MIN_MARGIN,
         quarantine_after: 3,
         ..CampaignConfig::default()
+    }
+}
+
+/// The campaign the kill/resume tests interrupt: mid-tier faults.
+fn kill_campaign(constellation: &Constellation, seed: u64) -> Campaign<'_> {
+    Campaign::identified(constellation, one_terminal(), chaos_config(seed, TIER_RATES[2]), seed)
+}
+
+/// A checkpoint every 4 slots; each life stops after its first one.
+fn kill_opts(path: PathBuf) -> ResumeConfig {
+    ResumeConfig { checkpoint_every: 4, stop_after_checkpoints: Some(1), ..ResumeConfig::new(path) }
+}
+
+/// A per-process scratch directory, removed when dropped (a failing test
+/// cleans up too).
+struct ScratchDir(PathBuf);
+
+impl ScratchDir {
+    fn new(tag: &str) -> ScratchDir {
+        let dir = std::env::temp_dir().join(format!("starsense-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("create scratch dir");
+        ScratchDir(dir)
+    }
+
+    fn path(&self, name: &str) -> PathBuf {
+        self.0.join(name)
+    }
+}
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
     }
 }
 
@@ -150,34 +189,17 @@ fn fault_free_plans_are_bit_identical_to_fault_unaware_runs() {
 /// Kill/resume tier: every seed's campaign is run through the resumable
 /// engine and "killed" (in-process, after the checkpoint is durably on
 /// disk — the same boundary a real `kill -9` resumes from) after every
-/// `STARSENSE_CHAOS_KILL` checkpoints, then resumed from the snapshot
-/// until done. The reassembled stream must be bit-for-bit identical to
-/// an uninterrupted run's, under fault injection, for every seed.
+/// checkpoint, then resumed from the snapshot until done. The reassembled
+/// stream must be bit-for-bit identical to an uninterrupted run's, under
+/// fault injection, for every seed.
 #[test]
 fn kill_resume_chain_is_bit_identical_across_seeds() {
     let constellation = mini();
-    let kill_every = std::env::var("STARSENSE_CHAOS_KILL")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1usize)
-        .max(1);
-    let scratch = std::env::temp_dir().join(format!("starsense-chaos-kill-{}", std::process::id()));
-    std::fs::create_dir_all(&scratch).expect("create scratch dir");
-
+    let scratch = ScratchDir::new("chaos-kill");
     for &seed in &SEEDS {
-        let campaign = Campaign::identified(
-            &constellation,
-            one_terminal(),
-            chaos_config(seed, TIER_RATES[2]),
-            seed,
-        );
+        let campaign = kill_campaign(&constellation, seed);
         let one_shot = fingerprint_observations(&campaign.run(start(), SLOTS));
-
-        let opts = ResumeConfig {
-            checkpoint_every: 4,
-            stop_after_checkpoints: Some(kill_every),
-            ..ResumeConfig::new(scratch.join(format!("seed-{seed}.ckpt")))
-        };
+        let opts = kill_opts(scratch.path(&format!("seed-{seed}.ckpt")));
         let mut lives = 0usize;
         let (resumed, last_report) = loop {
             lives += 1;
@@ -196,7 +218,84 @@ fn kill_resume_chain_is_bit_identical_across_seeds() {
             "seed {seed}: kill/resume stream diverged from the uninterrupted run"
         );
     }
-    let _ = std::fs::remove_dir_all(&scratch);
+}
+
+/// Tells [`process_kill_child`] to act: `<seed> <checkpoint path>`.
+const CHILD_ENV: &str = "STARSENSE_TEST_KILL_CHILD";
+
+/// Exit status of a life that died after a durable checkpoint.
+const KILLED: i32 = 3;
+
+/// One process life of [`process_kill_chain_is_bit_identical_across_seeds`]:
+/// run the campaign until one checkpoint is durable, then die without
+/// unwinding, or print the fingerprint when the campaign completes.
+/// Returns at once when [`CHILD_ENV`] is unset (a plain test run).
+#[test]
+#[expect(
+    clippy::exit,
+    clippy::disallowed_methods,
+    reason = "the child stands in for a crashing process: it must die without unwinding"
+)]
+fn process_kill_child() {
+    let Ok(job) = std::env::var(CHILD_ENV) else { return };
+    let (seed, path) = job.split_once(' ').expect("`<seed> <path>`");
+    let seed: u64 = seed.parse().expect("child seed");
+    let (obs, _, report) = kill_campaign(&mini(), seed)
+        .run_resumable(start(), SLOTS, &kill_opts(PathBuf::from(path)))
+        .expect("resumable campaign must never abort");
+    if !report.completed {
+        // The checkpoint is already on disk: dying here loses nothing.
+        std::process::exit(KILLED);
+    }
+    println!("fingerprint={:016x}", fingerprint_observations(&obs));
+}
+
+/// Runs one life of the chain for `seed` in a fresh process; returns its
+/// exit status and its output (stdout, then stderr).
+fn child_life(seed: u64, checkpoint: &Path) -> (Option<i32>, String) {
+    let exe = std::env::current_exe().expect("own test binary");
+    let output = Command::new(exe)
+        .args(["--exact", "process_kill_child", "--test-threads=1", "--nocapture"])
+        .env(CHILD_ENV, format!("{seed} {}", checkpoint.display()))
+        .output()
+        .expect("spawn child");
+    let stdout = String::from_utf8_lossy(&output.stdout).into_owned();
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    (output.status.code(), format!("{stdout}{stderr}"))
+}
+
+/// The kill/resume chain across real process boundaries: each life is a
+/// new process, so resume can lean on nothing process-global (no cached
+/// table, no static), only on the snapshot file.
+#[test]
+fn process_kill_chain_is_bit_identical_across_seeds() {
+    let constellation = mini();
+    let scratch = ScratchDir::new("chaos-process-kill");
+    for &seed in &SEEDS {
+        let one_shot =
+            fingerprint_observations(&kill_campaign(&constellation, seed).run(start(), SLOTS));
+        let checkpoint = scratch.path(&format!("seed-{seed}.ckpt"));
+        let mut lives = 0usize;
+        let survived = loop {
+            lives += 1;
+            assert!(lives <= SLOTS + 2, "seed {seed}: the process chain failed to converge");
+            match child_life(seed, &checkpoint) {
+                (Some(KILLED), _) => continue,
+                (Some(0), output) => {
+                    break output
+                        .split_once("fingerprint=")
+                        .and_then(|(_, hex)| u64::from_str_radix(hex.get(..16)?, 16).ok())
+                        .unwrap_or_else(|| panic!("seed {seed}: no fingerprint in\n{output}"));
+                }
+                (code, output) => panic!("seed {seed}: life {lives} exited {code:?}\n{output}"),
+            }
+        };
+        assert!(lives > 1, "seed {seed}: no life was killed");
+        assert_eq!(
+            survived, one_shot,
+            "seed {seed}: the stream reassembled across {lives} processes diverged"
+        );
+    }
 }
 
 #[test]
