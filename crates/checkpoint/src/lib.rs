@@ -783,11 +783,22 @@ mod tests {
         assert_eq!(w.as_bytes(), &[3, 0, 0, 0, 0, 0, 0, 0, b'n', 0xC3, 0xA9]);
     }
 
+    /// Removes a scratch directory when dropped, so a test cleans up
+    /// after itself even when it fails.
+    struct ScratchDir(std::path::PathBuf);
+
+    impl Drop for ScratchDir {
+        fn drop(&mut self) {
+            let _ = fs::remove_dir_all(&self.0);
+        }
+    }
+
     #[test]
     fn atomic_write_rotate_and_backup_recovery() {
-        let dir = std::env::temp_dir().join(format!("sscp-test-{}", std::process::id()));
-        fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join("campaign.ckpt");
+        let dir =
+            ScratchDir(std::env::temp_dir().join(format!("sscp-test-{}", std::process::id())));
+        fs::create_dir_all(&dir.0).expect("mkdir");
+        let path = dir.0.join("campaign.ckpt");
 
         let first = sample();
         write_rotating(&path, &first).expect("first write");
@@ -821,7 +832,5 @@ mod tests {
         let out = load_latest(&path).expect("load");
         assert!(out.snapshot.is_none());
         assert_eq!(out.corrupt_discarded, 0);
-
-        let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -37,12 +37,24 @@ fn section_set() -> impl Strategy<Value = Vec<(u32, Vec<u8>)>> {
         })
 }
 
+/// A scratch directory that is removed when dropped, so a test cleans up
+/// after itself even when it fails.
+struct ScratchDir(PathBuf);
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 /// A snapshot path in a directory of its own, so parallel tests never
-/// rotate each other's files.
-fn scratch(tag: &str) -> PathBuf {
+/// rotate each other's files, and the guard that removes the directory:
+/// keep the guard alive while the path is in use.
+fn scratch(tag: &str) -> (ScratchDir, PathBuf) {
     let dir = std::env::temp_dir().join(format!("sscp-codec-{}-{tag}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir.join("snapshot.ckpt")
+    let path = dir.join("snapshot.ckpt");
+    (ScratchDir(dir), path)
 }
 
 /// Streams `sections` through `write_snapshot_rotating` (carrying each
@@ -151,7 +163,7 @@ proptest! {
     /// The streamed write is the builder's bytes, whatever the sections.
     #[test]
     fn streamed_write_matches_builder(sections in section_set()) {
-        let path = scratch("prop");
+        let (_dir, path) = scratch("prop");
         prop_assert_eq!(streamed(&path, &sections), build(&sections));
     }
 }
@@ -164,7 +176,7 @@ fn streamed_multi_section_file_matches_builder_and_detects_every_bit_flip() {
         (4, (0u16..300).map(|i| (i * 7) as u8).collect()),
         (5, vec![0xAB; 9]),
     ];
-    let path = scratch("flips");
+    let (_dir, path) = scratch("flips");
     let bytes = streamed(&path, &sections);
     assert_eq!(bytes, build(&sections), "streamed file must equal SnapshotBuilder::finish");
     let snap = Snapshot::parse(&bytes).expect("streamed snapshot parses");
@@ -190,9 +202,6 @@ fn streamed_multi_section_file_matches_builder_and_detects_every_bit_flip() {
         Err(CheckpointError::DuplicateSection { id: 3 })
     );
     assert_eq!(std::fs::read(&path).expect("primary kept"), bytes);
-    if let Some(dir) = path.parent() {
-        let _ = std::fs::remove_dir_all(dir);
-    }
 }
 
 #[test]

@@ -65,49 +65,11 @@ use starsense_scheduler::{
     SiteGeometry, Terminal, TerminalSchedState,
 };
 
-/// How one supervised work-unit attempt failed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ShardFailure {
-    /// The worker panicked; the payload is carried as text.
-    Panicked {
-        /// Stringified panic payload.
-        payload: String,
-    },
-    /// The worker exceeded its (virtual) deadline budget. No wall clock
-    /// is involved: overruns are reported by the deterministic fault
-    /// plan, so chaos campaigns stay bit-reproducible.
-    DeadlineOverrun,
-}
-
-impl std::fmt::Display for ShardFailure {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ShardFailure::Panicked { payload } => write!(f, "panicked: {payload}"),
-            ShardFailure::DeadlineOverrun => write!(f, "deadline overrun"),
-        }
-    }
-}
-
 /// Typed campaign failure — what [`Campaign::run_resumable`] reports
-/// instead of propagating worker panics. [`Campaign::run`] turns it back
-/// into a panic.
+/// when it cannot read or write a checkpoint. A worker panic is not an
+/// error value: it propagates with its own payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CampaignError {
-    /// A supervised work unit exhausted its retry budget while quarantine
-    /// was disabled (`worker_quarantine_after == 0`, as in
-    /// [`Campaign::run`]), so the engine failed fast instead of degrading
-    /// the unit's slots. A worker panic surfaces here with
-    /// [`ShardFailure::Panicked`].
-    WorkerExhausted {
-        /// Failing work-unit id (scheduling shards count from 0;
-        /// observation terminals are offset by `2^32` — see
-        /// `resume::observe_unit_id`).
-        unit: u64,
-        /// Attempts made, first try included.
-        attempts: u32,
-        /// The final attempt's failure.
-        failure: ShardFailure,
-    },
     /// Writing or reading a checkpoint snapshot failed.
     Checkpoint(starsense_checkpoint::CheckpointError),
 }
@@ -115,9 +77,6 @@ pub enum CampaignError {
 impl std::fmt::Display for CampaignError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CampaignError::WorkerExhausted { unit, attempts, failure } => {
-                write!(f, "work unit {unit} failed {attempts} attempts; last: {failure}")
-            }
             CampaignError::Checkpoint(e) => write!(f, "checkpoint failure: {e}"),
         }
     }
@@ -128,19 +87,6 @@ impl std::error::Error for CampaignError {}
 impl From<starsense_checkpoint::CheckpointError> for CampaignError {
     fn from(e: starsense_checkpoint::CheckpointError) -> Self {
         CampaignError::Checkpoint(e)
-    }
-}
-
-/// Renders a panic payload as text for [`CampaignError`] /
-/// [`ShardFailure`]. `&str` and `String` payloads (everything `panic!`
-/// and `panic_any` produce in this workspace) pass through verbatim.
-pub(crate) fn payload_message(p: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = p.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = p.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
     }
 }
 
@@ -314,24 +260,18 @@ impl<'a> Campaign<'a> {
     /// `from`. Returns observations slot-major, terminal-minor.
     ///
     /// This is [`Campaign::run_resumable`] with [`ResumeConfig::default`]:
-    /// no checkpoints and no retry or quarantine budget. Observations are
-    /// byte-identical for any [`CampaignConfig::threads`] and
-    /// [`CampaignConfig::shards`] value.
+    /// no checkpoints. Observations are byte-identical for any
+    /// [`CampaignConfig::threads`] and [`CampaignConfig::shards`] value.
     ///
     /// # Panics
     ///
-    /// A worker panic propagates as a panic carrying the original payload
-    /// text; any other engine failure (including an injected worker fault
-    /// from [`FaultPlan::worker_fault`]) panics with its message. Use
-    /// `run_resumable` with a supervision budget to ride such faults out.
+    /// A worker panic propagates with the worker's own payload.
     pub fn run(&self, from: JulianDate, slots: usize) -> Vec<SlotObservation> {
         match self.run_resumable(from, slots, &ResumeConfig::default()) {
             Ok((obs, _, _)) => obs,
-            Err(CampaignError::WorkerExhausted {
-                failure: ShardFailure::Panicked { payload },
-                ..
-            }) => std::panic::resume_unwind(Box::new(payload)),
-            Err(other) => std::panic::resume_unwind(Box::new(other.to_string())),
+            // Checkpointing is off: no snapshot is read or written, so
+            // there is no error to return.
+            Err(e) => unreachable!("a run without checkpoints failed: {e}"),
         }
     }
 
@@ -740,26 +680,6 @@ mod tests {
         assert_streams_identical(&serial, &run(2, 2));
         assert_streams_identical(&serial, &run(4, 0));
         assert_streams_identical(&serial, &run(2, 1));
-    }
-
-    #[test]
-    fn worker_panic_propagates_through_run_with_its_payload() {
-        // `run` has no retry budget: the first panicking work unit fails
-        // the run, and the caller sees the worker's own panic text.
-        use starsense_faults::FaultRates;
-        let c = ConstellationBuilder::starlink_mini().seed(33).build();
-        let terminals = vec![Terminal::new(0, "Iowa", Geodetic::new(41.66, -91.53, 0.2))];
-        let rates = FaultRates { worker_panic: 1.0, ..FaultRates::none() };
-        let config =
-            CampaignConfig { faults: FaultPlan::new(5, rates), ..CampaignConfig::default() };
-        let campaign = Campaign::oracle(&c, terminals, config, 33);
-        let from = JulianDate::from_ymd_hms(2023, 6, 1, 16, 0, 0.0);
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            campaign.run(from, 3);
-        }));
-        let payload = caught.expect_err("run must panic");
-        let text = payload_message(payload.as_ref());
-        assert!(text.starts_with("injected worker panic"), "payload text lost: {text:?}");
     }
 
     #[test]

@@ -37,10 +37,6 @@ pub enum DegradeReason {
     /// The pipeline named a satellite that is not in the slot's
     /// available list (a confident misidentification).
     UnmatchedIdentity,
-    /// The slot's work unit (a scheduling shard or an observation
-    /// terminal) was quarantined after exhausting its retry budget in the
-    /// resumable engine; the slot was never computed.
-    WorkerFailed,
 }
 
 /// How one slot's observation resolved.
@@ -92,13 +88,6 @@ pub struct DegradationStats {
     /// (satellite, slot) propagation entries masked by fault injection,
     /// quarantine tails included.
     pub masked_propagations: usize,
-    /// `no_data` slots lost to quarantined work units.
-    pub worker_failed: usize,
-    /// Worker attempts retried by the resumable engine's supervisor
-    /// (counts re-runs, not first attempts).
-    pub worker_retries: usize,
-    /// Work units quarantined after exhausting their retry budget.
-    pub quarantined_workers: usize,
 }
 
 impl DegradationStats {
@@ -117,7 +106,6 @@ impl DegradationStats {
                         DegradeReason::FrameDropped { .. } => stats.frame_dropped += 1,
                         DegradeReason::StaleFrame => stats.stale_frames += 1,
                         DegradeReason::Outage => stats.outages += 1,
-                        DegradeReason::WorkerFailed => stats.worker_failed += 1,
                         _ => {}
                     }
                 }
@@ -146,9 +134,6 @@ impl DegradationStats {
         self.outages += other.outages;
         self.quarantined_sats += other.quarantined_sats;
         self.masked_propagations += other.masked_propagations;
-        self.worker_failed += other.worker_failed;
-        self.worker_retries += other.worker_retries;
-        self.quarantined_workers += other.quarantined_workers;
     }
 }
 
@@ -181,18 +166,16 @@ mod tests {
             obs(SlotOutcome::NoData(DegradeReason::StaleFrame)),
             obs(SlotOutcome::NoData(DegradeReason::Outage)),
             obs(SlotOutcome::NoData(DegradeReason::EmptyTrail)),
-            obs(SlotOutcome::NoData(DegradeReason::WorkerFailed)),
         ];
         let s = DegradationStats::collect(&stream);
-        assert_eq!(s.slots, 8);
+        assert_eq!(s.slots, 7);
         assert_eq!(s.observed, 2);
         assert_eq!(s.ambiguous, 1);
-        assert_eq!(s.no_data, 5);
+        assert_eq!(s.no_data, 4);
         assert_eq!(s.frame_dropped, 1);
         assert_eq!(s.stale_frames, 1);
         assert_eq!(s.outages, 1);
-        assert_eq!(s.worker_failed, 1);
-        assert!((s.observed_rate() - 2.0 / 8.0).abs() < 1e-12);
+        assert!((s.observed_rate() - 2.0 / 7.0).abs() < 1e-12);
     }
 
     #[test]

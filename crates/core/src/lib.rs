@@ -42,9 +42,7 @@ pub mod report;
 pub mod resume;
 pub mod vantage;
 
-pub use campaign::{
-    Campaign, CampaignConfig, CampaignError, SatObs, ShardFailure, SlotObservation,
-};
+pub use campaign::{Campaign, CampaignConfig, CampaignError, SatObs, SlotObservation};
 pub use degrade::{DegradationStats, DegradeReason, SlotOutcome};
 pub use features::{ClusterKey, ClusterVocabulary, FeatureExtractor};
 pub use model::{train_and_evaluate, ModelEvaluation};

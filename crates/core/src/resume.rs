@@ -1,7 +1,5 @@
 //! Crash-resilient campaign execution: versioned checkpoint/restore with
-//! bit-identical resume, plus a supervision layer that retries, backs
-//! off, and quarantines failing shard workers instead of letting one
-//! panic sink a multi-hour run.
+//! bit-identical resume.
 //!
 //! # Execution model
 //!
@@ -17,8 +15,7 @@
 //!   different shard or thread count and still produce the same bits;
 //! * in identified mode, per-terminal dish state ([`DishState`]) and the
 //!   previous slot capture the XOR differencing baselines against;
-//! * the accumulated observation stream and the supervisor's failure
-//!   ledger.
+//! * the accumulated observation stream.
 //!
 //! With checkpointing on, the full state is serialized after each segment
 //! into a checksummed [`starsense_checkpoint`] snapshot and streamed to
@@ -30,31 +27,23 @@
 //! crosses a slot and every cache rebuilt per segment (propagation table,
 //! track cache) is a pure function of the catalog.
 //!
-//! # Supervision
+//! # Failures
 //!
-//! Each schedule shard and each observation terminal is a supervised
-//! *work unit*. An attempt can fail by panicking (caught with
-//! `catch_unwind`, including panics injected by the deterministic
-//! [`starsense_faults::FaultPlan::worker_fault`] channel) or by a *virtual* deadline
-//! overrun reported by the same fault plan — no wall clock ever feeds a
-//! decision, so chaos campaigns stay bit-reproducible. Failed attempts
-//! are retried up to [`ResumeConfig::worker_retries`] times, at once: a
-//! retry re-runs a pure function under faults keyed by (unit, slot,
-//! attempt), so waiting could not change its outcome. A unit that
-//! exhausts its budget is charged one *unit failure*; after
-//! [`ResumeConfig::worker_quarantine_after`] unit failures the unit is
-//! quarantined for the rest of the campaign and its slots degrade to
-//! [`DegradeReason::WorkerFailed`] — visible in [`DegradationStats`],
-//! never silently dropped. With quarantine disabled (`0`) the engine
-//! fails fast with [`CampaignError::WorkerExhausted`].
+//! Each schedule shard and each observation terminal is a *work unit*,
+//! a pure function of its segment-start state. Running one again would
+//! replay a panic bit for bit, so the engine neither catches nor retries:
+//! a worker panic propagates to the caller with its own payload and ends
+//! the run. The recovery is the last durable checkpoint — a later call
+//! resumes from it and recomputes only the lost segment. No slot is ever
+//! filled with data the run did not measure.
 //!
 //! # Wire format
 //!
-//! The snapshot payload is five sections in the checkpoint container
+//! The snapshot payload is four sections in the checkpoint container
 //! (see `DESIGN.md` for the byte-level layout): campaign metadata and
 //! fingerprint ([`SEC_META`]), scheduler states ([`SEC_SCHED`]), dish
-//! states and baselines ([`SEC_DISH`], empty in oracle mode), accumulated
-//! observations ([`SEC_OBS`]), and the supervisor ledger ([`SEC_STATS`]).
+//! states and baselines ([`SEC_DISH`], empty in oracle mode), and
+//! accumulated observations ([`SEC_OBS`]).
 //!
 //! [`SEC_OBS`] is the observation log: the encoded observations back to
 //! back, with no count prefix — the decoder reads exactly
@@ -68,12 +57,9 @@
 //! the log is seeded from the validated section bytes and the checksum
 //! [`Snapshot::parse`] already verified.
 
-use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 
-use crate::campaign::{
-    payload_message, Campaign, CampaignError, SatObs, ShardFailure, SlotObservation,
-};
+use crate::campaign::{Campaign, CampaignError, SatObs, SlotObservation};
 use crate::degrade::{DegradationStats, DegradeReason, SlotOutcome};
 use starsense_astro::time::JulianDate;
 use starsense_checkpoint::{
@@ -81,7 +67,7 @@ use starsense_checkpoint::{
     CheckpointError, LoadedFrom, SectionRef, Snapshot, FNV1A_EMPTY,
 };
 use starsense_constellation::PropagationCache;
-use starsense_faults::{PropagationSchedule, WorkerFault};
+use starsense_faults::PropagationSchedule;
 use starsense_ident::{
     slot_boundary_epochs, DishSimulator, DishState, SlotCapture, CANDIDATE_SAMPLES_PER_SLOT,
 };
@@ -91,8 +77,9 @@ use starsense_scheduler::{Allocation, SiteGeometry, TerminalSchedState};
 
 /// Campaign-state payload layout version (inside the checkpoint
 /// container, which versions itself separately). Version 3 dropped the
-/// observation count that prefixed [`SEC_OBS`].
-pub const CAMPAIGN_STATE_VERSION: u32 = 3;
+/// observation count that prefixed [`SEC_OBS`]; version 4 dropped the
+/// worker-supervisor ledger that followed it as a fifth section.
+pub const CAMPAIGN_STATE_VERSION: u32 = 4;
 
 /// Section id: campaign metadata + configuration fingerprint.
 pub const SEC_META: u32 = 1;
@@ -103,11 +90,9 @@ pub const SEC_DISH: u32 = 3;
 /// Section id: accumulated slot observations, encoded back to back
 /// (no count prefix; see the module docs).
 pub const SEC_OBS: u32 = 4;
-/// Section id: supervisor ledger (retries, failures, quarantine).
-pub const SEC_STATS: u32 = 5;
 
-/// Configuration of the resumable engine: where to checkpoint, how
-/// often, and the supervision budget for failing workers.
+/// Configuration of the resumable engine: where to checkpoint and how
+/// often.
 #[derive(Debug, Clone)]
 pub struct ResumeConfig {
     /// Snapshot path. The engine also writes `<path>.prev` (rotating
@@ -118,13 +103,6 @@ pub struct ResumeConfig {
     /// reads and writes nothing, and ignores
     /// [`ResumeConfig::checkpoint_path`].
     pub checkpoint_every: usize,
-    /// Retries per work-unit attempt budget: a unit gets `1 + retries`
-    /// attempts per segment before it is charged a unit failure.
-    pub worker_retries: u32,
-    /// Unit failures before a work unit is quarantined for the rest of
-    /// the campaign. `0` disables quarantine: the first exhausted unit
-    /// fails the run with [`CampaignError::WorkerExhausted`].
-    pub worker_quarantine_after: u32,
     /// Stop (successfully, with [`ResumeReport::completed`] `false`)
     /// after writing this many checkpoints. This is the in-process kill
     /// switch the chaos tests use to simulate a crash at an exact
@@ -133,14 +111,11 @@ pub struct ResumeConfig {
 }
 
 impl Default for ResumeConfig {
-    /// The plain run [`Campaign::run`] uses: checkpointing off and no
-    /// supervision budget — the first failed work unit fails the run.
+    /// The plain run [`Campaign::run`] uses: checkpointing off.
     fn default() -> Self {
         ResumeConfig {
             checkpoint_path: PathBuf::new(),
             checkpoint_every: 0,
-            worker_retries: 0,
-            worker_quarantine_after: 0,
             stop_after_checkpoints: None,
         }
     }
@@ -148,14 +123,11 @@ impl Default for ResumeConfig {
 
 impl ResumeConfig {
     /// A resumable run checkpointing to `path` with the default cadence
-    /// (240 slots — one hour of 15-second slots) and supervision budget
-    /// (2 retries per attempt budget, quarantine after 3 unit failures).
+    /// (240 slots — one hour of 15-second slots).
     pub fn new(path: impl Into<PathBuf>) -> ResumeConfig {
         ResumeConfig {
             checkpoint_path: path.into(),
             checkpoint_every: 240,
-            worker_retries: 2,
-            worker_quarantine_after: 3,
             ..ResumeConfig::default()
         }
     }
@@ -228,29 +200,6 @@ struct EngineState {
     prev: Vec<Option<SlotCapture>>,
     obs: Vec<SlotObservation>,
     done: usize,
-    /// Worker attempts re-run by the supervisor (first tries excluded).
-    retries: usize,
-    /// Unit failures charged so far, per unit id.
-    failures: BTreeMap<u64, u32>,
-    /// Units quarantined for the rest of the campaign.
-    quarantined: BTreeSet<u64>,
-}
-
-/// One supervised unit's outcome for a segment.
-struct UnitRun<T> {
-    /// `Some` iff an attempt completed; `None` means every attempt in
-    /// the budget failed (or the unit was already quarantined).
-    value: Option<T>,
-    /// Attempts that failed before success or exhaustion.
-    failed_attempts: u32,
-    /// The last attempt's failure, when all attempts failed.
-    last_failure: Option<ShardFailure>,
-}
-
-/// Observation-phase unit ids live in a disjoint range from schedule
-/// shards: terminal `t` supervises as `2^32 + t`.
-fn observe_unit_id(tid: usize) -> u64 {
-    (1u64 << 32) | tid as u64
 }
 
 impl<'a> Campaign<'a> {
@@ -259,9 +208,14 @@ impl<'a> Campaign<'a> {
     /// [`ResumeConfig::checkpoint_every`] slots and resuming from an
     /// existing snapshot when one validates. The returned observation
     /// stream is the same for every checkpoint cadence (a cadence of `0`
-    /// is [`Campaign::run`]) as long as no work unit fails, and
-    /// byte-identical across any kill/resume schedule at checkpoint
-    /// boundaries — for every thread count and shard count.
+    /// is [`Campaign::run`]), and byte-identical across any kill/resume
+    /// schedule at checkpoint boundaries — for every thread count and
+    /// shard count.
+    ///
+    /// # Panics
+    ///
+    /// A panicking work unit ends the run with the unit's own payload;
+    /// every checkpoint written before it stays on disk to resume from.
     pub fn run_resumable(
         &self,
         from: JulianDate,
@@ -329,7 +283,7 @@ impl<'a> Campaign<'a> {
             self.terminals[range].iter().map(|t| SiteGeometry::new(t.clone(), policy)).collect()
         };
         let sites: Vec<SiteGeometry> =
-            parallel_units(ranges, threads, &build)?.into_iter().flatten().collect();
+            parallel_units(ranges, threads, &build).into_iter().flatten().collect();
 
         while state.done < slots {
             let seg_len = match opts.checkpoint_every {
@@ -338,7 +292,7 @@ impl<'a> Campaign<'a> {
             };
             let seg_mids = &mids[state.done..state.done + seg_len];
             let logged = state.obs.len();
-            self.run_segment(&mut state, &sites, seg_mids, threads, schedule.as_ref(), opts)?;
+            self.run_segment(&mut state, &sites, seg_mids, threads, schedule.as_ref());
             report.segments_run += 1;
             if let Some((fingerprint, log)) = &mut checkpointing {
                 log.append(&state.obs[logged..]);
@@ -360,8 +314,7 @@ impl<'a> Campaign<'a> {
 
     /// Initial engine state: fresh per-terminal scheduler streams (the
     /// same `f(seed, terminal id)` initialization every shard scheduler
-    /// derives), blank dishes and no baselines in identified mode, no
-    /// ledger.
+    /// derives), blank dishes and no baselines in identified mode.
     fn fresh_state(&self) -> EngineState {
         let sched =
             self.terminals.iter().map(|t| TerminalSchedState::initial(self.seed, t.id)).collect();
@@ -375,14 +328,11 @@ impl<'a> Campaign<'a> {
             prev: dish_terminals.iter().map(|_| None).collect(),
             obs: Vec::new(),
             done: 0,
-            retries: 0,
-            failures: BTreeMap::new(),
-            quarantined: BTreeSet::new(),
         }
     }
 
-    /// Folds the ledger and the fault schedule's quarantine counters
-    /// into the observation tallies.
+    /// Folds the fault schedule's quarantine counters into the
+    /// observation tallies.
     fn assemble_stats(
         &self,
         state: &EngineState,
@@ -393,14 +343,11 @@ impl<'a> Campaign<'a> {
             stats.quarantined_sats = schedule.quarantined_count();
             stats.masked_propagations = schedule.masked_slot_count();
         }
-        stats.worker_retries = state.retries;
-        stats.quarantined_workers = state.quarantined.len();
         stats
     }
 
-    /// Executes one segment — prepare, supervised schedule, supervised
-    /// observe — over the slots at `seg_mids` and folds the results into
-    /// `state`.
+    /// Executes one segment — prepare, schedule, observe — over the slots
+    /// at `seg_mids` and folds the results into `state`.
     fn run_segment(
         &self,
         state: &mut EngineState,
@@ -408,11 +355,9 @@ impl<'a> Campaign<'a> {
         seg_mids: &[JulianDate],
         threads: usize,
         schedule: Option<&(PropagationSchedule, Vec<u32>)>,
-        opts: &ResumeConfig,
-    ) -> Result<(), CampaignError> {
+    ) {
         let done = state.done;
         let seg_len = seg_mids.len();
-        let seg_first_slot = slot_index(seg_mids[0]);
 
         // Per-segment propagation table. Propagation is a pure function
         // of (catalog, epoch), so rebuilding per segment reproduces the
@@ -429,118 +374,43 @@ impl<'a> Campaign<'a> {
         };
         cache.prepare(&starts, &boundaries, threads);
 
-        // ---- Supervised schedule phase (unit = shard) -------------------
+        // ---- Schedule phase (unit = shard) ------------------------------
+        // Each shard steps its contiguous slice of the scheduler states in
+        // place; the allocation columns come back in terminal order.
         let ranges = crate::campaign::shard_ranges(self.terminals.len(), self.shard_count());
-        let sched_states = &state.sched;
-        let quarantined = &state.quarantined;
-        let run_shard = |s: usize,
-                         range: std::ops::Range<usize>|
-         -> UnitRun<(Vec<Vec<Allocation>>, Vec<TerminalSchedState>)> {
-            // Every attempt steps a fresh copy of the segment-start
-            // states; the merge below commits them only on success.
-            let body = || {
-                let mut states = sched_states[range.clone()].to_vec();
-                let columns = self.schedule_slots(
-                    &sites[range.clone()],
-                    &mut states,
-                    &cache,
-                    seg_mids,
-                    done,
-                    schedule,
-                );
-                (columns, states)
-            };
-            self.run_supervised(
-                s as u64,
-                seg_first_slot,
-                quarantined.contains(&(s as u64)),
-                opts,
-                body,
-            )
-        };
-        let shard_runs = parallel_units(ranges.clone(), threads, &run_shard)?;
-
-        // Sequential, unit-ordered merge: commit successful shards'
-        // scheduler states and allocation columns and charge failures. A
-        // failed shard's terminals keep no column.
-        let mut per_terminal: Vec<Option<Vec<Allocation>>> =
-            self.terminals.iter().map(|_| None).collect();
-        for (s, run) in shard_runs.into_iter().enumerate() {
-            let start = ranges[s].start;
-            if let Some((columns, new_states)) = self.settle_unit(state, s as u64, run, opts)? {
-                for (offset, (column, st)) in columns.into_iter().zip(new_states).enumerate() {
-                    per_terminal[start + offset] = Some(column);
-                    state.sched[start + offset] = st;
-                }
-            }
+        let mut shards = Vec::with_capacity(ranges.len());
+        let mut rest = &mut state.sched[..];
+        for range in ranges {
+            let (head, tail) = std::mem::take(&mut rest).split_at_mut(range.len());
+            shards.push((&sites[range], head));
+            rest = tail;
         }
+        let allocations: Vec<Vec<Allocation>> =
+            parallel_units(shards, threads, &|_, (sites, states)| {
+                self.schedule_slots(sites, states, &cache, seg_mids, done, schedule)
+            })
+            .into_iter()
+            .flatten()
+            .collect();
 
-        // ---- Supervised observation phase (unit = terminal) -------------
+        // ---- Observation phase (unit = terminal) ------------------------
         // Each unit takes its allocation column by value and drops it once
         // observed, so allocations and observations are not all alive at
-        // once. A unit that fails hands the column back for degradation.
-        // The advanced dish state comes back boxed: a dish map and its
-        // baseline are ~4 KB inline, and every unit result would reserve
-        // that space even in oracle mode.
-        let dish_states = &state.dish;
-        let prev_caps = &state.prev;
-        let quarantined = &state.quarantined;
-        let run_terminal = |tid: usize, allocs: Option<Vec<Allocation>>| {
-            let allocs = allocs?;
-            let body = || {
-                if !self.identified {
-                    let obs = self.observe_terminal_segment(&cache, tid, None, &allocs);
-                    return (obs, None);
-                }
-                let mut dish = DishSimulator::new(self.terminals[tid].location);
-                dish.restore_state(dish_states[tid].clone());
-                let mut prev = prev_caps[tid].clone();
-                let obs = self.observe_terminal_segment(
-                    &cache,
-                    tid,
-                    Some((&mut dish, &mut prev)),
-                    &allocs,
-                );
-                (obs, Some(Box::new((dish.export_state(), prev))))
+        // once. In identified mode a unit also borrows its terminal's dish
+        // state and baseline and advances them in place; oracle mode keeps
+        // no dish state, so its units get `None`.
+        let mut dishes = state.dish.iter_mut().zip(state.prev.iter_mut());
+        let units: Vec<_> = allocations.into_iter().map(|allocs| (allocs, dishes.next())).collect();
+        let columns = parallel_units(units, threads, &|tid, (allocs, dish)| {
+            let Some((dish_state, prev)) = dish else {
+                return self.observe_terminal_segment(&cache, tid, None, &allocs);
             };
-            let unit = observe_unit_id(tid);
-            let run =
-                self.run_supervised(unit, seg_first_slot, quarantined.contains(&unit), opts, body);
-            let leftover = run.value.is_none().then_some(allocs);
-            Some((run, leftover))
-        };
-        let terminal_runs = parallel_units(per_terminal, threads, &run_terminal)?;
-
-        let mut columns: Vec<Vec<SlotObservation>> = Vec::with_capacity(self.terminals.len());
-        for (tid, run) in terminal_runs.into_iter().enumerate() {
-            let column = match run {
-                // Schedule shard failed: the terminal has no allocations;
-                // synthesize fully degraded observations straight from the
-                // slot grid. Dish state is not advanced — deterministic,
-                // and honest: no frame was ever painted.
-                None => self.synthesize_scheduleless(tid, seg_mids),
-                Some((run, leftover)) => {
-                    match self.settle_unit(state, observe_unit_id(tid), run, opts)? {
-                        Some((obs, dish)) => {
-                            if let Some(advanced) = dish {
-                                let (dish, prev) = *advanced;
-                                state.dish[tid] = dish;
-                                state.prev[tid] = prev;
-                            }
-                            obs
-                        }
-                        // Observation unit failed: allocations exist, so
-                        // keep the scheduler's truth but degrade the
-                        // identification.
-                        None => match leftover {
-                            Some(allocs) => self.synthesize_observeless(tid, &allocs),
-                            None => self.synthesize_scheduleless(tid, seg_mids),
-                        },
-                    }
-                }
-            };
-            columns.push(column);
-        }
+            let mut dish = DishSimulator::new(self.terminals[tid].location);
+            dish.restore_state(dish_state.clone());
+            let obs = self.observe_terminal_segment(&cache, tid, Some((&mut dish, prev)), &allocs);
+            *dish_state = dish.export_state();
+            obs
+        });
 
         // Slot-major, terminal-minor merge, appended to the accumulated
         // stream — segments partition the slot axis, so concatenation
@@ -556,139 +426,6 @@ impl<'a> Campaign<'a> {
             }
         }
         state.done += seg_len;
-        Ok(())
-    }
-
-    /// Runs one supervised unit: up to `1 + worker_retries` attempts,
-    /// with injected faults drawn from the campaign's fault plan and real
-    /// panics caught at the attempt boundary.
-    fn run_supervised<T>(
-        &self,
-        unit: u64,
-        seg_first_slot: i64,
-        quarantined: bool,
-        opts: &ResumeConfig,
-        body: impl Fn() -> T,
-    ) -> UnitRun<T> {
-        if quarantined {
-            return UnitRun { value: None, failed_attempts: 0, last_failure: None };
-        }
-        let mut last_failure = None;
-        let mut failed = 0u32;
-        for attempt in 0..=opts.worker_retries {
-            let injected = self.config.faults.worker_fault(unit, seg_first_slot, attempt);
-            let outcome = if injected == WorkerFault::Overrun {
-                // A virtual deadline miss: the attempt is charged without
-                // running (its work would have been discarded anyway).
-                Err(ShardFailure::DeadlineOverrun)
-            } else {
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    if injected == WorkerFault::Panic {
-                        #[expect(
-                            clippy::panic,
-                            reason = "the fault plan injects a real worker panic to exercise the catch_unwind supervisor"
-                        )]
-                        std::panic::panic_any(format!(
-                            "injected worker panic: unit {unit}, segment slot {seg_first_slot}, attempt {attempt}"
-                        ));
-                    }
-                    body()
-                }))
-                .map_err(|p| ShardFailure::Panicked { payload: payload_message(p.as_ref()) })
-            };
-            match outcome {
-                Ok(v) => {
-                    return UnitRun { value: Some(v), failed_attempts: failed, last_failure: None }
-                }
-                Err(f) => {
-                    failed += 1;
-                    last_failure = Some(f);
-                }
-            }
-        }
-        UnitRun { value: None, failed_attempts: failed, last_failure }
-    }
-
-    /// Settles a unit's segment outcome against the ledger: counts
-    /// retries, charges unit failures, quarantines, and fails fast when
-    /// quarantine is disabled. Returns the unit's value, or `None` when
-    /// its slots must degrade.
-    fn settle_unit<T>(
-        &self,
-        state: &mut EngineState,
-        unit: u64,
-        run: UnitRun<T>,
-        opts: &ResumeConfig,
-    ) -> Result<Option<T>, CampaignError> {
-        match run.value {
-            Some(v) => {
-                state.retries += run.failed_attempts as usize;
-                Ok(Some(v))
-            }
-            None if run.failed_attempts == 0 => Ok(None), // already quarantined
-            None => {
-                // Budget exhausted: the final failed attempt is not a
-                // retry (nothing followed it).
-                state.retries += run.failed_attempts.saturating_sub(1) as usize;
-                let failure = run.last_failure.unwrap_or(ShardFailure::DeadlineOverrun);
-                if opts.worker_quarantine_after == 0 {
-                    return Err(CampaignError::WorkerExhausted {
-                        unit,
-                        attempts: run.failed_attempts,
-                        failure,
-                    });
-                }
-                let count = state.failures.entry(unit).or_insert(0);
-                *count += 1;
-                if *count >= opts.worker_quarantine_after {
-                    state.quarantined.insert(unit);
-                }
-                Ok(None)
-            }
-        }
-    }
-
-    /// Fully degraded observations for a terminal whose schedule shard
-    /// failed: no allocation ever existed, so availability and truth are
-    /// honestly empty.
-    fn synthesize_scheduleless(&self, tid: usize, seg_mids: &[JulianDate]) -> Vec<SlotObservation> {
-        let lon = self.terminals[tid].location.lon_deg;
-        seg_mids
-            .iter()
-            .map(|&at| {
-                let start = slot_start(at);
-                SlotObservation {
-                    terminal_id: tid,
-                    slot: slot_index(at),
-                    slot_start: start,
-                    local_hour: start.local_solar_hour(lon),
-                    available: Vec::new(),
-                    chosen: None,
-                    truth_id: None,
-                    outcome: SlotOutcome::NoData(DegradeReason::WorkerFailed),
-                }
-            })
-            .collect()
-    }
-
-    /// Degraded observations for a terminal whose observation unit
-    /// failed after scheduling succeeded: the scheduler's availability
-    /// and ground truth are kept, only the identification is lost.
-    fn synthesize_observeless(&self, tid: usize, allocs: &[Allocation]) -> Vec<SlotObservation> {
-        let lon = self.terminals[tid].location.lon_deg;
-        allocs
-            .iter()
-            .map(|alloc| SlotObservation {
-                terminal_id: tid,
-                slot: alloc.slot,
-                slot_start: alloc.slot_start,
-                local_hour: alloc.slot_start.local_solar_hour(lon),
-                available: alloc.available.iter().map(SatObs::from).collect(),
-                chosen: None,
-                truth_id: alloc.chosen_id(),
-                outcome: SlotOutcome::NoData(DegradeReason::WorkerFailed),
-            })
-            .collect()
     }
 
     // ---- Fingerprint ----------------------------------------------------
@@ -733,8 +470,6 @@ impl<'a> Campaign<'a> {
         w.put_f64_bits(r.tle_corrupt);
         w.put_f64_bits(r.propagation_fail);
         w.put_f64_bits(r.probe_burst);
-        w.put_f64_bits(r.worker_panic);
-        w.put_f64_bits(r.worker_overrun);
         w.put_u64(self.seed);
         let sats = self.constellation.sats();
         w.put_usize(sats.len());
@@ -824,24 +559,11 @@ impl<'a> Campaign<'a> {
             }
         }
 
-        let mut ledger = ByteWriter::with_capacity(64);
-        ledger.put_usize(state.retries);
-        ledger.put_usize(state.failures.len());
-        for (unit, count) in &state.failures {
-            ledger.put_u64(*unit);
-            ledger.put_u32(*count);
-        }
-        ledger.put_usize(state.quarantined.len());
-        for unit in &state.quarantined {
-            ledger.put_u64(*unit);
-        }
-
         let sections = [
             SectionRef::new(SEC_META, meta.as_bytes()),
             SectionRef::new(SEC_SCHED, sched.as_bytes()),
             SectionRef::new(SEC_DISH, dish.as_bytes()),
             SectionRef::with_checksum(SEC_OBS, log.bytes.as_bytes(), log.fnv),
-            SectionRef::new(SEC_STATS, ledger.as_bytes()),
         ];
         Ok(write_snapshot_rotating(&opts.checkpoint_path, &sections)?)
     }
@@ -850,8 +572,9 @@ impl<'a> Campaign<'a> {
 
     /// Loads and validates the newest snapshot, if any, with its
     /// observation log. `Ok(None)` means "start fresh" (no file, or only
-    /// corrupt files — the corrupt count is reported either way). A snapshot whose fingerprint or window
-    /// disagrees with this campaign is a hard error.
+    /// corrupt files — the corrupt count is reported either way). A
+    /// snapshot whose fingerprint or window disagrees with this campaign
+    /// is a hard error.
     fn load_state(
         &self,
         opts: &ResumeConfig,
@@ -859,9 +582,6 @@ impl<'a> Campaign<'a> {
         total_slots: usize,
         report: &mut ResumeReport,
     ) -> Result<Option<(EngineState, ObsLog)>, CampaignError> {
-        if opts.checkpoint_every == 0 {
-            return Ok(None);
-        }
         let outcome = load_latest(&opts.checkpoint_path)?;
         report.corrupt_discarded = outcome.corrupt_discarded;
         let (bytes, origin) = match outcome.snapshot {
@@ -955,73 +675,40 @@ impl<'a> Campaign<'a> {
                 .ok_or(CheckpointError::MissingSection { id: SEC_OBS })?,
         };
 
-        let mut r = ByteReader::new(snap.require_section(SEC_STATS)?);
-        let retries = r.get_usize("retry count")?;
-        let n_failures = r.get_usize("failure count")?;
-        let mut failures = BTreeMap::new();
-        for _ in 0..n_failures {
-            let unit = r.get_u64("failure unit")?;
-            let count = r.get_u32("failure tally")?;
-            failures.insert(unit, count);
-        }
-        let n_quarantined = r.get_usize("quarantine count")?;
-        let mut quarantined = BTreeSet::new();
-        for _ in 0..n_quarantined {
-            quarantined.insert(r.get_u64("quarantined unit")?);
-        }
-        r.expect_exhausted("ledger section")?;
-
         report.resumed_at_slot = Some(done);
         report.loaded_from = Some(origin);
-        let state = EngineState { sched, dish, prev, obs, done, retries, failures, quarantined };
-        Ok(Some((state, log)))
+        Ok(Some((EngineState { sched, dish, prev, obs, done }, log)))
     }
 }
 
 /// Fans `run` over `items` with the campaign's interleaved-chunk worker
 /// pattern, handing each item to its unit by value; results are returned
-/// in item order. `run` must be a pure function of its index and item
-/// (all supervision state is settled by the sequential caller
-/// afterwards). Inline when `threads <= 1`.
+/// in item order. Inline when `threads <= 1`. A panicking unit's own
+/// payload is re-raised on the calling thread.
 fn parallel_units<I: Send, T: Send>(
     items: Vec<I>,
     threads: usize,
     run: &(impl Fn(usize, I) -> T + Sync),
-) -> Result<Vec<T>, CampaignError> {
+) -> Vec<T> {
     let count = items.len();
     let threads = threads.min(count.max(1));
     if threads <= 1 {
-        return Ok(items.into_iter().enumerate().map(|(i, item)| run(i, item)).collect());
+        return items.into_iter().enumerate().map(|(i, item)| run(i, item)).collect();
     }
     let mut work: Vec<Option<I>> = items.into_iter().map(Some).collect();
-    let mut indexed: Vec<(usize, Result<T, CampaignError>)> = Vec::with_capacity(count);
+    let mut indexed: Vec<(usize, T)> = Vec::with_capacity(count);
     std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for chunk in crate::campaign::chunk_interleaved(&mut work, threads) {
-            let first = chunk.first().map(|(i, _)| *i).unwrap_or(0);
-            handles.push((
-                first,
+        let handles: Vec<_> = crate::campaign::chunk_interleaved(&mut work, threads)
+            .into_iter()
+            .map(|chunk| {
                 scope.spawn(move || {
-                    chunk.into_iter().map(|(i, item)| (i, Ok(run(i, item)))).collect::<Vec<_>>()
-                }),
-            ));
-        }
-        for (first, handle) in handles {
-            match handle.join() {
-                Ok(part) => indexed.extend(part),
-                // Unreachable in practice — every unit body is caught by
-                // the supervisor — but a join failure still degrades into
-                // the typed error rather than a panic. `unit` is the
-                // chunk's first item index.
-                Err(p) => indexed.push((
-                    first,
-                    Err(CampaignError::WorkerExhausted {
-                        unit: first as u64,
-                        attempts: 1,
-                        failure: ShardFailure::Panicked { payload: payload_message(p.as_ref()) },
-                    }),
-                )),
-            }
+                    chunk.into_iter().map(|(i, item)| (i, run(i, item))).collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        for handle in handles {
+            let part = handle.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
+            indexed.extend(part);
         }
     });
     indexed.sort_by_key(|(i, _)| *i);
@@ -1088,7 +775,6 @@ fn encode_reason(w: &mut ByteWriter, reason: DegradeReason) {
         DegradeReason::TinyTrail => w.put_u8(6),
         DegradeReason::NoCandidates => w.put_u8(7),
         DegradeReason::UnmatchedIdentity => w.put_u8(8),
-        DegradeReason::WorkerFailed => w.put_u8(9),
     }
 }
 
@@ -1103,7 +789,6 @@ fn decode_reason(r: &mut ByteReader<'_>) -> Result<DegradeReason, CampaignError>
         6 => DegradeReason::TinyTrail,
         7 => DegradeReason::NoCandidates,
         8 => DegradeReason::UnmatchedIdentity,
-        9 => DegradeReason::WorkerFailed,
         _ => return Err(CheckpointError::Malformed { context: "degrade reason tag" }.into()),
     })
 }
@@ -1176,4 +861,31 @@ fn decode_observation(r: &mut ByteReader<'_>) -> Result<SlotObservation, Campaig
         truth_id,
         outcome,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parallel_units;
+
+    #[test]
+    fn parallel_units_reraise_a_units_own_panic_payload() {
+        // Inline (`threads = 1`) and through a scoped join (`threads = 2`),
+        // the caller sees the failing unit's own payload, not a wrapper.
+        for threads in [1, 2] {
+            let caught = std::panic::catch_unwind(|| {
+                parallel_units((0..4u32).collect(), threads, &|_, item: u32| {
+                    if item == 3 {
+                        panic!("unit {item} failed");
+                    }
+                    item
+                })
+            });
+            let payload = caught.expect_err("a unit panic must reach the caller");
+            assert_eq!(
+                payload.downcast_ref::<String>().map(String::as_str),
+                Some("unit 3 failed"),
+                "threads {threads}"
+            );
+        }
+    }
 }

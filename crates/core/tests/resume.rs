@@ -1,5 +1,5 @@
-//! Crash-resilience tier: bit-identical checkpoint/resume, supervised
-//! worker retry/quarantine, and corruption recovery.
+//! Crash-resilience tier: bit-identical checkpoint/resume, snapshot
+//! validation, and corruption recovery.
 //!
 //! The central claim under test: killing a campaign at *any* checkpoint
 //! boundary and resuming it — possibly with a different thread count or
@@ -16,11 +16,11 @@ use starsense_checkpoint::{
     FNV1A_EMPTY,
 };
 use starsense_constellation::{Constellation, ConstellationBuilder};
-use starsense_core::campaign::{Campaign, CampaignConfig, CampaignError, ShardFailure};
+use starsense_core::campaign::{Campaign, CampaignConfig, CampaignError};
 use starsense_core::resume::{
     fingerprint_observations, ResumeConfig, CAMPAIGN_STATE_VERSION, SEC_META, SEC_OBS, SEC_SCHED,
 };
-use starsense_core::{DegradeReason, SlotObservation, SlotOutcome};
+use starsense_core::{SlotObservation, SlotOutcome};
 use starsense_faults::{bit_flipped_copy, FaultPlan, FaultRates, FaultRng};
 use starsense_obstruction::{MaskSector, SkyMask};
 use starsense_scheduler::Terminal;
@@ -448,128 +448,54 @@ fn observation_log_must_hold_exactly_done_times_terminals_entries() {
 
     // Outcome tags run 0..=2; no engine ever wrote tag 3.
     let err = resume_tampered("obs-tag", SEC_OBS, |payload, obs| {
-        // The last observation ends with its outcome: tag 0 (observed)
-        // and the confidence's eight bytes.
-        let last = obs.last().map(|o| o.outcome);
-        assert_eq!(last, Some(SlotOutcome::Observed { confidence: 1.0 }));
-        let tag = payload.len() - 9;
-        assert_eq!(payload[tag..], [&[0u8][..], &1.0f64.to_bits().to_le_bytes()].concat());
+        let tag = last_outcome_tag(payload, obs);
         payload[tag] = 3;
     });
     assert_eq!(
         err,
         CampaignError::Checkpoint(CheckpointError::Malformed { context: "obs outcome tag" })
     );
+
+    // Reason tags run 0..=8: tag 9 was the retired worker-failure reason,
+    // which no engine of this payload version writes. The last outcome
+    // becomes no-data (tag 2) with reason 9.
+    let err = resume_tampered("obs-reason", SEC_OBS, |payload, obs| {
+        let tag = last_outcome_tag(payload, obs);
+        payload.truncate(tag);
+        payload.extend_from_slice(&[2, 9]);
+    });
+    assert_eq!(
+        err,
+        CampaignError::Checkpoint(CheckpointError::Malformed { context: "degrade reason tag" })
+    );
+}
+
+/// Offset of the last observation's outcome tag in an oracle `OBS`
+/// payload: it ends with tag 0 (observed) and the confidence's eight
+/// bytes.
+fn last_outcome_tag(payload: &[u8], obs: &[SlotObservation]) -> usize {
+    let last = obs.last().map(|o| o.outcome);
+    assert_eq!(last, Some(SlotOutcome::Observed { confidence: 1.0 }));
+    let tag = payload.len() - 9;
+    assert_eq!(payload[tag..], [&[0u8][..], &1.0f64.to_bits().to_le_bytes()].concat());
+    tag
 }
 
 #[test]
 fn earlier_payload_version_is_rejected() {
-    // A version-2 payload carried an observation count before `OBS`;
-    // reading it as version 3 would misparse, so it is refused outright.
-    assert_eq!(CAMPAIGN_STATE_VERSION, 3);
-    let err = resume_tampered("meta-v2", SEC_META, |payload, _| {
-        assert_eq!(payload[..4], CAMPAIGN_STATE_VERSION.to_le_bytes());
-        payload[..4].copy_from_slice(&2u32.to_le_bytes());
-    });
-    assert_eq!(err, CampaignError::Checkpoint(CheckpointError::UnsupportedVersion { found: 2 }));
-}
-
-#[test]
-fn injected_panics_retry_transparently() {
-    // Worker-fault channels perturb only the supervisor: as long as one
-    // attempt in the budget survives, the measurement stream is
-    // bit-identical to a run with no worker faults at all.
-    let c = mini();
-    let clean = campaign(&c, Mode::Oracle, 1, 2);
-    let clean_fp = {
-        let (_dir, path) = scratch("retry-clean");
-        let (obs, stats, _) =
-            clean.run_resumable(start(), SLOTS, &opts(path, 4)).expect("clean run");
-        assert_eq!(stats.worker_retries, 0);
-        fingerprint_observations(&obs)
-    };
-
-    let rates = FaultRates { worker_panic: 0.35, ..FaultRates::none() };
-    let flaky = Campaign::oracle(
-        &c,
-        terminals(),
-        CampaignConfig {
-            threads: 1,
-            shards: 2,
-            faults: FaultPlan::new(99, rates),
-            ..CampaignConfig::default()
-        },
-        33,
-    );
-    let (_dir, path) = scratch("retry-flaky");
-    let config = ResumeConfig { worker_retries: 6, ..opts(path, 4) };
-    let (obs, stats, report) =
-        flaky.run_resumable(start(), SLOTS, &config).expect("flaky run must recover");
-    assert!(report.completed);
-    assert!(stats.worker_retries > 0, "the fault plan must actually bite");
-    assert_eq!(stats.quarantined_workers, 0, "a 6-retry budget outlasts p=0.35 streaks");
-    assert_eq!(stats.worker_failed, 0);
-    assert_eq!(
-        fingerprint_observations(&obs),
-        clean_fp,
-        "retried panics must not leak into the measurement stream"
-    );
-}
-
-#[test]
-fn exhausted_units_quarantine_and_degrade_visibly() {
-    // Every attempt panics: each schedule shard burns its budget once,
-    // is quarantined (K = 1), and every slot degrades to WorkerFailed.
-    let c = mini();
-    let rates = FaultRates { worker_panic: 1.0, ..FaultRates::none() };
-    let campaign = Campaign::oracle(
-        &c,
-        terminals(),
-        CampaignConfig {
-            threads: 2,
-            shards: 2,
-            faults: FaultPlan::new(5, rates),
-            ..CampaignConfig::default()
-        },
-        33,
-    );
-    let (_dir, path) = scratch("quarantine");
-    let config = ResumeConfig { worker_retries: 1, worker_quarantine_after: 1, ..opts(path, 5) };
-    let (obs, stats, report) = campaign.run_resumable(start(), SLOTS, &config).expect("degrades");
-    assert!(report.completed);
-    assert_eq!(obs.len(), SLOTS * 2);
-    assert!(obs.iter().all(|o| o.outcome == SlotOutcome::NoData(DegradeReason::WorkerFailed)));
-    assert_eq!(stats.worker_failed, SLOTS * 2);
-    assert_eq!(stats.quarantined_workers, 2, "both schedule shards");
-    // Each shard failed 2 attempts in segment 1 (1 retry each), then was
-    // quarantined — segment 2 never attempts them.
-    assert_eq!(stats.worker_retries, 2);
-}
-
-#[test]
-fn overruns_fail_fast_when_quarantine_is_disabled() {
-    let c = mini();
-    let rates = FaultRates { worker_overrun: 1.0, ..FaultRates::none() };
-    let campaign = Campaign::oracle(
-        &c,
-        terminals(),
-        CampaignConfig {
-            threads: 1,
-            shards: 1,
-            faults: FaultPlan::new(5, rates),
-            ..CampaignConfig::default()
-        },
-        33,
-    );
-    let (_dir, path) = scratch("fail-fast");
-    let config = ResumeConfig { worker_retries: 2, worker_quarantine_after: 0, ..opts(path, 5) };
-    let err = campaign.run_resumable(start(), SLOTS, &config).expect_err("must fail fast");
-    match err {
-        CampaignError::WorkerExhausted { unit, attempts, failure } => {
-            assert_eq!(unit, 0);
-            assert_eq!(attempts, 3, "one try plus two retries");
-            assert_eq!(failure, ShardFailure::DeadlineOverrun);
-        }
-        other => panic!("expected WorkerExhausted, got {other:?}"),
+    // A version-2 payload carried an observation count before `OBS`, and
+    // a version-3 payload a fifth, supervisor-ledger section after it;
+    // reading either as version 4 would misparse, so both are refused
+    // outright.
+    assert_eq!(CAMPAIGN_STATE_VERSION, 4);
+    for old in [2u32, 3] {
+        let err = resume_tampered(&format!("meta-v{old}"), SEC_META, |payload, _| {
+            assert_eq!(payload[..4], CAMPAIGN_STATE_VERSION.to_le_bytes());
+            payload[..4].copy_from_slice(&old.to_le_bytes());
+        });
+        assert_eq!(
+            err,
+            CampaignError::Checkpoint(CheckpointError::UnsupportedVersion { found: old })
+        );
     }
 }

@@ -19,6 +19,11 @@
 //! feed corruption (checksum flips, truncation, NaN-producing fields),
 //! SGP4 propagation failures with quarantine of repeat offenders, and
 //! probe loss / jitter bursts in the network emulator.
+//!
+//! Worker failures are deliberately not injectable. Every campaign work
+//! unit is a pure function of its inputs, so nothing could ride an
+//! injected one out; a real worker panic ends the run, and resuming from
+//! the last durable checkpoint is the recovery.
 
 /// Hash-domain tags keeping the per-channel decision streams independent.
 const DOMAIN_FRAME: u64 = 0x4652_414d_4500_0001;
@@ -27,7 +32,6 @@ const DOMAIN_PROP: u64 = 0x5052_4f50_0000_0003;
 const DOMAIN_BURST: u64 = 0x4255_5253_5400_0004;
 const DOMAIN_JITTER: u64 = 0x4a49_5454_4500_0005;
 const DOMAIN_STREAM: u64 = 0x5354_5245_414d_0006;
-const DOMAIN_WORKER: u64 = 0x574f_524b_4552_0007;
 
 /// splitmix64 finalizer: a full-avalanche bijection on `u64`.
 fn mix(mut z: u64) -> u64 {
@@ -77,13 +81,6 @@ pub struct FaultRates {
     pub propagation_fail: f64,
     /// Probability a probe slot carries a loss or jitter burst.
     pub probe_burst: f64,
-    /// Probability a shard worker attempt panics mid-segment. Worker
-    /// channels are **not** part of [`FaultRates::uniform`]: the chaos
-    /// soak's golden fingerprints predate them, and worker faults only
-    /// perturb the supervision layer, never the measurement stream.
-    pub worker_panic: f64,
-    /// Probability a shard worker attempt overruns its virtual deadline.
-    pub worker_overrun: f64,
 }
 
 impl FaultRates {
@@ -96,17 +93,13 @@ impl FaultRates {
             tle_corrupt: 0.0,
             propagation_fail: 0.0,
             probe_burst: 0.0,
-            worker_panic: 0.0,
-            worker_overrun: 0.0,
         }
     }
 
-    /// Every *measurement* channel at the same probability `p` — the
-    /// knob the chaos soak sweeps to escalate pressure uniformly. The
-    /// three frame channels share the single per-frame draw, so each
-    /// gets `p / 3` to keep the *total* frame-fault probability at `p`.
-    /// The worker channels stay at zero: they must be opted into
-    /// explicitly so the existing soak tiers keep their fingerprints.
+    /// Every channel at the same probability `p` — the knob the chaos
+    /// tiers sweep to escalate pressure uniformly. The three frame
+    /// channels share the single per-frame draw, so each gets `p / 3` to
+    /// keep the *total* frame-fault probability at `p`.
     pub fn uniform(p: f64) -> Self {
         let p = clamp01(p);
         FaultRates {
@@ -116,8 +109,6 @@ impl FaultRates {
             tle_corrupt: p,
             propagation_fail: p,
             probe_burst: p,
-            worker_panic: 0.0,
-            worker_overrun: 0.0,
         }
     }
 
@@ -129,8 +120,6 @@ impl FaultRates {
             tle_corrupt: clamp01(self.tle_corrupt),
             propagation_fail: clamp01(self.propagation_fail),
             probe_burst: clamp01(self.probe_burst),
-            worker_panic: clamp01(self.worker_panic),
-            worker_overrun: clamp01(self.worker_overrun),
         }
     }
 
@@ -141,8 +130,6 @@ impl FaultRates {
             || self.tle_corrupt > 0.0
             || self.propagation_fail > 0.0
             || self.probe_burst > 0.0
-            || self.worker_panic > 0.0
-            || self.worker_overrun > 0.0
     }
 }
 
@@ -181,24 +168,6 @@ pub enum TleFault {
     /// checksum recomputed to match*, so only semantic field validation
     /// can reject it.
     NanField,
-}
-
-/// Injected failure of one shard-worker execution attempt.
-///
-/// Both outcomes are aimed at the supervision layer of
-/// `starsense-core`'s resumable campaign engine: a `Panic` is raised
-/// *inside* the worker's `catch_unwind` boundary and an `Overrun` is
-/// reported as a virtual deadline miss (no wall clock is consulted), so
-/// either way the retry / quarantine state machine — not the
-/// measurement stream — absorbs the fault.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WorkerFault {
-    /// The attempt completes normally.
-    None,
-    /// The attempt panics mid-segment.
-    Panic,
-    /// The attempt exceeds its virtual deadline budget.
-    Overrun,
 }
 
 /// Kind of probe-level burst injected into the network emulator.
@@ -336,28 +305,6 @@ impl FaultPlan {
             FrameFault::Corrupt { salt: mix(h) }
         } else {
             FrameFault::None
-        }
-    }
-
-    /// Fault decision for one shard-worker execution attempt
-    /// (0-based; each retry re-draws with a fresh attempt key) of work
-    /// unit `unit` whose segment starts at absolute slot `first_slot`.
-    /// The two worker rates partition a single draw exactly like the
-    /// frame channels, so a key that panics at a low `worker_panic`
-    /// still panics when the rate rises.
-    pub fn worker_fault(&self, unit_id: u64, first_slot: i64, attempt: u32) -> WorkerFault {
-        if !self.enabled() {
-            return WorkerFault::None;
-        }
-        let h = self.draw(DOMAIN_WORKER, unit_id, first_slot as u64, u64::from(attempt));
-        let u = unit(h);
-        let r = &self.rates;
-        if u < r.worker_panic {
-            WorkerFault::Panic
-        } else if u < r.worker_panic + r.worker_overrun {
-            WorkerFault::Overrun
-        } else {
-            WorkerFault::None
         }
     }
 
@@ -730,68 +677,6 @@ mod tests {
             }
         }
         assert_eq!(found, 100, "probe_burst rate 1.0 must always fire");
-    }
-
-    #[test]
-    fn worker_channels_are_opt_in_only() {
-        // uniform() must never arm the worker channels: streams under
-        // uniform plans were pinned before those channels existed.
-        let u = FaultRates::uniform(0.9);
-        assert_eq!(u.worker_panic, 0.0);
-        assert_eq!(u.worker_overrun, 0.0);
-        let p = FaultPlan::new(3, u);
-        for unit_id in 0..200u64 {
-            assert_eq!(p.worker_fault(unit_id, 5, 0), WorkerFault::None);
-        }
-    }
-
-    #[test]
-    fn worker_faults_are_deterministic_and_partitioned() {
-        let rates = FaultRates { worker_panic: 0.3, worker_overrun: 0.3, ..FaultRates::none() };
-        let a = FaultPlan::new(11, rates);
-        let b = FaultPlan::new(11, rates);
-        let mut panics = 0;
-        let mut overruns = 0;
-        for unit_id in 0..3000u64 {
-            for attempt in 0..3u32 {
-                let f = a.worker_fault(unit_id, 42, attempt);
-                assert_eq!(f, b.worker_fault(unit_id, 42, attempt));
-                match f {
-                    WorkerFault::Panic => panics += 1,
-                    WorkerFault::Overrun => overruns += 1,
-                    WorkerFault::None => {}
-                }
-            }
-        }
-        let n = 9000.0;
-        assert!((panics as f64 / n - 0.3).abs() < 0.03, "panic rate {}", panics as f64 / n);
-        assert!((overruns as f64 / n - 0.3).abs() < 0.03, "overrun rate {}", overruns as f64 / n);
-        // A plan armed only with worker faults still reports enabled().
-        assert!(a.enabled());
-        // Retries re-draw: some unit that panics at attempt 0 succeeds later.
-        let recovers = (0..500u64).any(|unit_id| {
-            a.worker_fault(unit_id, 42, 0) == WorkerFault::Panic
-                && a.worker_fault(unit_id, 42, 1) == WorkerFault::None
-        });
-        assert!(recovers, "no panicking unit ever recovered on retry");
-    }
-
-    #[test]
-    fn worker_faults_do_not_perturb_measurement_channels() {
-        let quiet = FaultPlan::none();
-        let armed = FaultPlan::new(
-            0,
-            FaultRates { worker_panic: 1.0, worker_overrun: 0.0, ..FaultRates::none() },
-        );
-        // Arming the worker channel flips enabled(), but every
-        // measurement draw must still be fault-free because its own
-        // rate is zero — the streams are domain-separated.
-        for t in 0..50u64 {
-            assert_eq!(armed.frame_fault(t, 3, 0), quiet.frame_fault(t, 3, 0));
-            assert_eq!(armed.probe_burst(t, 3), quiet.probe_burst(t, 3));
-            assert_eq!(armed.tle_fault(t), quiet.tle_fault(t));
-            assert!(!armed.propagation_fails(44000 + t as u32, 3));
-        }
     }
 
     #[test]
