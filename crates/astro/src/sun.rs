@@ -52,31 +52,45 @@ pub fn sun_position_teme(at: JulianDate) -> Vec3 {
 /// is treated as sunlit (a satellite in penumbra still receives most solar
 /// flux, and the transit lasts seconds at LEO).
 pub fn is_sunlit(sat: Vec3, at: JulianDate) -> bool {
-    is_sunlit_given_sun(sat, sun_position_teme(at))
+    EarthShadow::at(at).is_sunlit(sat)
 }
 
-/// [`is_sunlit`] with an externally supplied sun vector, for callers that
-/// evaluate many satellites at one instant.
-pub fn is_sunlit_given_sun(sat: Vec3, sun: Vec3) -> bool {
-    let sun_dir = sun.unit();
+/// The Earth's umbral cone at one instant: the sun geometry [`is_sunlit`]
+/// needs, computed once for callers that test many satellites at that
+/// instant. [`EarthShadow::is_sunlit`] is the same arithmetic as
+/// [`is_sunlit`], so the two agree bit for bit.
+#[derive(Debug, Clone, Copy)]
+pub struct EarthShadow {
+    sun_dir: Vec3,
+    /// How much the cone's radius shrinks per km behind the terminator:
+    /// tan α_u = (R_sun − R_earth) / d_sun.
+    shrink: f64,
+}
 
-    // Component of the satellite position along the Sun direction. Positive
-    // means the satellite is on the day side: always lit.
-    let along = sat.dot(sun_dir);
-    if along >= 0.0 {
-        return true;
+impl EarthShadow {
+    /// The shadow cone at instant `at`.
+    pub fn at(at: JulianDate) -> EarthShadow {
+        let sun = sun_position_teme(at);
+        EarthShadow { sun_dir: sun.unit(), shrink: (SUN_RADIUS_KM - EARTH_RADIUS_KM) / sun.norm() }
     }
 
-    // Perpendicular distance from the Earth-Sun axis.
-    let perp = (sat - sun_dir * along).norm();
+    /// Whether a satellite at TEME position `sat` (km) is outside the cone.
+    pub fn is_sunlit(&self, sat: Vec3) -> bool {
+        // Component of the satellite position along the Sun direction.
+        // Positive means the satellite is on the day side: always lit.
+        let along = sat.dot(self.sun_dir);
+        if along >= 0.0 {
+            return true;
+        }
 
-    // Umbra cone: apex beyond the Earth at distance d_u, half-angle α_u.
-    // tan α_u = (R_sun − R_earth) / d_sun ; cone radius at |along| behind the
-    // terminator shrinks linearly from R_earth.
-    let d_sun = sun.norm();
-    let shrink = (SUN_RADIUS_KM - EARTH_RADIUS_KM) / d_sun;
-    let umbra_radius = EARTH_RADIUS_KM + along * shrink; // along < 0 shrinks it
-    perp > umbra_radius
+        // Perpendicular distance from the Earth-Sun axis.
+        let perp = (sat - self.sun_dir * along).norm();
+
+        // Umbra cone: its radius at |along| behind the terminator shrinks
+        // linearly from R_earth.
+        let umbra_radius = EARTH_RADIUS_KM + along * self.shrink; // along < 0 shrinks it
+        perp > umbra_radius
+    }
 }
 
 #[cfg(test)]

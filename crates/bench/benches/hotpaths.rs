@@ -77,6 +77,11 @@ fn bench_constellation(c: &mut Criterion) {
     c.bench_function("constellation/published_row_gen1", |b| {
         b.iter(|| black_box(gen1.published_row(black_box(at))))
     });
+    // One true-position snapshot of the same catalog: the row an
+    // identified campaign's Prepare phase builds once per slot.
+    c.bench_function("constellation/snapshot_gen1", |b| {
+        b.iter(|| black_box(gen1.snapshot(black_box(at))))
+    });
 
     c.bench_function("constellation/build_mini", |b| {
         b.iter(|| black_box(ConstellationBuilder::starlink_mini().seed(1).build()))

@@ -9,7 +9,7 @@ use starsense_ident::{
     candidate_tracks, slot_boundary_epochs, verdict_slot_tracked, DishSimulator, TrackCache,
 };
 use starsense_obstruction::{extract_trajectory, isolate, paint, ObstructionMap};
-use starsense_scheduler::slots::slot_start;
+use starsense_scheduler::slots::{slot_start, SLOT_PERIOD_SECONDS};
 use starsense_stats::{mann_whitney_u, pearson, Ecdf};
 use std::hint::black_box;
 
@@ -129,6 +129,33 @@ fn bench_identification(c: &mut Criterion) {
     }
 }
 
+/// Candidate tracks for 40 consecutive Iowa slots over the full gen1
+/// catalog, with every boundary epoch prepared as the campaign engine
+/// prepares it: the steady-state Observe cost of the track cache
+/// (boundary-row reuse, the elevation prefilter, survivors' interior
+/// propagation), without the Prepare rows.
+fn bench_track_cache(c: &mut Criterion) {
+    let gen1 = ConstellationBuilder::starlink_gen1().seed(1).build();
+    let iowa = Geodetic::new(41.66, -91.53, 0.2);
+    let first = slot_start(JulianDate::from_ymd_hms(2023, 6, 1, 16, 0, 13.0));
+    let starts: Vec<JulianDate> = (0..40)
+        .map(|k| slot_start(first.plus_seconds(k as f64 * SLOT_PERIOD_SECONDS + 1.0)))
+        .collect();
+    let boundaries: Vec<JulianDate> =
+        starts.iter().flat_map(|&s| slot_boundary_epochs(s, 16)).collect();
+    let cache = PropagationCache::new(&gen1);
+    cache.prepare(&[], &boundaries, 1);
+    let mut group = c.benchmark_group("ident");
+    group.sample_size(10);
+    group.bench_function("track_cache_gen1_40_slots", |b| {
+        b.iter(|| {
+            let mut tracks = TrackCache::new(&cache, iowa, 25.0, 16);
+            starts.iter().map(|&s| tracks.candidate_tracks(s).len()).sum::<usize>()
+        })
+    });
+    group.finish();
+}
+
 fn bench_stats(c: &mut Criterion) {
     let a: Vec<f64> = (0..750).map(|i| 20.0 + (i % 37) as f64 * 0.1).collect();
     let b: Vec<f64> = (0..750).map(|i| 23.0 + (i % 41) as f64 * 0.1).collect();
@@ -148,5 +175,12 @@ fn bench_stats(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_dtw, bench_obstruction, bench_identification, bench_stats);
+criterion_group!(
+    benches,
+    bench_dtw,
+    bench_obstruction,
+    bench_identification,
+    bench_track_cache,
+    bench_stats
+);
 criterion_main!(benches);

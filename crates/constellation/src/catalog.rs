@@ -1,8 +1,9 @@
 //! The satellite catalog: per-satellite state and field-of-view queries.
 
 use crate::index::VisibilityIndex;
-use starsense_astro::frames::{teme_to_ecef, Geodetic, LookAngles, Topocentric};
-use starsense_astro::sun::{is_sunlit_given_sun, sun_position_teme};
+use starsense_astro::frames::{Geodetic, LookAngles, Topocentric};
+use starsense_astro::mat3::Mat3;
+use starsense_astro::sun::EarthShadow;
 use starsense_astro::time::JulianDate;
 use starsense_astro::vec3::Vec3;
 use starsense_sgp4::{Elements, Sgp4, Tle};
@@ -217,9 +218,12 @@ impl Constellation {
     /// Propagates the whole catalog once at `at` (true positions), so that
     /// several field-of-view queries at the same instant — one per terminal
     /// every slot — share the propagation work. Each entry's position is
-    /// [`Satellite::true_position`].
+    /// [`Satellite::true_position`], its `ecef` is `teme_to_ecef(teme, at)`
+    /// and its `sunlit` is `is_sunlit(teme, at)`, bit for bit; the rotation
+    /// and the sun geometry behind both are computed once per instant.
     pub fn snapshot(&self, at: JulianDate) -> Snapshot {
-        let sun = sun_position_teme(at);
+        let rotation = Mat3::rot_z(at.gmst_rad());
+        let shadow = EarthShadow::at(at);
         let positions = self
             .sats
             .iter()
@@ -228,11 +232,7 @@ impl Constellation {
                     return None; // not yet in orbit
                 }
                 let teme = sat.true_position(at)?;
-                Some(SnapshotEntry {
-                    teme,
-                    ecef: teme_to_ecef(teme, at),
-                    sunlit: is_sunlit_given_sun(teme, sun),
-                })
+                Some(SnapshotEntry { teme, ecef: rotation * teme, sunlit: shadow.is_sunlit(teme) })
             })
             .collect();
         Snapshot { at, positions, index: OnceLock::new() }

@@ -35,5 +35,5 @@ pub use pipeline::{
     IdentifiedSat, NoDataReason, CANDIDATE_SAMPLES_PER_SLOT, DEFAULT_MIN_MARGIN,
     MIN_CANDIDATE_ELEVATION_DEG,
 };
-pub use track_cache::{prefilter_margin_deg, TrackCache, TrackCacheStats};
+pub use track_cache::{TrackCache, TrackCacheStats};
 pub use validate::{run_validation, ValidationReport};

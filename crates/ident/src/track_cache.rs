@@ -12,8 +12,12 @@
 //!    margin such that a satellite below `min_elevation − margin` at both
 //!    boundaries provably stays below `min_elevation` for the whole slot —
 //!    so it would fail [`crate::candidates`]' `any_above` filter anyway and
-//!    can be discarded with zero interior work. Survivors (about 140 of
-//!    the 4,236 gen1 satellites) get their full tracks built as before,
+//!    can be discarded with zero interior work. The margin is the
+//!    satellite's own, taken from its boundary radii: a LEO satellite can
+//!    come no nearer the observer than its orbit allows, so its line sits
+//!    well above a line drawn for the lowest possible orbit. Survivors
+//!    (about 50 of the 4,236 gen1 satellites, against ~140 with one
+//!    catalog-wide margin) get their full tracks built as before,
 //!    propagating their published TLE directly at each interior epoch
 //!    instead of reading full catalog rows (the batch propagator behind
 //!    those rows is bit-identical to the scalar one).
@@ -37,42 +41,58 @@
 //!
 //! # Soundness
 //!
-//! Let `d(el)` be the smallest possible observer–satellite distance at
-//! elevation `el` for a satellite of orbital radius ≥ [`R_FLOOR_KM`]:
-//! `d(el) = sqrt(R_s² − R_o² cos²el) − R_o sin el`, which decreases as
-//! `el` grows. A unit line-of-sight vector rotates at most `v_rel / d`
-//! radians per second, and elevation changes no faster than the line of
-//! sight rotates, so while a satellite sits above `min_elevation − margin`
-//! its elevation rate is at most `v_max / d(min_elevation − margin)`...
-//! but more simply: any sample epoch is within [`HORIZON_S`] seconds of a
-//! boundary epoch, and on that interval elevation can change by at most
-//! `ω_max × HORIZON_S` where `ω_max = v_max / d_min` uses the smallest
-//! distance attainable anywhere at elevations up to the cutoff — which is
-//! `d(min_elevation)`, since `d` decreases with elevation. Here `v_max`
-//! bounds the relative TEME speed: satellite speed ≤ `sqrt(2μ/r)` for any
-//! bound orbit of radius `r ≥ R_FLOOR_KM`, plus the observer's Earth-
-//! rotation speed. The radius premise is itself guarded: a satellite is
-//! only discarded when its propagated radius at both boundaries is at
-//! least [`R_GUARD_KM`], which exceeds the floor by more than the largest
-//! radial drift a bound orbit can manage in [`HORIZON_S`] seconds. An
-//! extra [`SLACK_DEG`] absorbs the small geodetic-vs-geocentric zenith
-//! difference in the look-angle model. Satellites that fail propagation at
-//! a boundary are never discarded — they take the exact path. The distance
-//! bound needs the observer inside the floor sphere (`d_min > 0`); for an
-//! observer above it [`prefilter_margin_deg`] is NaN and nothing is
-//! discarded.
+//! Every sample epoch `t` lies within [`HORIZON_S`] seconds of the nearer
+//! of the slot's two boundary epochs `b`. A satellite is only discarded
+//! when its published TLE propagated at both boundaries, both boundary
+//! radii are at least [`R_GUARD_KM`], and its elevation at both is below
+//! its own discard line. The line comes from the satellite's floor
+//! `F = min(r_head, r_tail) − 85 km`, so `F ≥ R_FLOOR_KM`.
+//!
+//! 1. **The radius stays ≥ `F` all slot.** While a bound orbit's radius is
+//!    at least `R_FLOOR_KM`, its speed is below `sqrt(2μ/R_FLOOR_KM)`, so
+//!    over at most `HORIZON_S` seconds its radius moves by less than
+//!    `sqrt(2μ/R_FLOOR_KM) × HORIZON_S` ≈ 84.2 km < 85 km. Starting from
+//!    `r_b ≥ F + 85 km` at `b`, it cannot reach `F` before `t`.
+//! 2. **Speed.** On that interval the satellite's speed is below
+//!    `sqrt(2μ/F)`, and the observer's TEME speed is at most `ω⊕ · r_o`,
+//!    so the relative speed is below `v_max(F) = sqrt(2μ/F) + ω⊕ · r_o`.
+//! 3. **Distance.** A point of radius ≥ `F` seen at elevation `el` is at
+//!    least `d(el) = sqrt(F² − r_o² cos²el) − r_o sin el` from the
+//!    observer, and `d` shrinks as `el` grows. So while the satellite is at
+//!    or below the cutoff it is at least `d_min(F) = d(min_elevation)`
+//!    away.
+//! 4. **Elevation.** Elevation changes no faster than the line of sight
+//!    turns, which is at most `v_max(F) / d_min(F)` radians per second
+//!    while the satellite is at or below the cutoff. Climbing from below
+//!    `min_elevation − margin(F)` at `b` to the cutoff would take longer
+//!    than `HORIZON_S`, with `margin(F) = v_max(F) / d_min(F) × HORIZON_S`
+//!    in degrees plus [`SLACK_DEG`]. The slack absorbs the small
+//!    geodetic-vs-geocentric zenith difference in the look-angle model. So
+//!    the satellite is below the cutoff at every sample epoch, and
+//!    `any_above` is false.
+//!
+//! Because `F ≥ R_FLOOR_KM`, and `d_min` grows and `v_max` shrinks with
+//! `F` (each step of the float arithmetic is monotone), no satellite's
+//! line is below the catalog-wide line drawn for `F = R_FLOOR_KM`. That
+//! line costs nothing per satellite, so it is tested first: most of the
+//! catalog falls below it, and only the rest compute their own line.
+//! Satellites that fail propagation at a boundary are never discarded —
+//! they take the exact path. The distance bound needs the observer inside
+//! the floor sphere (`r_o < F`, which also makes `d_min > 0`); otherwise
+//! the margin is NaN and nothing is discarded by that line.
 //!
 //! **Certified looks.** The exact elevation is `asin(z / range)` in
-//! degrees, with `z` the zenith component of the line of sight. For a
-//! discard line `D` in (−90°, 90°), a satellite with
+//! degrees, with `z` the zenith component of the line of sight. Boundary
+//! rows certify against the catalog-wide line `D`, which no satellite's
+//! own line is below. For `D` in (−90°, 90°), a satellite with
 //! `z < (sin D − CERTIFY_GUARD) · range` has `z / range` below `sin D` by
 //! about 10⁻⁹, and since `asin` has slope ≥ 1 its exact elevation would
 //! land below `D` by more than the few ulps the sine, the division and the
 //! `asin` can round. The prefilter only asks whether an elevation is below
-//! `D`, so such a satellite's look is skipped and treated as −∞ there —
-//! the discard decision is the one the exact elevation gives. A NaN line,
-//! or one outside (−90°, 90°) where `asin(sin D) ≠ D`, certifies nothing:
-//! every look is computed.
+//! `D` or a higher line, so such a satellite's look is skipped and treated
+//! as −∞ there — the discard decision is the one the exact elevation
+//! gives. A NaN line, or one outside (−90°, 90°) where `asin(sin D) ≠ D`,
+//! certifies nothing: every look is computed.
 
 use crate::candidates::{finish_track, sample_epochs, CandidateTrack};
 use starsense_astro::frames::{geodetic_to_ecef, Geodetic, LookAngles, Topocentric};
@@ -83,14 +103,20 @@ use starsense_constellation::PropagationCache;
 use starsense_obstruction::PolarSample;
 use starsense_sgp4::wgs72;
 
-/// Orbital-radius floor (km) used by the velocity and distance bounds:
-/// ~120 km altitude, far below anything that completes an orbit.
+/// Lowest orbital-radius floor (km) the velocity and distance bounds are
+/// drawn for: ~120 km altitude, far below anything that completes an
+/// orbit. The catalog-wide discard line uses it.
 pub const R_FLOOR_KM: f64 = 6500.0;
 
 /// Minimum propagated boundary radius (km) for the prefilter to apply —
-/// the floor plus the largest radial drift (`sqrt(2μ/R_FLOOR) × HORIZON_S`
-/// ≈ 85 km) a bound orbit can manage between a boundary and any sample.
-pub const R_GUARD_KM: f64 = 6585.0;
+/// the floor plus an 85-km radial drift allowance.
+pub const R_GUARD_KM: f64 = R_FLOOR_KM + DRIFT_KM;
+
+/// Radial drift allowance (km): more than the
+/// `sqrt(2μ/R_FLOOR_KM) × HORIZON_S` ≈ 84.2 km a bound orbit can move
+/// between a boundary and any sample. A satellite's floor is its smaller
+/// boundary radius less this.
+const DRIFT_KM: f64 = 85.0;
 
 /// Maximum time (s) from any sample epoch to the nearer slot boundary:
 /// half a 15-second slot, plus slack for float epoch rounding.
@@ -108,7 +134,7 @@ const OMEGA_EARTH_RAD_S: f64 = 7.292_115_9e-5;
 /// the rounding of the sine, the division and the `asin`.
 const CERTIFY_GUARD: f64 = 1e-9;
 
-/// Work counters for the prefilter, reported by the benches.
+/// Work counters for the prefilter, read through [`TrackCache::stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TrackCacheStats {
     /// Slots served.
@@ -177,11 +203,13 @@ pub struct TrackCache<'a, 'c> {
     cache: &'c PropagationCache<'a>,
     /// The observer's frame, built once.
     topo: Topocentric,
+    /// The observer's geocentric radius, km.
+    observer_radius_km: f64,
     min_elevation_deg: f64,
     samples_per_slot: u32,
-    /// Keep every satellite whose boundary elevation reaches this; below
-    /// it (at both boundaries, radius guard passing) is provably invisible
-    /// all slot.
+    /// The catalog-wide discard line: the lowest any satellite's own line
+    /// can be. Below it at both boundaries (radius guard passing) is
+    /// provably invisible all slot.
     discard_below_deg: f64,
     /// `sin(discard_below_deg) − CERTIFY_GUARD`: a zenith component below
     /// this times the range certifies a look below the discard line.
@@ -192,23 +220,35 @@ pub struct TrackCache<'a, 'c> {
     stats: TrackCacheStats,
 }
 
-/// The prefilter margin (deg) for an observer and elevation cutoff: how
-/// much elevation a satellite could possibly gain between a boundary and a
-/// sample epoch, per the module-level soundness argument. NaN — which
-/// disables the prefilter — when the observer is not inside the
-/// [`R_FLOOR_KM`] sphere, where no positive distance bound exists.
-pub fn prefilter_margin_deg(observer: Geodetic, min_elevation_deg: f64) -> f64 {
-    let r_o = geodetic_to_ecef(observer).norm();
+/// The prefilter margin (deg) for an observer at geocentric radius
+/// `observer_radius_km`, an elevation cutoff and a satellite whose radius
+/// stays at least `floor_km` all slot: how much elevation it could
+/// possibly gain between a boundary and a sample epoch, per the
+/// module-level soundness argument. Never larger for a higher floor. NaN —
+/// which disables the prefilter — when the observer is not inside the
+/// floor sphere, where no positive distance bound exists.
+fn prefilter_margin_deg(observer_radius_km: f64, min_elevation_deg: f64, floor_km: f64) -> f64 {
+    let r_o = observer_radius_km;
+    if r_o >= floor_km {
+        // Outside the floor sphere a satellite can be arbitrarily near.
+        return f64::NAN;
+    }
     let el = min_elevation_deg.to_radians();
-    // Nearest a guarded satellite can be while at the cutoff elevation —
-    // the minimum over all elevations up to the cutoff, since distance
-    // shrinks as elevation grows.
-    let d_min = (R_FLOOR_KM * R_FLOOR_KM - r_o * r_o * el.cos() * el.cos()).sqrt() - r_o * el.sin();
+    // Nearest a satellite at or above the floor can be while at the cutoff
+    // elevation — the minimum over all elevations up to the cutoff, since
+    // distance shrinks as elevation grows.
+    let d_min = (floor_km * floor_km - r_o * r_o * el.cos() * el.cos()).sqrt() - r_o * el.sin();
     if d_min.is_nan() || d_min <= 0.0 {
         return f64::NAN;
     }
-    let v_max = (2.0 * wgs72::MU / R_FLOOR_KM).sqrt() + OMEGA_EARTH_RAD_S * r_o;
+    let v_max = (2.0 * wgs72::MU / floor_km).sqrt() + OMEGA_EARTH_RAD_S * r_o;
     (v_max / d_min * HORIZON_S).to_degrees() + SLACK_DEG
+}
+
+/// A guarded satellite's radius floor for the slot (§ *Soundness*): its
+/// smaller boundary radius less the drift allowance.
+fn satellite_floor_km(head: &BoundarySat, tail: &BoundarySat) -> f64 {
+    head.radius_km.min(tail.radius_km) - DRIFT_KM
 }
 
 impl<'a, 'c> TrackCache<'a, 'c> {
@@ -221,13 +261,15 @@ impl<'a, 'c> TrackCache<'a, 'c> {
         min_elevation_deg: f64,
         samples_per_slot: u32,
     ) -> TrackCache<'a, 'c> {
-        let discard_below_deg =
-            min_elevation_deg - prefilter_margin_deg(observer, min_elevation_deg);
+        let observer_radius_km = geodetic_to_ecef(observer).norm();
+        let discard_below_deg = min_elevation_deg
+            - prefilter_margin_deg(observer_radius_km, min_elevation_deg, R_FLOOR_KM);
         let certify_sine = (discard_below_deg > -90.0 && discard_below_deg < 90.0)
             .then(|| discard_below_deg.to_radians().sin() - CERTIFY_GUARD);
         TrackCache {
             cache,
             topo: Topocentric::new(observer),
+            observer_radius_km,
             min_elevation_deg,
             samples_per_slot,
             discard_below_deg,
@@ -265,13 +307,8 @@ impl<'a, 'c> TrackCache<'a, 'c> {
         for (si, sat) in sats.iter().enumerate() {
             let (head, tail) = (&row0.sats[si], &row1.sats[si]);
             if let (Some(a), Some(b)) = (head, tail) {
-                if a.radius_km >= R_GUARD_KM
-                    && b.radius_km >= R_GUARD_KM
-                    && a.prefilter_elevation_deg().max(b.prefilter_elevation_deg())
-                        < self.discard_below_deg
-                {
-                    // Provably below `min_elevation_deg` at every sample
-                    // epoch: `any_above` would be false, the track `None`.
+                if self.stays_below_cutoff(a, b) {
+                    // `any_above` would be false, the track `None`.
                     self.stats.prefiltered += 1;
                     continue;
                 }
@@ -297,6 +334,25 @@ impl<'a, 'c> TrackCache<'a, 'c> {
         self.stats.slots += 1;
         self.last_end = Some(row1);
         out
+    }
+
+    /// Whether a satellite with these boundary states is provably below
+    /// `min_elevation_deg` at every sample epoch (§ *Soundness*): its radius
+    /// guard passes and its boundary elevations are below the catalog-wide
+    /// line or, failing that, below its own.
+    fn stays_below_cutoff(&self, head: &BoundarySat, tail: &BoundarySat) -> bool {
+        if !(head.radius_km >= R_GUARD_KM && tail.radius_km >= R_GUARD_KM) {
+            return false;
+        }
+        let el = head.prefilter_elevation_deg().max(tail.prefilter_elevation_deg());
+        el < self.discard_below_deg || el < self.own_discard_line_deg(head, tail)
+    }
+
+    /// A guarded satellite's own discard line, from its radius floor.
+    fn own_discard_line_deg(&self, head: &BoundarySat, tail: &BoundarySat) -> f64 {
+        let floor_km = satellite_floor_km(head, tail);
+        self.min_elevation_deg
+            - prefilter_margin_deg(self.observer_radius_km, self.min_elevation_deg, floor_km)
     }
 
     /// The catalog at a boundary epoch, read through the shared full-row
@@ -331,8 +387,9 @@ mod tests {
     use super::*;
     use crate::candidates::candidate_tracks;
     use starsense_astro::frames::look_angles_teme;
-    use starsense_constellation::ConstellationBuilder;
+    use starsense_constellation::{Constellation, ConstellationBuilder, LaunchBatch, Satellite};
     use starsense_scheduler::slots::{slot_start, SLOT_PERIOD_SECONDS};
+    use starsense_sgp4::Tle;
 
     fn assert_same_tracks(direct: &[CandidateTrack], tracked: &[CandidateTrack]) {
         assert_eq!(direct.len(), tracked.len());
@@ -346,11 +403,26 @@ mod tests {
         }
     }
 
+    fn radius(site: Geodetic) -> f64 {
+        geodetic_to_ecef(site).norm()
+    }
+
     #[test]
     fn margin_is_positive_and_sane() {
-        let m = prefilter_margin_deg(Geodetic::new(41.66, -91.53, 0.2), 25.0);
+        let r_o = radius(Geodetic::new(41.66, -91.53, 0.2));
+        let m = prefilter_margin_deg(r_o, 25.0, R_FLOOR_KM);
         assert!(m > SLACK_DEG, "margin {m} should exceed the slack alone");
         assert!(m < 45.0, "margin {m} should leave the filter useful");
+        // A gen1 shell's floor gives a narrower margin, and no floor above
+        // the lowest gives a wider one.
+        let shell = prefilter_margin_deg(r_o, 25.0, 6378.135 + 540.0 - DRIFT_KM);
+        assert!(shell > SLACK_DEG && shell < m - 1.0, "shell margin {shell} against {m}");
+        let mut last = m;
+        for k in 0..2000 {
+            let next = prefilter_margin_deg(r_o, 25.0, R_FLOOR_KM + k as f64 * 0.37);
+            assert!(next <= last, "margin rose from {last} to {next} at step {k}");
+            last = next;
+        }
     }
 
     #[test]
@@ -395,11 +467,12 @@ mod tests {
         // A small property sweep: several sites and elevation cutoffs, a
         // couple of slots each, all bit-identical to the direct path. A 0°
         // cutoff puts the discard line below the horizon (negative sine).
-        // The 200-km observer sits outside the distance bound's floor
-        // sphere, so its margin is NaN and nothing is discarded or
-        // certified; the 120-km one sits just inside it, where the margin
-        // is finite but puts the discard line below −90°, so the zenith
-        // test must certify nothing there either.
+        // The 200-km observer sits outside the lowest floor sphere, so its
+        // catalog-wide margin is NaN and nothing is certified; only
+        // satellites whose own floor lies above the observer can be
+        // discarded. The 120-km one sits just inside it, where the
+        // catalog-wide margin is finite but puts the line below −90°, so
+        // the zenith test must certify nothing there either.
         let first = slot_start(JulianDate::from_ymd_hms(2023, 6, 2, 3, 0, 13.0));
         let start = |k: usize| slot_start(first.plus_seconds(k as f64 * SLOT_PERIOD_SECONDS + 1.0));
         // Candidates the direct path found over `slots` slots, after
@@ -439,8 +512,8 @@ mod tests {
         for &high in &sites[4..] {
             assert!(compare(&cache, high, 25.0, 3) > 0, "{high:?} saw no candidates");
         }
-        assert!(prefilter_margin_deg(sites[4], 25.0).is_nan());
-        assert!(25.0 - prefilter_margin_deg(sites[5], 25.0) < -90.0);
+        assert!(prefilter_margin_deg(radius(sites[4]), 25.0, R_FLOOR_KM).is_nan());
+        assert!(25.0 - prefilter_margin_deg(radius(sites[5]), 25.0, R_FLOOR_KM) < -90.0);
 
         // A long run on the full catalog: satellites rise and set across
         // the discard line, so survivors whose look at one boundary was
@@ -476,6 +549,186 @@ mod tests {
             }
         }
         assert!(rising > 0 && setting > 0, "rising {rising}, setting {setting}");
+    }
+
+    /// A satellite whose published TLE is its truth, on an orbit of
+    /// semi-major axis `a_km` that crosses `site`'s latitude northbound at
+    /// `pass`, `dlon_deg` east of the site, at mean anomaly `m_deg`.
+    fn aimed(
+        id: u32,
+        site: Geodetic,
+        pass: JulianDate,
+        (a_km, ecc, m_deg): (f64, f64, f64),
+        dlon_deg: f64,
+    ) -> Satellite {
+        let inc = 53.0_f64.to_radians();
+        // Argument of latitude at the crossing, and how far east of the
+        // node (inertially) the crossing lies.
+        let u = (site.lat_deg.to_radians().sin() / inc.sin()).asin();
+        let east_of_node = (inc.cos() * u.sin()).atan2(u.cos());
+        let raan =
+            site.lon_deg.to_radians() + dlon_deg.to_radians() + pass.gmst_rad() - east_of_node;
+        // True anomaly at `m_deg`, so the argument of perigee puts the
+        // satellite at `u` then.
+        let m = m_deg.to_radians();
+        let mut e_anom = m;
+        for _ in 0..20 {
+            e_anom -= (e_anom - ecc * e_anom.sin() - m) / (1.0 - ecc * e_anom.cos());
+        }
+        let nu = 2.0
+            * ((1.0 + ecc).sqrt() * (e_anom / 2.0).sin())
+                .atan2((1.0 - ecc).sqrt() * (e_anom / 2.0).cos());
+        let rev_per_day = (wgs72::MU / a_km.powi(3)).sqrt() * 86_400.0 / std::f64::consts::TAU;
+        let tle = Tle {
+            name: None,
+            norad_id: id,
+            classification: 'U',
+            intl_designator: "20001A".into(),
+            epoch: pass,
+            ndot: 0.0,
+            nddot: 0.0,
+            bstar: 0.0,
+            element_set_no: 999,
+            inclination_deg: 53.0,
+            raan_deg: raan.to_degrees().rem_euclid(360.0),
+            eccentricity: ecc,
+            arg_perigee_deg: (u - nu).to_degrees().rem_euclid(360.0),
+            mean_anomaly_deg: m_deg,
+            mean_motion_rev_day: rev_per_day,
+            rev_number: 1,
+        };
+        let launch = LaunchBatch {
+            index: 0,
+            date: JulianDate::from_ymd_hms(2020, 1, 1, 0, 0, 0.0),
+            year: 2020,
+            month: 1,
+        };
+        Satellite::new(format!("AIMED-{id}"), launch, tle.elements(), tle)
+            .expect("hand-built elements initialize SGP4")
+    }
+
+    #[test]
+    fn per_satellite_lines_stay_exact_on_a_mixed_altitude_catalog() {
+        // Passes at ~300, 550 and 1,200 km, from overhead to far off to
+        // the side, spread over a 20-minute run of contiguous slots; an
+        // eccentric orbit whose radius climbs through `R_GUARD_KM` while
+        // it passes; and a 550-km orbit whose perigee falls mid-run. Each
+        // slot is compared bit for bit with the direct path, and the
+        // soundness argument's premises are checked against the
+        // production floor: every sample is within `HORIZON_S` of its
+        // nearer boundary, a guarded satellite's floor sits the drift
+        // allowance below both boundary radii, and its radius stays at or
+        // above the floor at every sample.
+        let site = Geodetic::new(41.66, -91.53, 0.2);
+        let first = slot_start(JulianDate::from_ymd_hms(2023, 6, 2, 3, 0, 13.0));
+        let start = |k: usize| slot_start(first.plus_seconds(k as f64 * SLOT_PERIOD_SECONDS + 1.0));
+        let minute = |m: f64| first.plus_seconds(60.0 * m);
+        let slots = 80;
+        let earth = wgs72::EARTH_RADIUS_KM;
+        let mut sats = Vec::new();
+        for (i, alt) in [300.0, 550.0, 1200.0].into_iter().enumerate() {
+            for (j, dlon) in [-25.0, -12.0, -6.0, -2.0, 0.0, 3.0, 9.0, 18.0].into_iter().enumerate()
+            {
+                let pass = minute(1.0 + 2.3 * j as f64 + 0.7 * i as f64);
+                let orbit = (earth + alt, 0.0005, 0.0);
+                sats.push(aimed(sats.len() as u32 + 1, site, pass, orbit, dlon));
+            }
+        }
+        // Perigee 182 km, apogee 422 km: at mean anomaly ~37° the radius
+        // passes ~6,585 km on its way up.
+        let eccentric = (6680.0, 0.018, 37.2);
+        sats.push(aimed(sats.len() as u32 + 1, site, minute(10.0), eccentric, 1.0));
+        let perigee_mid_run = (earth + 550.0, 0.003, 0.0);
+        sats.push(aimed(sats.len() as u32 + 1, site, minute(9.0), perigee_mid_run, 40.0));
+        let catalog = Constellation::new(sats);
+        let cache = PropagationCache::new(&catalog);
+
+        let (mut found, mut straddles, mut dips, mut own_only) = (0, 0, 0, 0);
+        let (mut lowest, mut highest) = (f64::INFINITY, f64::NEG_INFINITY);
+        for cutoff in [25.0, 0.0, 60.0] {
+            let mut tracks = TrackCache::new(&cache, site, cutoff, 16);
+            for k in 0..slots {
+                let direct = candidate_tracks(&catalog, site, start(k), cutoff, 16);
+                let head = tracks.last_end.as_ref().map(|row| (row.epoch_bits, row.sats.clone()));
+                assert_same_tracks(&direct, &tracks.candidate_tracks(start(k)));
+                found += direct.len();
+                let epochs = sample_epochs(start(k), 16);
+                let (t0, t1) = (epochs[0], epochs[15]);
+                for &t in &epochs {
+                    let nearer = t.seconds_since(t0).abs().min(t1.seconds_since(t).abs());
+                    assert!(nearer <= HORIZON_S, "sample {nearer} s from its nearer boundary");
+                }
+                // The premises below read the slot's own head row: the previous
+                // end row, when this slot reused it.
+                let Some((bits, head)) = head else { continue };
+                if bits != t0.0.to_bits() {
+                    continue;
+                }
+                let tail = &tracks.last_end.as_ref().expect("a served slot keeps its end row").sats;
+                for ((sat, a), b) in catalog.sats().iter().zip(&head).zip(tail) {
+                    let (Some(a), Some(b)) = (a, b) else { continue };
+                    if (a.radius_km >= R_GUARD_KM) != (b.radius_km >= R_GUARD_KM) {
+                        straddles += 1;
+                    }
+                    if !(a.radius_km >= R_GUARD_KM && b.radius_km >= R_GUARD_KM) {
+                        continue;
+                    }
+                    // Step 1 starts from either boundary, whichever is
+                    // nearer, so each must clear the floor by the drift.
+                    let floor = satellite_floor_km(a, b);
+                    assert!(floor + DRIFT_KM <= a.radius_km && floor + DRIFT_KM <= b.radius_km);
+                    for &t in &epochs[1..15] {
+                        let r = sat.published_position(t).expect("propagates").norm();
+                        assert!(
+                            r >= floor,
+                            "sat {} at radius {r} below its floor {floor}",
+                            sat.norad_id
+                        );
+                        if r < a.radius_km.min(b.radius_km) {
+                            dips += 1;
+                        }
+                    }
+                    let own = tracks.own_discard_line_deg(a, b);
+                    assert!(own >= tracks.discard_below_deg || tracks.discard_below_deg.is_nan());
+                    if cutoff == 25.0 {
+                        lowest = lowest.min(own);
+                        highest = highest.max(own);
+                    }
+                    let el = a.prefilter_elevation_deg().max(b.prefilter_elevation_deg());
+                    if el >= tracks.discard_below_deg && el < own {
+                        own_only += 1;
+                    }
+                }
+            }
+        }
+        assert!(found > 0, "the aimed passes should yield candidates");
+        assert!(straddles > 0, "the eccentric orbit should straddle the guard in some slot");
+        assert!(dips > 0, "some guarded radius should dip below both boundaries");
+        assert!(own_only > 0, "own lines should discard what the catalog-wide line keeps");
+        assert!(highest - lowest > 3.0, "own lines {lowest}..{highest} should really differ");
+    }
+
+    #[test]
+    fn per_satellite_lines_keep_gen1_survivors_near_the_candidates() {
+        // With one catalog-wide line drawn for a 6,500-km orbit, about 140
+        // gen1 satellites survive the prefilter per Iowa slot; each
+        // satellite's own line keeps about 55 against ~34 candidates.
+        let gen1 = ConstellationBuilder::starlink_gen1().seed(1).build();
+        let cache = PropagationCache::new(&gen1);
+        let site = Geodetic::new(41.66, -91.53, 0.2);
+        let mut tracks = TrackCache::new(&cache, site, 25.0, 16);
+        let first = slot_start(JulianDate::from_ymd_hms(2023, 6, 1, 16, 0, 13.0));
+        let slots = 40;
+        let mut found = 0;
+        for k in 0..slots {
+            let start = slot_start(first.plus_seconds(k as f64 * SLOT_PERIOD_SECONDS + 1.0));
+            found += tracks.candidate_tracks(start).len();
+        }
+        let s = tracks.stats();
+        assert_eq!(s.slots, slots);
+        let per_slot = s.surviving as f64 / slots as f64;
+        assert!(per_slot <= 70.0, "{per_slot} survivors per slot: {s:?}");
+        assert!(s.surviving >= found, "{found} candidates from {} survivors", s.surviving);
     }
 
     #[test]

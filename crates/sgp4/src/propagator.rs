@@ -45,6 +45,8 @@ pub struct Sgp4 {
     bstar: f64,
     // Derived at initialization.
     no_unkozai: f64,
+    // Un-Kozai'd semi-major axis, `(XKE / no_unkozai)^(2/3)`, earth radii.
+    ao: f64,
     isimp: bool,
     con41: f64,
     x1mth2: f64,
@@ -232,6 +234,7 @@ impl Sgp4 {
             mo: elements.mo,
             bstar: elements.bstar,
             no_unkozai,
+            ao,
             isimp,
             con41,
             x1mth2,
@@ -315,11 +318,10 @@ impl Sgp4 {
             templ = templ + self.t3cof * t3 + t4 * (self.t4cof + t * self.t5cof);
         }
 
-        let nm = self.no_unkozai;
-        if nm <= 0.0 {
+        if self.no_unkozai <= 0.0 {
             return Err(Sgp4Error::NonPositiveMeanMotion);
         }
-        let am = (XKE / nm).powf(2.0 / 3.0) * tempa * tempa;
+        let am = self.ao * tempa * tempa;
         let em = self.ecco - tempe;
 
         #[expect(
@@ -350,20 +352,25 @@ impl Sgp4 {
 
         // ---- Solve Kepler's equation. ----
         let u = wrap_tau(xl - nodep);
+        // Vallado's `while |tem5| >= 1e-12 && ktr <= 10` loop always runs
+        // once (`tem5` starts at 9999.9), so it tests after each step and
+        // hands out the sine and cosine its last step computed.
         let mut eo1 = u;
-        let mut tem5: f64 = 9999.9;
         let mut ktr = 1;
-        let (mut sineo1, mut coseo1) = eo1.sin_cos();
-        while tem5.abs() >= 1.0e-12 && ktr <= 10 {
-            (sineo1, coseo1) = eo1.sin_cos();
-            tem5 = 1.0 - coseo1 * axnl - sineo1 * aynl;
+        let (sineo1, coseo1) = loop {
+            let (sineo1, coseo1) = eo1.sin_cos();
+            let mut tem5 = 1.0 - coseo1 * axnl - sineo1 * aynl;
             tem5 = (u - aynl * coseo1 + axnl * sineo1 - eo1) / tem5;
             if tem5.abs() >= 0.95 {
                 tem5 = 0.95 * tem5.signum();
             }
             eo1 += tem5;
             ktr += 1;
-        }
+            let more = tem5.abs() >= 1.0e-12 && ktr <= 10;
+            if !more {
+                break (sineo1, coseo1);
+            }
+        };
 
         // ---- Short-period preliminary quantities. ----
         let ecose = axnl * coseo1 + aynl * sineo1;
