@@ -4,6 +4,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use starsense_astro::frames::Geodetic;
 use starsense_astro::time::JulianDate;
 use starsense_constellation::{ConstellationBuilder, PropagationCache};
+use starsense_core::vantage::paper_terminals;
 use starsense_dtw::{best_match, dtw_distance, dtw_distance_early_abandon};
 use starsense_ident::{
     candidate_tracks, slot_boundary_epochs, verdict_slot_tracked, DishSimulator, TrackCache,
@@ -156,6 +157,37 @@ fn bench_track_cache(c: &mut Criterion) {
     group.finish();
 }
 
+/// Prepare for 240 slots of the paper's four terminals on gen1, as an
+/// identified campaign prepares it (truth slot starts plus published
+/// boundary rows): at full catalog width, and culled to the terminals'
+/// skies at the 25° cutoff.
+fn bench_prepare(c: &mut Criterion) {
+    let gen1 = ConstellationBuilder::starlink_gen1().seed(1).build();
+    let observers: Vec<Geodetic> = paper_terminals().iter().map(|t| t.location).collect();
+    let first = slot_start(JulianDate::from_ymd_hms(2023, 6, 1, 16, 0, 0.0));
+    let starts: Vec<JulianDate> =
+        (0..240).map(|k| first.plus_seconds(k as f64 * SLOT_PERIOD_SECONDS)).collect();
+    let boundaries: Vec<JulianDate> =
+        starts.iter().flat_map(|&s| slot_boundary_epochs(s, 16)).collect();
+    let mut group = c.benchmark_group("constellation");
+    group.sample_size(10);
+    group.bench_function("prepare_paper_240/full", |b| {
+        b.iter(|| {
+            let cache = PropagationCache::new(&gen1);
+            cache.prepare(&starts, &boundaries, 1);
+            black_box(cache.stats())
+        })
+    });
+    group.bench_function("prepare_paper_240/culled", |b| {
+        b.iter(|| {
+            let cache = PropagationCache::for_observers(&gen1, &observers, 25.0);
+            cache.prepare(&starts, &boundaries, 1);
+            black_box(cache.stats())
+        })
+    });
+    group.finish();
+}
+
 fn bench_stats(c: &mut Criterion) {
     let a: Vec<f64> = (0..750).map(|i| 20.0 + (i % 37) as f64 * 0.1).collect();
     let b: Vec<f64> = (0..750).map(|i| 23.0 + (i % 41) as f64 * 0.1).collect();
@@ -181,6 +213,7 @@ criterion_group!(
     bench_obstruction,
     bench_identification,
     bench_track_cache,
+    bench_prepare,
     bench_stats
 );
 criterion_main!(benches);

@@ -222,14 +222,21 @@ impl Constellation {
     /// and its `sunlit` is `is_sunlit(teme, at)`, bit for bit; the rotation
     /// and the sun geometry behind both are computed once per instant.
     pub fn snapshot(&self, at: JulianDate) -> Snapshot {
+        self.snapshot_keeping(at, None)
+    }
+
+    /// [`Constellation::snapshot`] propagating only the satellites `keep`
+    /// marks (all of them for `None`); the others read `None`.
+    pub(crate) fn snapshot_keeping(&self, at: JulianDate, keep: Option<&[bool]>) -> Snapshot {
         let rotation = Mat3::rot_z(at.gmst_rad());
         let shadow = EarthShadow::at(at);
         let positions = self
             .sats
             .iter()
-            .map(|sat| {
-                if sat.launch.date > at {
-                    return None; // not yet in orbit
+            .enumerate()
+            .map(|(i, sat)| {
+                if sat.launch.date > at || keep.is_some_and(|keep| !keep[i]) {
+                    return None; // not yet in orbit, or culled
                 }
                 let teme = sat.true_position(at)?;
                 Some(SnapshotEntry { teme, ecef: rotation * teme, sunlit: shadow.is_sunlit(teme) })

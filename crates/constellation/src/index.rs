@@ -49,11 +49,11 @@ const CAP_RADIUS_GUARD_DEG: f64 = 0.02;
 
 /// Cap radius (degrees) beyond which a query degrades to scanning every
 /// satellite: the bucket walk would visit most of the grid anyway.
-const FULL_SCAN_CAP_DEG: f64 = 60.0;
+pub(crate) const FULL_SCAN_CAP_DEG: f64 = 60.0;
 
 /// Grid cell size is derived from the ground-range bound at the standard
 /// 25° Starlink cutoff and clamped into this range (degrees).
-const MIN_CELL_DEG: f64 = 1.5;
+pub(crate) const MIN_CELL_DEG: f64 = 1.5;
 const MAX_CELL_DEG: f64 = 8.0;
 
 /// A lat/lon bucket grid over the satellites of one [`Snapshot`],
@@ -61,12 +61,8 @@ const MAX_CELL_DEG: f64 = 8.0;
 /// queries in time proportional to the visibility cap, not the catalog.
 #[derive(Debug, Clone)]
 pub struct VisibilityIndex {
-    /// Cell size, degrees (same for latitude rows and longitude columns).
-    cell_deg: f64,
-    /// Number of latitude rows (covering −90°…90°).
-    n_lat: usize,
-    /// Number of longitude columns (covering −180°…180°).
-    n_lon: usize,
+    /// The bucket grid.
+    grid: DirectionGrid,
     /// CSR offsets: bucket `b` holds `entries[bucket_start[b]..bucket_start[b + 1]]`.
     bucket_start: Vec<u32>,
     /// Catalog indices, bucket-major; within a bucket, ascending (catalog
@@ -78,12 +74,38 @@ pub struct VisibilityIndex {
     catalog_len: usize,
 }
 
+/// A grid of equal lat/lon cells over geocentric directions: latitude
+/// rows cover −90°…90°, longitude columns −180°…180°, and cell
+/// `row * n_lon + col` is row-major. The visibility index buckets
+/// satellites on one; the propagation cache marks observers' caps on
+/// another.
+#[derive(Debug, Clone)]
+pub(crate) struct DirectionGrid {
+    /// Cell size, degrees (same for latitude rows and longitude columns).
+    cell_deg: f64,
+    /// Number of latitude rows.
+    n_lat: usize,
+    /// Number of longitude columns.
+    n_lon: usize,
+    /// Per row: its latitude span in radians and the smaller cosine of its
+    /// two edges, for [`DirectionGrid::cap_runs`].
+    rows: Vec<GridRow>,
+}
+
+/// One latitude row of a [`DirectionGrid`].
+#[derive(Debug, Clone, Copy)]
+struct GridRow {
+    lat_a: f64,
+    lat_b: f64,
+    min_cos: f64,
+}
+
 /// Geocentric direction angles (degrees) of an ECEF position: latitude
 /// from the equatorial plane, longitude from the +X meridian. This is the
 /// *geocentric* (spherical) latitude — the angular distance between two
 /// such directions is exactly the angle between the position vectors,
 /// which is what the cap bound speaks about.
-fn direction_deg(r: Vec3) -> (f64, f64) {
+pub(crate) fn direction_deg(r: Vec3) -> (f64, f64) {
     let norm = r.norm();
     let lat = if norm > 0.0 { (r.z / norm).asin().to_degrees() } else { 0.0 };
     let lon = r.y.atan2(r.x).to_degrees();
@@ -96,14 +118,114 @@ fn hav(x: f64) -> f64 {
     s * s
 }
 
-/// The grid bucket an ECEF direction falls into — the one bucketing rule
-/// shared by [`VisibilityIndex::build`] and [`VisibilityIndex::cell_key`],
-/// so cohort grouping by cell key agrees with how satellites were indexed.
-fn bucket_index(cell_deg: f64, n_lat: usize, n_lon: usize, ecef: Vec3) -> usize {
-    let (lat, lon) = direction_deg(ecef);
-    let row = (((lat + 90.0) / cell_deg) as usize).min(n_lat - 1);
-    let col = (((lon + 180.0) / cell_deg) as usize).min(n_lon - 1);
-    row * n_lon + col
+impl DirectionGrid {
+    /// A grid of `cell_deg`-degree cells.
+    pub(crate) fn new(cell_deg: f64) -> DirectionGrid {
+        let n_lat = (180.0 / cell_deg).ceil() as usize;
+        let n_lon = (360.0 / cell_deg).ceil() as usize;
+        let rows = (0..n_lat)
+            .map(|row| {
+                let lat_a = (row as f64 * cell_deg - 90.0).to_radians();
+                let lat_b = (((row + 1) as f64) * cell_deg - 90.0).min(90.0).to_radians();
+                GridRow { lat_a, lat_b, min_cos: lat_a.cos().min(lat_b.cos()) }
+            })
+            .collect();
+        DirectionGrid { cell_deg, n_lat, n_lon, rows }
+    }
+
+    /// Number of cells.
+    pub(crate) fn len(&self) -> usize {
+        self.n_lat * self.n_lon
+    }
+
+    /// The cell an ECEF direction falls into — the one bucketing rule
+    /// shared by [`VisibilityIndex::build`] and [`VisibilityIndex::cell_key`],
+    /// so cohort grouping by cell key agrees with how satellites were indexed.
+    pub(crate) fn cell(&self, ecef: Vec3) -> usize {
+        let (lat, lon) = direction_deg(ecef);
+        let row = (((lat + 90.0) / self.cell_deg) as usize).min(self.n_lat - 1);
+        let col = (((lon + 180.0) / self.cell_deg) as usize).min(self.n_lon - 1);
+        row * self.n_lon + col
+    }
+
+    /// Calls `visit(from, to)` for runs of cells `[from, to)` that together
+    /// hold every cell intersecting the cap of angular radius `cap_deg`
+    /// centred on the geocentric direction `(obs_lat, obs_lon)` (degrees,
+    /// as [`direction_deg`] gives them; module docs: conservative per-row
+    /// coverage). Runs never overlap.
+    pub(crate) fn cap_runs(
+        &self,
+        (obs_lat, obs_lon): (f64, f64),
+        cap_deg: f64,
+        mut visit: impl FnMut(usize, usize),
+    ) {
+        let cap = cap_deg.to_radians();
+        let lat0 = obs_lat.to_radians();
+        let (hav_cap, cos_lat0) = (hav(cap), lat0.cos());
+
+        // Latitude rows intersecting [lat0 − ψ, lat0 + ψ].
+        let row_lo = (((obs_lat - cap_deg + 90.0) / self.cell_deg).floor().max(0.0)) as usize;
+        let row_hi =
+            ((((obs_lat + cap_deg + 90.0) / self.cell_deg).floor()) as usize).min(self.n_lat - 1);
+
+        for row in row_lo..=row_hi {
+            // Row latitude span, radians.
+            let GridRow { lat_a, lat_b, min_cos } = self.rows[row];
+
+            // Conservative per-row longitude half-width: numerator uses the
+            // row latitude closest to the observer, denominator the row
+            // edge with the largest |latitude| (smallest cosine).
+            let dist_min = if lat0 < lat_a {
+                lat_a - lat0
+            } else if lat0 > lat_b {
+                lat0 - lat_b
+            } else {
+                0.0
+            };
+            if dist_min > cap {
+                continue;
+            }
+            let num = hav_cap - hav(dist_min);
+            let den = cos_lat0 * min_cos;
+            let whole_row = den <= 1e-12 || num / den >= 1.0;
+            let half_width_deg =
+                if whole_row { 180.0 } else { 2.0 * (num / den).sqrt().asin().to_degrees() };
+
+            let row_base = row * self.n_lon;
+            let span = (half_width_deg / self.cell_deg).floor() as usize + 1;
+            if 2 * span + 1 >= self.n_lon {
+                visit(row_base, row_base + self.n_lon);
+                continue;
+            }
+            // Columns [col0 − span, col0 + span], wrapping in longitude.
+            let col0 = (((obs_lon + 180.0) / self.cell_deg) as usize).min(self.n_lon - 1);
+            let first = col0 as i64 - span as i64;
+            let last = col0 as i64 + span as i64;
+            if first < 0 || last >= self.n_lon as i64 {
+                // Wrapped range: two contiguous runs.
+                let lo = first.rem_euclid(self.n_lon as i64) as usize;
+                let hi = last.rem_euclid(self.n_lon as i64) as usize;
+                visit(row_base + lo, row_base + self.n_lon);
+                visit(row_base, row_base + hi + 1);
+            } else {
+                visit(row_base + first as usize, row_base + last as usize + 1);
+            }
+        }
+    }
+}
+
+/// The angular radius (degrees) of the visibility cap of an observer at
+/// geocentric radius `r_obs_km` over satellites no higher than
+/// `r_sat_km`, at elevation cutoff `min_elevation_deg` — the ψ_max bound
+/// of the module docs with its zenith-deflection and rounding margins —
+/// or `None` when the bound degenerates (observer at or above `r_sat_km`).
+pub(crate) fn cap_radius_deg(r_obs_km: f64, r_sat_km: f64, min_elevation_deg: f64) -> Option<f64> {
+    if r_sat_km <= r_obs_km {
+        return None;
+    }
+    let e = (min_elevation_deg - ZENITH_DEFLECTION_MARGIN_DEG).to_radians();
+    let arg = ((r_obs_km / r_sat_km) * e.cos()).clamp(-1.0, 1.0);
+    Some((arg.acos() - e).to_degrees() + CAP_RADIUS_GUARD_DEG)
 }
 
 impl VisibilityIndex {
@@ -128,17 +250,15 @@ impl VisibilityIndex {
             MAX_CELL_DEG
         };
 
-        let n_lat = (180.0 / cell_deg).ceil() as usize;
-        let n_lon = (360.0 / cell_deg).ceil() as usize;
-        let n_buckets = n_lat * n_lon;
+        let grid = DirectionGrid::new(cell_deg);
+        let n_buckets = grid.len();
 
         // Counting sort into CSR: one pass to size buckets, one to fill.
         // Filling in catalog order keeps every bucket's entries ascending,
         // so queries can merge buckets and sort cheaply.
-        let bucket_of = |ecef: Vec3| -> usize { bucket_index(cell_deg, n_lat, n_lon, ecef) };
         let mut counts = vec![0u32; n_buckets + 1];
         for entry in entries_in.iter().flatten() {
-            counts[bucket_of(entry.ecef) + 1] += 1;
+            counts[grid.cell(entry.ecef) + 1] += 1;
         }
         for b in 0..n_buckets {
             counts[b + 1] += counts[b];
@@ -147,15 +267,13 @@ impl VisibilityIndex {
         let mut cursor = counts.clone();
         for (si, entry) in entries_in.iter().enumerate() {
             let Some(entry) = entry else { continue };
-            let b = bucket_of(entry.ecef);
+            let b = grid.cell(entry.ecef);
             entries[cursor[b] as usize] = si as u32;
             cursor[b] += 1;
         }
 
         VisibilityIndex {
-            cell_deg,
-            n_lat,
-            n_lon,
+            grid,
             bucket_start: counts,
             entries,
             max_radius_km,
@@ -171,12 +289,7 @@ impl VisibilityIndex {
     /// callers decide whether it is still narrow enough to beat a full
     /// scan (see [`FULL_SCAN_CAP_DEG`]).
     fn cap_radius_deg(&self, r_obs_km: f64, min_elevation_deg: f64) -> Option<f64> {
-        if self.max_radius_km <= r_obs_km {
-            return None;
-        }
-        let e = (min_elevation_deg - ZENITH_DEFLECTION_MARGIN_DEG).to_radians();
-        let arg = ((r_obs_km / self.max_radius_km) * e.cos()).clamp(-1.0, 1.0);
-        Some((arg.acos() - e).to_degrees() + CAP_RADIUS_GUARD_DEG)
+        cap_radius_deg(r_obs_km, self.max_radius_km, min_elevation_deg)
     }
 
     /// Cosine of the visibility-cap radius for an observer of geocentric
@@ -196,7 +309,7 @@ impl VisibilityIndex {
     /// is a pure function of the position (and this snapshot's grid), so
     /// any cohort built from it is invariant under observer input order.
     pub fn cell_key(&self, ecef: Vec3) -> u32 {
-        bucket_index(self.cell_deg, self.n_lat, self.n_lon, ecef) as u32
+        self.grid.cell(ecef) as u32
     }
 
     /// Writes into `out` (cleared first) one conservative candidate
@@ -224,75 +337,17 @@ impl VisibilityIndex {
         out.clear();
         match self.cap_radius_deg(min_radius_km, min_elevation_deg) {
             Some(cap_deg) if cap_deg + widen_deg < FULL_SCAN_CAP_DEG => {
-                let (lat, lon) = direction_deg(anchor_ecef);
-                self.walk_cap(lat, lon, cap_deg + widen_deg, out);
+                let anchor = direction_deg(anchor_ecef);
+                self.grid
+                    .cap_runs(anchor, cap_deg + widen_deg, |from, to| self.gather(from, to, out));
+                // Buckets were visited row-major, so the merged list needs
+                // one sort to restore catalog order (it is what makes the
+                // indexed field-of-view emit satellites in exactly the
+                // linear scan's order).
+                out.sort_unstable();
             }
             _ => out.extend(0..self.catalog_len as u32),
         }
-    }
-
-    /// Gathers every bucket intersecting the cap of angular radius
-    /// `cap_deg` centred on the geocentric direction `(obs_lat, obs_lon)`
-    /// into `out` (appended, then sorted into catalog order) — the shared
-    /// grid walk behind [`VisibilityIndex::cohort_candidates_into`].
-    fn walk_cap(&self, obs_lat: f64, obs_lon: f64, cap_deg: f64, out: &mut Vec<u32>) {
-        let cap = cap_deg.to_radians();
-        let lat0 = obs_lat.to_radians();
-
-        // Latitude rows intersecting [lat0 − ψ, lat0 + ψ].
-        let row_lo = (((obs_lat - cap_deg + 90.0) / self.cell_deg).floor().max(0.0)) as usize;
-        let row_hi =
-            ((((obs_lat + cap_deg + 90.0) / self.cell_deg).floor()) as usize).min(self.n_lat - 1);
-
-        for row in row_lo..=row_hi {
-            // Row latitude span, radians.
-            let lat_a = (row as f64 * self.cell_deg - 90.0).to_radians();
-            let lat_b = (((row + 1) as f64) * self.cell_deg - 90.0).min(90.0).to_radians();
-
-            // Conservative per-row longitude half-width: numerator uses the
-            // row latitude closest to the observer, denominator the row
-            // edge with the largest |latitude| (smallest cosine).
-            let dist_min = if lat0 < lat_a {
-                lat_a - lat0
-            } else if lat0 > lat_b {
-                lat0 - lat_b
-            } else {
-                0.0
-            };
-            if dist_min > cap {
-                continue;
-            }
-            let num = hav(cap) - hav(dist_min);
-            let den = lat0.cos() * lat_a.cos().min(lat_b.cos());
-            let whole_row = den <= 1e-12 || num / den >= 1.0;
-            let half_width_deg =
-                if whole_row { 180.0 } else { 2.0 * (num / den).sqrt().asin().to_degrees() };
-
-            let row_base = row * self.n_lon;
-            let span = (half_width_deg / self.cell_deg).floor() as usize + 1;
-            if 2 * span + 1 >= self.n_lon {
-                self.gather(row_base, row_base + self.n_lon, out);
-                continue;
-            }
-            // Columns [col0 − span, col0 + span], wrapping in longitude.
-            let col0 = (((obs_lon + 180.0) / self.cell_deg) as usize).min(self.n_lon - 1);
-            let first = col0 as i64 - span as i64;
-            let last = col0 as i64 + span as i64;
-            if first < 0 || last >= self.n_lon as i64 {
-                // Wrapped range: two contiguous runs.
-                let lo = first.rem_euclid(self.n_lon as i64) as usize;
-                let hi = last.rem_euclid(self.n_lon as i64) as usize;
-                self.gather(row_base + lo, row_base + self.n_lon, out);
-                self.gather(row_base, row_base + hi + 1, out);
-            } else {
-                self.gather(row_base + first as usize, row_base + last as usize + 1, out);
-            }
-        }
-        // Buckets were visited row-major, so the merged list needs one
-        // sort to restore catalog order (it is what makes the indexed
-        // field-of-view emit satellites in exactly the linear scan's
-        // order).
-        out.sort_unstable();
     }
 
     /// The catalog indices of every satellite that could be at or above
@@ -328,7 +383,7 @@ impl VisibilityIndex {
 
     /// The grid cell size, degrees.
     pub fn cell_deg(&self) -> f64 {
-        self.cell_deg
+        self.grid.cell_deg
     }
 }
 

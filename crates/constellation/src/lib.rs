@@ -25,7 +25,8 @@
 //! propagation (true snapshots and published-TLE positions) that worker
 //! threads read without locks, so campaign engines propagate the
 //! constellation once per slot regardless of terminal count or
-//! worker-thread count.
+//! worker-thread count. Built for a campaign's observers, it skips the
+//! satellites provably below all of their skies.
 
 mod builder;
 mod cache;
@@ -35,7 +36,9 @@ mod index;
 mod shell;
 
 pub use builder::ConstellationBuilder;
-pub use cache::{CacheStats, PropagationCache};
+pub use cache::{
+    CacheStats, PropagationCache, PublishedRow, KEY_REACH_S, OMEGA_EARTH_RAD_S, R_FLOOR_KM,
+};
 pub use catalog::{Constellation, LaunchBatch, Satellite, Snapshot, SnapshotEntry, VisibleSat};
 pub use feed::{load_catalog_text, CatalogLoad};
 pub use index::VisibilityIndex;

@@ -25,11 +25,14 @@
 //! slot window (the whole window when checkpointing is off) then runs in
 //! three phases around a shared [`PropagationCache`]:
 //!
-//! 1. **Prepare** (parallel) — every epoch the segment will touch at full
-//!    catalog width (each slot's truth snapshot, plus — in identified
-//!    mode — each slot's two published-TLE boundary rows) is batch-
-//!    propagated once into the cache's immutable epoch table. Every later
-//!    read of those epochs is a lock-free binary search;
+//! 1. **Prepare** (parallel) — every epoch the segment will touch (each
+//!    slot's truth snapshot, plus — in identified mode — each slot's two
+//!    published-TLE boundary rows) is propagated once into the cache's
+//!    immutable epoch table. The cache is culled to the terminals' skies
+//!    at the lowest consumer cutoff: key rows are full width, and every
+//!    other row propagates only the satellites its key row cannot prove
+//!    below that cutoff (see [`PropagationCache`]). Every later read of
+//!    those epochs is a lock-free binary search;
 //! 2. **Schedule** (sharded, parallel) — the terminals are split into
 //!    contiguous shards (see [`CampaignConfig::shards`]) and each worker
 //!    steps its slice of sites over a copy of its slice of
@@ -52,6 +55,7 @@
 
 use crate::degrade::{DegradeReason, SlotOutcome};
 use crate::resume::ResumeConfig;
+use starsense_astro::frames::Geodetic;
 use starsense_astro::time::JulianDate;
 use starsense_constellation::{Constellation, PropagationCache, VisibleSat};
 use starsense_faults::{FaultPlan, PropagationSchedule};
@@ -66,10 +70,14 @@ use starsense_scheduler::{
 };
 
 /// Typed campaign failure — what [`Campaign::run_resumable`] reports
-/// when it cannot read or write a checkpoint. A worker panic is not an
-/// error value: it propagates with its own payload.
+/// when its configuration cannot be run or it cannot read or write a
+/// checkpoint. A worker panic is not an error value: it propagates with
+/// its own payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CampaignError {
+    /// The configuration cannot be run; nothing was done. Today this is a
+    /// policy `min_elevation_deg` that is non-finite or outside [0, 90).
+    InvalidConfig(String),
     /// Writing or reading a checkpoint snapshot failed.
     Checkpoint(starsense_checkpoint::CheckpointError),
 }
@@ -77,6 +85,7 @@ pub enum CampaignError {
 impl std::fmt::Display for CampaignError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            CampaignError::InvalidConfig(why) => write!(f, "invalid campaign config: {why}"),
             CampaignError::Checkpoint(e) => write!(f, "checkpoint failure: {e}"),
         }
     }
@@ -265,14 +274,44 @@ impl<'a> Campaign<'a> {
     ///
     /// # Panics
     ///
-    /// A worker panic propagates with the worker's own payload.
+    /// Panics with the [`CampaignError::InvalidConfig`] message, before
+    /// any work, when the configuration cannot be run (a policy
+    /// `min_elevation_deg` that is non-finite or outside [0, 90)). A
+    /// worker panic propagates with the worker's own payload.
+    #[expect(
+        clippy::panic,
+        reason = "an invalid configuration is a caller bug; `run` is infallible"
+    )]
     pub fn run(&self, from: JulianDate, slots: usize) -> Vec<SlotObservation> {
         match self.run_resumable(from, slots, &ResumeConfig::default()) {
             Ok((obs, _, _)) => obs,
-            // Checkpointing is off: no snapshot is read or written, so
-            // there is no error to return.
-            Err(e) => unreachable!("a run without checkpoints failed: {e}"),
+            // Checkpointing is off: no snapshot is read or written, so the
+            // only error left is an invalid configuration.
+            Err(e) => panic!("{e}"),
         }
+    }
+
+    /// Checks what the engine needs of the configuration before any work.
+    pub(crate) fn validate_config(&self) -> Result<(), CampaignError> {
+        let min_el = self.config.policy.min_elevation_deg;
+        if !(0.0..90.0).contains(&min_el) {
+            let why = format!("policy min_elevation_deg {min_el} is not in [0, 90)");
+            return Err(CampaignError::InvalidConfig(why));
+        }
+        Ok(())
+    }
+
+    /// The propagation table a segment prepares: culled to the
+    /// terminals' skies at the lowest cutoff any consumer applies — the
+    /// scheduler's field of view and, in identified mode, the candidate
+    /// tracks.
+    pub(crate) fn propagation_cache(&self) -> PropagationCache<'a> {
+        let observers: Vec<Geodetic> = self.terminals.iter().map(|t| t.location).collect();
+        let mut cutoff = self.config.policy.min_elevation_deg;
+        if self.identified {
+            cutoff = cutoff.min(MIN_CANDIDATE_ELEVATION_DEG);
+        }
+        PropagationCache::for_observers(self.constellation, &observers, cutoff)
     }
 
     /// The scheduling inner loop of one shard: steps `sites` and their

@@ -25,7 +25,9 @@
 //! restores, and continues — the resumed run's observation stream is
 //! byte-identical to an uninterrupted one because segmentation never
 //! crosses a slot and every cache rebuilt per segment (propagation table,
-//! track cache) is a pure function of the catalog.
+//! track cache) yields exactly what direct computation would — the
+//! propagation table's key rows sit differently per segmentation, but what
+//! they cull is provably invisible.
 //!
 //! # Failures
 //!
@@ -66,7 +68,6 @@ use starsense_checkpoint::{
     fnv1a, fnv1a_extend, load_latest, write_snapshot_rotating, ByteReader, ByteWriter,
     CheckpointError, LoadedFrom, SectionRef, Snapshot, FNV1A_EMPTY,
 };
-use starsense_constellation::PropagationCache;
 use starsense_faults::PropagationSchedule;
 use starsense_ident::{
     slot_boundary_epochs, DishSimulator, DishState, SlotCapture, CANDIDATE_SAMPLES_PER_SLOT,
@@ -212,6 +213,13 @@ impl<'a> Campaign<'a> {
     /// schedule at checkpoint boundaries — for every thread count and
     /// shard count.
     ///
+    /// # Errors
+    ///
+    /// [`CampaignError::InvalidConfig`] before any work when the
+    /// configuration cannot be run (see [`CampaignError`]), and
+    /// [`CampaignError::Checkpoint`] when a snapshot cannot be read or
+    /// written, or belongs to another campaign.
+    ///
     /// # Panics
     ///
     /// A panicking work unit ends the run with the unit's own payload;
@@ -222,6 +230,7 @@ impl<'a> Campaign<'a> {
         slots: usize,
         opts: &ResumeConfig,
     ) -> Result<(Vec<SlotObservation>, DegradationStats, ResumeReport), CampaignError> {
+        self.validate_config()?;
         let threads = self.worker_threads();
         // Query each slot at its midpoint: slot boundaries are derived from
         // the instant, and a midpoint query can never fall on the wrong
@@ -359,10 +368,12 @@ impl<'a> Campaign<'a> {
         let done = state.done;
         let seg_len = seg_mids.len();
 
-        // Per-segment propagation table. Propagation is a pure function
-        // of (catalog, epoch), so rebuilding per segment reproduces the
-        // uninterrupted run's values bit for bit.
-        let cache = PropagationCache::new(self.constellation);
+        // Per-segment propagation table, culled to the terminals' skies.
+        // A kept entry is a pure function of (catalog, epoch) and a culled
+        // one is provably below every consumer's cutoff, so rebuilding per
+        // segment — with keys placed per segment — reproduces the
+        // uninterrupted run's observations bit for bit.
+        let cache = self.propagation_cache();
         let starts: Vec<JulianDate> = seg_mids.iter().map(|&at| slot_start(at)).collect();
         let boundaries: Vec<JulianDate> = if self.identified {
             starts
@@ -866,6 +877,38 @@ fn decode_observation(r: &mut ByteReader<'_>) -> Result<SlotObservation, Campaig
 #[cfg(test)]
 mod tests {
     use super::parallel_units;
+    use crate::campaign::{Campaign, CampaignConfig};
+    use crate::vantage::paper_terminals;
+    use starsense_astro::time::JulianDate;
+    use starsense_constellation::ConstellationBuilder;
+    use starsense_ident::{slot_boundary_epochs, CANDIDATE_SAMPLES_PER_SLOT};
+    use starsense_scheduler::slots::{slot_start, SLOT_PERIOD_SECONDS};
+
+    #[test]
+    fn identified_paper_segments_propagate_a_small_share_of_the_catalog() {
+        // The engine's own segment cache, prepared as `run_segment`
+        // prepares it, over 40 slots of the paper's four terminals on gen1.
+        // A cache that silently fell back to full width would keep every
+        // satellite-row.
+        let c = ConstellationBuilder::starlink_gen1().seed(1).build();
+        let campaign = Campaign::identified(&c, paper_terminals(), CampaignConfig::default(), 1);
+        let from = slot_start(JulianDate::from_ymd_hms(2023, 6, 1, 16, 0, 0.0));
+        let starts: Vec<JulianDate> =
+            (0..40).map(|k| from.plus_seconds(k as f64 * SLOT_PERIOD_SECONDS)).collect();
+        let boundaries: Vec<JulianDate> = starts
+            .iter()
+            .flat_map(|&s| slot_boundary_epochs(s, CANDIDATE_SAMPLES_PER_SLOT))
+            .collect();
+        let cache = campaign.propagation_cache();
+        assert!(cache.prepare(&starts, &boundaries, 2));
+        let stats = cache.stats();
+        let satellite_rows = (stats.truth_entries + stats.published_entries) * c.len();
+        let kept = satellite_rows - stats.culled;
+        assert!(
+            kept as f64 <= 0.35 * satellite_rows as f64,
+            "kept {kept} of {satellite_rows} satellite-rows: {stats:?}"
+        );
+    }
 
     #[test]
     fn parallel_units_reraise_a_units_own_panic_payload() {

@@ -499,3 +499,50 @@ fn earlier_payload_version_is_rejected() {
         );
     }
 }
+
+#[test]
+fn gen1_identified_segmentations_reproduce_the_one_shot_stream() {
+    // On the full catalog the prepared rows are observer-culled and each
+    // segment places its own key rows, so a cadence of 1, 3 or 7 slots
+    // culls different satellite-rows; the stream must not notice.
+    let c = ConstellationBuilder::starlink_gen1().seed(7).build();
+    let terminals = starsense_core::vantage::paper_terminals();
+    let config = CampaignConfig { threads: 2, ..CampaignConfig::default() };
+    let campaign = Campaign::identified(&c, terminals, config, 7);
+    let slots = 15;
+    let one_shot = fingerprint_observations(&campaign.run(start(), slots));
+    for every in [1, 3, 7] {
+        let (_dir, path) = scratch(&format!("gen1-{every}"));
+        let (obs, _, report) = campaign
+            .run_resumable(start(), slots, &opts(path, every))
+            .expect("resumable run must succeed");
+        assert!(report.completed);
+        assert_eq!(report.checkpoints_written, slots.div_ceil(every));
+        assert_eq!(fingerprint_observations(&obs), one_shot, "checkpoint_every {every}");
+    }
+}
+
+#[test]
+fn min_elevation_outside_zero_to_ninety_is_rejected_before_any_work() {
+    let c = mini();
+    for bad in [-1.0, 90.0, 120.0, f64::NAN, f64::INFINITY] {
+        let mut config = CampaignConfig::default();
+        config.policy.min_elevation_deg = bad;
+        let campaign = Campaign::oracle(&c, terminals(), config, 33);
+        let (_dir, path) = scratch("invalid-config");
+        let err = campaign
+            .run_resumable(start(), SLOTS, &opts(path.clone(), 3))
+            .expect_err("an invalid cutoff must be rejected");
+        assert!(matches!(err, CampaignError::InvalidConfig(_)), "{bad}: {err:?}");
+        assert!(!path.exists(), "{bad}: no checkpoint may be written");
+        // `run` panics with the same message.
+        let run = std::panic::AssertUnwindSafe(|| campaign.run(start(), SLOTS));
+        let caught = std::panic::catch_unwind(run);
+        let payload = caught.expect_err("run must panic on an invalid cutoff");
+        assert_eq!(payload.downcast_ref::<String>(), Some(&err.to_string()), "{bad}");
+    }
+    // The boundaries of [0, 90) that are inside it run.
+    let mut config = CampaignConfig::default();
+    config.policy.min_elevation_deg = 0.0;
+    assert_eq!(Campaign::oracle(&c, terminals(), config, 33).run(start(), 2).len(), 4);
+}

@@ -39,6 +39,20 @@
 //!    it computed later from the stored position and the row's rotation —
 //!    the same arithmetic as the direct path, so the same bits.
 //!
+//! 4. **Culled rows.** A [`PropagationCache`] built for the campaign's
+//!    observers culls satellites from its published rows
+//!    (`starsense_constellation`'s *Observer culling*). A row names the
+//!    satellites its key dismissed and where they are proven below the
+//!    cache's cutoff. When the cache speaks for this observer and cutoff
+//!    ([`PropagationCache::culls_for`]) and the proofs of the slot's two
+//!    rows cover every sample epoch, a satellite dismissed at both
+//!    boundaries is counted as prefiltered with no work at all: it is
+//!    below the cutoff at every sample, so `any_above` would be false.
+//!    Any other culled boundary entry is propagated directly — the call
+//!    the full row would have made, so the same bits — and kept in the
+//!    row for the next slot. A failed propagation stays what it was: a
+//!    missing sample on the exact path.
+//!
 //! # Soundness
 //!
 //! Every sample epoch `t` lies within [`HORIZON_S`] seconds of the nearer
@@ -99,14 +113,15 @@ use starsense_astro::frames::{geodetic_to_ecef, Geodetic, LookAngles, Topocentri
 use starsense_astro::mat3::Mat3;
 use starsense_astro::time::JulianDate;
 use starsense_astro::vec3::Vec3;
-use starsense_constellation::PropagationCache;
+use starsense_constellation::{PropagationCache, PublishedRow, OMEGA_EARTH_RAD_S};
 use starsense_obstruction::PolarSample;
 use starsense_sgp4::wgs72;
+use std::sync::Arc;
 
 /// Lowest orbital-radius floor (km) the velocity and distance bounds are
-/// drawn for: ~120 km altitude, far below anything that completes an
-/// orbit. The catalog-wide discard line uses it.
-pub const R_FLOOR_KM: f64 = 6500.0;
+/// drawn for — the propagation cache's, ~120 km altitude. The
+/// catalog-wide discard line uses it.
+pub use starsense_constellation::R_FLOOR_KM;
 
 /// Minimum propagated boundary radius (km) for the prefilter to apply —
 /// the floor plus an 85-km radial drift allowance.
@@ -125,9 +140,6 @@ pub const HORIZON_S: f64 = 7.6;
 /// Extra margin (deg) absorbing the geodetic-vs-geocentric zenith
 /// difference (≤ 0.2°) and every other small-model generosity.
 pub const SLACK_DEG: f64 = 1.0;
-
-/// Earth rotation rate (rad/s), bounding the observer's TEME speed.
-const OMEGA_EARTH_RAD_S: f64 = 7.292_115_9e-5;
 
 /// Guard (in sine units) below the discard line's sine that a zenith
 /// component must clear to certify a satellite below the line; it dwarfs
@@ -150,6 +162,14 @@ pub struct TrackCacheStats {
     /// Interior single-satellite propagations (survivors × interior
     /// epochs).
     pub interior_propagations: usize,
+    /// Satellites the shared rows' keys dismissed at both boundaries,
+    /// proving them below the cutoff at every sample epoch, summed over
+    /// slots; they are counted in `prefiltered` too.
+    pub culled: usize,
+    /// Culled boundary entries propagated directly, because the satellite
+    /// was not dismissed at both boundaries or the rows' proofs did not
+    /// cover every sample epoch.
+    pub culled_resolved: usize,
 }
 
 /// One satellite at a boundary epoch.
@@ -179,11 +199,21 @@ struct BoundaryRow {
     /// TEME→ECEF rotation at the epoch.
     rotation: Mat3,
     /// Indexed like the catalog; `None` where the published TLE failed to
-    /// propagate.
+    /// propagate or the shared row culled the satellite.
     sats: Vec<Option<BoundarySat>>,
+    /// Culled entries this row has since propagated directly into `sats`.
+    resolved: Vec<bool>,
+    /// The shared row, which knows which satellites its key dismissed and
+    /// where they are proven below the cutoff.
+    source: Arc<PublishedRow>,
 }
 
 impl BoundaryRow {
+    /// Whether `sats[si]` still lacks a culled satellite's state.
+    fn unresolved(&self, si: usize) -> bool {
+        self.source.is_culled(si) && !self.resolved[si]
+    }
+
     /// The satellite's exact look at this epoch, computing a skipped one.
     fn look(&self, sat: &BoundarySat, topo: &Topocentric) -> PolarSample {
         sat.look.unwrap_or_else(|| polar(topo.look_angles(self.rotation * sat.teme)))
@@ -215,6 +245,9 @@ pub struct TrackCache<'a, 'c> {
     /// this times the range certifies a look below the discard line.
     /// `None` when the line is NaN or outside (−90°, 90°).
     certify_sine: Option<f64>,
+    /// Whether the cache's culled entries are proven below this cache's
+    /// cutoff from its observer.
+    culls_for_observer: bool,
     /// The previous slot's end-boundary row.
     last_end: Option<BoundaryRow>,
     stats: TrackCacheStats,
@@ -268,6 +301,7 @@ impl<'a, 'c> TrackCache<'a, 'c> {
             .then(|| discard_below_deg.to_radians().sin() - CERTIFY_GUARD);
         TrackCache {
             cache,
+            culls_for_observer: cache.culls_for(observer, min_elevation_deg),
             topo: Topocentric::new(observer),
             observer_radius_km,
             min_elevation_deg,
@@ -292,19 +326,37 @@ impl<'a, 'c> TrackCache<'a, 'c> {
         let first = epochs[0];
         let interior = &epochs[1..n - 1];
 
-        let row0 = match self.last_end.take() {
+        let mut row0 = match self.last_end.take() {
             Some(row) if row.epoch_bits == first.0.to_bits() => {
                 self.stats.boundary_rows_reused += 1;
                 row
             }
             _ => self.boundary_row(first),
         };
-        let row1 = self.boundary_row(epochs[n - 1]);
+        let mut row1 = self.boundary_row(epochs[n - 1]);
         let rotations: Vec<Mat3> = interior.iter().map(|t| Mat3::rot_z(t.gmst_rad())).collect();
+        // A satellite both rows' keys dismissed is below the cutoff at
+        // every sample epoch their proofs cover; if they cover them all,
+        // `any_above` would be false.
+        let dismissed_through = self.culls_for_observer
+            && epochs
+                .iter()
+                .all(|&t| row0.source.dismissed_below_at(t) || row1.source.dismissed_below_at(t));
 
         let sats = self.cache.constellation().sats();
         let mut out = Vec::new();
         for (si, sat) in sats.iter().enumerate() {
+            if dismissed_through && row0.source.is_dismissed(si) && row1.source.is_dismissed(si) {
+                self.stats.prefiltered += 1;
+                self.stats.culled += 1;
+                continue;
+            }
+            if row0.unresolved(si) {
+                self.resolve_culled(&mut row0, si);
+            }
+            if row1.unresolved(si) {
+                self.resolve_culled(&mut row1, si);
+            }
             let (head, tail) = (&row0.sats[si], &row1.sats[si]);
             if let (Some(a), Some(b)) = (head, tail) {
                 if self.stays_below_cutoff(a, b) {
@@ -355,30 +407,45 @@ impl<'a, 'c> TrackCache<'a, 'c> {
             - prefilter_margin_deg(self.observer_radius_km, self.min_elevation_deg, floor_km)
     }
 
-    /// The catalog at a boundary epoch, read through the shared full-row
-    /// position cache (boundary epochs are sample epochs, so the rows are
-    /// shared with every other consumer). Looks the zenith test certifies
-    /// below the discard line are skipped.
+    /// The catalog at a boundary epoch, read through the shared position
+    /// cache (boundary epochs are sample epochs, so the rows are shared
+    /// with every other consumer); culled satellites read `None` until
+    /// resolved. Looks the zenith test certifies below the discard line
+    /// are skipped.
     fn boundary_row(&self, at: JulianDate) -> BoundaryRow {
         let rotation = Mat3::rot_z(at.gmst_rad());
-        let sats = self
-            .cache
-            .published_positions(at)
+        let source = self.cache.published_positions(at);
+        let sats = source
+            .positions()
             .iter()
-            .map(|pos| {
-                pos.map(|teme| {
-                    let sez = self.topo.sez(rotation * teme);
-                    let certified =
-                        self.certify_sine.is_some_and(|k| sez.zenith < k * sez.range_km);
-                    BoundarySat {
-                        teme,
-                        radius_km: teme.norm(),
-                        look: (!certified).then(|| polar(sez.look_angles())),
-                    }
-                })
-            })
+            .map(|pos| pos.map(|teme| self.boundary_sat(teme, rotation)))
             .collect();
-        BoundaryRow { epoch_bits: at.0.to_bits(), rotation, sats }
+        let culls = source.cull_key().is_some();
+        let resolved = vec![false; if culls { source.positions().len() } else { 0 }];
+        BoundaryRow { epoch_bits: at.0.to_bits(), rotation, sats, resolved, source }
+    }
+
+    /// One satellite at a boundary epoch: its look is skipped when the
+    /// zenith test certifies it below the discard line.
+    fn boundary_sat(&self, teme: Vec3, rotation: Mat3) -> BoundarySat {
+        let sez = self.topo.sez(rotation * teme);
+        let certified = self.certify_sine.is_some_and(|k| sez.zenith < k * sez.range_km);
+        BoundarySat {
+            teme,
+            radius_km: teme.norm(),
+            look: (!certified).then(|| polar(sez.look_angles())),
+        }
+    }
+
+    /// Propagates a culled entry of `row` directly — the same scalar call
+    /// the shared row would have made, so the same bits — and keeps it in
+    /// the row for a later slot that reuses the row.
+    fn resolve_culled(&mut self, row: &mut BoundaryRow, si: usize) {
+        let sat = &self.cache.constellation().sats()[si];
+        let at = JulianDate(f64::from_bits(row.epoch_bits));
+        row.sats[si] = sat.published_position(at).map(|teme| self.boundary_sat(teme, row.rotation));
+        row.resolved[si] = true;
+        self.stats.culled_resolved += 1;
     }
 }
 
@@ -553,7 +620,9 @@ mod tests {
 
     /// A satellite whose published TLE is its truth, on an orbit of
     /// semi-major axis `a_km` that crosses `site`'s latitude northbound at
-    /// `pass`, `dlon_deg` east of the site, at mean anomaly `m_deg`.
+    /// `pass`, `dlon_deg` east of the site, at mean anomaly `m_deg`. The
+    /// inclination is 53°, or 5° more than the site's |latitude| when that
+    /// is higher.
     fn aimed(
         id: u32,
         site: Geodetic,
@@ -561,7 +630,8 @@ mod tests {
         (a_km, ecc, m_deg): (f64, f64, f64),
         dlon_deg: f64,
     ) -> Satellite {
-        let inc = 53.0_f64.to_radians();
+        let inc_deg = 53.0_f64.max(site.lat_deg.abs() + 5.0);
+        let inc = inc_deg.to_radians();
         // Argument of latitude at the crossing, and how far east of the
         // node (inertially) the crossing lies.
         let u = (site.lat_deg.to_radians().sin() / inc.sin()).asin();
@@ -589,7 +659,7 @@ mod tests {
             nddot: 0.0,
             bstar: 0.0,
             element_set_no: 999,
-            inclination_deg: 53.0,
+            inclination_deg: inc_deg,
             raan_deg: raan.to_degrees().rem_euclid(360.0),
             eccentricity: ecc,
             arg_perigee_deg: (u - nu).to_degrees().rem_euclid(360.0),
@@ -706,6 +776,170 @@ mod tests {
         assert!(dips > 0, "some guarded radius should dip below both boundaries");
         assert!(own_only > 0, "own lines should discard what the catalog-wide line keeps");
         assert!(highest - lowest > 3.0, "own lines {lowest}..{highest} should really differ");
+    }
+
+    #[test]
+    fn observer_culled_rows_change_no_field_of_view_and_no_candidate() {
+        // A mixed-altitude catalog aimed at four observers — equator,
+        // mid-latitude, 80°N and 200 km up: passes at ~300, 550 and
+        // 1,200 km, an eccentric orbit with a 182-km perigee and a
+        // satellite launched mid-run. For each cutoff and observer set,
+        // an observer-culled cache must give the same fields of view and
+        // candidate sets as a full-width one over 80 contiguous slots, and
+        // the soundness premises must hold against direct propagation at
+        // every sample epoch within a key's reach. Every dismissed entry
+        // is checked against the documented keep test too: the bound is
+        // loose enough that a weakened one would still change no output.
+        let sites = [
+            Geodetic::new(0.0, 30.0, 0.05),
+            Geodetic::new(41.66, -91.53, 0.2),
+            Geodetic::new(80.0, 20.0, 0.1),
+            Geodetic::new(30.0, 100.0, 200.0),
+        ];
+        let first = slot_start(JulianDate::from_ymd_hms(2023, 6, 2, 3, 0, 13.0));
+        let start = |k: usize| slot_start(first.plus_seconds(k as f64 * SLOT_PERIOD_SECONDS + 1.0));
+        let minute = |m: f64| first.plus_seconds(60.0 * m);
+        let slots = 80;
+        let earth = wgs72::EARTH_RADIUS_KM;
+        let mut sats = Vec::new();
+        for (s, &site) in sites.iter().enumerate() {
+            for (i, alt) in [300.0, 550.0, 1200.0].into_iter().enumerate() {
+                for (j, dlon) in [-20.0, -8.0, 0.0, 6.0, 15.0].into_iter().enumerate() {
+                    let pass = minute(1.0 + 3.7 * j as f64 + 0.9 * i as f64 + 0.4 * s as f64);
+                    let orbit = (earth + alt, 0.0005, 0.0);
+                    sats.push(aimed(sats.len() as u32 + 1, site, pass, orbit, dlon));
+                }
+            }
+        }
+        let eccentric = (6680.0, 0.018, 37.2);
+        sats.push(aimed(sats.len() as u32 + 1, sites[1], minute(10.0), eccentric, 1.0));
+        let mut late =
+            aimed(sats.len() as u32 + 1, sites[0], minute(11.0), (earth + 550.0, 0.0005, 0.0), 2.0);
+        late.launch.date = minute(10.5);
+        sats.push(late);
+        let catalog = Constellation::new(sats);
+        let starts: Vec<JulianDate> = (0..slots).map(start).collect();
+        let boundaries: Vec<JulianDate> =
+            starts.iter().flat_map(|&s| crate::slot_boundary_epochs(s, 16)).collect();
+        let full = PropagationCache::new(&catalog);
+        assert!(full.prepare(&starts, &boundaries, 1));
+        let all: Vec<u32> = (0..catalog.len() as u32).collect();
+        let speed = (2.0 * wgs72::MU / R_FLOOR_KM).sqrt();
+        let rate = speed / R_FLOOR_KM + OMEGA_EARTH_RAD_S;
+        let reach = starsense_constellation::KEY_REACH_S;
+
+        let (mut culled, mut resolved, mut visible, mut premises, mut dismissed) = (0, 0, 0, 0, 0);
+        let observer_sets: Vec<Vec<Geodetic>> =
+            std::iter::once(sites.to_vec()).chain(sites.iter().map(|&s| vec![s])).collect();
+        for cutoff in [0.0, 25.0, 60.0] {
+            for observers in &observer_sets {
+                let cache = PropagationCache::for_observers(&catalog, observers, cutoff);
+                assert!(cache.prepare(&starts, &boundaries, 2));
+                for &site in observers {
+                    let mut direct = TrackCache::new(&full, site, cutoff, 16);
+                    let mut tracks = TrackCache::new(&cache, site, cutoff, 16);
+                    for &s in &starts {
+                        let a = catalog.field_of_view(&full.snapshot(s), site, cutoff, &all);
+                        let b = catalog.field_of_view(&cache.snapshot(s), site, cutoff, &all);
+                        assert_eq!(a.len(), b.len(), "{site:?} at {cutoff}°");
+                        for (a, b) in a.iter().zip(&b) {
+                            assert_eq!(a.norad_id, b.norad_id);
+                            assert_eq!(
+                                a.look.elevation_deg.to_bits(),
+                                b.look.elevation_deg.to_bits()
+                            );
+                        }
+                        visible += a.len();
+                        assert_same_tracks(
+                            &direct.candidate_tracks(s),
+                            &tracks.candidate_tracks(s),
+                        );
+                    }
+                    culled += tracks.stats().culled;
+                    resolved += tracks.stats().culled_resolved;
+                }
+                // Every dismissed satellite meets the documented keep test
+                // at its key, written out here from the module docs.
+                for &b in &boundaries {
+                    let row = cache.published_positions(b);
+                    let Some(key) = row.cull_key() else { continue };
+                    assert!(b.seconds_since(key).abs() <= reach);
+                    let rotation = Mat3::rot_z(key.gmst_rad());
+                    let key_row: Vec<Option<Vec3>> = full
+                        .published_positions(key)
+                        .positions()
+                        .iter()
+                        .map(|p| p.map(|p| rotation * p))
+                        .collect();
+                    let r_top = key_row.iter().flatten().map(|p| p.norm()).fold(0.0, f64::max)
+                        + speed * reach;
+                    for (si, p_k) in
+                        key_row.iter().enumerate().filter(|&(si, _)| row.is_dismissed(si))
+                    {
+                        let p_k = p_k.expect("a dismissed satellite had a key-row position");
+                        let r_low = p_k.norm() - speed * reach;
+                        for &o in observers {
+                            let o = geodetic_to_ecef(o);
+                            let e = (cutoff - 0.25).to_radians();
+                            let psi =
+                                ((o.norm() / r_top) * e.cos()).acos() - e + 0.02f64.to_radians();
+                            let angle = p_k.cross(o).norm().atan2(p_k.dot(o));
+                            assert!(
+                                r_low >= R_FLOOR_KM && r_low > o.norm(),
+                                "sat {si} at {r_low} km"
+                            );
+                            assert!(angle > psi + rate * reach, "sat {si}: {angle} rad from {o:?}");
+                        }
+                        dismissed += 1;
+                    }
+                }
+                // Premises: every satellite the key row could cull stays
+                // at or above the floor and turns no faster than the bound
+                // at every sample epoch within the key's reach.
+                let mut keys: Vec<JulianDate> = boundaries
+                    .iter()
+                    .filter_map(|&b| cache.published_positions(b).cull_key())
+                    .collect();
+                keys.dedup_by_key(|k| k.0.to_bits());
+                for &key in &keys {
+                    let rotation = Mat3::rot_z(key.gmst_rad());
+                    let samples = starts.iter().flat_map(|&s| sample_epochs(s, 16));
+                    let near: Vec<JulianDate> =
+                        samples.filter(|t| t.seconds_since(key).abs() <= reach).collect();
+                    for sat in catalog.sats() {
+                        let Some(p_k) = sat.published_position(key).map(|p| rotation * p) else {
+                            continue;
+                        };
+                        if p_k.norm() - speed * reach < R_FLOOR_KM {
+                            continue;
+                        }
+                        for &t in &near {
+                            let p = Mat3::rot_z(t.gmst_rad())
+                                * sat.published_position(t).expect("propagates");
+                            let dt = t.seconds_since(key).abs();
+                            assert!(
+                                p.norm() >= R_FLOOR_KM,
+                                "sat {} at {} km",
+                                sat.norad_id,
+                                p.norm()
+                            );
+                            let turned = p.cross(p_k).norm().atan2(p.dot(p_k));
+                            assert!(
+                                turned <= rate * dt,
+                                "sat {} turned {turned} in {dt} s",
+                                sat.norad_id
+                            );
+                            premises += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(visible > 0, "the aimed passes should be seen");
+        assert!(culled > 0, "both-culled satellites should be prefiltered");
+        assert!(resolved > 0, "some culled boundary entries should be resolved");
+        assert!(premises > 1000, "{premises} premise samples");
+        assert!(dismissed > 1000, "{dismissed} dismissed entries checked");
     }
 
     #[test]

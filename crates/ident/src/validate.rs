@@ -14,6 +14,7 @@ use crate::pipeline::{
     verdict_slot_tracked, CANDIDATE_SAMPLES_PER_SLOT, MIN_CANDIDATE_ELEVATION_DEG,
 };
 use crate::track_cache::TrackCache;
+use starsense_astro::frames::Geodetic;
 use starsense_astro::time::JulianDate;
 use starsense_constellation::{Constellation, PropagationCache};
 use starsense_scheduler::slots::{slot_start, SLOT_PERIOD_SECONDS};
@@ -54,8 +55,8 @@ impl ValidationReport {
 /// Replays `slots` consecutive scheduler slots for terminal
 /// `terminal_id`, painting the dish map from ground truth and identifying
 /// each slot's satellite from the map snapshots alone, through the same
-/// prepared propagation table and [`verdict_slot_tracked`] the campaign
-/// engine uses (always reporting the best match).
+/// observer-culled propagation table and [`verdict_slot_tracked`] the
+/// campaign engine uses (always reporting the best match).
 pub fn run_validation(
     constellation: &Constellation,
     scheduler: &mut GlobalScheduler,
@@ -70,12 +71,17 @@ pub fn run_validation(
     let first_mid = slot_start(from).plus_seconds(SLOT_PERIOD_SECONDS / 2.0);
     let mids: Vec<JulianDate> =
         (0..slots).map(|k| first_mid.plus_seconds(k as f64 * SLOT_PERIOD_SECONDS)).collect();
-    let cache = PropagationCache::new(constellation);
-    let boundaries: Vec<JulianDate> = mids
+    // One table for both sides, culled to the scheduler's terminals at
+    // the lower of the two cutoffs.
+    let observers: Vec<Geodetic> = scheduler.terminals().iter().map(|t| t.location).collect();
+    let cutoff = scheduler.policy().min_elevation_deg.min(MIN_CANDIDATE_ELEVATION_DEG);
+    let cache = PropagationCache::for_observers(constellation, &observers, cutoff);
+    let starts: Vec<JulianDate> = mids.iter().map(|&at| slot_start(at)).collect();
+    let boundaries: Vec<JulianDate> = starts
         .iter()
-        .flat_map(|&at| slot_boundary_epochs(slot_start(at), CANDIDATE_SAMPLES_PER_SLOT))
+        .flat_map(|&start| slot_boundary_epochs(start, CANDIDATE_SAMPLES_PER_SLOT))
         .collect();
-    cache.prepare(&[], &boundaries, 1);
+    cache.prepare(&starts, &boundaries, 1);
     let mut tracks =
         TrackCache::new(&cache, location, MIN_CANDIDATE_ELEVATION_DEG, CANDIDATE_SAMPLES_PER_SLOT);
 
@@ -83,7 +89,11 @@ pub fn run_validation(
     let mut skipped = 0;
     let mut prev_capture: Option<SlotCapture> = None;
     for &at in &mids {
-        let allocs = scheduler.allocate(constellation, at);
+        // `GlobalScheduler::allocate`, with the snapshot read from the
+        // prepared table.
+        let snapshot = cache.snapshot(slot_start(at));
+        let available = scheduler.fields_of_view_cohort(constellation, &snapshot);
+        let allocs = scheduler.allocate_from_available(at, available);
         let truth = allocs[terminal_id].chosen_id();
         let slot = allocs[terminal_id].slot;
         let start = allocs[terminal_id].slot_start;
@@ -126,7 +136,6 @@ pub fn run_validation(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use starsense_astro::frames::Geodetic;
     use starsense_constellation::ConstellationBuilder;
     use starsense_scheduler::{SchedulerPolicy, Terminal};
 
