@@ -83,17 +83,10 @@ pub struct DegradationStats {
     pub stale_frames: usize,
     /// `no_data` slots where the scheduler served nobody.
     pub outages: usize,
-    /// Satellites quarantined for repeated propagation failures.
-    pub quarantined_sats: usize,
-    /// (satellite, slot) propagation entries masked by fault injection,
-    /// quarantine tails included.
-    pub masked_propagations: usize,
 }
 
 impl DegradationStats {
-    /// Tallies the outcomes of an observation stream. The propagation
-    /// counters stay zero — they come from the campaign's fault
-    /// schedule, not from the observations.
+    /// Tallies the outcomes of an observation stream.
     pub fn collect(observations: &[crate::campaign::SlotObservation]) -> DegradationStats {
         let mut stats = DegradationStats { slots: observations.len(), ..Default::default() };
         for obs in observations {
@@ -132,8 +125,6 @@ impl DegradationStats {
         self.frame_dropped += other.frame_dropped;
         self.stale_frames += other.stale_frames;
         self.outages += other.outages;
-        self.quarantined_sats += other.quarantined_sats;
-        self.masked_propagations += other.masked_propagations;
     }
 }
 

@@ -68,7 +68,6 @@ use starsense_checkpoint::{
     fnv1a, fnv1a_extend, load_latest, write_snapshot_rotating, ByteReader, ByteWriter,
     CheckpointError, LoadedFrom, SectionRef, Snapshot, FNV1A_EMPTY,
 };
-use starsense_faults::PropagationSchedule;
 use starsense_ident::{
     slot_boundary_epochs, DishSimulator, DishState, SlotCapture, CANDIDATE_SAMPLES_PER_SLOT,
 };
@@ -244,22 +243,6 @@ impl<'a> Campaign<'a> {
         let fingerprint =
             (opts.checkpoint_every > 0).then(|| self.config_fingerprint(first_slot, slots));
 
-        // The fault schedule spans the whole campaign window and the
-        // mask is indexed by campaign-global slot offset, so a segmented
-        // replay consults exactly the bits one uninterrupted pass would.
-        let schedule = self.config.faults.enabled().then(|| {
-            let mut ids: Vec<u32> = self.constellation.sats().iter().map(|s| s.norad_id).collect();
-            ids.sort_unstable();
-            let schedule = PropagationSchedule::build(
-                &self.config.faults,
-                &ids,
-                first_slot,
-                slots,
-                self.config.quarantine_after,
-            );
-            (schedule, ids)
-        });
-
         let mut report = ResumeReport {
             resumed_at_slot: None,
             loaded_from: None,
@@ -301,7 +284,7 @@ impl<'a> Campaign<'a> {
             };
             let seg_mids = &mids[state.done..state.done + seg_len];
             let logged = state.obs.len();
-            self.run_segment(&mut state, &sites, seg_mids, threads, schedule.as_ref());
+            self.run_segment(&mut state, &sites, seg_mids, threads);
             report.segments_run += 1;
             if let Some((fingerprint, log)) = &mut checkpointing {
                 log.append(&state.obs[logged..]);
@@ -309,7 +292,7 @@ impl<'a> Campaign<'a> {
                 report.checkpoints_written += 1;
                 if let Some(stop) = opts.stop_after_checkpoints {
                     if report.checkpoints_written >= stop && state.done < slots {
-                        let stats = self.assemble_stats(&state, schedule.as_ref());
+                        let stats = DegradationStats::collect(&state.obs);
                         return Ok((state.obs, stats, report));
                     }
                 }
@@ -317,7 +300,7 @@ impl<'a> Campaign<'a> {
         }
 
         report.completed = true;
-        let stats = self.assemble_stats(&state, schedule.as_ref());
+        let stats = DegradationStats::collect(&state.obs);
         Ok((state.obs, stats, report))
     }
 
@@ -340,21 +323,6 @@ impl<'a> Campaign<'a> {
         }
     }
 
-    /// Folds the fault schedule's quarantine counters into the
-    /// observation tallies.
-    fn assemble_stats(
-        &self,
-        state: &EngineState,
-        schedule: Option<&(PropagationSchedule, Vec<u32>)>,
-    ) -> DegradationStats {
-        let mut stats = DegradationStats::collect(&state.obs);
-        if let Some((schedule, _)) = schedule {
-            stats.quarantined_sats = schedule.quarantined_count();
-            stats.masked_propagations = schedule.masked_slot_count();
-        }
-        stats
-    }
-
     /// Executes one segment — prepare, schedule, observe — over the slots
     /// at `seg_mids` and folds the results into `state`.
     fn run_segment(
@@ -363,9 +331,7 @@ impl<'a> Campaign<'a> {
         sites: &[SiteGeometry],
         seg_mids: &[JulianDate],
         threads: usize,
-        schedule: Option<&(PropagationSchedule, Vec<u32>)>,
     ) {
-        let done = state.done;
         let seg_len = seg_mids.len();
 
         // Per-segment propagation table, culled to the terminals' skies.
@@ -398,7 +364,7 @@ impl<'a> Campaign<'a> {
         }
         let allocations: Vec<Vec<Allocation>> =
             parallel_units(shards, threads, &|_, (sites, states)| {
-                self.schedule_slots(sites, states, &cache, seg_mids, done, schedule)
+                self.schedule_slots(sites, states, &cache, seg_mids)
             })
             .into_iter()
             .flatten()
@@ -472,14 +438,12 @@ impl<'a> Campaign<'a> {
         w.put_bool(self.identified);
         w.put_f64_bits(self.config.min_margin);
         w.put_u32(self.config.frame_retries);
-        w.put_u32(self.config.quarantine_after);
         w.put_u64(self.config.faults.seed());
         let r = self.config.faults.rates();
         w.put_f64_bits(r.frame_drop);
         w.put_f64_bits(r.frame_stale);
         w.put_f64_bits(r.frame_corrupt);
         w.put_f64_bits(r.tle_corrupt);
-        w.put_f64_bits(r.propagation_fail);
         w.put_f64_bits(r.probe_burst);
         w.put_u64(self.seed);
         let sats = self.constellation.sats();

@@ -17,18 +17,20 @@
 //! measurement campaigns actually see: dropped / stale / partially
 //! corrupted obstruction-map frames from the dish gRPC endpoint, TLE
 //! feed corruption (checksum flips, truncation, NaN-producing fields),
-//! SGP4 propagation failures with quarantine of repeat offenders, and
-//! probe loss / jitter bursts in the network emulator.
+//! and probe loss / jitter bursts in the network emulator.
 //!
-//! Worker failures are deliberately not injectable. Every campaign work
-//! unit is a pure function of its inputs, so nothing could ride an
-//! injected one out; a real worker panic ends the run, and resuming from
-//! the last durable checkpoint is the recovery.
+//! Two failures are deliberately not injectable. SGP4 is a deterministic
+//! function of a TLE, so a real propagation failure (decay, an
+//! eccentricity out of range) recurs at every epoch and the catalog
+//! already reads it as an absent satellite; a per-slot coin flip would
+//! model a failure that does not happen. And every campaign work unit is
+//! a pure function of its inputs, so nothing could ride an injected
+//! worker failure out; a real worker panic ends the run, and resuming
+//! from the last durable checkpoint is the recovery.
 
 /// Hash-domain tags keeping the per-channel decision streams independent.
 const DOMAIN_FRAME: u64 = 0x4652_414d_4500_0001;
 const DOMAIN_TLE: u64 = 0x544c_4500_0000_0002;
-const DOMAIN_PROP: u64 = 0x5052_4f50_0000_0003;
 const DOMAIN_BURST: u64 = 0x4255_5253_5400_0004;
 const DOMAIN_JITTER: u64 = 0x4a49_5454_4500_0005;
 const DOMAIN_STREAM: u64 = 0x5354_5245_414d_0006;
@@ -77,8 +79,6 @@ pub struct FaultRates {
     pub frame_corrupt: f64,
     /// Probability a TLE record in a catalog feed is corrupted.
     pub tle_corrupt: f64,
-    /// Probability SGP4 propagation of a satellite fails for one slot.
-    pub propagation_fail: f64,
     /// Probability a probe slot carries a loss or jitter burst.
     pub probe_burst: f64,
 }
@@ -91,7 +91,6 @@ impl FaultRates {
             frame_stale: 0.0,
             frame_corrupt: 0.0,
             tle_corrupt: 0.0,
-            propagation_fail: 0.0,
             probe_burst: 0.0,
         }
     }
@@ -107,7 +106,6 @@ impl FaultRates {
             frame_stale: p / 3.0,
             frame_corrupt: p / 3.0,
             tle_corrupt: p,
-            propagation_fail: p,
             probe_burst: p,
         }
     }
@@ -118,7 +116,6 @@ impl FaultRates {
             frame_stale: clamp01(self.frame_stale),
             frame_corrupt: clamp01(self.frame_corrupt),
             tle_corrupt: clamp01(self.tle_corrupt),
-            propagation_fail: clamp01(self.propagation_fail),
             probe_burst: clamp01(self.probe_burst),
         }
     }
@@ -128,7 +125,6 @@ impl FaultRates {
             || self.frame_stale > 0.0
             || self.frame_corrupt > 0.0
             || self.tle_corrupt > 0.0
-            || self.propagation_fail > 0.0
             || self.probe_burst > 0.0
     }
 }
@@ -324,16 +320,6 @@ impl FaultPlan {
         }
     }
 
-    /// Whether SGP4 propagation of satellite `norad_id` fails at
-    /// scheduling slot `slot`.
-    pub fn propagation_fails(&self, norad_id: u32, slot: i64) -> bool {
-        if !self.enabled() {
-            return false;
-        }
-        let h = self.draw(DOMAIN_PROP, u64::from(norad_id), slot as u64, 0);
-        unit(h) < self.rates.propagation_fail
-    }
-
     /// The probe burst (if any) affecting terminal `terminal` during
     /// scheduling slot `slot`.
     pub fn probe_burst(&self, terminal: u64, slot: i64) -> Option<ProbeBurst> {
@@ -454,92 +440,6 @@ fn corrupt_record(l1: &str, l2: &str, fault: TleFault) -> (String, String) {
     }
 }
 
-/// Precomputed propagation-fault schedule for a whole campaign window,
-/// including quarantine of satellites that fail repeatedly.
-///
-/// Built serially *before* any parallel phase runs, the schedule is a
-/// pure function of `(plan, sat_ids, first_slot, slots)`, which is what
-/// keeps fault-injected campaigns invariant under thread count: the
-/// parallel visibility phase only ever *reads* the schedule.
-#[derive(Debug, Clone)]
-pub struct PropagationSchedule {
-    slots: usize,
-    words_per_sat: usize,
-    masked: Vec<u64>,
-    quarantined_from: Vec<usize>,
-    raw_faults: usize,
-}
-
-impl PropagationSchedule {
-    /// Build the schedule for `sat_ids` over `slots` slots starting at
-    /// absolute slot number `first_slot`. A satellite accumulating
-    /// `quarantine_after` propagation faults is masked for every later
-    /// slot as well (`quarantine_after == 0` disables quarantine).
-    pub fn build(
-        plan: &FaultPlan,
-        sat_ids: &[u32],
-        first_slot: i64,
-        slots: usize,
-        quarantine_after: u32,
-    ) -> Self {
-        let words_per_sat = slots.div_ceil(64).max(1);
-        let mut masked = vec![0u64; words_per_sat * sat_ids.len()];
-        let mut quarantined_from = vec![slots; sat_ids.len()];
-        let mut raw_faults = 0usize;
-        for (s, &id) in sat_ids.iter().enumerate() {
-            let words = &mut masked[s * words_per_sat..(s + 1) * words_per_sat];
-            let mut fails = 0u32;
-            for k in 0..slots {
-                let mut hit = plan.propagation_fails(id, first_slot + k as i64);
-                if hit {
-                    raw_faults += 1;
-                    fails += 1;
-                    if quarantine_after > 0 && fails >= quarantine_after && quarantined_from[s] > k
-                    {
-                        quarantined_from[s] = k;
-                    }
-                }
-                hit = hit || k >= quarantined_from[s];
-                if hit {
-                    words[k / 64] |= 1u64 << (k % 64);
-                }
-            }
-        }
-        PropagationSchedule { slots, words_per_sat, masked, quarantined_from, raw_faults }
-    }
-
-    /// Whether satellite index `sat` (position in the `sat_ids` slice
-    /// the schedule was built from) is masked at relative slot `k`.
-    /// Out-of-range queries report `false`.
-    pub fn masked(&self, sat: usize, k: usize) -> bool {
-        if k >= self.slots || sat >= self.quarantined_from.len() {
-            return false;
-        }
-        let word = self.masked[sat * self.words_per_sat + k / 64];
-        word >> (k % 64) & 1 == 1
-    }
-
-    /// Whether satellite index `sat` ever enters quarantine.
-    pub fn quarantined(&self, sat: usize) -> bool {
-        self.quarantined_from.get(sat).is_some_and(|&q| q < self.slots)
-    }
-
-    /// Number of satellites that entered quarantine.
-    pub fn quarantined_count(&self) -> usize {
-        self.quarantined_from.iter().filter(|&&q| q < self.slots).count()
-    }
-
-    /// Number of raw propagation faults (before quarantine widening).
-    pub fn raw_fault_count(&self) -> usize {
-        self.raw_faults
-    }
-
-    /// Total masked `(satellite, slot)` pairs, quarantine included.
-    pub fn masked_slot_count(&self) -> usize {
-        self.masked.iter().map(|w| w.count_ones() as usize).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -560,7 +460,6 @@ mod tests {
         }
         for i in 0..200u64 {
             assert_eq!(p.tle_fault(i), TleFault::None);
-            assert!(!p.propagation_fails(44000 + i as u32, i as i64));
         }
     }
 
@@ -614,9 +513,9 @@ mod tests {
     fn empirical_rates_track_configured_rates() {
         let p = plan(7, 0.2);
         let n = 20_000u64;
-        let prop = (0..n).filter(|&i| p.propagation_fails(i as u32, 11)).count();
-        let got = prop as f64 / n as f64;
-        assert!((got - 0.2).abs() < 0.02, "propagation rate {got} vs 0.2");
+        let tle = (0..n).filter(|&i| p.tle_fault(i) != TleFault::None).count();
+        let got = tle as f64 / n as f64;
+        assert!((got - 0.2).abs() < 0.02, "TLE corruption rate {got} vs 0.2");
         let frame_faulty = (0..n).filter(|&t| p.frame_fault(t, 5, 0) != FrameFault::None).count();
         let got = frame_faulty as f64 / n as f64;
         assert!((got - 0.2).abs() < 0.02, "frame fault rate {got} vs 0.2");
@@ -630,8 +529,8 @@ mod tests {
             let a = plan(5, lo);
             let b = plan(5, hi);
             for id in 0..2000u32 {
-                if a.propagation_fails(id, 3) {
-                    assert!(b.propagation_fails(id, 3));
+                if a.tle_fault(u64::from(id)) != TleFault::None {
+                    assert_ne!(b.tle_fault(u64::from(id)), TleFault::None);
                 }
                 if a.probe_burst(u64::from(id), 3).is_some() {
                     assert!(b.probe_burst(u64::from(id), 3).is_some());
@@ -647,13 +546,13 @@ mod tests {
             FaultRates {
                 frame_drop: 7.0,
                 tle_corrupt: -3.0,
-                propagation_fail: f64::NAN,
+                probe_burst: f64::NAN,
                 ..FaultRates::none()
             },
         );
         assert_eq!(p.rates().frame_drop, 1.0);
         assert_eq!(p.rates().tle_corrupt, 0.0);
-        assert_eq!(p.rates().propagation_fail, 0.0);
+        assert_eq!(p.rates().probe_burst, 0.0);
         // frame_drop == 1.0 ⇒ every fetch attempt drops.
         for t in 0..50u64 {
             assert_eq!(p.frame_fault(t, 0, 0), FrameFault::Dropped);

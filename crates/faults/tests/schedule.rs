@@ -1,108 +1,7 @@
-//! Integration tests for the propagation schedule and catalog corruptor.
+//! Integration tests for the catalog corruptor.
 
 use proptest::prelude::*;
-use starsense_faults::{FaultPlan, FaultRates, PropagationSchedule, TleFault};
-
-fn ids(n: u32) -> Vec<u32> {
-    (0..n).map(|i| 44000 + i).collect()
-}
-
-fn plan(seed: u64, p: f64) -> FaultPlan {
-    FaultPlan::new(seed, FaultRates { propagation_fail: p, ..FaultRates::none() })
-}
-
-#[test]
-fn schedule_masks_every_raw_fault() {
-    let p = plan(11, 0.2);
-    let sats = ids(40);
-    let sched = PropagationSchedule::build(&p, &sats, 100, 64, 0);
-    let mut raw = 0;
-    for (s, &id) in sats.iter().enumerate() {
-        for k in 0..64 {
-            if p.propagation_fails(id, 100 + k as i64) {
-                raw += 1;
-                assert!(sched.masked(s, k), "raw fault at ({s}, {k}) not masked");
-            } else {
-                // quarantine_after == 0: no widening beyond raw faults.
-                assert!(!sched.masked(s, k));
-            }
-        }
-    }
-    assert_eq!(sched.raw_fault_count(), raw);
-    assert_eq!(sched.masked_slot_count(), raw);
-    assert_eq!(sched.quarantined_count(), 0);
-}
-
-#[test]
-fn quarantine_widens_the_mask_monotonically() {
-    let p = plan(13, 0.35);
-    let sats = ids(30);
-    let loose = PropagationSchedule::build(&p, &sats, 0, 80, 0);
-    let strict = PropagationSchedule::build(&p, &sats, 0, 80, 3);
-    assert!(strict.masked_slot_count() >= loose.masked_slot_count());
-    assert!(strict.quarantined_count() > 0, "rate 0.35 over 80 slots must quarantine someone");
-    for (s, _) in sats.iter().enumerate() {
-        // Once masked by quarantine, a satellite stays masked: the set of
-        // masked slots from the first quarantine point is a suffix.
-        let mut in_quarantine = false;
-        for k in 0..80 {
-            if loose.masked(s, k) {
-                assert!(strict.masked(s, k));
-            }
-            let widened = strict.masked(s, k) && !loose.masked(s, k);
-            if widened {
-                in_quarantine = true;
-            }
-            if in_quarantine {
-                assert!(strict.masked(s, k), "quarantine released sat {s} at slot {k}");
-            }
-        }
-        if in_quarantine {
-            assert!(strict.quarantined(s));
-        }
-    }
-}
-
-#[test]
-fn full_rate_quarantines_everyone_immediately() {
-    let p = plan(1, 1.0);
-    let sats = ids(5);
-    let sched = PropagationSchedule::build(&p, &sats, 0, 10, 1);
-    assert_eq!(sched.quarantined_count(), 5);
-    assert_eq!(sched.masked_slot_count(), 50);
-    for s in 0..5 {
-        for k in 0..10 {
-            assert!(sched.masked(s, k));
-        }
-    }
-}
-
-#[test]
-fn schedule_is_reproducible_and_bounds_safe() {
-    let p = plan(77, 0.25);
-    let sats = ids(20);
-    let a = PropagationSchedule::build(&p, &sats, 500, 33, 2);
-    let b = PropagationSchedule::build(&p, &sats, 500, 33, 2);
-    for s in 0..20 {
-        for k in 0..33 {
-            assert_eq!(a.masked(s, k), b.masked(s, k));
-        }
-    }
-    assert!(!a.masked(19, 33), "slot out of range must read false");
-    assert!(!a.masked(20, 0), "sat out of range must read false");
-    assert!(!a.quarantined(99));
-}
-
-#[test]
-fn masked_count_is_monotone_in_rate() {
-    let sats = ids(50);
-    let mut prev = 0;
-    for &rate in &[0.0, 0.1, 0.3, 0.7, 1.0] {
-        let sched = PropagationSchedule::build(&plan(9, rate), &sats, 0, 40, 0);
-        assert!(sched.masked_slot_count() >= prev, "masked count not monotone at rate {rate}");
-        prev = sched.masked_slot_count();
-    }
-}
+use starsense_faults::{FaultPlan, FaultRates, TleFault};
 
 /// A structurally valid (if astronomically meaningless) TLE pair: 69
 /// columns, correct line numbers, correct mod-10 checksums.

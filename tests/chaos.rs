@@ -53,7 +53,6 @@ fn chaos_config(seed: u64, rate: f64) -> CampaignConfig {
     CampaignConfig {
         faults: plan(seed, rate),
         min_margin: DEFAULT_MIN_MARGIN,
-        quarantine_after: 3,
         ..CampaignConfig::default()
     }
 }
@@ -158,12 +157,11 @@ fn escalating_fault_tiers_degrade_monotonically_without_panicking() {
 fn fault_free_plans_are_bit_identical_to_fault_unaware_runs() {
     let constellation = mini();
     for &seed in &[SEEDS[0], SEEDS[5]] {
-        // A seeded all-zero plan plus non-default resilience knobs must
+        // A seeded all-zero plan plus a non-default retry knob must
         // not perturb a single bit of the observation stream.
         let faultless = CampaignConfig {
             faults: plan(seed, 0.0),
             frame_retries: 9,
-            quarantine_after: 5,
             ..CampaignConfig::default()
         };
         let a = Campaign::identified(&constellation, one_terminal(), faultless, seed)
