@@ -23,9 +23,8 @@
 //! * [`ident`] — the XOR + DTW satellite-identification pipeline (§4);
 //! * [`stats`] — Mann-Whitney U, ECDFs, Pearson correlation;
 //! * [`forest`] — from-scratch random forests with CV and grid search (§6);
-//! * [`faults`] — seeded deterministic fault injection (dropped frames,
-//!   corrupt TLEs, propagation failures, probe bursts, worker panics) for
-//!   chaos testing;
+//! * [`faults`] — seeded deterministic fault injection (dropped, stale
+//!   and corrupt frames, corrupt TLEs, probe bursts) for chaos testing;
 //! * [`checkpoint`] — the versioned, checksummed snapshot container and
 //!   atomic persistence behind crash-resilient campaigns;
 //! * [`core`] — campaigns, the §5 characterizations and the §6 model.
