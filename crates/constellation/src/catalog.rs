@@ -6,7 +6,7 @@ use starsense_astro::mat3::Mat3;
 use starsense_astro::sun::EarthShadow;
 use starsense_astro::time::JulianDate;
 use starsense_astro::vec3::Vec3;
-use starsense_sgp4::{Elements, Sgp4, Tle};
+use starsense_sgp4::{wgs72, Elements, Sgp4, Tle};
 use std::sync::OnceLock;
 
 /// A launch batch: satellites launched together share a date, as Starlink
@@ -29,6 +29,20 @@ impl LaunchBatch {
     pub fn label(&self) -> String {
         format!("{:04}-{:02}", self.year, self.month)
     }
+}
+
+/// Altitude floor (km) of a propagated position: one whose radius is
+/// below the WGS-72 equatorial radius plus this reads as decayed. SGP4
+/// reports decay only once the radius drops below one Earth radius, so
+/// under heavy drag it can hold a satellite a few km up for hours,
+/// succeeding and failing from one slot to the next; nothing orbits
+/// below ~100 km.
+pub const DECAY_ALTITUDE_KM: f64 = 100.0;
+
+/// `teme` if it lies at or above [`DECAY_ALTITUDE_KM`], else `None`.
+fn above_decay_floor(teme: Vec3) -> Option<Vec3> {
+    const FLOOR_RADIUS_KM: f64 = wgs72::EARTH_RADIUS_KM + DECAY_ALTITUDE_KM;
+    (teme.dot(teme) >= FLOOR_RADIUS_KM * FLOOR_RADIUS_KM).then_some(teme)
 }
 
 /// One satellite of the synthetic constellation.
@@ -75,16 +89,18 @@ impl Satellite {
 
     /// True TEME position at `at` (what the operator's scheduler sees).
     ///
-    /// Returns `None` if propagation fails (decay) — callers treat such a
-    /// satellite as unavailable.
+    /// Returns `None` if propagation fails or the position lies below
+    /// [`DECAY_ALTITUDE_KM`] (decay) — callers treat such a satellite as
+    /// unavailable.
     pub fn true_position(&self, at: JulianDate) -> Option<Vec3> {
-        self.truth.position(at).ok()
+        self.truth.position(at).ok().and_then(above_decay_floor)
     }
 
     /// TEME position predicted from the *published* TLE (what the paper's
-    /// measurement methodology has access to).
+    /// measurement methodology has access to); `None` as for
+    /// [`Satellite::true_position`].
     pub fn published_position(&self, at: JulianDate) -> Option<Vec3> {
-        self.published_sgp4.position(at).ok()
+        self.published_sgp4.position(at).ok().and_then(above_decay_floor)
     }
 
     /// Age of the satellite at `at`, in days since launch.

@@ -39,7 +39,9 @@ pub use builder::ConstellationBuilder;
 pub use cache::{
     CacheStats, PropagationCache, PublishedRow, KEY_REACH_S, OMEGA_EARTH_RAD_S, R_FLOOR_KM,
 };
-pub use catalog::{Constellation, LaunchBatch, Satellite, Snapshot, SnapshotEntry, VisibleSat};
+pub use catalog::{
+    Constellation, LaunchBatch, Satellite, Snapshot, SnapshotEntry, VisibleSat, DECAY_ALTITUDE_KM,
+};
 pub use feed::{load_catalog_text, CatalogLoad};
 pub use index::VisibilityIndex;
 pub use shell::{Shell, WalkerSlot};

@@ -326,25 +326,63 @@ impl<'a> Campaign<'a> {
         let mut columns: Vec<Vec<Allocation>> =
             sites.iter().map(|_| Vec::with_capacity(mids.len())).collect();
         for &at in mids {
-            let snapshot = cache.snapshot(slot_start(at));
-            // Cohort sharing is per shard: terminals that land in the
-            // same grid cell within this shard pool their candidate
-            // fetch. The partition only changes how candidates are
-            // gathered, never which satellites pass the exact elevation
-            // test, so every shard split produces the same fields of view
-            // bit for bit.
-            let fov = cohort_fields_of_view(
-                sites,
-                policy.min_elevation_deg,
-                self.constellation,
-                &snapshot,
-            );
+            let fov = self.fields_of_view(sites, cache, at);
             let allocs = allocate_slot(policy, &load, sites, states, &mut scratch, at, fov);
             for (column, alloc) in columns.iter_mut().zip(allocs) {
                 column.push(alloc);
             }
         }
         columns
+    }
+
+    /// The scheduler's sky at the slot containing `at`: the field of view
+    /// of every site in `sites`, from the prepared `cache`. The schedule
+    /// phase allocates over it, and a resume rebuilds the skies of the
+    /// observations it restores from it.
+    pub(crate) fn fields_of_view(
+        &self,
+        sites: &[SiteGeometry],
+        cache: &PropagationCache<'_>,
+        at: JulianDate,
+    ) -> Vec<Vec<VisibleSat>> {
+        let snapshot = cache.snapshot(slot_start(at));
+        // Cohort sharing is per call: terminals that land in the same grid
+        // cell among `sites` pool their candidate fetch. The partition only
+        // changes how candidates are gathered, never which satellites pass
+        // the exact elevation test, so every shard split produces the same
+        // fields of view bit for bit.
+        cohort_fields_of_view(
+            sites,
+            self.config.policy.min_elevation_deg,
+            self.constellation,
+            &snapshot,
+        )
+    }
+
+    /// One slot observation of terminal `tid`, assembled from the sky its
+    /// scheduler saw at `slot` and what the slot measured: the truth id,
+    /// and the chosen satellite (an element of `sky`) with the outcome.
+    /// The observe phase and a resume's replay both build observations
+    /// here, so a restored stream equals the live one field for field.
+    pub(crate) fn slot_observation(
+        &self,
+        tid: usize,
+        slot: i64,
+        slot_start: JulianDate,
+        sky: &[VisibleSat],
+        truth_id: Option<u32>,
+        (chosen, outcome): (Option<SatObs>, SlotOutcome),
+    ) -> SlotObservation {
+        SlotObservation {
+            terminal_id: tid,
+            slot,
+            slot_start,
+            local_hour: slot_start.local_solar_hour(self.terminals[tid].location.lon_deg),
+            available: sky.iter().map(SatObs::from).collect(),
+            chosen,
+            truth_id,
+            outcome,
+        }
     }
 
     /// One *segment* of a terminal's observation stream. In identified
@@ -377,8 +415,7 @@ impl<'a> Campaign<'a> {
         });
         let mut out = Vec::with_capacity(allocs.len());
         for alloc in allocs {
-            let truth_id = alloc.chosen_id();
-            let (chosen, outcome) = match ident.as_mut() {
+            let measured = match ident.as_mut() {
                 Some((tracks, dish, prev_cap)) => {
                     self.identify_alloc(tracks, dish, prev_cap, tid, alloc)
                 }
@@ -389,17 +426,14 @@ impl<'a> Campaign<'a> {
                     None => (None, SlotOutcome::NoData(DegradeReason::Outage)),
                 },
             };
-
-            out.push(SlotObservation {
-                terminal_id: tid,
-                slot: alloc.slot,
-                slot_start: alloc.slot_start,
-                local_hour: alloc.slot_start.local_solar_hour(location.lon_deg),
-                available: alloc.available.iter().map(SatObs::from).collect(),
-                chosen,
-                truth_id,
-                outcome,
-            });
+            out.push(self.slot_observation(
+                tid,
+                alloc.slot,
+                alloc.slot_start,
+                &alloc.available,
+                alloc.chosen_id(),
+                measured,
+            ));
         }
         out
     }
@@ -882,12 +916,10 @@ mod tests {
 
     /// The mini catalog with its first satellite under absurd drag
     /// (`B*` = 0.1, truth and published TLE alike), a campaign start ten
-    /// minutes before SGP4 starts failing for it at every epoch, the
-    /// window slot `decay` from which it fails, and a terminal right
-    /// under it at the last slot before `decay` where it flies above the
-    /// ground. Near the end SGP4 hovers it a few km up and reports it
-    /// decayed at some epochs only, so `decay` is taken from the run of
-    /// failures that never ends.
+    /// minutes before its catalog position starts reading `None` at every
+    /// epoch, the window slot `decay` from which it does, and a terminal
+    /// right under it at the last slot before `decay`. The window starts
+    /// from the first slot of a two-hour run of `None`s.
     fn decaying_satellite_campaign() -> (Constellation, JulianDate, usize, Terminal) {
         let mut sats = ConstellationBuilder::starlink_mini().seed(33).build().sats().to_vec();
         let s = &sats[0];
@@ -926,10 +958,9 @@ mod tests {
         let ground = snapshots[..decay]
             .iter()
             .rev()
-            .filter_map(|s| s.entries()[0])
+            .find_map(|s| s.entries()[0])
             .map(|e| starsense_astro::frames::ecef_to_geodetic(e.ecef))
-            .find(|g| g.alt_km > 2.0)
-            .expect("flies above the ground before it decays");
+            .expect("flies before it decays");
         let under =
             Terminal::new(0, "Under the track", Geodetic::new(ground.lat_deg, ground.lon_deg, 0.1));
         (c, from, decay, under)
@@ -937,11 +968,17 @@ mod tests {
 
     #[test]
     fn decaying_satellite_leaves_the_campaign_for_good() {
-        // A real propagation failure: past the decay SGP4 fails at every
-        // epoch, so the satellite is in no later available list, and the
+        // A real decay: SGP4 alone keeps flying the satellite a few km up
+        // past `decay`, but the catalog reads it as decayed below the
+        // altitude floor at every later epoch, so it is in no later
+        // available list, no available entry lies below the floor, and the
         // stream stays a pure function of the inputs.
         let (c, from, decay, under) = decaying_satellite_campaign();
         let id = c.sats()[0].norad_id;
+        let raw = starsense_sgp4::Sgp4::new(&c.sats()[0].elements).expect("heavy drag initializes");
+        let floor_km =
+            starsense_sgp4::wgs72::EARTH_RADIUS_KM + starsense_constellation::DECAY_ALTITUDE_KM;
+        let radius = |at: JulianDate| raw.position(at).ok().map(|p| p.norm());
         let terminals = vec![under, Terminal::new(1, "Iowa", Geodetic::new(41.66, -91.53, 0.2))];
         for identified in [false, true] {
             let campaign = |threads: usize| {
@@ -963,6 +1000,16 @@ mod tests {
             for o in slots[decay..].iter().copied().flatten() {
                 assert!(!seen(o), "identified {identified}: decayed satellite at slot {}", o.slot);
                 assert_ne!(o.truth_id, Some(id));
+            }
+            assert!(
+                slots[decay..]
+                    .iter()
+                    .any(|slot| radius(slot[0].slot_start).is_some_and(|r| r < floor_km)),
+                "SGP4 alone must still fly it below the floor after the decay"
+            );
+            for o in obs.iter().filter(|o| seen(o)) {
+                let r = radius(o.slot_start);
+                assert!(r >= Some(floor_km), "available at radius {r:?} km, slot {}", o.slot);
             }
             assert_streams_identical(&obs, &campaign(2).run(from, DECAY_SLOTS));
             let dir = std::env::temp_dir()

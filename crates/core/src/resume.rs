@@ -17,17 +17,28 @@
 //!   previous slot capture the XOR differencing baselines against;
 //! * the accumulated observation stream.
 //!
-//! With checkpointing on, the full state is serialized after each segment
-//! into a checksummed [`starsense_checkpoint`] snapshot and streamed to
-//! disk with [`write_snapshot_rotating`] (atomic rename + a rotating
-//! last-good backup). A later call with the same campaign finds the
-//! snapshot via [`load_latest`], validates a configuration fingerprint,
-//! restores, and continues — the resumed run's observation stream is
-//! byte-identical to an uninterrupted one because segmentation never
-//! crosses a slot and every cache rebuilt per segment (propagation table,
-//! track cache) yields exactly what direct computation would — the
-//! propagation table's key rows sit differently per segmentation, but what
-//! they cull is provably invisible.
+//! With checkpointing on, the state is serialized after each segment into
+//! a checksummed [`starsense_checkpoint`] snapshot and streamed to disk
+//! with [`write_snapshot_rotating`] (atomic rename + a rotating last-good
+//! backup). A later call with the same campaign finds the snapshot via
+//! [`load_latest`], validates a configuration fingerprint, restores, and
+//! continues — the resumed run's observation stream is byte-identical to
+//! an uninterrupted one because segmentation never crosses a slot and
+//! every cache rebuilt per segment (propagation table, track cache)
+//! yields exactly what direct computation would — the propagation table's
+//! key rows sit differently per segmentation, but what they cull is
+//! provably invisible.
+//!
+//! A snapshot stores of each observation only what the run measured (see
+//! *Wire format*). Its sky — the `available` list, slot and local hour —
+//! is a pure function of (catalog, terminal, slot), so, like the caches,
+//! it is rebuilt rather than serialized: a resume replays the done slots'
+//! fields of view through the schedule phase's own call,
+//! `Campaign::fields_of_view`, one `checkpoint_every`-sized chunk (one
+//! propagation table) at a time. That replay is the price of a resume —
+//! the schedule phase's field-of-view share of the done slots — and,
+//! since the configuration fingerprint covers inputs and not code, a
+//! resume under a changed build rebuilds old skies with the new code.
 //!
 //! # Failures
 //!
@@ -47,17 +58,20 @@
 //! states and baselines ([`SEC_DISH`], empty in oracle mode), and
 //! accumulated observations ([`SEC_OBS`]).
 //!
-//! [`SEC_OBS`] is the observation log: the encoded observations back to
-//! back, with no count prefix — the decoder reads exactly
-//! `done × terminals` of them (both from [`SEC_META`]) and rejects
-//! leftover bytes. Without a prefix the section only ever grows at its
-//! end, so the engine keeps it encoded between checkpoints, appends each
-//! segment's observations, and extends the section's FNV-1a over the
-//! appended tail alone: a checkpoint encodes and hashes only the slots
-//! added since the previous one. The section checksum is therefore
-//! exactly [`fingerprint_observations`] of the stream so far. On resume
-//! the log is seeded from the validated section bytes and the checksum
-//! [`Snapshot::parse`] already verified.
+//! [`SEC_OBS`] is the observation log: one record per observation,
+//! slot-major and terminal-minor, back to back, with no count prefix. A
+//! record holds what cannot be recomputed: the chosen satellite's id and
+//! the truth id (each a flag byte and a `u32`), then the outcome (a tag
+//! byte and a confidence or margin `f64`, or a degradation-reason tag) —
+//! at most 19 bytes. The decoder reads exactly `done × terminals` records
+//! (both from [`SEC_META`]) and rejects leftover bytes; on resume a chosen
+//! id missing from its rebuilt sky is [`CheckpointError::Malformed`].
+//! Without a prefix the section only ever grows at its end, so the engine
+//! keeps it encoded between checkpoints, appends each segment's records,
+//! and extends the section's FNV-1a over the appended tail alone: a
+//! checkpoint encodes and hashes only the slots added since the previous
+//! one. On resume the log is seeded from the validated section bytes and
+//! the checksum [`Snapshot::parse`] already verified.
 
 use std::path::PathBuf;
 
@@ -78,8 +92,10 @@ use starsense_scheduler::{Allocation, SiteGeometry, TerminalSchedState};
 /// Campaign-state payload layout version (inside the checkpoint
 /// container, which versions itself separately). Version 3 dropped the
 /// observation count that prefixed [`SEC_OBS`]; version 4 dropped the
-/// worker-supervisor ledger that followed it as a fifth section.
-pub const CAMPAIGN_STATE_VERSION: u32 = 4;
+/// worker-supervisor ledger that followed it as a fifth section; version
+/// 5 cut each [`SEC_OBS`] observation to its record (ids and outcome,
+/// without the sky).
+pub const CAMPAIGN_STATE_VERSION: u32 = 5;
 
 /// Section id: campaign metadata + configuration fingerprint.
 pub const SEC_META: u32 = 1;
@@ -87,8 +103,8 @@ pub const SEC_META: u32 = 1;
 pub const SEC_SCHED: u32 = 2;
 /// Section id: per-terminal dish states + differencing baselines.
 pub const SEC_DISH: u32 = 3;
-/// Section id: accumulated slot observations, encoded back to back
-/// (no count prefix; see the module docs).
+/// Section id: accumulated slot observation records, encoded back to
+/// back (no count prefix; see the module docs).
 pub const SEC_OBS: u32 = 4;
 
 /// Configuration of the resumable engine: where to checkpoint and how
@@ -153,9 +169,12 @@ pub struct ResumeReport {
 }
 
 /// FNV fingerprint of an observation stream's full bit pattern — every
-/// field of every observation, floats by bit pattern. Two streams
-/// fingerprint equal iff they are byte-identical under the snapshot
-/// encoding, which is the equality the resume tests assert.
+/// field of every observation, the whole `available` list included,
+/// floats by bit pattern. Two streams fingerprint equal iff they are
+/// byte-identical, which is the equality the resume tests assert. The
+/// encoding it hashes is the full observation layout of payload version
+/// 4, kept so that recorded stream fingerprints stay valid; it is not the
+/// [`SEC_OBS`] checksum, which covers the records alone.
 pub fn fingerprint_observations(obs: &[SlotObservation]) -> u64 {
     let mut w = ByteWriter::new();
     obs.iter().fold(FNV1A_EMPTY, |h, o| {
@@ -169,8 +188,7 @@ pub fn fingerprint_observations(obs: &[SlotObservation]) -> u64 {
 /// checkpoints with its running FNV-1a.
 struct ObsLog {
     bytes: ByteWriter,
-    /// `fnv1a` of `bytes`, i.e. [`fingerprint_observations`] of the
-    /// stream the log encodes.
+    /// `fnv1a` of `bytes`.
     fnv: u64,
 }
 
@@ -179,15 +197,23 @@ impl ObsLog {
         ObsLog { bytes: ByteWriter::new(), fnv: FNV1A_EMPTY }
     }
 
-    /// Encodes `obs` onto the end of the log and hashes only what it
-    /// appended.
+    /// Encodes the records of `obs` onto the end of the log and hashes
+    /// only what it appended.
     fn append(&mut self, obs: &[SlotObservation]) {
         let start = self.bytes.len();
         for o in obs {
-            encode_observation(&mut self.bytes, o);
+            encode_record(&mut self.bytes, o);
         }
         self.fnv = fnv1a_extend(self.fnv, &self.bytes.as_bytes()[start..]);
     }
+}
+
+/// What one observation holds that its sky cannot give back: the
+/// [`SEC_OBS`] record.
+struct ObsRecord {
+    chosen: Option<u32>,
+    truth_id: Option<u32>,
+    outcome: SlotOutcome,
 }
 
 /// Engine-owned mutable state: everything that must survive a crash.
@@ -252,23 +278,9 @@ impl<'a> Campaign<'a> {
             completed: false,
         };
 
-        // Resume if a snapshot validates; otherwise start fresh. A
-        // snapshot for a *different* campaign (config, window, or seed)
-        // is a hard error, not a silent restart — resuming someone
-        // else's state would fabricate data. The encoded observation log
-        // exists only while checkpointing: a run without checkpoints
-        // builds none.
-        let (mut state, mut checkpointing) = match fingerprint {
-            Some(fingerprint) => match self.load_state(opts, fingerprint, slots, &mut report)? {
-                Some((state, log)) => (state, Some((fingerprint, log))),
-                None => (self.fresh_state(), Some((fingerprint, ObsLog::new()))),
-            },
-            None => (self.fresh_state(), None),
-        };
-
         // Site geometry is a pure function of (terminal, policy): built
         // once per call, in parallel over the shard ranges, and shared by
-        // every segment's schedule shards.
+        // every segment's schedule shards and a resume's replay.
         let ranges = crate::campaign::shard_ranges(self.terminals.len(), self.shard_count());
         let build = |_, range: std::ops::Range<usize>| -> Vec<SiteGeometry> {
             let policy = &self.config.policy;
@@ -276,6 +288,22 @@ impl<'a> Campaign<'a> {
         };
         let sites: Vec<SiteGeometry> =
             parallel_units(ranges, threads, &build).into_iter().flatten().collect();
+
+        // Resume if a snapshot validates; otherwise start fresh. A
+        // snapshot for a *different* campaign (config, window, or seed)
+        // is a hard error, not a silent restart — resuming someone
+        // else's state would fabricate data. The encoded observation log
+        // exists only while checkpointing: a run without checkpoints
+        // builds none.
+        let (mut state, mut checkpointing) = match fingerprint {
+            Some(fingerprint) => {
+                match self.load_state(opts, fingerprint, &sites, &mids, threads, &mut report)? {
+                    Some((state, log)) => (state, Some((fingerprint, log))),
+                    None => (self.fresh_state(), Some((fingerprint, ObsLog::new()))),
+                }
+            }
+            None => (self.fresh_state(), None),
+        };
 
         while state.done < slots {
             let seg_len = match opts.checkpoint_every {
@@ -508,13 +536,7 @@ impl<'a> Campaign<'a> {
             for word in s.rng_state {
                 sched.put_u64(word);
             }
-            match s.previous {
-                Some(id) => {
-                    sched.put_bool(true);
-                    sched.put_u32(id);
-                }
-                None => sched.put_bool(false),
-            }
+            encode_id(&mut sched, s.previous);
         }
 
         let mut dish = ByteWriter::with_capacity(state.dish.len() * 1100);
@@ -546,17 +568,21 @@ impl<'a> Campaign<'a> {
     // ---- Decode ---------------------------------------------------------
 
     /// Loads and validates the newest snapshot, if any, with its
-    /// observation log. `Ok(None)` means "start fresh" (no file, or only
-    /// corrupt files — the corrupt count is reported either way). A
-    /// snapshot whose fingerprint or window disagrees with this campaign
-    /// is a hard error.
+    /// observation log, and replays the observations of its done slots
+    /// (`mids` holds every slot of the window). `Ok(None)` means "start
+    /// fresh" (no file, or only corrupt files — the corrupt count is
+    /// reported either way). A snapshot whose fingerprint or window
+    /// disagrees with this campaign is a hard error.
     fn load_state(
         &self,
         opts: &ResumeConfig,
         fingerprint: u64,
-        total_slots: usize,
+        sites: &[SiteGeometry],
+        mids: &[JulianDate],
+        threads: usize,
         report: &mut ResumeReport,
     ) -> Result<Option<(EngineState, ObsLog)>, CampaignError> {
+        let total_slots = mids.len();
         let outcome = load_latest(&opts.checkpoint_path)?;
         report.corrupt_discarded = outcome.corrupt_discarded;
         let (bytes, origin) = match outcome.snapshot {
@@ -596,11 +622,7 @@ impl<'a> Campaign<'a> {
             for word in &mut rng_state {
                 *word = r.get_u64("sched rng word")?;
             }
-            let previous = if r.get_bool("sched previous flag")? {
-                Some(r.get_u32("sched previous id")?)
-            } else {
-                None
-            };
+            let previous = decode_id(&mut r, "sched previous flag", "sched previous id")?;
             sched.push(TerminalSchedState { terminal_id, rng_state, previous });
         }
         r.expect_exhausted("sched section")?;
@@ -634,15 +656,17 @@ impl<'a> Campaign<'a> {
         r.expect_exhausted("dish section")?;
 
         // `done` and `n_terminals` were checked against this campaign
-        // above, so the capacity is bounded by its own window.
+        // above, so the capacity is bounded by its own window. Every
+        // record decodes before the replay starts.
         let log_bytes = snap.require_section(SEC_OBS)?;
         let mut r = ByteReader::new(log_bytes);
         let count = done * n_terminals;
-        let mut obs = Vec::with_capacity(count);
+        let mut records = Vec::with_capacity(count);
         for _ in 0..count {
-            obs.push(decode_observation(&mut r)?);
+            records.push(decode_record(&mut r)?);
         }
         r.expect_exhausted("observation section")?;
+        let obs = self.replay(records, sites, &mids[..done], opts.checkpoint_every, threads)?;
         let log = ObsLog {
             bytes: ByteWriter::from_bytes(log_bytes.to_vec()),
             fnv: snap
@@ -653,6 +677,54 @@ impl<'a> Campaign<'a> {
         report.resumed_at_slot = Some(done);
         report.loaded_from = Some(origin);
         Ok(Some((EngineState { sched, dish, prev, obs, done }, log)))
+    }
+
+    /// Rebuilds the observations of the slots at `mids` from their
+    /// `records` (slot-major, terminal-minor). Each slot's skies come from
+    /// [`Campaign::fields_of_view`] over a propagation table prepared as
+    /// a segment prepares its own, `every` slots at a time, so no more
+    /// than one segment's table is alive at once.
+    fn replay(
+        &self,
+        records: Vec<ObsRecord>,
+        sites: &[SiteGeometry],
+        mids: &[JulianDate],
+        every: usize,
+        threads: usize,
+    ) -> Result<Vec<SlotObservation>, CampaignError> {
+        let mut obs = Vec::with_capacity(records.len());
+        let mut records = records.into_iter();
+        for chunk in mids.chunks(every) {
+            let cache = self.propagation_cache();
+            let starts: Vec<JulianDate> = chunk.iter().map(|&at| slot_start(at)).collect();
+            cache.prepare(&starts, &[], threads);
+            // One unit per slot, over every site: fields of view do not
+            // depend on how the sites are split.
+            let skies = parallel_units(chunk.to_vec(), threads, &|_, at| {
+                self.fields_of_view(sites, &cache, at)
+            });
+            for (&at, slot_skies) in chunk.iter().zip(&skies) {
+                for (tid, (sky, record)) in slot_skies.iter().zip(records.by_ref()).enumerate() {
+                    let absent = CheckpointError::Malformed {
+                        context: "chosen satellite absent from its rebuilt sky",
+                    };
+                    let chosen = record
+                        .chosen
+                        .map(|id| sky.iter().find(|v| v.norad_id == id).map(SatObs::from))
+                        .map(|found| found.ok_or(absent))
+                        .transpose()?;
+                    obs.push(self.slot_observation(
+                        tid,
+                        slot_index(at),
+                        slot_start(at),
+                        sky,
+                        record.truth_id,
+                        (chosen, record.outcome),
+                    ));
+                }
+            }
+        }
+        Ok(obs)
     }
 }
 
@@ -707,6 +779,24 @@ fn decode_map(r: &mut ByteReader<'_>) -> Result<ObstructionMap, CampaignError> {
         .ok_or_else(|| CheckpointError::Malformed { context: "obstruction map tail bits" }.into())
 }
 
+fn encode_id(w: &mut ByteWriter, id: Option<u32>) {
+    match id {
+        Some(id) => {
+            w.put_bool(true);
+            w.put_u32(id);
+        }
+        None => w.put_bool(false),
+    }
+}
+
+fn decode_id(
+    r: &mut ByteReader<'_>,
+    flag: &'static str,
+    id: &'static str,
+) -> Result<Option<u32>, CampaignError> {
+    Ok(if r.get_bool(flag)? { Some(r.get_u32(id)?) } else { None })
+}
+
 fn encode_sat(w: &mut ByteWriter, s: &SatObs) {
     w.put_u32(s.norad_id);
     w.put_f64_bits(s.elevation_deg);
@@ -715,21 +805,6 @@ fn encode_sat(w: &mut ByteWriter, s: &SatObs) {
     w.put_bool(s.sunlit);
     w.put_i64(i64::from(s.launch_year));
     w.put_u32(s.launch_month);
-}
-
-fn decode_sat(r: &mut ByteReader<'_>) -> Result<SatObs, CampaignError> {
-    let norad_id = r.get_u32("sat norad id")?;
-    let elevation_deg = r.get_f64_bits("sat elevation")?;
-    let azimuth_deg = r.get_f64_bits("sat azimuth")?;
-    let age_days = r.get_f64_bits("sat age")?;
-    let sunlit = r.get_bool("sat sunlit")?;
-    let launch_year = decode_launch_year(r.get_i64("sat launch year")?)?;
-    let launch_month = r.get_u32("sat launch month")?;
-    Ok(SatObs { norad_id, elevation_deg, azimuth_deg, age_days, sunlit, launch_year, launch_month })
-}
-
-fn decode_launch_year(v: i64) -> Result<i32, CampaignError> {
-    i32::try_from(v).map_err(|_| CheckpointError::Malformed { context: "launch year range" }.into())
 }
 
 const OUTCOME_OBSERVED: u8 = 0;
@@ -768,6 +843,49 @@ fn decode_reason(r: &mut ByteReader<'_>) -> Result<DegradeReason, CampaignError>
     })
 }
 
+fn encode_outcome(w: &mut ByteWriter, outcome: SlotOutcome) {
+    match outcome {
+        SlotOutcome::Observed { confidence } => {
+            w.put_u8(OUTCOME_OBSERVED);
+            w.put_f64_bits(confidence);
+        }
+        SlotOutcome::Ambiguous { margin } => {
+            w.put_u8(OUTCOME_AMBIGUOUS);
+            w.put_f64_bits(margin);
+        }
+        SlotOutcome::NoData(reason) => {
+            w.put_u8(OUTCOME_NO_DATA);
+            encode_reason(w, reason);
+        }
+    }
+}
+
+fn decode_outcome(r: &mut ByteReader<'_>) -> Result<SlotOutcome, CampaignError> {
+    Ok(match r.get_u8("obs outcome tag")? {
+        OUTCOME_OBSERVED => SlotOutcome::Observed { confidence: r.get_f64_bits("obs confidence")? },
+        OUTCOME_AMBIGUOUS => SlotOutcome::Ambiguous { margin: r.get_f64_bits("obs margin")? },
+        OUTCOME_NO_DATA => SlotOutcome::NoData(decode_reason(r)?),
+        _ => return Err(CheckpointError::Malformed { context: "obs outcome tag" }.into()),
+    })
+}
+
+/// The [`SEC_OBS`] record of `o`.
+fn encode_record(w: &mut ByteWriter, o: &SlotObservation) {
+    encode_id(w, o.chosen.as_ref().map(|s| s.norad_id));
+    encode_id(w, o.truth_id);
+    encode_outcome(w, o.outcome);
+}
+
+fn decode_record(r: &mut ByteReader<'_>) -> Result<ObsRecord, CampaignError> {
+    Ok(ObsRecord {
+        chosen: decode_id(r, "obs chosen flag", "obs chosen id")?,
+        truth_id: decode_id(r, "obs truth flag", "obs truth id")?,
+        outcome: decode_outcome(r)?,
+    })
+}
+
+/// The full observation, sky included, that [`fingerprint_observations`]
+/// hashes.
 fn encode_observation(w: &mut ByteWriter, o: &SlotObservation) {
     w.put_usize(o.terminal_id);
     w.put_i64(o.slot);
@@ -784,58 +902,8 @@ fn encode_observation(w: &mut ByteWriter, o: &SlotObservation) {
         }
         None => w.put_bool(false),
     }
-    match o.truth_id {
-        Some(id) => {
-            w.put_bool(true);
-            w.put_u32(id);
-        }
-        None => w.put_bool(false),
-    }
-    match o.outcome {
-        SlotOutcome::Observed { confidence } => {
-            w.put_u8(OUTCOME_OBSERVED);
-            w.put_f64_bits(confidence);
-        }
-        SlotOutcome::Ambiguous { margin } => {
-            w.put_u8(OUTCOME_AMBIGUOUS);
-            w.put_f64_bits(margin);
-        }
-        SlotOutcome::NoData(reason) => {
-            w.put_u8(OUTCOME_NO_DATA);
-            encode_reason(w, reason);
-        }
-    }
-}
-
-fn decode_observation(r: &mut ByteReader<'_>) -> Result<SlotObservation, CampaignError> {
-    let terminal_id = r.get_usize("obs terminal id")?;
-    let slot = r.get_i64("obs slot")?;
-    let slot_start = JulianDate(r.get_f64_bits("obs slot start")?);
-    let local_hour = r.get_f64_bits("obs local hour")?;
-    let n_available = r.get_usize("obs available count")?;
-    let mut available = Vec::with_capacity(n_available.min(4096));
-    for _ in 0..n_available {
-        available.push(decode_sat(r)?);
-    }
-    let chosen = if r.get_bool("obs chosen flag")? { Some(decode_sat(r)?) } else { None };
-    let truth_id =
-        if r.get_bool("obs truth flag")? { Some(r.get_u32("obs truth id")?) } else { None };
-    let outcome = match r.get_u8("obs outcome tag")? {
-        OUTCOME_OBSERVED => SlotOutcome::Observed { confidence: r.get_f64_bits("obs confidence")? },
-        OUTCOME_AMBIGUOUS => SlotOutcome::Ambiguous { margin: r.get_f64_bits("obs margin")? },
-        OUTCOME_NO_DATA => SlotOutcome::NoData(decode_reason(r)?),
-        _ => return Err(CheckpointError::Malformed { context: "obs outcome tag" }.into()),
-    };
-    Ok(SlotObservation {
-        terminal_id,
-        slot,
-        slot_start,
-        local_hour,
-        available,
-        chosen,
-        truth_id,
-        outcome,
-    })
+    encode_id(w, o.truth_id);
+    encode_outcome(w, o.outcome);
 }
 
 #[cfg(test)]

@@ -11,10 +11,7 @@ use std::path::PathBuf;
 
 use starsense_astro::frames::Geodetic;
 use starsense_astro::time::JulianDate;
-use starsense_checkpoint::{
-    atomic_write, fnv1a, fnv1a_extend, CheckpointError, LoadedFrom, Snapshot, SnapshotBuilder,
-    FNV1A_EMPTY,
-};
+use starsense_checkpoint::{atomic_write, CheckpointError, LoadedFrom, Snapshot, SnapshotBuilder};
 use starsense_constellation::{Constellation, ConstellationBuilder};
 use starsense_core::campaign::{Campaign, CampaignConfig, CampaignError};
 use starsense_core::resume::{
@@ -86,18 +83,23 @@ fn opts(path: PathBuf, every: usize) -> ResumeConfig {
     ResumeConfig { checkpoint_every: every, ..ResumeConfig::new(path) }
 }
 
-/// Runs the campaign as a kill/resume chain: every call is stopped after
-/// one checkpoint (an in-process crash at the boundary), then a new call
-/// resumes from disk, until completion. Returns the final stream's
-/// fingerprint and the number of process "lives" used.
-fn run_killed_at_every_checkpoint(campaign: &Campaign<'_>, opts: &ResumeConfig) -> (u64, usize) {
+/// Runs the campaign over `slots` slots as a kill/resume chain: every
+/// call is stopped after one checkpoint (an in-process crash at the
+/// boundary), then a new call resumes from disk, until completion.
+/// Returns the final stream's fingerprint and the number of process
+/// "lives" used.
+fn run_killed_at_every_checkpoint(
+    campaign: &Campaign<'_>,
+    slots: usize,
+    opts: &ResumeConfig,
+) -> (u64, usize) {
     let chain = ResumeConfig { stop_after_checkpoints: Some(1), ..opts.clone() };
     let mut lives = 0;
     loop {
         lives += 1;
-        assert!(lives <= SLOTS + 2, "kill/resume chain failed to converge");
+        assert!(lives <= slots + 2, "kill/resume chain failed to converge");
         let (obs, _, report) = campaign
-            .run_resumable(start(), SLOTS, &chain)
+            .run_resumable(start(), slots, &chain)
             .expect("interrupted segment must succeed");
         if report.completed {
             return (fingerprint_observations(&obs), lives);
@@ -144,7 +146,7 @@ fn kill_resume_matrix_is_bit_identical() {
         for (threads, shards) in [(1, 1), (2, 1), (2, 4), (4, 4)] {
             let campaign = campaign(&c, mode, threads, shards);
             let (_dir, path) = scratch(&format!("matrix-{mode:?}-{threads}x{shards}"));
-            let (fp, lives) = run_killed_at_every_checkpoint(&campaign, &opts(path, 2));
+            let (fp, lives) = run_killed_at_every_checkpoint(&campaign, SLOTS, &opts(path, 2));
             assert!(lives >= SLOTS / 2, "every checkpoint must actually interrupt");
             assert_eq!(
                 fp, baseline,
@@ -160,27 +162,24 @@ fn final_snapshot_is_one_file_for_every_kill_schedule_and_layout() {
     // The observation log is carried from checkpoint to checkpoint (and
     // re-seeded from disk on resume) instead of re-encoded, so the final
     // snapshot must still be the very same file however the run got
-    // there — and its `OBS` checksum must be the stream fingerprint.
+    // there — and every resumed stream, its skies rebuilt from the
+    // records, must be the one-shot run's.
     let c = mini();
     for mode in [Mode::Oracle, Mode::Identified, Mode::Faulted] {
+        let one_shot = fingerprint_observations(&campaign(&c, mode, 1, 1).run(start(), SLOTS));
         let mut files = Vec::new();
         for (threads, shards) in [(1, 1), (4, 4)] {
             let campaign = campaign(&c, mode, threads, shards);
             let (_dir, path) = scratch(&format!("identity-whole-{mode:?}-{threads}"));
-            let (obs, _, report) =
+            let (_, _, report) =
                 campaign.run_resumable(start(), SLOTS, &opts(path.clone(), 3)).expect("whole run");
             assert!(report.completed);
-            let bytes = std::fs::read(&path).expect("final snapshot");
-            let snap = Snapshot::parse(&bytes).expect("valid snapshot");
-            assert_eq!(
-                snap.section_checksum(SEC_OBS),
-                Some(fingerprint_observations(&obs)),
-                "mode {mode:?}: the OBS checksum is the stream fingerprint"
-            );
-            files.push(bytes);
+            files.push(std::fs::read(&path).expect("final snapshot"));
 
             let (_dir, path) = scratch(&format!("identity-killed-{mode:?}-{threads}"));
-            run_killed_at_every_checkpoint(&campaign, &opts(path.clone(), 3));
+            let (resumed, _) =
+                run_killed_at_every_checkpoint(&campaign, SLOTS, &opts(path.clone(), 3));
+            assert_eq!(resumed, one_shot, "mode {mode:?}: the resumed stream is the one-shot's");
             files.push(std::fs::read(&path).expect("final snapshot"));
         }
         assert!(
@@ -415,26 +414,15 @@ fn scheduler_state_for_another_terminal_is_rejected_on_decode() {
 #[test]
 fn observation_log_must_hold_exactly_done_times_terminals_entries() {
     // `OBS` has no count prefix: `META`'s done × terminals fixes how many
-    // observations it holds. One short runs out mid-decode; one byte over
-    // is trailing garbage.
+    // records it holds. One short runs out mid-decode; one byte over is
+    // trailing garbage.
     let err = resume_tampered("obs-short", SEC_OBS, |payload, obs| {
-        // The last observation starts where the prefix hash equals the
-        // fingerprint of the stream without it.
-        let target = fingerprint_observations(&obs[..obs.len() - 1]);
-        let mut h = FNV1A_EMPTY;
-        let mut cut = None;
-        for (i, byte) in payload.iter().enumerate() {
-            if h == target {
-                cut = Some(i);
-            }
-            h = fnv1a_extend(h, std::slice::from_ref(byte));
-        }
-        assert_eq!(h, fnv1a(payload));
-        payload.truncate(cut.expect("last observation boundary"));
+        let last = last_outcome_tag(payload, obs) - 10;
+        payload.truncate(last);
     });
     assert_eq!(
         err,
-        CampaignError::Checkpoint(CheckpointError::Truncated { context: "obs terminal id" })
+        CampaignError::Checkpoint(CheckpointError::Truncated { context: "obs chosen flag" })
     );
 
     let err = resume_tampered("obs-trailing", SEC_OBS, |payload, _| payload.push(0));
@@ -467,25 +455,69 @@ fn observation_log_must_hold_exactly_done_times_terminals_entries() {
     );
 }
 
-/// Offset of the last observation's outcome tag in an oracle `OBS`
-/// payload: it ends with tag 0 (observed) and the confidence's eight
-/// bytes.
+/// Offset of the last record's outcome tag in an oracle `OBS` payload.
+/// The payload ends with that whole 19-byte record: chosen flag and id,
+/// truth flag and the same id, then tag 0 (observed) and the confidence's
+/// eight bytes.
 fn last_outcome_tag(payload: &[u8], obs: &[SlotObservation]) -> usize {
-    let last = obs.last().map(|o| o.outcome);
-    assert_eq!(last, Some(SlotOutcome::Observed { confidence: 1.0 }));
+    let last = obs.last().expect("a partial run observes");
+    assert_eq!(last.outcome, SlotOutcome::Observed { confidence: 1.0 });
+    let id = last.truth_id.expect("an observed oracle slot has a truth id").to_le_bytes();
+    assert_eq!(last.chosen.as_ref().map(|s| s.norad_id), last.truth_id);
     let tag = payload.len() - 9;
-    assert_eq!(payload[tag..], [&[0u8][..], &1.0f64.to_bits().to_le_bytes()].concat());
+    let record = [&[1u8][..], &id, &[1], &id, &[0], &1.0f64.to_bits().to_le_bytes()].concat();
+    assert_eq!(payload[tag - 10..], record);
     tag
 }
 
 #[test]
+fn chosen_id_absent_from_the_rebuilt_sky_is_rejected() {
+    // A checksum-valid record whose chosen id names a satellite that is in
+    // no rebuilt sky: the replay must refuse it before any segment runs.
+    let err = resume_tampered("obs-chosen", SEC_OBS, |payload, obs| {
+        let chosen = last_outcome_tag(payload, obs) - 9;
+        assert!(obs.iter().all(|o| o.available.iter().all(|s| s.norad_id != u32::MAX)));
+        payload[chosen..chosen + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+    });
+    assert_eq!(
+        err,
+        CampaignError::Checkpoint(CheckpointError::Malformed {
+            context: "chosen satellite absent from its rebuilt sky"
+        })
+    );
+}
+
+#[test]
+fn observation_records_stay_within_24_bytes() {
+    // `OBS` keeps no sky: at most 24 bytes per record in every mode, at
+    // every checkpoint of the run.
+    let c = mini();
+    for mode in [Mode::Oracle, Mode::Identified, Mode::Faulted] {
+        let campaign = campaign(&c, mode, 1, 1);
+        let (_dir, path) = scratch(&format!("obs-size-{mode:?}"));
+        let stopped = ResumeConfig { stop_after_checkpoints: Some(1), ..opts(path.clone(), 3) };
+        let mut done = 0;
+        while done < SLOTS {
+            campaign.run_resumable(start(), SLOTS, &stopped).expect("one segment");
+            done = (done + 3).min(SLOTS);
+            let bytes = std::fs::read(&path).expect("snapshot written");
+            let snap = Snapshot::parse(&bytes).expect("valid snapshot");
+            let obs = snap.require_section(SEC_OBS).expect("OBS section").len();
+            let records = done * terminals().len();
+            assert!(obs <= 24 * records, "mode {mode:?}: {obs} bytes for {records} records");
+        }
+    }
+}
+
+#[test]
 fn earlier_payload_version_is_rejected() {
-    // A version-2 payload carried an observation count before `OBS`, and
-    // a version-3 payload a fifth, supervisor-ledger section after it;
-    // reading either as version 4 would misparse, so both are refused
+    // A version-2 payload carried an observation count before `OBS`, a
+    // version-3 payload a fifth, supervisor-ledger section after it, and
+    // a version-4 payload whole observations, skies included, in `OBS`;
+    // reading any as version 5 would misparse, so all are refused
     // outright.
-    assert_eq!(CAMPAIGN_STATE_VERSION, 4);
-    for old in [2u32, 3] {
+    assert_eq!(CAMPAIGN_STATE_VERSION, 5);
+    for old in [2u32, 3, 4] {
         let err = resume_tampered(&format!("meta-v{old}"), SEC_META, |payload, _| {
             assert_eq!(payload[..4], CAMPAIGN_STATE_VERSION.to_le_bytes());
             payload[..4].copy_from_slice(&old.to_le_bytes());
@@ -544,16 +576,12 @@ fn min_elevation_outside_zero_to_ninety_is_rejected_before_any_work() {
     assert_eq!(Campaign::oracle(&c, terminals(), config, 33).run(start(), 2).len(), 4);
 }
 
-#[test]
-fn antimeridian_lattice_segmentation_matches_one_shot_and_the_linear_scan() {
-    // The 42 terminals of a 500-terminal Fibonacci lattice (phase from
-    // seed 30) that sit within 15° of ±180°. Each segment culls its own
-    // propagation rows, and each culled snapshot sizes its own index
-    // grid, so the two runs meet different cell sizes at the seam; both
-    // must report exactly the satellites the unculled linear scan sees.
-    let seed = 30u64;
-    let c = ConstellationBuilder::starlink_gen1().seed(seed).build();
-    let phase = 360.0 * ((seed as f64 * 0.381_966_011_250_105).fract());
+/// Gen1 seed 30 and the 42 terminals of its 500-terminal Fibonacci
+/// lattice that sit within 15° of ±180°.
+const SEAM_SEED: u64 = 30;
+
+fn seam_terminals() -> Vec<Terminal> {
+    let phase = 360.0 * ((SEAM_SEED as f64 * 0.381_966_011_250_105).fract());
     let terminals: Vec<Terminal> = (0..500usize)
         .filter_map(|i| {
             let lat = -55.0 + 110.0 * ((i as f64 * 0.618_033_988_749_895).fract());
@@ -564,9 +592,24 @@ fn antimeridian_lattice_segmentation_matches_one_shot_and_the_linear_scan() {
         })
         .collect();
     assert_eq!(terminals.len(), 42);
+    terminals
+}
+
+fn seam_campaign(c: &Constellation) -> Campaign<'_> {
     let config = CampaignConfig { threads: 2, ..CampaignConfig::default() };
-    let min_el = config.policy.min_elevation_deg;
-    let campaign = Campaign::oracle(&c, terminals.clone(), config, seed ^ 0x5EED_CA4E);
+    Campaign::oracle(c, seam_terminals(), config, SEAM_SEED ^ 0x5EED_CA4E)
+}
+
+#[test]
+fn antimeridian_lattice_segmentation_matches_one_shot_and_the_linear_scan() {
+    // Each segment culls its own propagation rows, and each culled
+    // snapshot sizes its own index grid, so the two runs meet different
+    // cell sizes at the seam; both must report exactly the satellites the
+    // unculled linear scan sees.
+    let c = ConstellationBuilder::starlink_gen1().seed(SEAM_SEED).build();
+    let terminals = seam_terminals();
+    let campaign = seam_campaign(&c);
+    let min_el = CampaignConfig::default().policy.min_elevation_deg;
     let slots = 96;
     let one_shot = campaign.run(start(), slots);
     let (_dir, path) = scratch("antimeridian");
@@ -589,4 +632,19 @@ fn antimeridian_lattice_segmentation_matches_one_shot_and_the_linear_scan() {
             assert_eq!(got, want, "terminal {} slot {}", terminal.id, obs.slot);
         }
     }
+}
+
+#[test]
+fn antimeridian_lattice_replay_matches_one_shot() {
+    // Killed at every checkpoint, each resume rebuilds the skies of all
+    // done slots through the visibility index, chunk by chunk; the seam's
+    // terminals are where a gap in that index would show.
+    let c = ConstellationBuilder::starlink_gen1().seed(SEAM_SEED).build();
+    let campaign = seam_campaign(&c);
+    let slots = 96;
+    let one_shot = fingerprint_observations(&campaign.run(start(), slots));
+    let (_dir, path) = scratch("antimeridian-replay");
+    let (resumed, lives) = run_killed_at_every_checkpoint(&campaign, slots, &opts(path, 8));
+    assert_eq!(lives, slots / 8, "one life per checkpoint");
+    assert_eq!(resumed, one_shot);
 }
