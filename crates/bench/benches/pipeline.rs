@@ -132,7 +132,7 @@ fn bench_identification(c: &mut Criterion) {
 
 /// Candidate tracks for 40 consecutive Iowa slots over the full gen1
 /// catalog, with every boundary epoch prepared as the campaign engine
-/// prepares it: the steady-state Observe cost of the track cache
+/// prepares it: the steady-state Identify cost of the track cache
 /// (boundary-row reuse, the elevation prefilter, survivors' interior
 /// propagation), without the Prepare rows.
 fn bench_track_cache(c: &mut Criterion) {

@@ -23,7 +23,8 @@
 //! terminal's immutable [`SiteGeometry`] (GSO zone, ECEF direction and
 //! radius) once, in parallel over the shard ranges. Each segment of the
 //! slot window (the whole window when checkpointing is off) then runs in
-//! three phases around a shared [`PropagationCache`]:
+//! two phases, three in identified mode, around a shared
+//! [`PropagationCache`]:
 //!
 //! 1. **Prepare** (parallel) — every epoch the segment will touch (each
 //!    slot's truth snapshot, plus — in identified mode — each slot's two
@@ -38,15 +39,21 @@
 //!    steps its slice of sites over a copy of its slice of
 //!    [`TerminalSchedState`]s, slot by slot: fields of view through the
 //!    terminal-cohort path ([`cohort_fields_of_view`]), then scoring
-//!    and the softmax pick ([`allocate_slot`]). Per-terminal
-//!    RNG streams and hysteresis keys make a terminal's allocation a
-//!    function of `(seed, terminal id, sky)` alone, so the merged shard
-//!    outputs are bit-identical to one step over all terminals;
-//! 3. **Observe** (parallel) — each terminal independently replays its
-//!    allocations: dish painting, XOR isolation, and DTW identification,
-//!    with boundary rows read from the prepared table and interior
-//!    candidate-track epochs propagated per satellite — no locks on the
-//!    hot path.
+//!    and the softmax pick ([`allocate_slot`]). Each slot's allocations
+//!    become [`SlotObservation`]s at once, with the oracle's verdict (the
+//!    chosen satellite, or an outage), and are dropped with their
+//!    `VisibleSat` skies, so no segment holds every terminal's
+//!    allocations. Per-terminal RNG streams and hysteresis keys make a
+//!    terminal's allocation a function of `(seed, terminal id, sky)`
+//!    alone, so the merged shard outputs are bit-identical to one step
+//!    over all terminals. In oracle mode this is the last phase;
+//! 3. **Identify** (identified mode only, parallel) — each terminal
+//!    independently refines its observation column in place: dish
+//!    painting, XOR isolation, and DTW identification replace `chosen`
+//!    and `outcome`, and every other field stays as the schedule phase
+//!    recorded it. Boundary rows are read from the prepared table and
+//!    interior candidate-track epochs propagated per satellite — no locks
+//!    on the hot path.
 //!
 //! Observations are byte-identical for any worker-thread count and any
 //! shard count (see [`CampaignConfig::threads`]), and the determinism
@@ -65,8 +72,8 @@ use starsense_ident::{
 };
 use starsense_scheduler::slots::slot_start;
 use starsense_scheduler::{
-    allocate_slot, cohort_fields_of_view, AllocScratch, Allocation, LoadModel, SchedulerPolicy,
-    SiteGeometry, Terminal, TerminalSchedState,
+    allocate_slot, cohort_fields_of_view, AllocScratch, LoadModel, SchedulerPolicy, SiteGeometry,
+    Terminal, TerminalSchedState,
 };
 
 /// Typed campaign failure — what [`Campaign::run_resumable`] reports
@@ -310,26 +317,45 @@ impl<'a> Campaign<'a> {
         PropagationCache::for_observers(self.constellation, &observers, cutoff)
     }
 
-    /// The scheduling inner loop of one shard: steps `sites` and their
-    /// `states` (advanced in place) over `mids`. Returns per-site
-    /// allocation columns in `sites` order.
+    /// The scheduling inner loop of one shard: steps `sites` — terminals
+    /// `first..first + sites.len()` — and their `states` (advanced in
+    /// place) over `mids`. Each slot's allocations become observations as
+    /// soon as they are drawn, with the oracle's verdict, and are dropped
+    /// with their skies. Returns per-site observation columns in `sites`
+    /// order.
     pub(crate) fn schedule_slots(
         &self,
+        first: usize,
         sites: &[SiteGeometry],
         states: &mut [TerminalSchedState],
         cache: &PropagationCache<'_>,
         mids: &[JulianDate],
-    ) -> Vec<Vec<Allocation>> {
+    ) -> Vec<Vec<SlotObservation>> {
         let policy = &self.config.policy;
         let load = LoadModel::for_scheduler(self.seed);
         let mut scratch = AllocScratch::default();
-        let mut columns: Vec<Vec<Allocation>> =
+        let mut columns: Vec<Vec<SlotObservation>> =
             sites.iter().map(|_| Vec::with_capacity(mids.len())).collect();
         for &at in mids {
             let fov = self.fields_of_view(sites, cache, at);
             let allocs = allocate_slot(policy, &load, sites, states, &mut scratch, at, fov);
-            for (column, alloc) in columns.iter_mut().zip(allocs) {
-                column.push(alloc);
+            // A column's terminal index is the site's global position, not
+            // `Allocation::terminal_id`: two terminals may share an id.
+            for (tid, (column, alloc)) in (first..).zip(columns.iter_mut().zip(allocs)) {
+                let verdict = match alloc.chosen.as_ref() {
+                    Some(chosen) => {
+                        (Some(SatObs::from(chosen)), SlotOutcome::Observed { confidence: 1.0 })
+                    }
+                    None => (None, SlotOutcome::NoData(DegradeReason::Outage)),
+                };
+                column.push(self.slot_observation(
+                    tid,
+                    alloc.slot,
+                    alloc.slot_start,
+                    &alloc.available,
+                    alloc.chosen_id(),
+                    verdict,
+                ));
             }
         }
         columns
@@ -362,7 +388,7 @@ impl<'a> Campaign<'a> {
     /// One slot observation of terminal `tid`, assembled from the sky its
     /// scheduler saw at `slot` and what the slot measured: the truth id,
     /// and the chosen satellite (an element of `sky`) with the outcome.
-    /// The observe phase and a resume's replay both build observations
+    /// The schedule phase and a resume's replay both build observations
     /// here, so a restored stream equals the live one field for field.
     pub(crate) fn slot_observation(
         &self,
@@ -385,76 +411,54 @@ impl<'a> Campaign<'a> {
         }
     }
 
-    /// One *segment* of a terminal's observation stream. In identified
-    /// mode `dish` carries the caller-owned dish state machine and the
-    /// differencing baseline, which the segment continues from and
-    /// advances; oracle mode passes `None` and keeps no dish state. The
-    /// track cache is recreated per call — it is a pure cache whose output
-    /// is bit-identical to the uncached path, so segmentation cannot move
-    /// a bit.
-    pub(crate) fn observe_terminal_segment(
+    /// Identified mode over one *segment* of terminal `tid`'s observation
+    /// column: replaces each observation's oracle verdict (`chosen` and
+    /// `outcome`) with what the §4 pipeline recovers, and leaves every
+    /// other field as the schedule phase recorded it. `dish` and
+    /// `prev_cap` are the caller-owned dish state machine and differencing
+    /// baseline, which the segment continues from and advances. The track
+    /// cache is recreated per call — it is a pure cache whose output is
+    /// bit-identical to the uncached path, so segmentation cannot move a
+    /// bit.
+    pub(crate) fn identify_terminal_segment(
         &self,
         cache: &PropagationCache<'_>,
         tid: usize,
-        dish: Option<(&mut DishSimulator, &mut Option<SlotCapture>)>,
-        allocs: &[Allocation],
-    ) -> Vec<SlotObservation> {
-        let location = self.terminals[tid].location;
+        dish: &mut DishSimulator,
+        prev_cap: &mut Option<SlotCapture>,
+        column: &mut [SlotObservation],
+    ) {
         // The terminal replays its slots in order, which is exactly the
         // access pattern the track cache's boundary reuse and elevation
         // prefilter are built for; its output is bit-identical to the
         // direct `candidate_tracks` generator's.
-        let mut ident = dish.map(|(dish, prev_cap)| {
-            let tracks = TrackCache::new(
-                cache,
-                location,
-                MIN_CANDIDATE_ELEVATION_DEG,
-                CANDIDATE_SAMPLES_PER_SLOT,
-            );
-            (tracks, dish, prev_cap)
-        });
-        let mut out = Vec::with_capacity(allocs.len());
-        for alloc in allocs {
-            let measured = match ident.as_mut() {
-                Some((tracks, dish, prev_cap)) => {
-                    self.identify_alloc(tracks, dish, prev_cap, tid, alloc)
-                }
-                None => match alloc.chosen.as_ref() {
-                    Some(chosen) => {
-                        (Some(SatObs::from(chosen)), SlotOutcome::Observed { confidence: 1.0 })
-                    }
-                    None => (None, SlotOutcome::NoData(DegradeReason::Outage)),
-                },
-            };
-            out.push(self.slot_observation(
-                tid,
-                alloc.slot,
-                alloc.slot_start,
-                &alloc.available,
-                alloc.chosen_id(),
-                measured,
-            ));
+        let mut tracks = TrackCache::new(
+            cache,
+            self.terminals[tid].location,
+            MIN_CANDIDATE_ELEVATION_DEG,
+            CANDIDATE_SAMPLES_PER_SLOT,
+        );
+        for obs in column {
+            (obs.chosen, obs.outcome) = self.identify_slot(&mut tracks, dish, prev_cap, tid, obs);
         }
-        out
     }
 
     /// Identified mode for one slot: fetches the dish's frame (with
     /// retries under the fault plan), differences it against the
     /// baseline capture, and resolves the §4 verdict.
-    fn identify_alloc(
+    fn identify_slot(
         &self,
         tracks: &mut TrackCache<'_, '_>,
         dish: &mut DishSimulator,
         prev_cap: &mut Option<SlotCapture>,
         tid: usize,
-        alloc: &Allocation,
+        obs: &SlotObservation,
     ) -> (Option<SatObs>, SlotOutcome) {
-        let truth_id = alloc.chosen_id();
         let fetch = dish.play_slot_faulted(
             self.constellation,
-            alloc.slot,
-            alloc.slot_start,
-            truth_id,
+            obs.slot,
+            obs.slot_start,
+            obs.truth_id,
             &self.config.faults,
             tid as u64,
             self.config.frame_retries,
@@ -476,9 +480,7 @@ impl<'a> Campaign<'a> {
                 };
                 (None, SlotOutcome::NoData(reason))
             }
-            Some(prev) => {
-                self.resolve_verdict(tracks, &prev.map, &capture.map, alloc, fetch.status, truth_id)
-            }
+            Some(prev) => self.resolve_verdict(tracks, &prev.map, &capture.map, obs, fetch.status),
         };
         *prev_cap = Some(capture);
         resolved
@@ -493,17 +495,16 @@ impl<'a> Campaign<'a> {
         tracks: &mut TrackCache<'_, '_>,
         prev: &starsense_obstruction::ObstructionMap,
         curr: &starsense_obstruction::ObstructionMap,
-        alloc: &Allocation,
+        obs: &SlotObservation,
         status: FrameStatus,
-        truth_id: Option<u32>,
     ) -> (Option<SatObs>, SlotOutcome) {
-        match verdict_slot_tracked(tracks, prev, curr, alloc.slot_start, self.config.min_margin) {
+        match verdict_slot_tracked(tracks, prev, curr, obs.slot_start, self.config.min_margin) {
             IdentVerdict::Identified { sat, confidence } => {
                 // Report the identified satellite's observed state, taken
                 // from the available list (all satellites in view, so a
                 // correct match is always present).
-                match alloc.available.iter().find(|v| v.norad_id == sat.norad_id) {
-                    Some(v) => (Some(SatObs::from(v)), SlotOutcome::Observed { confidence }),
+                match obs.available.iter().find(|s| s.norad_id == sat.norad_id) {
+                    Some(s) => (Some(s.clone()), SlotOutcome::Observed { confidence }),
                     None => (None, SlotOutcome::NoData(DegradeReason::UnmatchedIdentity)),
                 }
             }
@@ -515,7 +516,7 @@ impl<'a> Campaign<'a> {
                     NoDataReason::EmptyTrail if status == FrameStatus::Stale => {
                         DegradeReason::StaleFrame
                     }
-                    NoDataReason::EmptyTrail if truth_id.is_none() => DegradeReason::Outage,
+                    NoDataReason::EmptyTrail if obs.truth_id.is_none() => DegradeReason::Outage,
                     NoDataReason::EmptyTrail => DegradeReason::EmptyTrail,
                     NoDataReason::TinyTrail => DegradeReason::TinyTrail,
                     NoDataReason::NoCandidates => DegradeReason::NoCandidates,
@@ -703,6 +704,34 @@ mod tests {
         let serial = threaded_run(true, 1, 1);
         for (threads, shards) in [(1, 2), (2, 3), (4, 5), (0, 0), (2, 1)] {
             assert_streams_identical(&serial, &threaded_run(true, threads, shards));
+        }
+    }
+
+    #[test]
+    fn identification_refines_only_chosen_and_outcome() {
+        // Identified mode schedules exactly as oracle mode does and then
+        // overwrites each observation's `chosen` and `outcome`: with the
+        // oracle's verdict put back, the stream is the oracle stream bit
+        // for bit, for every layout.
+        for threads in [1, 2] {
+            for shards in [1, 2] {
+                let oracle = threaded_run(false, threads, shards);
+                let identified = threaded_run(true, threads, shards);
+                assert!(
+                    identified.iter().zip(&oracle).any(|(i, o)| i.outcome != o.outcome),
+                    "identification left every oracle verdict in place"
+                );
+                let verdicts_restored: Vec<SlotObservation> = identified
+                    .iter()
+                    .zip(&oracle)
+                    .map(|(i, o)| SlotObservation {
+                        chosen: o.chosen.clone(),
+                        outcome: o.outcome,
+                        ..i.clone()
+                    })
+                    .collect();
+                assert_streams_identical(&oracle, &verdicts_restored);
+            }
         }
     }
 

@@ -6,9 +6,10 @@
 //! [`Campaign::run_resumable`] is the campaign engine; [`Campaign::run`]
 //! calls it with checkpointing off. It splits the slot window into
 //! *segments* of [`ResumeConfig::checkpoint_every`] slots (one segment
-//! when checkpointing is off). Each segment runs the three campaign
-//! phases (prepare → schedule → observe, see [`crate::campaign`]), and
-//! every stateful component is owned by the engine between segments:
+//! when checkpointing is off). Each segment runs the campaign phases
+//! (prepare → schedule → identify, the last in identified mode only; see
+//! [`crate::campaign`]), and every stateful component is owned by the
+//! engine between segments:
 //!
 //! * per-terminal scheduler state ([`TerminalSchedState`]: RNG stream +
 //!   hysteresis key), kept shard-layout free so a resume may use a
@@ -42,7 +43,7 @@
 //!
 //! # Failures
 //!
-//! Each schedule shard and each observation terminal is a *work unit*,
+//! Each schedule shard and each identify terminal is a *work unit*,
 //! a pure function of its segment-start state. Running one again would
 //! replay a panic bit for bit, so the engine neither catches nor retries:
 //! a worker panic propagates to the caller with its own payload and ends
@@ -87,7 +88,7 @@ use starsense_ident::{
 };
 use starsense_obstruction::ObstructionMap;
 use starsense_scheduler::slots::{slot_index, slot_start, SLOT_PERIOD_SECONDS};
-use starsense_scheduler::{Allocation, SiteGeometry, TerminalSchedState};
+use starsense_scheduler::{SiteGeometry, TerminalSchedState};
 
 /// Campaign-state payload layout version (inside the checkpoint
 /// container, which versions itself separately). Version 3 dropped the
@@ -351,8 +352,9 @@ impl<'a> Campaign<'a> {
         }
     }
 
-    /// Executes one segment — prepare, schedule, observe — over the slots
-    /// at `seg_mids` and folds the results into `state`.
+    /// Executes one segment — prepare, schedule, and in identified mode
+    /// identify — over the slots at `seg_mids` and folds the resulting
+    /// observations into `state`.
     fn run_segment(
         &self,
         state: &mut EngineState,
@@ -381,41 +383,39 @@ impl<'a> Campaign<'a> {
 
         // ---- Schedule phase (unit = shard) ------------------------------
         // Each shard steps its contiguous slice of the scheduler states in
-        // place; the allocation columns come back in terminal order.
+        // place and turns each slot's allocations into observations as it
+        // draws them; the observation columns come back in terminal order.
         let ranges = crate::campaign::shard_ranges(self.terminals.len(), self.shard_count());
         let mut shards = Vec::with_capacity(ranges.len());
         let mut rest = &mut state.sched[..];
         for range in ranges {
             let (head, tail) = std::mem::take(&mut rest).split_at_mut(range.len());
-            shards.push((&sites[range], head));
+            shards.push((range.start, &sites[range], head));
             rest = tail;
         }
-        let allocations: Vec<Vec<Allocation>> =
-            parallel_units(shards, threads, &|_, (sites, states)| {
-                self.schedule_slots(sites, states, &cache, seg_mids)
+        let mut columns: Vec<Vec<SlotObservation>> =
+            parallel_units(shards, threads, &|_, (first, sites, states)| {
+                self.schedule_slots(first, sites, states, &cache, seg_mids)
             })
             .into_iter()
             .flatten()
             .collect();
 
-        // ---- Observation phase (unit = terminal) ------------------------
-        // Each unit takes its allocation column by value and drops it once
-        // observed, so allocations and observations are not all alive at
-        // once. In identified mode a unit also borrows its terminal's dish
-        // state and baseline and advances them in place; oracle mode keeps
-        // no dish state, so its units get `None`.
-        let mut dishes = state.dish.iter_mut().zip(state.prev.iter_mut());
-        let units: Vec<_> = allocations.into_iter().map(|allocs| (allocs, dishes.next())).collect();
-        let columns = parallel_units(units, threads, &|tid, (allocs, dish)| {
-            let Some((dish_state, prev)) = dish else {
-                return self.observe_terminal_segment(&cache, tid, None, &allocs);
-            };
-            let mut dish = DishSimulator::new(self.terminals[tid].location);
-            dish.restore_state(dish_state.clone());
-            let obs = self.observe_terminal_segment(&cache, tid, Some((&mut dish, prev)), &allocs);
-            *dish_state = dish.export_state();
-            obs
-        });
+        // ---- Identify phase (identified mode only; unit = terminal) -----
+        // Each unit refines its terminal's column in place, borrowing the
+        // terminal's dish state and baseline and advancing them. Oracle
+        // mode keeps no dish state and runs no unit: the schedule phase's
+        // verdict is its observation.
+        if self.identified {
+            let units: Vec<_> =
+                columns.iter_mut().zip(state.dish.iter_mut().zip(state.prev.iter_mut())).collect();
+            parallel_units(units, threads, &|tid, (column, (dish_state, prev))| {
+                let mut dish = DishSimulator::new(self.terminals[tid].location);
+                dish.restore_state(dish_state.clone());
+                self.identify_terminal_segment(&cache, tid, &mut dish, prev, column);
+                *dish_state = dish.export_state();
+            });
+        }
 
         // Slot-major, terminal-minor merge, appended to the accumulated
         // stream — segments partition the slot axis, so concatenation

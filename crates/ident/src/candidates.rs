@@ -73,7 +73,7 @@ pub fn candidate_tracks(
 /// the first and last entries of the slot's sample epochs, which are the only
 /// epochs [`crate::TrackCache`] reads as full catalog rows. Campaign
 /// engines prepare exactly these into the propagation cache's immutable
-/// epoch table so the observation phase never takes a lock for a boundary
+/// epoch table so the identify phase never takes a lock for a boundary
 /// row.
 pub fn slot_boundary_epochs(slot_start: JulianDate, samples_per_slot: u32) -> [JulianDate; 2] {
     let n = samples_per_slot.max(2);

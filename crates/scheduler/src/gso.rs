@@ -299,11 +299,14 @@ impl GsoExclusion {
     /// segments' upper bounds fail on the spot. (Visit order only changes
     /// *which* segments get scanned exactly, never the fold's value —
     /// every skipped segment provably holds no sample above the running
-    /// best.) If the maximum exceeds `bail_above` the direction is inside
-    /// the exclusion zone and the scan returns `None`. Pass 2 re-runs the
-    /// historical tie-guarded `min` fold over the segments whose bound
-    /// clears the tie threshold — their members fail the `≥ threshold`
-    /// test either way.
+    /// best.) The scan returns `None` at the first sample whose dot
+    /// exceeds `bail_above`: the direction is then inside the exclusion
+    /// zone, and since the maximum is among the scanned samples, that is
+    /// exactly "maximum > `bail_above`". Pass 2 re-runs the historical
+    /// tie-guarded `min` fold over the segments whose bound — their own
+    /// maximum, for those pass 1 scanned — clears the tie threshold;
+    /// every other segment's members fail the `≥ threshold` test either
+    /// way.
     fn pruned_scan(&self, dir: Vec3, bail_above: f64) -> Option<f64> {
         // ceil(BELT_SAMPLES / SEGMENT_LEN) — the belt sampling in
         // `for_site` caps the segment count, so the per-query scratch
@@ -336,6 +339,9 @@ impl GsoExclusion {
             seed_len = seg.end - seg.start;
             for (j, a) in self.arc_dirs[seg.start..seg.end].iter().enumerate() {
                 let d = a.dot(dir);
+                if d > bail_above {
+                    return None;
+                }
                 seed_dots[j] = d;
                 best_dot = best_dot.max(d);
             }
@@ -350,7 +356,9 @@ impl GsoExclusion {
         // over-bound `cosθ + ρ` (cosine is 1-Lipschitz) fails far
         // segments on one add; only near-arc segments pay the sqrt of
         // the exact cap bound, and only the handful within the tie guard
-        // land on the survivor list the tie fold revisits.
+        // land on the survivor list the tie fold revisits. A survivor
+        // keeps the tightest bound the sweep learned: its own maximum
+        // when it was rescanned, its cap bound otherwise.
         let mut survivors = [(0usize, 0.0f64); MAX_SEGMENTS];
         let mut n_survivors = 0usize;
         for (k, seg) in self.segments.iter().enumerate() {
@@ -361,25 +369,29 @@ impl GsoExclusion {
             if cheap < best_dot - DOT_TIE_GUARD {
                 continue;
             }
-            let ub = seg.dot_upper_bound(center_d[k]);
-            if ub < best_dot - DOT_TIE_GUARD {
+            let mut bound = seg.dot_upper_bound(center_d[k]);
+            if bound < best_dot - DOT_TIE_GUARD {
                 continue;
             }
-            if ub > best_dot {
+            if bound > best_dot {
+                bound = f64::NEG_INFINITY;
                 for a in &self.arc_dirs[seg.start..seg.end] {
-                    best_dot = best_dot.max(a.dot(dir));
+                    let d = a.dot(dir);
+                    if d > bail_above {
+                        return None;
+                    }
+                    bound = bound.max(d);
                 }
+                best_dot = best_dot.max(bound);
             }
-            survivors[n_survivors] = (k, ub);
+            survivors[n_survivors] = (k, bound);
             n_survivors += 1;
-        }
-        if best_dot > bail_above {
-            return None;
         }
 
         // The historical tie-guarded min fold, over the seed's stored
-        // dots plus the surviving segments — the same survivor samples
-        // the exhaustive fold admits, so the same minimum, bit for bit.
+        // dots plus the surviving segments that can still reach the
+        // threshold — the same survivor samples the exhaustive fold
+        // admits, so the same minimum, bit for bit.
         let threshold = best_dot - DOT_TIE_GUARD;
         let mut min_deg = f64::INFINITY;
         for (j, &d) in seed_dots[..seed_len].iter().enumerate() {
@@ -387,8 +399,8 @@ impl GsoExclusion {
                 min_deg = min_deg.min(self.arc_dirs[seed_start + j].angle_to(dir).to_degrees());
             }
         }
-        for &(k, ub) in &survivors[..n_survivors] {
-            if ub < threshold {
+        for &(k, bound) in &survivors[..n_survivors] {
+            if bound < threshold {
                 continue;
             }
             let seg = &self.segments[k];

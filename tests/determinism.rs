@@ -90,29 +90,41 @@ fn terminals_sharing_an_id_keep_separate_streams() {
         .filter(|t| t.name == "Iowa" || t.name == "Madrid")
         .map(|t| Terminal { id: 0, ..t })
         .collect();
-    let run = |terminals: Vec<Terminal>, shards: usize| {
-        let config = CampaignConfig { shards, ..CampaignConfig::default() };
-        Campaign::oracle(&constellation, terminals, config, 5).run(from, slots)
-    };
-    let alone: Vec<u64> =
-        pair.iter().map(|t| fingerprint_observations(&run(vec![t.clone()], 1))).collect();
-    for shards in [1, 2] {
-        let obs = run(pair.clone(), shards);
-        assert_eq!(obs.len(), slots * pair.len(), "{shards} shard(s) lost observations");
-        for (position, solo) in alone.iter().enumerate() {
-            // Slot-major, terminal-minor: every `pair.len()`-th row, with
-            // the position index a solo run would record.
-            let rows: Vec<SlotObservation> = obs
-                .iter()
-                .skip(position)
-                .step_by(pair.len())
-                .map(|o| SlotObservation { terminal_id: 0, ..o.clone() })
-                .collect();
-            assert_eq!(
-                fingerprint_observations(&rows),
-                *solo,
-                "{shards} shard(s): position {position} differs from its solo run"
-            );
+    for identified in [false, true] {
+        let run = |terminals: Vec<Terminal>, shards: usize| {
+            let config = CampaignConfig { shards, ..CampaignConfig::default() };
+            let campaign = if identified {
+                Campaign::identified(&constellation, terminals, config, 5)
+            } else {
+                Campaign::oracle(&constellation, terminals, config, 5)
+            };
+            campaign.run(from, slots)
+        };
+        let alone: Vec<u64> =
+            pair.iter().map(|t| fingerprint_observations(&run(vec![t.clone()], 1))).collect();
+        for shards in [1, 2] {
+            let obs = run(pair.clone(), shards);
+            assert_eq!(obs.len(), slots * pair.len(), "{shards} shard(s) lost observations");
+            for (position, solo) in alone.iter().enumerate() {
+                // Slot-major, terminal-minor: every `pair.len()`-th row. It
+                // records its position, not the shared id, and otherwise
+                // equals the solo run, which records position 0.
+                let rows: Vec<SlotObservation> = obs
+                    .iter()
+                    .skip(position)
+                    .step_by(pair.len())
+                    .map(|o| {
+                        assert_eq!(o.terminal_id, position, "identified {identified}");
+                        SlotObservation { terminal_id: 0, ..o.clone() }
+                    })
+                    .collect();
+                assert_eq!(
+                    fingerprint_observations(&rows),
+                    *solo,
+                    "identified {identified}, {shards} shard(s): position {position} differs \
+                     from its solo run"
+                );
+            }
         }
     }
 }
