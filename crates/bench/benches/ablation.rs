@@ -72,5 +72,46 @@ fn bench_gso(c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, bench_scheduler_variants, bench_gso);
+/// The first `n` sites of the campaign benchmark's seed-1 terminal
+/// lattice: a Fibonacci lattice over ±55° latitude, rotated in longitude
+/// by the seed's phase, at 0.1 km altitude.
+fn lattice_sites(n: usize) -> Vec<Geodetic> {
+    let phase = 360.0 * 0.381_966_011_250_105_f64.fract();
+    (0..n)
+        .map(|i| {
+            let lat = -55.0 + 110.0 * ((i as f64 * 0.618_033_988_749_895).fract());
+            let lon =
+                (phase + 360.0 * ((i as f64 * 0.754_877_666_246_693).fract())) % 360.0 - 180.0;
+            Geodetic::new(lat, lon, 0.1)
+        })
+        .collect()
+}
+
+fn bench_gso_lattice_mix(c: &mut Criterion) {
+    // The query mix a lattice campaign asks: every satellite in each of
+    // 500 sites' fields of view at one slot, inside the zone or clear.
+    let constellation = ConstellationBuilder::starlink_gen1().seed(1).build();
+    let snap = constellation.snapshot(JulianDate::from_ymd_hms(2023, 6, 1, 16, 0, 12.0));
+    let queries: Vec<(GsoExclusion, Vec<LookAngles>)> = lattice_sites(500)
+        .into_iter()
+        .map(|site| {
+            let candidates = snap.visibility_index().candidates(site, 25.0);
+            let sky = constellation.field_of_view(&snap, site, 25.0, &candidates);
+            (GsoExclusion::for_site(site, 12.0), sky.into_iter().map(|v| v.look).collect())
+        })
+        .collect();
+    c.bench_function("gso/separation_if_clear_lattice_mix", |b| {
+        b.iter(|| {
+            let mut clear = 0usize;
+            for (zone, looks) in &queries {
+                for look in looks {
+                    clear += usize::from(zone.separation_if_clear(black_box(look)).is_some());
+                }
+            }
+            black_box(clear)
+        })
+    });
+}
+
+criterion_group!(benches, bench_scheduler_variants, bench_gso, bench_gso_lattice_mix);
 criterion_main!(benches);

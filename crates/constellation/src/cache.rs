@@ -1,126 +1,83 @@
 //! Per-epoch propagation table shared by a campaign's workers.
 //!
-//! A measurement campaign asks for the same instants over and over: every
-//! terminal's field-of-view query hits the slot's epoch, and every
-//! terminal's candidate generator hits the slot's two boundary epochs.
-//! [`PropagationCache`] holds both the **true** catalog snapshot
-//! (scheduler side) and the **published**-TLE positions (identification
-//! side) per exact epoch, so the constellation is SGP4-propagated once per
-//! instant no matter how many terminals — or worker threads — observe it.
-//!
-//! The table is built once by [`PropagationCache::prepare`] (a single,
-//! optionally parallel fill: one position-only SGP4 call per satellite
-//! per epoch) and never changes after that. Lookups are a binary search
-//! over a frozen `Vec` behind a `OnceLock`: **no lock, no write, no
-//! contention**, which is what lets the sharded campaign workers scale
-//! with cores. The campaign engine prepares every slot epoch (and, in identified mode,
-//! every slot boundary epoch) up front. A lookup of an epoch nobody
-//! prepared propagates the row directly and returns it without storing
-//! it; it counts as a miss.
-//!
-//! Determinism: an epoch is keyed by the exact bit pattern of its Julian
-//! date, and a row is a pure function of (catalog, epoch), so a prepared
-//! row is bit-identical to recomputation and results cannot depend on
-//! which thread filled it, nor on whether the epoch was prepared.
+//! [`PropagationCache`] holds the **true** snapshot and the
+//! **published**-TLE positions per exact epoch, so the catalog is
+//! SGP4-propagated once per instant however many terminals or threads read
+//! it. [`PropagationCache::prepare`] builds the table once; lookups are a
+//! binary search over a frozen `Vec` behind a `OnceLock`, with no lock. A
+//! lookup of an unprepared epoch propagates the row without storing it
+//! (a miss). Epochs are keyed by their bits and a row is a pure function
+//! of (catalog, epoch), so no result depends on threads or on what was
+//! prepared.
 //!
 //! # Observer culling
 //!
-//! A cache built with [`PropagationCache::for_observers`] knows the
-//! campaign's observers and the lowest elevation cutoff any consumer
-//! applies. Most of the catalog is then far below every observer's sky,
-//! and `prepare` skips it. It fills a full-width **key row** at some
-//! epochs, placed so that every other prepared epoch of the same kind
-//! (truth or published) lies within [`KEY_REACH_S`] of its key. It checks
-//! each satellite of a key row against the bound below, once; every other
-//! row served by that key propagates only the satellites the key keeps.
-//! A skipped satellite is **culled**: a truth snapshot holds `None` for
-//! it (the same as an unlaunched satellite, which every field-of-view path
-//! already skips), and a [`PublishedRow`] marks it apart from a failed
-//! propagation. A kept satellite's entry is bit-identical to a full row's,
-//! so culling changes which entries exist, never their bits.
-//!
-//! Keys sit at most `2 · KEY_REACH_S` apart wherever the epochs allow, so
-//! the reaches of consecutive keys touch: an instant between two prepared
-//! epochs lies within the reach of one of their keys.
-//! A [`PublishedRow`] names the satellites its key dismissed — culled in
-//! the rows the key serves, propagated anyway in the key row — and
-//! [`PublishedRow::dismissed_below_at`] tells a consumer whether they are
-//! proven below the cutoff at an instant.
-//!
-//! A keep set is a pure function of (catalog, key epoch, observers,
-//! cutoff), so it cannot depend on threads or shards.
-//! [`PropagationCache::new`] culls nothing.
+//! A cache built with [`PropagationCache::for_observers`] skips what is
+//! provably below every observer's cutoff. `prepare` fills a full-width
+//! **key row** at some epochs, so that every other epoch of the same kind
+//! lies within [`KEY_REACH_S`] of its key and consecutive keys' reaches
+//! touch wherever the epochs allow; the rows a key serves propagate only
+//! what its keep test keeps. A **culled** truth entry is `None`, like an
+//! unlaunched satellite; a [`PublishedRow`] names what its key dismissed
+//! and [`PublishedRow::dismissed_below_at`] where that is proven below the
+//! cutoff. Kept entries are the full row's bits. [`PropagationCache::new`]
+//! culls nothing.
 //!
 //! # Soundness
 //!
-//! Let `p_k` be a satellite's ECEF position in the key row at epoch `k`,
-//! `r_k = |p_k|`, `F` = [`R_FLOOR_KM`], `v_esc(F) = sqrt(2μ/F)`,
-//! `T` = [`KEY_REACH_S`] and `r_top` the largest radius in the key row
-//! plus `v_esc(F) · T`. Let `ψ_o(r)` be the visibility cap of observer
-//! `o` over satellites no higher than `r`: the ψ_max bound of
-//! [`VisibilityIndex`](crate::VisibilityIndex), with its 0.25°
-//! zenith-deflection margin and its 0.02° rounding guard. The satellite is
-//! culled only when all of the following hold:
+//! The keep test and the identification prefilter
+//! (`starsense_ident::TrackCache`) rest on one premise: each satellite's
+//! [`Envelope`](crate::Envelope), a radius floor `r_min`, ceiling `r_max`
+//! and speed ceiling `v_max` its SGP4 orbit obeys throughout a window.
+//! `prepare` computes one per satellite and kind of row over the prepared
+//! epochs widened by [`KEY_REACH_S`]. No bounded envelope: never culled,
+//! never prefiltered.
 //!
-//! * `r_k − v_esc(F) · T ≥ F`, and `r_k − v_esc(F) · T` is above every
-//!   observer's geocentric radius;
-//! * for every observer `o`, `angle(p_k, o) > ψ_o(r_top) + (v_esc(F)/F +
-//!   ω⊕) · T`, with `ω⊕` = [`OMEGA_EARTH_RAD_S`].
+//! **Keep test.** Let `p_k` be the ECEF key-row position at epoch `k`, `T`
+//! = [`KEY_REACH_S`], `r_top` the highest ceiling and `ρ` the fastest
+//! `v_max / r_min` of any envelope of either kind, and `ψ_o(r)` observer
+//! `o`'s cap over satellites no higher than `r` (the
+//! [`VisibilityIndex`](crate::VisibilityIndex) bound, with its 0.25°
+//! zenith-deflection margin and 0.02° guard). A satellite is culled only
+//! when `r_min` is above every observer's radius and `angle(p_k, o) >
+//! ψ_o(r_top) + (ρ + ω⊕)·T` for every observer (`ω⊕` =
+//! [`OMEGA_EARTH_RAD_S`]). For `|t − k| ≤ T` its radius stays in `[r_min,
+//! r_top]` and its ECEF direction (velocity: TEME less `ω⊕ × r`) turns at
+//! most `(ρ + ω⊕)·T`, so `angle(p(t), o) > ψ_o(r_top) ≥ ψ_o(|p(t)|)`: the
+//! cap grows with radius while `R_o < r`. It is below the cutoff less the
+//! margin in geocentric elevation, hence below it in geodetic elevation.
 //!
-//! Then, at every instant `t` with `|t − k| ≤ T`, its elevation is below
-//! the cutoff from every observer:
+//! **Prefilter.** An observer at radius `r_o < r_min` sees the satellite
+//! at elevation `el` no nearer than `d(el) = sqrt(r_min² − r_o² cos²el) −
+//! r_o sin el`, which shrinks as `el` grows; its own TEME speed is at most
+//! `ω⊕·r_o`. So at or below a cutoff `c` the elevation changes no faster
+//! than `(v_max + ω⊕·r_o)/d(c)` rad/s, and a satellite below `c − margin`,
+//! `margin = (v_max + ω⊕·r_o)/d(c)·h` plus a zenith slack, stays below `c`
+//! for `h` seconds either way. The margin grows with `v_max` and shrinks
+//! as `r_min` grows.
 //!
-//! 1. **Radius.** While a bound orbit's radius is at least `F`, its speed
-//!    is below `v_esc(F)`. Its radius therefore moves by less than
-//!    `v_esc(F) · T` over the reach, so it stays in
-//!    `[r_k − v_esc(F)·T, r_k + v_esc(F)·T]`: at least `F`, above every
-//!    observer, and at most `r_top`.
-//! 2. **Direction.** The ECEF velocity is the TEME velocity less
-//!    `ω⊕ × r`, so the position's direction turns at most at
-//!    `|v|/r + ω⊕ ≤ v_esc(F)/F + ω⊕` radians per second. Over the reach
-//!    it moves at most `(v_esc(F)/F + ω⊕) · T` from `p_k`'s direction.
-//! 3. **Cap.** By the triangle inequality on the sphere,
-//!    `angle(p(t), o) > ψ_o(r_top)`. The cap grows with satellite radius
-//!    (`acos((R_o/r) cos e) − e` rises with `r` while `R_o < r`), and
-//!    `|p(t)| ≤ r_top`, so `angle(p(t), o) > ψ_o(|p(t)|)`: the satellite
-//!    is below the cutoff less the zenith-deflection margin in geocentric
-//!    elevation, hence below the cutoff in geodetic elevation.
-//!
-//! The per-observer test is not run per satellite. Each key row marks a
-//! direction grid of 1.5° cells (the visibility index's finest) with
-//! every cell that can intersect some observer's widened cap, using the
-//! index's conservative row/column cover: a few runs of cells per grid
-//! row per observer. Each satellite then costs one cell lookup, whatever
-//! the observer count. A satellite in an unmarked cell is farther from
-//! every observer than that observer's widened cap, as the bound
-//! requires.
-//!
-//! A satellite with no key-row entry (unlaunched, or failed to propagate)
-//! is always kept. A cutoff outside [0°, 90°), no observers, a
-//! non-finite observer, or a NaN or ≥ 60° widened cap (where the grid
-//! cover is not drawn) keeps everything. The bound only speaks for the
-//! cache's own observers at or above its cutoff:
-//! [`PropagationCache::culls_for`] says whether a consumer may rely on it.
+//! `prepare` marks each observer's widened cap once on a grid of 1.5°
+//! cells with the index's conservative cover, so a key-row satellite costs
+//! one cell lookup. No key-row entry, a cutoff outside [0°, 90°), no or
+//! non-finite observers, or a NaN or ≥ 60° cap keeps everything. The bound
+//! speaks only for the cache's own observers at or above its cutoff
+//! ([`PropagationCache::culls_for`]).
 
 use crate::catalog::{Constellation, Snapshot};
+use crate::envelope::Envelopes;
 use crate::index::{cap_radius_deg, direction_deg, DirectionGrid, FULL_SCAN_CAP_DEG, MIN_CELL_DEG};
 use starsense_astro::frames::{geodetic_to_ecef, Geodetic};
 use starsense_astro::mat3::Mat3;
 use starsense_astro::time::JulianDate;
 use starsense_astro::vec3::Vec3;
-use starsense_sgp4::wgs72;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
-/// How far (s) a prepared epoch may lie from the key row whose keep set
-/// it uses: two 15-second slot periods, so one key serves the epochs two
-/// slots either side of it, plus 0.1 s for float epoch rounding.
-pub const KEY_REACH_S: f64 = 30.1;
-
-/// Lowest orbital-radius floor (km) the speed and turn-rate bounds are
-/// drawn for: ~120 km altitude, far below anything that completes an
-/// orbit.
-pub const R_FLOOR_KM: f64 = 6500.0;
+/// How far (s) a prepared epoch may lie from its key row: six 15-s slots
+/// plus 0.1 s for rounding, sized by SGP4 calls per epoch `(W + (n −
+/// 1)·W·f(T))/n` (width `W`, `n = 2T/15 s` epochs per key, non-key keep
+/// share `f`); past 90 s a wider cap costs what fewer key rows save.
+pub const KEY_REACH_S: f64 = 90.1;
 
 /// Earth rotation rate (rad/s), bounding how fast the ECEF frame turns
 /// under a TEME direction.
@@ -131,15 +88,13 @@ pub const OMEGA_EARTH_RAD_S: f64 = 7.292_115_9e-5;
 pub struct CacheStats {
     /// Lookups answered from the prepared table.
     pub hits: usize,
-    /// Lookups of unprepared epochs, each of which propagated a full
-    /// catalog row or snapshot.
+    /// Lookups of unprepared epochs, each propagating a full row.
     pub misses: usize,
     /// Prepared true-snapshot epochs.
     pub truth_entries: usize,
     /// Prepared published-position epochs.
     pub published_entries: usize,
-    /// Satellite-rows the prepared table skipped by observer culling,
-    /// summed over both kinds of row.
+    /// Satellite-rows observer culling skipped, over both kinds of row.
     pub culled: usize,
 }
 
@@ -149,9 +104,8 @@ pub struct CacheStats {
 pub struct PublishedRow {
     /// `None` where propagation failed or the satellite was culled.
     positions: Vec<Option<Vec3>>,
-    /// The satellites the keep test of the row's key dismissed; empty for
-    /// a full-width row. A key row propagates them anyway, a row it
-    /// serves culls them.
+    /// What the row's key dismissed (empty at full width): propagated in
+    /// the key row, culled in the rows it serves.
     dismissed: Vec<bool>,
     /// The key epoch whose keep set the row used, if any.
     key: Option<JulianDate>,
@@ -159,49 +113,39 @@ pub struct PublishedRow {
 
 impl PublishedRow {
     /// Per-satellite positions: `None` where propagation failed or the
-    /// satellite was culled ([`PublishedRow::is_culled`] tells which).
+    /// satellite was culled (dismissed in a row that is not its key).
     pub fn positions(&self) -> &[Option<Vec3>] {
         &self.positions
     }
 
-    /// Whether the keep test of the row's key dismissed satellite `index`:
-    /// it is proven below the cutoff wherever
-    /// [`PublishedRow::dismissed_below_at`] holds.
+    /// Whether the row's key dismissed satellite `index`, proving it below
+    /// the cutoff wherever [`PublishedRow::dismissed_below_at`] holds.
     pub fn is_dismissed(&self, index: usize) -> bool {
         self.dismissed.get(index).copied().unwrap_or(false)
     }
 
-    /// Whether satellite `index` was culled: dismissed, and therefore not
-    /// propagated at this epoch (a key row propagates what it dismisses).
-    pub fn is_culled(&self, index: usize) -> bool {
-        self.is_dismissed(index) && self.positions[index].is_none()
-    }
-
-    /// The key epoch whose keep set this row used — the row's own epoch
-    /// for a key row — or `None` for a full-width row of a cache that
-    /// culls nothing.
+    /// The key epoch whose keep set this row used (its own for a key row),
+    /// or `None` for a cache that culls nothing.
     pub fn cull_key(&self) -> Option<JulianDate> {
         self.key
     }
 
-    /// Whether every dismissed satellite of this row is proven below the
-    /// cache's cutoff, from every one of its observers, at `at`: true
-    /// within [`KEY_REACH_S`] of the row's key epoch (module docs,
-    /// *Soundness*).
+    /// Whether every dismissed satellite is proven below the cutoff from
+    /// every observer at `at`: within [`KEY_REACH_S`] of the row's key.
     pub fn dismissed_below_at(&self, at: JulianDate) -> bool {
         self.key.is_some_and(|k| at.seconds_since(k).abs() <= KEY_REACH_S)
     }
 }
 
-/// The immutable epoch table: sorted epoch keys with their propagated
-/// rows, built once and never mutated, so readers need no synchronization
-/// beyond the `OnceLock` publication.
+/// The immutable epoch table: sorted epoch keys and their rows.
 #[derive(Debug, Default)]
 struct PreparedEpochs {
     truth_keys: Vec<u64>,
     truth_rows: Vec<Arc<Snapshot>>,
     published_keys: Vec<u64>,
     published_rows: Vec<Arc<PublishedRow>>,
+    /// Published-orbit envelopes over the published epochs' window.
+    published_envelopes: Option<Arc<Envelopes>>,
     culled: usize,
 }
 
@@ -217,13 +161,17 @@ struct CullObserver {
 #[derive(Debug)]
 struct CullSpec {
     observers: Vec<CullObserver>,
-    /// The observers' geodetic bit patterns, sorted, for
-    /// [`PropagationCache::culls_for`].
+    /// The observers' sorted geodetic bits, for `culls_for`.
     observer_bits: Vec<[u64; 3]>,
-    /// Largest observer geocentric radius, km.
-    max_observer_radius_km: f64,
     min_elevation_deg: f64,
+}
+
+/// A prepare's keep test: the grid marked with every widened cap.
+#[derive(Debug)]
+struct Cull {
     grid: DirectionGrid,
+    marked: Vec<bool>,
+    max_observer_radius_km: f64,
 }
 
 /// A geodetic position's exact bit pattern.
@@ -232,8 +180,7 @@ fn geodetic_bits(g: Geodetic) -> [u64; 3] {
 }
 
 impl CullSpec {
-    /// The spec for `observers` at `min_elevation_deg`, or `None` when it
-    /// could cull nothing soundly (module docs).
+    /// The spec, or `None` when it could cull nothing soundly.
     fn new(observers: &[Geodetic], min_elevation_deg: f64) -> Option<CullSpec> {
         let finite =
             |g: &Geodetic| g.lat_deg.is_finite() && g.lon_deg.is_finite() && g.alt_km.is_finite();
@@ -247,50 +194,47 @@ impl CullSpec {
             observers.iter().map(|&g| geodetic_bits(g)).collect();
         observer_bits.sort_unstable();
         observer_bits.dedup();
-        let observers: Vec<CullObserver> = observers
-            .iter()
-            .map(|&g| {
-                let ecef = geodetic_to_ecef(g);
-                CullObserver { direction: direction_deg(ecef), radius_km: ecef.norm() }
-            })
+        let observers = observers.iter().map(|&g| geodetic_to_ecef(g));
+        let observers = observers
+            .map(|ecef| CullObserver { direction: direction_deg(ecef), radius_km: ecef.norm() })
             .collect();
-        let max_observer_radius_km = observers.iter().map(|o| o.radius_km).fold(0.0, f64::max);
-        Some(CullSpec {
-            observers,
-            observer_bits,
-            max_observer_radius_km,
-            min_elevation_deg,
-            grid: DirectionGrid::new(MIN_CELL_DEG),
-        })
+        Some(CullSpec { observers, observer_bits, min_elevation_deg })
     }
 
-    /// The keep set of a key row with ECEF positions `ecef` (module docs,
-    /// *Soundness*), or `None` to keep every satellite.
-    fn keep_set(&self, ecef: &[Option<Vec3>]) -> Option<Vec<bool>> {
-        let speed = (2.0 * wgs72::MU / R_FLOOR_KM).sqrt();
-        let drift_km = speed * KEY_REACH_S;
-        let turn_deg = ((speed / R_FLOOR_KM + OMEGA_EARTH_RAD_S) * KEY_REACH_S).to_degrees();
-        let r_top = ecef.iter().flatten().map(|p| p.norm()).fold(0.0, f64::max) + drift_km;
-        let mut marked = vec![false; self.grid.len()];
+    /// The keep test for orbits inside `envelopes`, or `None` to keep all.
+    fn mark(&self, envelopes: &[&Envelopes]) -> Option<Cull> {
+        let all = envelopes.iter().flat_map(|e| e.sats()).flatten();
+        let r_top = all.clone().map(|e| e.r_max_km).fold(0.0, f64::max);
+        let rate = all.map(|e| e.speed_max_km_s / e.r_min_km).fold(0.0, f64::max);
+        let turn_deg = ((rate + OMEGA_EARTH_RAD_S) * KEY_REACH_S).to_degrees();
+        let grid = DirectionGrid::new(MIN_CELL_DEG);
+        let mut marked = vec![false; grid.len()];
         for o in &self.observers {
             let cap = cap_radius_deg(o.radius_km, r_top, self.min_elevation_deg)? + turn_deg;
             if cap.is_nan() || cap >= FULL_SCAN_CAP_DEG {
                 return None;
             }
-            self.grid.cap_runs(o.direction, cap, |from, to| marked[from..to].fill(true));
+            grid.cap_runs(o.direction, cap, |from, to| marked[from..to].fill(true));
         }
-        let keep = ecef.iter().map(|p| {
-            let Some(p) = p else { return true };
-            let r_low = p.norm() - drift_km;
-            let eligible = r_low >= R_FLOOR_KM && r_low > self.max_observer_radius_km;
-            !eligible || marked[self.grid.cell(*p)]
-        });
-        Some(keep.collect())
+        let max_observer_radius_km = self.observers.iter().map(|o| o.radius_km).fold(0.0, f64::max);
+        Some(Cull { grid, marked, max_observer_radius_km })
     }
 }
 
-/// A lock-free table of per-epoch propagation results for one
-/// [`Constellation`].
+impl Cull {
+    /// The keep set of a key row with ECEF positions `ecef`.
+    fn keep_set(&self, envelopes: &Envelopes, ecef: &[Option<Vec3>]) -> Vec<bool> {
+        let keep = ecef.iter().zip(envelopes.sats()).map(|(p, envelope)| match (p, envelope) {
+            (Some(p), Some(e)) if e.r_min_km > self.max_observer_radius_km => {
+                self.marked[self.grid.cell(*p)]
+            }
+            _ => true,
+        });
+        keep.collect()
+    }
+}
+
+/// A lock-free table of per-epoch propagation for one [`Constellation`].
 #[derive(Debug)]
 pub struct PropagationCache<'a> {
     constellation: &'a Constellation,
@@ -314,11 +258,16 @@ fn epoch(bits: u64) -> JulianDate {
     JulianDate(f64::from_bits(bits))
 }
 
-/// For sorted epoch keys, the index of each epoch's key epoch (module
-/// docs): every epoch lies within [`KEY_REACH_S`] of its key, and a key
-/// sits at most `2 · KEY_REACH_S` after the previous one whenever the
-/// first epoch the previous key does not reach allows it. An epoch within
-/// reach of two keys uses the earlier.
+/// The window of sorted epoch `keys` widened by [`KEY_REACH_S`] each
+/// side: every instant a key row speaks for.
+fn reach_window(keys: &[u64]) -> Option<(JulianDate, JulianDate)> {
+    let (first, last) = (epoch(*keys.first()?), epoch(*keys.last()?));
+    Some((first.plus_seconds(-KEY_REACH_S), last.plus_seconds(KEY_REACH_S)))
+}
+
+/// For sorted epoch keys, the index of each epoch's key: within
+/// [`KEY_REACH_S`] of it, and at most `2 · KEY_REACH_S` after the previous
+/// key whenever the epochs allow. Ties go to the earlier key.
 fn place_keys(keys: &[u64]) -> Vec<usize> {
     let gap = |a: usize, b: usize| epoch(keys[b]).seconds_since(epoch(keys[a]));
     let mut key_of = Vec::with_capacity(keys.len());
@@ -343,9 +292,7 @@ fn place_keys(keys: &[u64]) -> Vec<usize> {
 }
 
 /// Computes `make(item)` for every item across up to `threads` scoped
-/// workers. Workers take interleaved indices and return `(index, row)`
-/// pairs that are merged by index, so the output order — and therefore
-/// everything downstream — is independent of scheduling.
+/// workers, merged by index so the output cannot depend on scheduling.
 fn fill<T: Sync, R: Send>(items: &[T], threads: usize, make: impl Fn(&T) -> R + Sync) -> Vec<R> {
     let threads = threads.max(1).min(items.len().max(1));
     if threads <= 1 {
@@ -440,10 +387,9 @@ impl<'a> PropagationCache<'a> {
         }
     }
 
-    /// Creates an empty cache over `constellation` whose prepared rows
-    /// cull the satellites provably below `min_elevation_deg` from every
-    /// one of `observers` (module docs, *Observer culling*). Its rows
-    /// speak only for those observers at or above that cutoff.
+    /// Creates an empty cache whose prepared rows cull what is provably
+    /// below `min_elevation_deg` from every one of `observers` (module
+    /// docs), speaking only for them at or above that cutoff.
     pub fn for_observers(
         constellation: &'a Constellation,
         observers: &[Geodetic],
@@ -460,10 +406,8 @@ impl<'a> PropagationCache<'a> {
         self.constellation
     }
 
-    /// Whether culled entries of this cache's rows are proven below
-    /// `min_elevation_deg` from `observer`: the observer is one of the
-    /// cache's and the cutoff is at least the cache's. Without culling
-    /// there is nothing to rely on, and the answer is `false`.
+    /// Whether culled entries are proven below `min_elevation_deg` from
+    /// `observer`: one of the cache's observers, at or above its cutoff.
     pub fn culls_for(&self, observer: Geodetic, min_elevation_deg: f64) -> bool {
         self.cull.as_ref().is_some_and(|cull| {
             min_elevation_deg >= cull.min_elevation_deg
@@ -471,16 +415,18 @@ impl<'a> PropagationCache<'a> {
         })
     }
 
-    /// Builds the immutable epoch table: true snapshots for every
-    /// epoch in `truth_epochs` and published-TLE rows for every epoch in
-    /// `published_epochs`, filled by passes fanned across up to `threads`
-    /// scoped workers (≤ 1 fills serially). A culling cache fills its key
-    /// rows first, then the rows they serve (module docs).
-    ///
-    /// Returns `false` (and changes nothing) if the table was already
-    /// built — the table is write-once by design, so callers prepare every
-    /// epoch they need in one call before the hot loops start. Epochs are
-    /// deduplicated.
+    /// The published-orbit envelopes `prepare` computed over the published
+    /// epochs widened by [`KEY_REACH_S`], if any.
+    pub fn published_envelopes(&self) -> Option<&Arc<Envelopes>> {
+        self.prepared.get()?.published_envelopes.as_ref()
+    }
+
+    /// Builds the write-once epoch table: true snapshots at
+    /// `truth_epochs` and published rows at `published_epochs`
+    /// (deduplicated), across up to `threads` scoped workers, plus the
+    /// envelopes. A culling cache marks its grid, then fills its key rows,
+    /// then the rows they serve. Returns `false`, changing nothing, if the
+    /// table was already built.
     pub fn prepare(
         &self,
         truth_epochs: &[JulianDate],
@@ -490,26 +436,50 @@ impl<'a> PropagationCache<'a> {
         if self.prepared.get().is_some() {
             return false;
         }
+        let c = self.constellation;
         let truth_keys = sorted_keys(truth_epochs);
         let published_keys = sorted_keys(published_epochs);
-        let (truth_rows, truth_culled) = self.fill_kind::<Snapshot>(&truth_keys, threads);
-        let (published_rows, published_culled) =
-            self.fill_kind::<PublishedRow>(&published_keys, threads);
+        let published_envelopes = reach_window(&published_keys)
+            .map(|(from, to)| Arc::new(c.published_envelopes(from, to)));
+        let truth_envelopes = self.cull.as_ref().and_then(|_| reach_window(&truth_keys));
+        let truth_envelopes = truth_envelopes.map(|(from, to)| c.true_envelopes(from, to));
+        let kinds: Vec<&Envelopes> =
+            truth_envelopes.iter().chain(published_envelopes.as_deref()).collect();
+        let cull = self.cull.as_ref().and_then(|spec| spec.mark(&kinds));
+        let (truth_rows, truth_culled) = self.fill_kind::<Snapshot>(
+            &truth_keys,
+            threads,
+            cull.as_ref(),
+            truth_envelopes.as_ref(),
+        );
+        let (published_rows, published_culled) = self.fill_kind::<PublishedRow>(
+            &published_keys,
+            threads,
+            cull.as_ref(),
+            published_envelopes.as_deref(),
+        );
         let table = PreparedEpochs {
             truth_keys,
             truth_rows,
             published_keys,
             published_rows,
+            published_envelopes,
             culled: truth_culled + published_culled,
         };
         self.prepared.set(table).is_ok()
     }
 
-    /// The rows of one kind at sorted epoch `keys`, and how many
-    /// satellite-rows culling skipped.
-    fn fill_kind<R: RowKind>(&self, keys: &[u64], threads: usize) -> (Vec<Arc<R>>, usize) {
+    /// The rows of one kind at sorted epoch `keys`, culled when there is a
+    /// keep test, and how many satellite-rows culling skipped.
+    fn fill_kind<R: RowKind>(
+        &self,
+        keys: &[u64],
+        threads: usize,
+        cull: Option<&Cull>,
+        envelopes: Option<&Envelopes>,
+    ) -> (Vec<Arc<R>>, usize) {
         let c = self.constellation;
-        let Some(cull) = &self.cull else {
+        let (Some(cull), Some(envelopes)) = (cull, envelopes) else {
             return (fill(keys, threads, |&k| Arc::new(R::full(c, epoch(k)))), 0);
         };
         let key_of = place_keys(keys);
@@ -519,10 +489,8 @@ impl<'a> PropagationCache<'a> {
         let key_rows = fill(&key_indices, threads, |&i| {
             let at = epoch(keys[i]);
             let mut row = R::full(c, at);
-            let keep = cull.keep_set(&row.ecef(at));
-            if let Some(keep) = &keep {
-                row.mark_key(keep, at);
-            }
+            let keep = cull.keep_set(envelopes, &row.ecef(at));
+            row.mark_key(&keep, at);
             (Arc::new(row), keep)
         });
         // Then every other row, through its key's keep set.
@@ -530,14 +498,11 @@ impl<'a> PropagationCache<'a> {
         let rows = fill(&indices, threads, |&i| {
             let key = key_of[i];
             let (key_row, keep) = &key_rows[key_indices.partition_point(|&k| k < key)];
-            match keep {
-                _ if i == key => (Arc::clone(key_row), 0),
-                Some(keep) => {
-                    let row = R::kept(c, epoch(keys[i]), keep, epoch(keys[key]));
-                    (Arc::new(row), keep.iter().filter(|&&k| !k).count())
-                }
-                None => (Arc::new(R::full(c, epoch(keys[i]))), 0),
+            if i == key {
+                return (Arc::clone(key_row), 0);
             }
+            let row = R::kept(c, epoch(keys[i]), keep, epoch(keys[key]));
+            (Arc::new(row), keep.iter().filter(|&&k| !k).count())
         });
         let culled = rows.iter().map(|(_, n)| n).sum();
         (rows.into_iter().map(|(row, _)| row).collect(), culled)
@@ -567,17 +532,14 @@ impl<'a> PropagationCache<'a> {
         }
     }
 
-    /// True-position snapshot at `at` (bit-exact key), from the prepared
-    /// table or, for an unprepared epoch, propagated on the spot. A
-    /// culling cache's prepared snapshot holds `None` for culled
-    /// satellites.
+    /// True-position snapshot at `at` (bit-exact key), prepared or
+    /// propagated on the spot; culled satellites read `None`.
     pub fn snapshot(&self, at: JulianDate) -> Arc<Snapshot> {
         self.lookup(at, |p| (&p.truth_keys, &p.truth_rows), || self.constellation.snapshot(at))
     }
 
-    /// Published-TLE TEME positions of the catalog at `at`, from the
-    /// prepared table or, for an unprepared epoch, propagated on the spot
-    /// at full width.
+    /// Published-TLE TEME positions at `at`, prepared or propagated on the
+    /// spot at full width.
     pub fn published_positions(&self, at: JulianDate) -> Arc<PublishedRow> {
         self.lookup(
             at,
@@ -606,6 +568,7 @@ impl<'a> PropagationCache<'a> {
 mod tests {
     use super::*;
     use crate::builder::ConstellationBuilder;
+    use crate::envelope::Envelope;
 
     fn mini() -> Constellation {
         ConstellationBuilder::starlink_mini().seed(42).build()
@@ -804,8 +767,8 @@ mod tests {
                 );
             }
         }
-        // On the engine's 15-s grid one key serves four epochs.
-        let keys = &cases[0];
+        // On the engine's 15-s grid one key serves twelve epochs.
+        let keys = &spaced(&[15.0; 119]);
         let mut distinct = place_keys(keys);
         distinct.dedup();
         assert_eq!(distinct.len(), 10, "{distinct:?}");
@@ -843,7 +806,7 @@ mod tests {
             }
             let row = culled.published_positions(at);
             for (i, (a, b)) in c.published_row(at).iter().zip(row.positions()).enumerate() {
-                if row.is_culled(i) {
+                if row.is_dismissed(i) && b.is_none() {
                     assert!(b.is_none());
                 } else {
                     assert_eq!(a.map(vec_bits), b.map(vec_bits));
@@ -855,35 +818,54 @@ mod tests {
     }
 
     /// The documented keep test, written out independently of the cache:
-    /// whether the key-row position `p_k` (ECEF) may be culled for
-    /// `observers` at `cutoff`, given the key row's largest radius.
-    fn documented_cull(p_k: Vec3, row_max_km: f64, observers: &[Geodetic], cutoff: f64) -> bool {
-        let speed = (2.0 * wgs72::MU / R_FLOOR_KM).sqrt();
-        let t = KEY_REACH_S;
-        let r_top = row_max_km + speed * t;
-        let r_low = p_k.norm() - speed * t;
-        let turn = (speed / R_FLOOR_KM + OMEGA_EARTH_RAD_S) * t;
+    /// whether the key-row position `p_k` (ECEF) of a satellite with
+    /// envelope `env` may be culled for `observers` at `cutoff`, given the
+    /// highest ceiling `r_top` and fastest `v_max / r_min` `rate` of any
+    /// envelope of either kind.
+    fn documented_cull(
+        p_k: Vec3,
+        env: Option<Envelope>,
+        (r_top, rate): (f64, f64),
+        observers: &[Geodetic],
+        cutoff: f64,
+    ) -> bool {
+        let Some(env) = env else { return false };
+        let turn = (rate + OMEGA_EARTH_RAD_S) * KEY_REACH_S;
         observers.iter().all(|&o| {
             let o = geodetic_to_ecef(o);
             let e = (cutoff - 0.25).to_radians();
             let psi = ((o.norm() / r_top) * e.cos()).acos() - e + 0.02f64.to_radians();
             let angle = p_k.unit().dot(o.unit()).clamp(-1.0, 1.0).acos();
-            r_low >= R_FLOOR_KM && r_low > o.norm() && angle > psi + turn
+            env.r_min_km > o.norm() && angle > psi + turn
         })
+    }
+
+    /// The envelopes `prepare` computes for `epochs` of both kinds, and
+    /// their highest ceiling and fastest turn rate.
+    fn prepared_envelopes(c: &Constellation, epochs: &[JulianDate]) -> [Envelopes; 2] {
+        let (from, to) = reach_window(&sorted_keys(epochs)).expect("epochs");
+        [c.true_envelopes(from, to), c.published_envelopes(from, to)]
+    }
+
+    fn extremes(kinds: &[Envelopes]) -> (f64, f64) {
+        let all = kinds.iter().flat_map(|e| e.sats()).flatten();
+        let r_top = all.clone().map(|e| e.r_max_km).fold(0.0, f64::max);
+        (r_top, all.map(|e| e.speed_max_km_s / e.r_min_km).fold(0.0, f64::max))
     }
 
     #[test]
     fn every_culled_satellite_meets_the_documented_bound() {
         // Each culled entry is checked against the documented condition at
         // its key, and — against direct propagation — the premises the
-        // argument rests on: within the reach the radius stays in
-        // [r_k − v·T, r_k + v·T] and the direction turns no faster than
-        // v_esc(F)/F + ω⊕.
+        // argument rests on: within the reach the radius stays inside the
+        // satellite's envelope and the direction turns no faster than
+        // v_max/r_min + ω⊕.
         let c = ConstellationBuilder::starlink_gen1().seed(3).build();
         let epochs = slot_epochs(24);
         let observers = sites();
-        let speed = (2.0 * wgs72::MU / R_FLOOR_KM).sqrt();
-        let rate = speed / R_FLOOR_KM + OMEGA_EARTH_RAD_S;
+        let kinds = prepared_envelopes(&c, &epochs);
+        let extremes = extremes(&kinds);
+        let [truth_env, published_env] = &kinds;
         for cutoff in [25.0, 0.0, 60.0] {
             let cache = PropagationCache::for_observers(&c, &observers, cutoff);
             assert!(cache.prepare(&epochs, &epochs, 1));
@@ -894,11 +876,7 @@ mod tests {
                 let (at, key) = (epoch(keys[i]), epoch(keys[k]));
                 assert!(at.seconds_since(key).abs() <= KEY_REACH_S);
                 let truth_key = c.snapshot(key);
-                let truth_max = truth_key.entries().iter().flatten().map(|e| e.ecef.norm());
-                let truth_max = truth_max.fold(0.0, f64::max);
                 let published_key: Vec<Option<Vec3>> = PublishedRow::full(&c, key).ecef(key);
-                let published_max =
-                    published_key.iter().flatten().map(|p| p.norm()).fold(0.0, f64::max);
                 let snap = cache.snapshot(at);
                 let row = cache.published_positions(at);
                 assert_eq!(row.cull_key().map(|k| k.0.to_bits()), Some(keys[k]));
@@ -907,8 +885,9 @@ mod tests {
                         snap.entries()[si].is_none() && truth_key.entries()[si].is_some();
                     if truth_culled {
                         let p_k = truth_key.entries()[si].map(|e| e.ecef).unwrap_or(Vec3::ZERO);
+                        let env = truth_env.sats()[si];
                         assert!(
-                            documented_cull(p_k, truth_max, &observers, cutoff),
+                            documented_cull(p_k, env, extremes, &observers, cutoff),
                             "truth {si} at {i}"
                         );
                         checked += 1;
@@ -917,24 +896,24 @@ mod tests {
                         continue;
                     }
                     let p_k = published_key[si].unwrap_or(Vec3::ZERO);
+                    let env = published_env.sats()[si];
                     assert!(
-                        documented_cull(p_k, published_max, &observers, cutoff),
+                        documented_cull(p_k, env, extremes, &observers, cutoff),
                         "published {si} at {i}"
                     );
                     checked += 1;
                     // Premises, on a sample of satellites and instants.
+                    let Some(env) = env else { continue };
                     if si % 97 != 0 || i != k + 1 {
                         continue;
                     }
+                    let rate = env.speed_max_km_s / env.r_min_km + OMEGA_EARTH_RAD_S;
                     for step in -6..=6 {
                         let dt = KEY_REACH_S * step as f64 / 6.0;
                         let t = key.plus_seconds(dt);
                         let Some(teme) = sat.published_position(t) else { continue };
                         let p = Mat3::rot_z(t.gmst_rad()) * teme;
-                        assert!(
-                            p.norm() >= R_FLOOR_KM && p.norm() >= p_k.norm() - speed * dt.abs()
-                        );
-                        assert!(p.norm() <= p_k.norm() + speed * dt.abs());
+                        assert!(p.norm() >= env.r_min_km && p.norm() <= env.r_max_km);
                         let turned = p.cross(p_k).norm().atan2(p.dot(p_k));
                         assert!(turned <= rate * dt.abs(), "turned {turned} in {dt} s");
                         premises += 1;
@@ -957,9 +936,10 @@ mod tests {
         // exact in latitude: a cap drawn even slightly narrower than the
         // documented one culls a satellite there.
         let cutoff = 25.0;
-        let speed = (2.0 * wgs72::MU / R_FLOOR_KM).sqrt();
         let (low, high) = (6900.0, 6960.0);
-        let r_top = high + speed * KEY_REACH_S;
+        let t0 = JulianDate::from_ymd_hms(2023, 6, 1, 16, 0, 0.0);
+        let envelope =
+            |r: f64| Envelope { r_min_km: r - 8.0, r_max_km: r + 8.0, speed_max_km_s: 7.7 };
         let e = (cutoff - 0.25f64).to_radians();
         for j in 0..30 {
             let site = Geodetic::new(40.0 + 0.05 * j as f64, -91.53, 0.2);
@@ -968,23 +948,32 @@ mod tests {
             let up = o.unit();
             let east = Vec3::new(-up.y, up.x, 0.0).unit();
             let north = up.cross(east);
-            let psi = ((o.norm() / r_top) * e.cos()).acos() - e + 0.02f64.to_radians();
-            let cap = psi + (speed / R_FLOOR_KM + OMEGA_EARTH_RAD_S) * KEY_REACH_S;
             let offsets =
                 (1..=40).map(|k| -0.005 * k as f64).chain((1..=60).map(|k| 0.05 * k as f64));
             let offsets: Vec<f64> = offsets.collect();
-            let (mut row, mut inside) = (Vec::new(), Vec::new());
+            let (mut row, mut inside, mut sats) = (Vec::new(), Vec::new(), Vec::new());
+            for r in [low, high] {
+                sats.push(Some(envelope(r)));
+            }
+            let envelopes = Envelopes { from: t0, to: t0, sats: sats.clone() };
+            let (r_top, rate) = extremes(std::slice::from_ref(&envelopes));
+            let psi = ((o.norm() / r_top) * e.cos()).acos() - e + 0.02f64.to_radians();
+            let cap = psi + (rate + OMEGA_EARTH_RAD_S) * KEY_REACH_S;
+            let mut row_sats = Vec::new();
             for az in (0..36).map(|k| (10.0 * k as f64).to_radians()) {
                 for &offset in &offsets {
                     let theta = cap + offset.to_radians();
                     let d = up * theta.cos() + (north * az.cos() + east * az.sin()) * theta.sin();
-                    for r in [low, high] {
+                    for (r, env) in [low, high].into_iter().zip(&sats) {
                         row.push(Some(d * r));
+                        row_sats.push(*env);
                         inside.push(offset < 0.0);
                     }
                 }
             }
-            let keep = spec.keep_set(&row).expect("a finite cap");
+            let envelopes = Envelopes { from: t0, to: t0, sats: row_sats };
+            let cull = spec.mark(&[&envelopes]).expect("a finite cap");
+            let keep = cull.keep_set(&envelopes, &row);
             for (i, (&keep, &inside)) in keep.iter().zip(&inside).enumerate() {
                 assert!(keep || !inside, "{site:?}: satellite {i} inside the cap was culled");
             }

@@ -1,5 +1,6 @@
 //! The satellite catalog: per-satellite state and field-of-view queries.
 
+use crate::envelope::Envelopes;
 use crate::index::VisibilityIndex;
 use starsense_astro::frames::{Geodetic, LookAngles, Topocentric};
 use starsense_astro::mat3::Mat3;
@@ -101,6 +102,16 @@ impl Satellite {
     /// [`Satellite::true_position`].
     pub fn published_position(&self, at: JulianDate) -> Option<Vec3> {
         self.published_sgp4.position(at).ok().and_then(above_decay_floor)
+    }
+
+    /// The truth propagator.
+    pub(crate) fn truth_sgp4(&self) -> &Sgp4 {
+        &self.truth
+    }
+
+    /// The published-TLE propagator.
+    pub(crate) fn published_sgp4(&self) -> &Sgp4 {
+        &self.published_sgp4
     }
 
     /// Age of the satellite at `at`, in days since launch.
@@ -266,6 +277,18 @@ impl Constellation {
     /// [`Constellation::sats`].
     pub fn published_row(&self, at: JulianDate) -> Vec<Option<Vec3>> {
         self.sats.iter().map(|sat| sat.published_position(at)).collect()
+    }
+
+    /// Every satellite's truth-orbit [`Envelope`](crate::Envelope) over
+    /// `[from, to]`.
+    pub fn true_envelopes(&self, from: JulianDate, to: JulianDate) -> Envelopes {
+        Envelopes::new(self.sats.iter().map(Satellite::truth_sgp4), from, to)
+    }
+
+    /// Every satellite's published-TLE [`Envelope`](crate::Envelope) over
+    /// `[from, to]`.
+    pub fn published_envelopes(&self, from: JulianDate, to: JulianDate) -> Envelopes {
+        Envelopes::new(self.sats.iter().map(Satellite::published_sgp4), from, to)
     }
 
     /// Every satellite among `candidates` above `min_elevation_deg` as seen

@@ -31,17 +31,17 @@
 mod builder;
 mod cache;
 mod catalog;
+mod envelope;
 mod feed;
 mod index;
 mod shell;
 
 pub use builder::ConstellationBuilder;
-pub use cache::{
-    CacheStats, PropagationCache, PublishedRow, KEY_REACH_S, OMEGA_EARTH_RAD_S, R_FLOOR_KM,
-};
+pub use cache::{CacheStats, PropagationCache, PublishedRow, KEY_REACH_S, OMEGA_EARTH_RAD_S};
 pub use catalog::{
     Constellation, LaunchBatch, Satellite, Snapshot, SnapshotEntry, VisibleSat, DECAY_ALTITUDE_KM,
 };
+pub use envelope::{Envelope, Envelopes};
 pub use feed::{load_catalog_text, CatalogLoad};
 pub use index::VisibilityIndex;
 pub use shell::{Shell, WalkerSlot};

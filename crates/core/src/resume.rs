@@ -913,7 +913,9 @@ mod tests {
     use crate::vantage::paper_terminals;
     use starsense_astro::time::JulianDate;
     use starsense_constellation::ConstellationBuilder;
-    use starsense_ident::{slot_boundary_epochs, CANDIDATE_SAMPLES_PER_SLOT};
+    use starsense_ident::{
+        slot_boundary_epochs, TrackCache, CANDIDATE_SAMPLES_PER_SLOT, MIN_CANDIDATE_ELEVATION_DEG,
+    };
     use starsense_scheduler::slots::{slot_start, SLOT_PERIOD_SECONDS};
 
     #[test]
@@ -921,7 +923,9 @@ mod tests {
         // The engine's own segment cache, prepared as `run_segment`
         // prepares it, over 40 slots of the paper's four terminals on gen1.
         // A cache that silently fell back to full width would keep every
-        // satellite-row.
+        // satellite-row. Per-satellite orbit envelopes keep 18.2% (31.9%
+        // with the catalog-wide bounds they replaced), and Iowa's track
+        // cache propagates 23,282 interior samples (27,188 before).
         let c = ConstellationBuilder::starlink_gen1().seed(1).build();
         let campaign = Campaign::identified(&c, paper_terminals(), CampaignConfig::default(), 1);
         let from = slot_start(JulianDate::from_ymd_hms(2023, 6, 1, 16, 0, 0.0));
@@ -937,9 +941,17 @@ mod tests {
         let satellite_rows = (stats.truth_entries + stats.published_entries) * c.len();
         let kept = satellite_rows - stats.culled;
         assert!(
-            kept as f64 <= 0.35 * satellite_rows as f64,
+            kept as f64 <= 0.20 * satellite_rows as f64,
             "kept {kept} of {satellite_rows} satellite-rows: {stats:?}"
         );
+        let iowa = campaign.terminals[0].location;
+        let mut tracks =
+            TrackCache::new(&cache, iowa, MIN_CANDIDATE_ELEVATION_DEG, CANDIDATE_SAMPLES_PER_SLOT);
+        for &s in &starts {
+            let _ = tracks.candidate_tracks(s);
+        }
+        let interior = tracks.stats().interior_propagations;
+        assert!(interior <= 23_500, "{interior} interior propagations: {:?}", tracks.stats());
     }
 
     #[test]

@@ -39,7 +39,7 @@ mod tle;
 
 pub use elements::Elements;
 pub use error::Sgp4Error;
-pub use propagator::{Sgp4, State};
+pub use propagator::{Sgp4, Sgp4Terms, State};
 pub use tle::{checksum, CatalogDefect, Tle, TleError};
 
 /// WGS-72 gravitational and geometric constants used by SGP4.

@@ -24,6 +24,42 @@ pub struct State {
     pub velocity_km_s: Vec3,
 }
 
+/// The initialized coefficients that bound where an orbit can be, read
+/// through [`Sgp4::terms`]: Earth radii, radians and minutes past epoch.
+/// A term the propagator does not apply (the simplified drag model below a
+/// 220-km perigee drops the higher drag terms) reads 0.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Sgp4Terms {
+    /// Element-set epoch.
+    pub epoch: JulianDate,
+    /// Mean eccentricity at epoch.
+    pub ecco: f64,
+    /// Un-Kozai'd semi-major axis and mean motion (rad/min).
+    pub ao: f64,
+    /// See `ao`.
+    pub no_unkozai: f64,
+    /// `[cc1, d2, d3, d4]`: the semi-major axis is `ao·tempa²`, with
+    /// `tempa = 1 − cc1·t − d2·t² − d3·t³ − d4·t⁴`.
+    pub tempa: [f64; 4],
+    /// `[B*·cc4, B*·cc5, sin M₀]`: the eccentricity loses
+    /// `B*·cc4·t + B*·cc5·(sin M − sin M₀)`.
+    pub tempe: [f64; 3],
+    /// `[t2cof, t3cof, t4cof, t5cof]`: the mean anomaly gains the mean
+    /// motion times `t2cof·t² + … + t5cof·t⁵`.
+    pub templ: [f64; 4],
+    /// J3 long-period term, over `a(1 − e²)`, in the eccentricity vector.
+    pub aycof: f64,
+    /// `[3cos²i − 1, 1 − cos²i, 7cos²i − 1]`: the J2 short-period
+    /// amplitudes' inclination factors.
+    pub short_period: [f64; 3],
+    /// Sine and cosine of the mean inclination.
+    pub sinio: f64,
+    /// See `sinio`.
+    pub cosio: f64,
+    /// Secular rates of the mean anomaly, argument of perigee and node.
+    pub secular: [f64; 3],
+}
+
 /// An initialized SGP4 propagator for one element set.
 ///
 /// Initialization is the expensive part of SGP4; one `Sgp4` can then be
@@ -266,6 +302,29 @@ impl Sgp4 {
     /// Element-set epoch this propagator was initialized at.
     pub fn epoch(&self) -> JulianDate {
         self.epoch
+    }
+
+    /// The coefficients that bound the orbit's radius and speed (a copy;
+    /// propagation does not read it).
+    pub fn terms(&self) -> Sgp4Terms {
+        Sgp4Terms {
+            epoch: self.epoch,
+            ecco: self.ecco,
+            ao: self.ao,
+            no_unkozai: self.no_unkozai,
+            tempa: [self.cc1, self.d2, self.d3, self.d4],
+            tempe: [
+                self.bstar * self.cc4,
+                if self.isimp { 0.0 } else { self.bstar * self.cc5 },
+                self.sinmao,
+            ],
+            templ: [self.t2cof, self.t3cof, self.t4cof, self.t5cof],
+            aycof: self.aycof,
+            short_period: [self.con41, self.x1mth2, self.x7thm1],
+            sinio: self.sinio,
+            cosio: self.cosio,
+            secular: [self.mdot, self.argpdot, self.nodedot],
+        }
     }
 
     /// Propagates to an absolute UTC instant.
