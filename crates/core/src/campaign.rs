@@ -22,9 +22,9 @@
 //! that engine with checkpointing off. Each call first builds every
 //! terminal's immutable [`SiteGeometry`] (GSO zone, ECEF direction and
 //! radius) once, in parallel over the shard ranges. Each segment of the
-//! slot window (the whole window when checkpointing is off) then runs in
-//! two phases, three in identified mode, around a shared
-//! [`PropagationCache`]:
+//! slot window (at most 96 slots, whether or not checkpointing is on; see
+//! [`crate::resume`]) then runs in two phases, three in identified mode,
+//! around a segment's own [`PropagationCache`]:
 //!
 //! 1. **Prepare** (parallel) — every epoch the segment will touch (each
 //!    slot's truth snapshot, plus — in identified mode — each slot's two

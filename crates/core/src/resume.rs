@@ -5,11 +5,15 @@
 //!
 //! [`Campaign::run_resumable`] is the campaign engine; [`Campaign::run`]
 //! calls it with checkpointing off. It splits the slot window into
-//! *segments* of [`ResumeConfig::checkpoint_every`] slots (one segment
-//! when checkpointing is off). Each segment runs the campaign phases
-//! (prepare → schedule → identify, the last in identified mode only; see
-//! [`crate::campaign`]), and every stateful component is owned by the
-//! engine between segments:
+//! *segments* of at most 96 slots, the engine's window, whether or not
+//! checkpointing is on: a segment ends at the window's end, at the next
+//! multiple of [`ResumeConfig::checkpoint_every`], or at the campaign's
+//! end, whichever comes first. A segment's propagation table holds a row
+//! per slot until the segment ends, so the window, and not the campaign's
+//! length, bounds the engine's memory. Each segment runs the campaign
+//! phases (prepare → schedule → identify, the last in identified mode
+//! only; see [`crate::campaign`]), and every stateful component is owned
+//! by the engine between segments:
 //!
 //! * per-terminal scheduler state ([`TerminalSchedState`]: RNG stream +
 //!   hysteresis key), kept shard-layout free so a resume may use a
@@ -18,8 +22,9 @@
 //!   previous slot capture the XOR differencing baselines against;
 //! * the accumulated observation stream.
 //!
-//! With checkpointing on, the state is serialized after each segment into
-//! a checksummed [`starsense_checkpoint`] snapshot and streamed to disk
+//! With checkpointing on, the state is serialized at each multiple of
+//! `checkpoint_every` and at the campaign's end into a checksummed
+//! [`starsense_checkpoint`] snapshot and streamed to disk
 //! with [`write_snapshot_rotating`] (atomic rename + a rotating last-good
 //! backup). A later call with the same campaign finds the snapshot via
 //! [`load_latest`], validates a configuration fingerprint, restores, and
@@ -35,10 +40,11 @@
 //! is a pure function of (catalog, terminal, slot), so, like the caches,
 //! it is rebuilt rather than serialized: a resume replays the done slots'
 //! fields of view through the schedule phase's own call,
-//! `Campaign::fields_of_view`, one `checkpoint_every`-sized chunk (one
-//! propagation table) at a time. That replay is the price of a resume —
-//! the schedule phase's field-of-view share of the done slots — and,
-//! since the configuration fingerprint covers inputs and not code, a
+//! `Campaign::fields_of_view`, one propagation table at a time, each over
+//! `checkpoint_every` slots or the window, whichever is shorter, so a
+//! resume's memory is bounded like a run's. That replay is the price of a
+//! resume — the schedule phase's field-of-view share of the done slots —
+//! and, since the configuration fingerprint covers inputs and not code, a
 //! resume under a changed build rebuilds old skies with the new code.
 //!
 //! # Failures
@@ -48,7 +54,7 @@
 //! replay a panic bit for bit, so the engine neither catches nor retries:
 //! a worker panic propagates to the caller with its own payload and ends
 //! the run. The recovery is the last durable checkpoint — a later call
-//! resumes from it and recomputes only the lost segment. No slot is ever
+//! resumes from it and recomputes only the slots since. No slot is ever
 //! filled with data the run did not measure.
 //!
 //! # Wire format
@@ -90,6 +96,13 @@ use starsense_obstruction::ObstructionMap;
 use starsense_scheduler::slots::{slot_index, slot_start, SLOT_PERIOD_SECONDS};
 use starsense_scheduler::{SiteGeometry, TerminalSchedState};
 
+/// Most slots one segment runs. A segment's propagation table holds a row
+/// per slot until the segment ends, so this window, and not the campaign's
+/// length or checkpoint cadence, bounds the engine's memory. 96 slots is
+/// 24 minutes, eight of the table's twelve-slot key spacings, so the extra
+/// prepares of a long run cost little.
+const SEGMENT_WINDOW: usize = 96;
+
 /// Campaign-state payload layout version (inside the checkpoint
 /// container, which versions itself separately). Version 3 dropped the
 /// observation count that prefixed [`SEC_OBS`]; version 4 dropped the
@@ -115,10 +128,12 @@ pub struct ResumeConfig {
     /// Snapshot path. The engine also writes `<path>.prev` (rotating
     /// last-good backup) and `<path>.tmp` (atomic-write staging).
     pub checkpoint_path: PathBuf,
-    /// Slots per segment; a checkpoint is written after every segment.
-    /// `0` disables checkpointing: the run executes as one segment,
-    /// reads and writes nothing, and ignores
-    /// [`ResumeConfig::checkpoint_path`].
+    /// Slots between checkpoints: one is written at every multiple of
+    /// this count and at the campaign's end. `0` disables checkpointing:
+    /// the run reads and writes nothing and ignores
+    /// [`ResumeConfig::checkpoint_path`]. Either way the engine splits
+    /// the run into segments of at most its 96-slot window (see the
+    /// module docs).
     pub checkpoint_every: usize,
     /// Stop (successfully, with [`ResumeReport::completed`] `false`)
     /// after writing this many checkpoints. This is the in-process kill
@@ -162,7 +177,10 @@ pub struct ResumeReport {
     pub corrupt_discarded: u32,
     /// Checkpoints written by this call.
     pub checkpoints_written: usize,
-    /// Segments executed by this call.
+    /// Segments executed by this call. A segment ends at the engine's
+    /// 96-slot window, at a checkpoint or at the campaign's end,
+    /// whichever comes first, so a run without checkpoints runs
+    /// `ceil(slots / 96)` of them.
     pub segments_run: usize,
     /// Whether the campaign ran to its final slot. `false` only when
     /// [`ResumeConfig::stop_after_checkpoints`] stopped it early.
@@ -307,23 +325,29 @@ impl<'a> Campaign<'a> {
         };
 
         while state.done < slots {
-            let seg_len = match opts.checkpoint_every {
-                0 => slots - state.done,
-                n => n.min(slots - state.done),
+            // The next checkpoint is at the next multiple of the cadence,
+            // or at the campaign's end; a segment stops at it or earlier,
+            // at the window's end.
+            let next_checkpoint = match opts.checkpoint_every {
+                0 => slots,
+                n => (state.done / n + 1).saturating_mul(n).min(slots),
             };
-            let seg_mids = &mids[state.done..state.done + seg_len];
+            let seg_end = next_checkpoint.min(state.done + SEGMENT_WINDOW);
+            let seg_mids = &mids[state.done..seg_end];
             let logged = state.obs.len();
             self.run_segment(&mut state, &sites, seg_mids, threads);
             report.segments_run += 1;
-            if let Some((fingerprint, log)) = &mut checkpointing {
-                log.append(&state.obs[logged..]);
-                self.write_checkpoint(&state, log, *fingerprint, first_mid, slots, opts)?;
-                report.checkpoints_written += 1;
-                if let Some(stop) = opts.stop_after_checkpoints {
-                    if report.checkpoints_written >= stop && state.done < slots {
-                        let stats = DegradationStats::collect(&state.obs);
-                        return Ok((state.obs, stats, report));
-                    }
+            let Some((fingerprint, log)) = &mut checkpointing else { continue };
+            log.append(&state.obs[logged..]);
+            if state.done < next_checkpoint {
+                continue;
+            }
+            self.write_checkpoint(&state, log, *fingerprint, first_mid, slots, opts)?;
+            report.checkpoints_written += 1;
+            if let Some(stop) = opts.stop_after_checkpoints {
+                if report.checkpoints_written >= stop && state.done < slots {
+                    let stats = DegradationStats::collect(&state.obs);
+                    return Ok((state.obs, stats, report));
                 }
             }
         }
@@ -682,8 +706,8 @@ impl<'a> Campaign<'a> {
     /// Rebuilds the observations of the slots at `mids` from their
     /// `records` (slot-major, terminal-minor). Each slot's skies come from
     /// [`Campaign::fields_of_view`] over a propagation table prepared as
-    /// a segment prepares its own, `every` slots at a time, so no more
-    /// than one segment's table is alive at once.
+    /// a segment prepares its own, `every` slots (at most the window) at
+    /// a time, so no more than one segment's table is alive at once.
     fn replay(
         &self,
         records: Vec<ObsRecord>,
@@ -694,7 +718,7 @@ impl<'a> Campaign<'a> {
     ) -> Result<Vec<SlotObservation>, CampaignError> {
         let mut obs = Vec::with_capacity(records.len());
         let mut records = records.into_iter();
-        for chunk in mids.chunks(every) {
+        for chunk in mids.chunks(every.min(SEGMENT_WINDOW)) {
             let cache = self.propagation_cache();
             let starts: Vec<JulianDate> = chunk.iter().map(|&at| slot_start(at)).collect();
             cache.prepare(&starts, &[], threads);

@@ -11,7 +11,9 @@ use std::path::PathBuf;
 
 use starsense_astro::frames::Geodetic;
 use starsense_astro::time::JulianDate;
-use starsense_checkpoint::{atomic_write, CheckpointError, LoadedFrom, Snapshot, SnapshotBuilder};
+use starsense_checkpoint::{
+    atomic_write, ByteReader, CheckpointError, LoadedFrom, Snapshot, SnapshotBuilder,
+};
 use starsense_constellation::{Constellation, ConstellationBuilder};
 use starsense_core::campaign::{Campaign, CampaignConfig, CampaignError};
 use starsense_core::resume::{
@@ -548,6 +550,51 @@ fn gen1_identified_segmentations_reproduce_the_one_shot_stream() {
         assert!(report.completed);
         assert_eq!(report.checkpoints_written, slots.div_ceil(every));
         assert_eq!(fingerprint_observations(&obs), one_shot, "checkpoint_every {every}");
+    }
+}
+
+/// The done-slot count a snapshot file records in its `META` section.
+fn snapshot_done(path: &std::path::Path) -> usize {
+    let bytes = std::fs::read(path).expect("snapshot written");
+    let snap = Snapshot::parse(&bytes).expect("valid snapshot");
+    let mut meta = ByteReader::new(snap.require_section(SEC_META).expect("META section"));
+    meta.get_u32("version").expect("version");
+    meta.get_u64("fingerprint").expect("fingerprint");
+    meta.get_f64_bits("first mid").expect("first mid");
+    meta.get_usize("total slots").expect("total slots");
+    meta.get_usize("done slots").expect("done slots")
+}
+
+#[test]
+fn kill_resume_chain_across_segment_windows_checkpoints_on_the_cadence() {
+    // The engine caps a segment at 96 slots. A cadence longer than that
+    // window, and not a multiple of it, splits each checkpoint interval
+    // into two segments: a full window and the rest. Checkpoints still
+    // land on multiples of the cadence and at the end, and a chain killed
+    // at every one of them reproduces the one-shot stream.
+    const WINDOW: usize = 96;
+    let every = WINDOW + 13;
+    let slots = 2 * every + 17;
+    let c = mini();
+    for mode in [Mode::Oracle, Mode::Identified, Mode::Faulted] {
+        let one_shot = fingerprint_observations(&campaign(&c, mode, 1, 1).run(start(), slots));
+        let campaign = campaign(&c, mode, 2, 2);
+        let (_dir, path) = scratch(&format!("windows-{mode:?}"));
+        let chain = ResumeConfig { stop_after_checkpoints: Some(1), ..opts(path.clone(), every) };
+        // (resumed at, checkpoint written at, segments run) per life.
+        let lives = [(None, every, 2), (Some(every), 2 * every, 2), (Some(2 * every), slots, 1)];
+        for (life, &(resumed_at, done, segments)) in lives.iter().enumerate() {
+            let (obs, _, report) =
+                campaign.run_resumable(start(), slots, &chain).expect("a life runs");
+            assert_eq!(report.resumed_at_slot, resumed_at, "mode {mode:?}, life {life}");
+            assert_eq!(report.checkpoints_written, 1, "mode {mode:?}, life {life}");
+            assert_eq!(report.segments_run, segments, "mode {mode:?}, life {life}");
+            assert_eq!(snapshot_done(&path), done, "mode {mode:?}, life {life}");
+            assert_eq!(report.completed, done == slots, "mode {mode:?}, life {life}");
+            if report.completed {
+                assert_eq!(fingerprint_observations(&obs), one_shot, "mode {mode:?}");
+            }
+        }
     }
 }
 

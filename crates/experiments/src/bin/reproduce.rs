@@ -9,12 +9,33 @@
 //! `STARSENSE_SLOTS` overrides every section's campaign length for a
 //! quick look; `EXPERIMENTS.md` records the defaults, so it is left as
 //! is when the knob is set.
+//!
+//! On Linux the run ends by printing its peak resident set to stderr, as
+//! `reproduce peak RSS (VmHWM): <n> kB`; it never enters `EXPERIMENTS.md`.
+//! CI fails the run above 512 MB.
 
 use starsense_experiments::{paper_results, slots_from_env, splice, write_artifact};
 
 const DOC: &str = "EXPERIMENTS.md";
 
 fn main() {
+    run();
+    #[cfg(target_os = "linux")]
+    if let Some(kb) = peak_rss_kb() {
+        eprintln!("reproduce peak RSS (VmHWM): {kb} kB");
+    }
+}
+
+/// The process's peak resident set (`VmHWM`) in kB, if the kernel reports
+/// it.
+#[cfg(target_os = "linux")]
+fn peak_rss_kb() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    line.split_whitespace().nth(1)?.parse().ok()
+}
+
+fn run() {
     let slots = slots_from_env();
     let results = paper_results(slots);
     for section in &results.sections {

@@ -3,13 +3,14 @@
 //!
 //! World: gen1 seed 42 and the paper's four terminals, 480 slots (two
 //! hours) per campaign, at campaign seeds 42–44 and windows starting at
-//! 00:00 and 12:00 UTC on 2023-06-01. Each claim reads the four-terminal
-//! mean of its statistic, per draw. The bands are the measured draws'
-//! ranges, rounded outward to the printed digit: they may be tightened,
-//! never loosened.
+//! 00:00 and 12:00 UTC on 2023-06-01 (and 06:00 UTC for the sunlit claim
+//! at the US sites). Each claim reads the four-terminal mean of its
+//! statistic, per draw, except the US sunlit claim, which reads each site
+//! on its own. The bands are the measured draws' ranges, rounded outward
+//! to the printed digit: they may be tightened, never loosened.
 
 use starsense::core::model::train_and_evaluate;
-use starsense::core::vantage::IOWA;
+use starsense::core::vantage::{IOWA, ITHACA, MADRID, WASHINGTON};
 use starsense::forest::{ForestParams, MaxFeatures, TreeParams};
 use starsense::prelude::*;
 use std::sync::OnceLock;
@@ -17,11 +18,13 @@ use std::sync::OnceLock;
 const SLOTS: usize = 480;
 const SEEDS: [u64; 3] = [42, 43, 44];
 /// Window starts, UTC hours: the full policy runs both; each ablation runs
-/// the day window, except the sunlit one. In June only Madrid sees sunlit
-/// and dark satellites together, and only near local night, so the sunlit
-/// claim reads the night window at the sites that have such slots.
+/// the day window, except the sunlit one. In June a site sees sunlit and
+/// dark satellites together only near local night, so the sunlit claim
+/// reads the night window, where only Madrid has such slots, and the US
+/// night window.
 const DAY: u32 = 12;
 const NIGHT: u32 = 0;
+const US_NIGHT: u32 = 6;
 
 fn world() -> &'static Constellation {
     static WORLD: OnceLock<Constellation> = OnceLock::new();
@@ -143,6 +146,34 @@ fn sunlit_satellites_are_preferred_at_night() {
         SchedulerPolicy { w_sunlit: 0.0, w_dark_low_elevation: 0.0, ..SchedulerPolicy::default() };
     let ablated = site_means(&draws(&unlit, &[NIGHT]), sunlit_share);
     assert_within("sunlit share, sunlit terms off", &ablated, 0.29, 0.33);
+
+    // At 06:00 UTC the three US sites have mixed slots and Madrid has
+    // none; the claim is read at each US site. Washington's picks are
+    // sunlit with or without the sunlit terms (its bands overlap), so the
+    // ablation's teeth there are Iowa's and New York's.
+    let full_us = draws(&SchedulerPolicy::default(), &[US_NIGHT]);
+    let unlit_us = draws(&unlit, &[US_NIGHT]);
+    let mixed: Vec<usize> =
+        (0..4).filter(|&tid| sunlit_analysis(&full_us[0], tid).mixed_slots > 0).collect();
+    assert_eq!(mixed, [IOWA, ITHACA, WASHINGTON], "sites with mixed slots at 06:00 UTC");
+    assert_eq!(sunlit_analysis(&full_us[0], MADRID).mixed_slots, 0);
+    let bands = [
+        (IOWA, "Iowa", (0.73, 0.75), (0.46, 0.52)),
+        (ITHACA, "New York", (0.92, 0.95), (0.83, 0.86)),
+        (WASHINGTON, "Washington", (0.99, 1.0), (0.98, 1.0)),
+    ];
+    for (tid, site, (lo, hi), (ablated_lo, ablated_hi)) in bands {
+        let shares = |draws: &[Vec<SlotObservation>]| -> Vec<f64> {
+            draws.iter().map(|obs| sunlit_share(obs, tid)).collect()
+        };
+        assert_within(&format!("{site} sunlit share, full policy"), &shares(&full_us), lo, hi);
+        assert_within(
+            &format!("{site} sunlit share, sunlit terms off"),
+            &shares(&unlit_us),
+            ablated_lo,
+            ablated_hi,
+        );
+    }
 }
 
 #[test]
