@@ -4,6 +4,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use starsense_astro::frames::Geodetic;
 use starsense_astro::time::JulianDate;
 use starsense_constellation::{ConstellationBuilder, PropagationCache};
+use starsense_core::campaign::{Campaign, CampaignConfig};
 use starsense_core::vantage::paper_terminals;
 use starsense_dtw::{best_match, dtw_distance, dtw_distance_early_abandon};
 use starsense_ident::{
@@ -157,6 +158,61 @@ fn bench_track_cache(c: &mut Criterion) {
     group.finish();
 }
 
+/// Two consecutive captures of one dish and the slot start between them.
+type FramePair = (ObstructionMap, ObstructionMap, JulianDate);
+
+/// The production identifier over 40 consecutive slots of the paper's
+/// four terminals on gen1, each dish replaying the scheduler's picks, with
+/// a culled cache prepared as the campaign engine prepares it: candidate
+/// tracks with deferred interiors, path bounds and the DTW search.
+fn bench_verdicts(c: &mut Criterion) {
+    let gen1 = ConstellationBuilder::starlink_gen1().seed(1).build();
+    let terminals = paper_terminals();
+    let from = slot_start(JulianDate::from_ymd_hms(2023, 6, 1, 16, 0, 0.0));
+    let obs =
+        Campaign::oracle(&gen1, terminals.clone(), CampaignConfig::default(), 1).run(from, 40);
+    let starts: Vec<JulianDate> =
+        obs.iter().filter(|o| o.terminal_id == 0).map(|o| o.slot_start).collect();
+    let boundaries: Vec<JulianDate> =
+        starts.iter().flat_map(|&s| slot_boundary_epochs(s, 16)).collect();
+    let observers: Vec<Geodetic> = terminals.iter().map(|t| t.location).collect();
+    let cache = PropagationCache::for_observers(&gen1, &observers, 25.0);
+    cache.prepare(&starts, &boundaries, 1);
+    // Each terminal's differenced frame pairs, played once.
+    let pairs: Vec<(Geodetic, Vec<FramePair>)> = terminals
+        .iter()
+        .map(|t| {
+            let mut dish = DishSimulator::new(t.location);
+            let mut prev: Option<ObstructionMap> = None;
+            let mut pairs = Vec::new();
+            for o in obs.iter().filter(|o| o.terminal_id == t.id) {
+                let capture = dish.play_slot(&gen1, o.slot, o.slot_start, o.truth_id);
+                if let Some(p) = prev.filter(|_| !capture.after_reset) {
+                    pairs.push((p, capture.map.clone(), o.slot_start));
+                }
+                prev = Some(capture.map);
+            }
+            (t.location, pairs)
+        })
+        .collect();
+    let mut group = c.benchmark_group("ident");
+    group.sample_size(10);
+    group.bench_function("verdict_slot_tracked_gen1_paper", |b| {
+        b.iter(|| {
+            let mut found = 0;
+            for (loc, pairs) in &pairs {
+                let mut tracks = TrackCache::new(&cache, *loc, 25.0, 16);
+                for (prev, curr, start) in pairs {
+                    let verdict = verdict_slot_tracked(&mut tracks, prev, curr, *start, 0.0);
+                    found += usize::from(verdict.best().is_some());
+                }
+            }
+            black_box(found)
+        })
+    });
+    group.finish();
+}
+
 /// Prepare for 240 slots of the paper's four terminals on gen1, as an
 /// identified campaign prepares it (truth slot starts plus published
 /// boundary rows): at full catalog width, and culled to the terminals'
@@ -213,6 +269,7 @@ criterion_group!(
     bench_obstruction,
     bench_identification,
     bench_track_cache,
+    bench_verdicts,
     bench_prepare,
     bench_stats
 );

@@ -56,6 +56,13 @@
 //! for `h` seconds either way. The margin grows with `v_max` and shrinks
 //! as `r_min` grows.
 //!
+//! **Path bound.** The identifier's deferred candidate tracks rest on the
+//! same envelope: from `r_o < r_min` a satellite is at least `r_min − r_o`
+//! away, so its line of sight turns no faster than `(v_max + ω⊕·r_o)/(r_min
+//! − r_o) + ω⊕`, which bounds the length of its obstruction-plot track
+//! over a slot (`starsense_ident::track_cache`, *Soundness of the path
+//! bound*).
+//!
 //! `prepare` marks each observer's widened cap once on a grid of 1.5°
 //! cells with the index's conservative cover, so a key-row satellite costs
 //! one cell lookup. No key-row entry, a cutoff outside [0°, 90°), no or
@@ -333,6 +340,11 @@ trait RowKind: Sized + Send + Sync {
     fn ecef(&self, at: JulianDate) -> Vec<Option<Vec3>>;
     /// Records, on a key row at `at`, the keep set computed from it.
     fn mark_key(&mut self, _keep: &[bool], _at: JulianDate) {}
+    /// Finishes a row inside the worker that built it, before it is
+    /// shared.
+    fn finish(self) -> Self {
+        self
+    }
 }
 
 impl RowKind for Snapshot {
@@ -346,6 +358,13 @@ impl RowKind for Snapshot {
 
     fn ecef(&self, _at: JulianDate) -> Vec<Option<Vec3>> {
         self.entries().iter().map(|e| e.map(|e| e.ecef)).collect()
+    }
+
+    /// Builds the visibility index every field-of-view query of the row
+    /// reads, so no reader waits on another's build.
+    fn finish(self) -> Snapshot {
+        self.visibility_index();
+        self
     }
 }
 
@@ -422,9 +441,9 @@ impl<'a> PropagationCache<'a> {
     }
 
     /// Builds the write-once epoch table: true snapshots at
-    /// `truth_epochs` and published rows at `published_epochs`
-    /// (deduplicated), across up to `threads` scoped workers, plus the
-    /// envelopes. A culling cache marks its grid, then fills its key rows,
+    /// `truth_epochs`, each with its visibility index, and published rows
+    /// at `published_epochs` (deduplicated), across up to `threads` scoped
+    /// workers, plus the envelopes. A culling cache marks its grid, then fills its key rows,
     /// then the rows they serve. Returns `false`, changing nothing, if the
     /// table was already built.
     pub fn prepare(
@@ -480,7 +499,7 @@ impl<'a> PropagationCache<'a> {
     ) -> (Vec<Arc<R>>, usize) {
         let c = self.constellation;
         let (Some(cull), Some(envelopes)) = (cull, envelopes) else {
-            return (fill(keys, threads, |&k| Arc::new(R::full(c, epoch(k)))), 0);
+            return (fill(keys, threads, |&k| Arc::new(R::full(c, epoch(k)).finish())), 0);
         };
         let key_of = place_keys(keys);
         // Key rows first, at full width, each with its keep set.
@@ -491,7 +510,7 @@ impl<'a> PropagationCache<'a> {
             let mut row = R::full(c, at);
             let keep = cull.keep_set(envelopes, &row.ecef(at));
             row.mark_key(&keep, at);
-            (Arc::new(row), keep)
+            (Arc::new(row.finish()), keep)
         });
         // Then every other row, through its key's keep set.
         let indices: Vec<usize> = (0..keys.len()).collect();
@@ -501,7 +520,7 @@ impl<'a> PropagationCache<'a> {
             if i == key {
                 return (Arc::clone(key_row), 0);
             }
-            let row = R::kept(c, epoch(keys[i]), keep, epoch(keys[key]));
+            let row = R::kept(c, epoch(keys[i]), keep, epoch(keys[key])).finish();
             (Arc::new(row), keep.iter().filter(|&&k| !k).count())
         });
         let culled = rows.iter().map(|(_, n)| n).sum();
@@ -707,6 +726,29 @@ mod tests {
 
         // Prepared rows are bit-identical to direct propagation.
         assert_eq!(snapshot_bits(&cache.snapshot(t0)), snapshot_bits(&c.snapshot(t0)));
+    }
+
+    #[test]
+    fn prepared_truth_rows_come_with_their_index() {
+        // Full-width and culled rows alike are indexed inside `prepare`,
+        // and the index is the one a reader would have built; an
+        // unprepared lookup builds nothing ahead of its first query.
+        let c = mini();
+        let epochs = slot_epochs(12);
+        let site = sites()[0];
+        let culled = PropagationCache::for_observers(&c, &sites(), 25.0);
+        for (cache, full) in [(PropagationCache::new(&c), true), (culled, false)] {
+            assert!(cache.prepare(&epochs, &[], 2));
+            for &t in &epochs {
+                let row = cache.snapshot(t);
+                assert!(row.has_index(), "{t:?}");
+                if full {
+                    let direct = c.snapshot(t).visibility_index().candidates(site, 25.0);
+                    assert_eq!(row.visibility_index().candidates(site, 25.0), direct);
+                }
+            }
+            assert!(!cache.snapshot(epochs[0].plus_seconds(1.0)).has_index());
+        }
     }
 
     /// Four ground sites like the paper's, for culling tests.

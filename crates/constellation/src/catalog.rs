@@ -158,9 +158,10 @@ pub struct SnapshotEntry {
 pub struct Snapshot {
     at: JulianDate,
     positions: Vec<Option<SnapshotEntry>>,
-    /// Spatial index over the entries, built lazily by the first
-    /// field-of-view query that wants it and shared by every later one
-    /// (snapshots travel between terminals and worker threads as `Arc`s).
+    /// Spatial index over the entries, built by `PropagationCache::prepare`
+    /// for prepared rows, else lazily by the first field-of-view query that
+    /// wants it, and shared by every later one (snapshots travel between
+    /// terminals and worker threads as `Arc`s).
     index: OnceLock<VisibilityIndex>,
 }
 
@@ -199,6 +200,12 @@ impl Snapshot {
     /// by every subsequent caller (and thread) sharing the snapshot.
     pub fn visibility_index(&self) -> &VisibilityIndex {
         self.index.get_or_init(|| VisibilityIndex::build(self))
+    }
+
+    /// Whether the index has been built.
+    #[cfg(test)]
+    pub(crate) fn has_index(&self) -> bool {
+        self.index.get().is_some()
     }
 }
 

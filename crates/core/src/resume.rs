@@ -938,8 +938,10 @@ mod tests {
     use starsense_astro::time::JulianDate;
     use starsense_constellation::ConstellationBuilder;
     use starsense_ident::{
-        slot_boundary_epochs, TrackCache, CANDIDATE_SAMPLES_PER_SLOT, MIN_CANDIDATE_ELEVATION_DEG,
+        slot_boundary_epochs, verdict_slot_tracked, DishSimulator, TrackCache,
+        CANDIDATE_SAMPLES_PER_SLOT, MIN_CANDIDATE_ELEVATION_DEG,
     };
+    use starsense_obstruction::ObstructionMap;
     use starsense_scheduler::slots::{slot_start, SLOT_PERIOD_SECONDS};
 
     #[test]
@@ -976,6 +978,59 @@ mod tests {
         }
         let interior = tracks.stats().interior_propagations;
         assert!(interior <= 23_500, "{interior} interior propagations: {:?}", tracks.stats());
+    }
+
+    #[test]
+    fn identified_paper_verdicts_propagate_deferred_tracks_only_when_measured() {
+        // The production verdict through the engine's own segment cache
+        // over 40 slots of the paper's four terminals on gen1, each dish
+        // replaying the scheduler's picks. Deferred tracks propagate their
+        // interior epochs only when the DTW search measures them: 335
+        // interior propagations per served slot when written (154 slots),
+        // 682 with every track built at once.
+        let c = ConstellationBuilder::starlink_gen1().seed(1).build();
+        let campaign = Campaign::identified(&c, paper_terminals(), CampaignConfig::default(), 1);
+        let from = slot_start(JulianDate::from_ymd_hms(2023, 6, 1, 16, 0, 0.0));
+        let obs =
+            Campaign::oracle(&c, paper_terminals(), CampaignConfig::default(), 1).run(from, 40);
+        let starts: Vec<JulianDate> =
+            obs.iter().filter(|o| o.terminal_id == 0).map(|o| o.slot_start).collect();
+        let boundaries: Vec<JulianDate> = starts
+            .iter()
+            .flat_map(|&s| slot_boundary_epochs(s, CANDIDATE_SAMPLES_PER_SLOT))
+            .collect();
+        let cache = campaign.propagation_cache();
+        assert!(cache.prepare(&starts, &boundaries, 2));
+        let (mut served, mut interior, mut eager) = (0, 0, 0);
+        for (tid, terminal) in campaign.terminals.iter().enumerate() {
+            let loc = terminal.location;
+            let mut dish = DishSimulator::new(loc);
+            let mut tracks = TrackCache::new(
+                &cache,
+                loc,
+                MIN_CANDIDATE_ELEVATION_DEG,
+                CANDIDATE_SAMPLES_PER_SLOT,
+            );
+            let mut prev: Option<ObstructionMap> = None;
+            for o in obs.iter().filter(|o| o.terminal_id == tid) {
+                let capture = dish.play_slot(&c, o.slot, o.slot_start, o.truth_id);
+                if let Some(p) = prev.filter(|_| !capture.after_reset) {
+                    let _ = verdict_slot_tracked(&mut tracks, &p, &capture.map, o.slot_start, 0.0);
+                }
+                prev = Some(capture.map);
+            }
+            let s = tracks.stats();
+            served += s.slots;
+            interior += s.interior_propagations;
+            eager += s.surviving * (CANDIDATE_SAMPLES_PER_SLOT as usize - 2);
+        }
+        assert!(served >= 120, "{served} slots served");
+        let per_slot = interior as f64 / served as f64;
+        let eager_per_slot = eager as f64 / served as f64;
+        assert!(
+            per_slot <= 360.0,
+            "{per_slot} interior propagations per slot ({eager_per_slot} eager)"
+        );
     }
 
     #[test]

@@ -19,14 +19,22 @@
 //!   alignment provably exceeds a cutoff (the 1-NN pruning workhorse),
 //! * [`dtw_lower_bound`] — an O(1) endpoint lower bound used to order and
 //!   prune candidates before any matrix work,
-//! * [`best_match`] — the 1-nearest-neighbour search over DTW that is
-//!   exactly the matching rule of §4.1. Each candidate is a group of
-//!   alternative sequences (the identifier passes a track and its reversal)
-//!   scored by the smallest of their distances. The search visits
-//!   candidates in ascending lower-bound order, stops at the first whose
-//!   bound exceeds the running runner-up, and measures the rest with early
-//!   abandoning against that runner-up; the result stays **bit-identical**
-//!   to the exhaustive scan.
+//! * [`ellipse_lower_bound`] — a bound that needs only a candidate's two
+//!   endpoints and an ellipse known to hold its other points, so a caller
+//!   can order and prune candidates it has not built yet,
+//! * [`best_match_by`] — the 1-nearest-neighbour search over DTW that is
+//!   exactly the matching rule of §4.1, in bound/measure form: the caller
+//!   gives every candidate's lower bound and a closure that measures one
+//!   candidate against a cutoff. The search visits candidates in ascending
+//!   (bound, index) order, stops at the first whose bound exceeds the
+//!   running runner-up, and has the rest measured with early abandoning
+//!   against that runner-up; the result stays **bit-identical** to the
+//!   exhaustive scan for any valid bounds. A closure may build a candidate
+//!   only when it is first measured, so candidates the bound prunes cost
+//!   nothing past their bound,
+//! * [`best_match`] — the same search over materialized groups of
+//!   alternative sequences (the identifier passes a track and its
+//!   reversal), each scored by the smallest of their distances.
 //!
 //! Distances are Euclidean over fixed-size points (`[f64; N]`), covering the
 //! 2-D Cartesian sky tracks the paper uses as well as 3-D variants.
@@ -140,6 +148,52 @@ pub fn dtw_distance_early_abandon<const N: usize>(
     AbandonableDtw { distance: prev[n], cells, abandoned: false }
 }
 
+/// Relative guard a bound from [`ellipse_lower_bound`] gives up to the
+/// rounding of its own sums and of the DTW sums it is compared with.
+const BOUND_GUARD: f64 = 1e-9;
+
+/// A lower bound on the smaller of `dtw_distance(query, c)` and
+/// `dtw_distance(query, c reversed)` for every sequence `c` that starts at
+/// `first`, ends at `last`, and whose every point `p` lies in the ellipse
+/// `|p − first| + |p − last| ≤ major_axis` (an infinite or NaN axis bounds
+/// nothing). Needs no point of `c` but its two ends.
+///
+/// Every warping path aligns the first and last query points with the
+/// two ends of `c` (in either orientation) and every other query point `q`
+/// with at least one point `p` of `c`, in its own row of the matrix. By
+/// the triangle inequality `|q − first| + |q − last| ≤ 2|q − p| + |p −
+/// first| + |p − last|`, so that cell costs at least `(|q − first| + |q −
+/// last| − major_axis) / 2`. The sum of these terms, less a relative
+/// rounding guard of 1e-9, is the bound; with a query of one point it is
+/// the larger endpoint distance (its cells may be one). Returns
+/// `f64::INFINITY` for an empty query.
+pub fn ellipse_lower_bound<const N: usize>(
+    query: &[[f64; N]],
+    first: &[f64; N],
+    last: &[f64; N],
+    major_axis: f64,
+) -> f64 {
+    let (Some(q0), Some(qm)) = (query.first(), query.last()) else {
+        return f64::INFINITY;
+    };
+    let ends = if query.len() == 1 {
+        euclidean(q0, first).max(euclidean(q0, last))
+    } else {
+        let forward = euclidean(q0, first) + euclidean(qm, last);
+        forward.min(euclidean(q0, last) + euclidean(qm, first))
+    };
+    let mut raw = ends;
+    if major_axis.is_finite() && query.len() > 2 {
+        for q in &query[1..query.len() - 1] {
+            let outside = euclidean(q, first) + euclidean(q, last) - major_axis;
+            if outside > 0.0 {
+                raw += outside / 2.0;
+            }
+        }
+    }
+    (raw - BOUND_GUARD * (1.0 + raw)).max(0.0)
+}
+
 /// Result of a [`best_match`] query.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Match {
@@ -162,7 +216,8 @@ pub struct PruneStats {
     /// DTW matrix cells actually evaluated across all candidates.
     pub cells_evaluated: usize,
     /// Cells an exhaustive scan would have evaluated (Σ n·mᵢ over every
-    /// member of every candidate).
+    /// member of every candidate). [`best_match`] fills it in;
+    /// [`best_match_by`] cannot know it and leaves it 0.
     pub cells_full: usize,
     /// Candidates whose DTW evaluation was started.
     pub evaluated: usize,
@@ -174,59 +229,63 @@ pub struct PruneStats {
     pub coarse_cells: usize,
 }
 
-/// Finds the candidate with the lowest DTW distance to `query` — the
-/// matching rule of §4.1 ("the available satellite with the lowest DTW
-/// distance is chosen as the current serving satellite") — plus counters
-/// describing how much work the pruning saved.
+/// The smallest DTW distance from `query` to any of `members`, each
+/// measured with [`dtw_distance_early_abandon`] against `cutoff` or the
+/// best member so far, whichever is smaller, and the cells evaluated. The
+/// distance is exact when it is at most `cutoff`, and `> cutoff` (often
+/// `f64::INFINITY`) otherwise; no members give `f64::INFINITY`.
+pub fn group_distance<const N: usize, M: AsRef<[[f64; N]]>>(
+    query: &[[f64; N]],
+    members: &[M],
+    cutoff: f64,
+) -> (f64, usize) {
+    let mut distance = f64::INFINITY;
+    let mut cells = 0;
+    for member in members {
+        let result = dtw_distance_early_abandon(query, member.as_ref(), cutoff.min(distance));
+        cells += result.cells;
+        distance = distance.min(result.distance);
+    }
+    (distance, cells)
+}
+
+/// The 1-NN search of §4.1 in bound/measure form: candidate `i` has lower
+/// bound `bounds[i]`, and `measure(i, cutoff)` returns its distance —
+/// exact when at most `cutoff`, anything above `cutoff` otherwise — and
+/// the DTW cells that took ([`group_distance`] is such a measure).
+/// Returns `None` with no candidates; `cells_full` stays 0.
 ///
-/// Each candidate is a group of one or more alternative sequences and
-/// scores the smallest of their distances (an empty group scores
-/// `f64::INFINITY`). Returns `None` when `query` or `candidates` is empty.
+/// The result is bit-identical to an exhaustive scan (every candidate
+/// measured exactly, in index order, strict `<` updates): same winning
+/// index (ties broken by lowest index), same `distance`, same exact
+/// `runner_up`. The search gets there with less work:
 ///
-/// The result is bit-identical to an exhaustive scan (every member measured
-/// with [`dtw_distance`], candidates in index order, strict `<` updates):
-/// same winning index (ties broken by lowest index), same `distance`, same
-/// exact `runner_up`. The search gets there with less work:
-///
-/// * a candidate's bound is the minimum [`dtw_lower_bound`] over its
-///   members, and candidates are visited in ascending (bound, index) order,
-///   so the true best and runner-up are usually measured first;
+/// * candidates are visited in ascending (bound, index) order, so the true
+///   best and runner-up are usually measured first;
 /// * once a bound exceeds the running runner-up the scan stops, counting
-///   that candidate and every later one as `pruned`;
-/// * each member is measured with [`dtw_distance_early_abandon`], cut
-///   against the runner-up or the group's best member so far, whichever is
-///   smaller.
+///   that candidate and every later one as `pruned`: each is never
+///   measured;
+/// * each visited candidate is measured against the running runner-up.
 ///
 /// Exactness argument: the runner-up only ever decreases, every
-/// candidate's true distance is at least its bound, and the abandon test is
-/// strict; a skipped candidate therefore has distance `> runner_up ≥ best`
-/// and an abandoned member one `> runner_up` (or above a sibling it cannot
-/// undercut) — neither can change the winner *or* the runner-up, for any
-/// visit order. Cutting against the runner-up rather than the best keeps
+/// candidate's distance is at least its bound, and a measure is exact up
+/// to its cutoff; a skipped candidate therefore has distance `> runner_up
+/// ≥ best` and a cut-off one a distance `> runner_up` — neither can change
+/// the winner *or* the runner-up, for any valid bounds and any visit
+/// order. Cutting against the runner-up rather than the best keeps
 /// distances in `(best, runner_up]` measured exactly. Minimal-distance
 /// candidates can never be skipped (their bound never exceeds the
 /// runner-up), so ties still resolve on the full set of minima, by lowest
 /// index.
-pub fn best_match<const N: usize, G: AsRef<[Vec<[f64; N]>]>>(
-    query: &[[f64; N]],
-    candidates: &[G],
+pub fn best_match_by(
+    bounds: &[f64],
+    mut measure: impl FnMut(usize, f64) -> (f64, usize),
 ) -> Option<(Match, PruneStats)> {
-    if query.is_empty() || candidates.is_empty() {
+    if bounds.is_empty() {
         return None;
     }
-
     let mut stats = PruneStats::default();
-    let mut order: Vec<(f64, usize)> = candidates
-        .iter()
-        .enumerate()
-        .map(|(index, group)| {
-            let members = group.as_ref();
-            stats.cells_full += members.iter().map(|m| query.len() * m.len()).sum::<usize>();
-            let bound =
-                members.iter().map(|m| dtw_lower_bound(query, m)).fold(f64::INFINITY, f64::min);
-            (bound, index)
-        })
-        .collect();
+    let mut order: Vec<(f64, usize)> = bounds.iter().copied().zip(0..).collect();
     order.sort_by(|x, y| x.0.total_cmp(&y.0).then(x.1.cmp(&y.1)));
 
     let mut best_index = usize::MAX;
@@ -239,12 +298,8 @@ pub fn best_match<const N: usize, G: AsRef<[Vec<[f64; N]>]>>(
             break;
         }
         stats.evaluated += 1;
-        let mut distance = f64::INFINITY;
-        for member in candidates[index].as_ref() {
-            let result = dtw_distance_early_abandon(query, member, runner.min(distance));
-            stats.cells_evaluated += result.cells;
-            distance = distance.min(result.distance);
-        }
+        let (distance, cells) = measure(index, runner);
+        stats.cells_evaluated += cells;
         #[expect(
             clippy::float_cmp,
             reason = "exact tie: equal distances keep the lowest index, as the exhaustive oracle does"
@@ -258,6 +313,40 @@ pub fn best_match<const N: usize, G: AsRef<[Vec<[f64; N]>]>>(
         }
     }
     Some((Match { index: best_index, distance: best, runner_up: runner }, stats))
+}
+
+/// Finds the candidate with the lowest DTW distance to `query` — the
+/// matching rule of §4.1 ("the available satellite with the lowest DTW
+/// distance is chosen as the current serving satellite") — plus counters
+/// describing how much work the pruning saved.
+///
+/// Each candidate is a group of one or more alternative sequences and
+/// scores the smallest of their distances (an empty group scores
+/// `f64::INFINITY`). Returns `None` when `query` or `candidates` is empty.
+///
+/// This is [`best_match_by`] with each candidate's bound the minimum
+/// [`dtw_lower_bound`] over its members and [`group_distance`] as the
+/// measure, so the result is bit-identical to the exhaustive scan (every
+/// member measured with [`dtw_distance`], candidates in index order,
+/// strict `<` updates); see [`best_match_by`] for the argument. An
+/// abandoned member's distance is `> runner_up` or above a sibling it
+/// cannot undercut.
+pub fn best_match<const N: usize, G: AsRef<[Vec<[f64; N]>]>>(
+    query: &[[f64; N]],
+    candidates: &[G],
+) -> Option<(Match, PruneStats)> {
+    if query.is_empty() {
+        return None;
+    }
+    let members = |index: usize| candidates[index].as_ref();
+    let bounds: Vec<f64> = (0..candidates.len())
+        .map(|i| members(i).iter().map(|m| dtw_lower_bound(query, m)).fold(f64::INFINITY, f64::min))
+        .collect();
+    let (found, mut stats) =
+        best_match_by(&bounds, |index, cutoff| group_distance(query, members(index), cutoff))?;
+    stats.cells_full =
+        (0..candidates.len()).flat_map(|i| members(i).iter().map(|m| query.len() * m.len())).sum();
+    Some((found, stats))
 }
 
 #[cfg(test)]
@@ -498,6 +587,29 @@ mod tests {
         );
     }
 
+    #[test]
+    fn ellipse_bound_counts_interior_rows_outside_the_ellipse() {
+        // A candidate from (0,0) to (2,0) inside the ellipse of axis 4; the
+        // query shares its ends and passes (1,10), whose cell costs at
+        // least (|q − first| + |q − last| − 4)/2 = (2√101 − 4)/2.
+        let query = vec![[0.0, 0.0], [1.0, 10.0], [2.0, 0.0]];
+        let candidate = vec![[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]];
+        let (first, last) = (candidate[0], candidate[2]);
+        let interior = (101.0f64.sqrt() * 2.0 - 4.0) / 2.0;
+        let bound = ellipse_lower_bound(&query, &first, &last, 4.0);
+        assert!((bound - interior).abs() < 1e-6, "{bound} against {interior}");
+        assert!(bound <= dtw_distance(&query, &candidate));
+        // An unbounded axis leaves the endpoint bound, less the guard.
+        let ends = ellipse_lower_bound(&query, &first, &last, f64::INFINITY);
+        assert!(ends <= dtw_lower_bound(&query, &candidate) && ends >= 0.0);
+        assert_eq!(ellipse_lower_bound(&query, &first, &last, f64::NAN), ends);
+        assert_eq!(ellipse_lower_bound(&[], &first, &last, 4.0), f64::INFINITY);
+        // One query point: the larger endpoint distance.
+        let one = ellipse_lower_bound(&[[0.0, 3.0]], &first, &last, 4.0);
+        assert!((one - 13.0f64.sqrt()).abs() < 1e-6);
+        assert!(one <= dtw_distance(&[[0.0, 3.0]], &candidate));
+    }
+
     mod properties {
         use super::*;
         use proptest::prelude::*;
@@ -569,6 +681,55 @@ mod tests {
                 let a = seq1d(&a);
                 let b = seq1d(&b);
                 prop_assert!(dtw_lower_bound(&a, &b) <= dtw_distance(&a, &b) + 1e-12);
+            }
+
+            #[test]
+            fn ellipse_bound_is_a_lower_bound_in_both_orientations(
+                points in prop::collection::vec((-20.0f64..20.0, -20.0f64..20.0), 1..10),
+                query in prop::collection::vec((-20.0f64..20.0, -20.0f64..20.0), 1..10),
+                slack in 0.0f64..5.0,
+            ) {
+                // The tightest axis that holds every candidate point, and a
+                // looser one: both must bound the exact distance.
+                let cand: Vec<[f64; 2]> = points.iter().map(|&(x, y)| [x, y]).collect();
+                let query: Vec<[f64; 2]> = query.iter().map(|&(x, y)| [x, y]).collect();
+                let (first, last) = (cand[0], cand[cand.len() - 1]);
+                let axis = cand
+                    .iter()
+                    .map(|p| euclidean(p, &first) + euclidean(p, &last))
+                    .fold(0.0, f64::max);
+                let mut rev = cand.clone();
+                rev.reverse();
+                let exact = dtw_distance(&query, &cand).min(dtw_distance(&query, &rev));
+                for axis in [axis, axis + slack] {
+                    prop_assert!(ellipse_lower_bound(&query, &first, &last, axis) <= exact);
+                }
+            }
+
+            #[test]
+            fn best_match_by_is_exact_for_any_valid_bounds(
+                cands in prop::collection::vec(
+                    (prop::collection::vec(-4i32..5, 1..8), 0.0f64..=1.0), 1..8),
+                query in prop::collection::vec(-4i32..5, 1..8),
+            ) {
+                // Each bound is a random fraction of the exact distance, so
+                // the visit order is arbitrary; small integer points make
+                // ties common.
+                let ints = |xs: &[i32]| -> Vec<[f64; 1]> { xs.iter().map(|&x| [f64::from(x)]).collect() };
+                let candidates = singles(cands.iter().map(|(xs, _)| ints(xs)).collect());
+                let query = ints(&query);
+                let bounds: Vec<f64> = candidates
+                    .iter()
+                    .zip(&cands)
+                    .map(|(c, (_, share))| dtw_distance(&query, &c[0]) * share)
+                    .collect();
+                let (found, _) = best_match_by(&bounds, |i, cutoff| {
+                    group_distance(&query, &candidates[i], cutoff)
+                })
+                .expect("non-empty candidates");
+                let full = exhaustive_best_match(&query, &candidates)
+                    .expect("non-empty query and candidates");
+                prop_assert_eq!(bits(&found), bits(&full));
             }
 
             #[test]

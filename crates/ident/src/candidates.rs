@@ -100,14 +100,18 @@ pub(crate) fn finish_track(
     if !any_above || samples.is_empty() {
         return None;
     }
-    // Keep only in-plot samples: the obstruction map never shows anything
-    // below the rim, so the comparison track shouldn't include it either.
-    let in_plot: Vec<PolarSample> =
-        samples.into_iter().filter(|s| s.elevation_deg >= RIM_ELEVATION_DEG).collect();
-    if in_plot.is_empty() {
+    let samples = in_plot(samples);
+    if samples.is_empty() {
         return None;
     }
-    Some(CandidateTrack { norad_id, samples: in_plot })
+    Some(CandidateTrack { norad_id, samples })
+}
+
+/// Keeps only in-plot samples: the obstruction map never shows anything
+/// below the rim, so the comparison track shouldn't include it either.
+pub(crate) fn in_plot(mut samples: Vec<PolarSample>) -> Vec<PolarSample> {
+    samples.retain(|s| s.elevation_deg >= RIM_ELEVATION_DEG);
+    samples
 }
 
 #[cfg(test)]

@@ -1,19 +1,25 @@
 //! The identification pipeline: XOR → extract → DTW match.
 //!
-//! The DTW matching stage is [`starsense_dtw::best_match`] with both
-//! orientations of every candidate track as one group: candidates are
-//! visited in ascending order of their O(1) lower bound, the scan stops at
-//! the first bound above the running runner-up, and the rest are measured
-//! with early abandoning against it. The search is exact — the winner, its
-//! distance, and the runner-up are bit-identical to the exhaustive scan
-//! (see [`starsense_dtw::best_match`] for the argument) — so identification
-//! accuracy is untouched while most matrix cells are never evaluated.
+//! The DTW matching stage is [`starsense_dtw::best_match_by`] with both
+//! orientations of every candidate track measured as one group: candidates
+//! are visited in ascending order of a lower bound that needs only each
+//! track's first and last in-plot samples
+//! ([`starsense_dtw::ellipse_lower_bound`], with the satellite's path bound
+//! from the track cache), the scan stops at the first bound above the
+//! running runner-up, and the rest are measured with early abandoning
+//! against it. A deferred candidate's interior epochs propagate only when
+//! it is measured. The search is exact — the winner, its distance, and the
+//! runner-up are bit-identical to the exhaustive scan (see
+//! [`starsense_dtw::best_match_by`] for the argument) — so identification
+//! accuracy is untouched while most tracks and matrix cells are never
+//! computed.
 
 use crate::candidates::{candidate_tracks, CandidateTrack};
+use crate::track_cache::SlotCandidates;
 use starsense_astro::frames::Geodetic;
 use starsense_astro::time::JulianDate;
 use starsense_constellation::Constellation;
-use starsense_dtw::{best_match, PruneStats};
+use starsense_dtw::{best_match_by, ellipse_lower_bound, group_distance, Match, PruneStats};
 use starsense_obstruction::{extract_trajectory, isolate, ObstructionMap, PolarSample};
 
 /// Elevation cutoff (deg) for candidate generation: the obstruction plot's
@@ -128,36 +134,73 @@ pub fn classify_identification(sat: IdentifiedSat, min_margin: f64) -> IdentVerd
 
 /// Pruned, exact 1-NN over both orientations of every candidate — a track
 /// is tried in both directions because a bitmap has no arrow of time, and
-/// the smaller of the two alignments counts. Each candidate goes to
-/// [`best_match`] as the group `[forward, reversed]`; the result is
-/// bit-identical to the exhaustive scan (full DTW in both orientations per
-/// candidate, strict `<` update in index order; the tests keep that scan as
-/// the oracle).
+/// the smaller of the two alignments counts. Candidate `i` has first and
+/// last in-plot samples and path bound `ends[i]` and cartesian track
+/// `track(i)`, asked for only when the search
+/// measures it; each goes to [`group_distance`] as the group `[forward,
+/// reversed]`. The result is bit-identical to the exhaustive scan (full
+/// DTW in both orientations per candidate, strict `<` update in index
+/// order; the tests keep that scan as the oracle).
+fn nearest_track(
+    trajectory: &[PolarSample],
+    ends: &[(PolarSample, PolarSample, f64)],
+    mut track: impl FnMut(usize) -> Vec<[f64; 2]>,
+) -> Option<(Match, PruneStats)> {
+    let isolated: Vec<[f64; 2]> = trajectory.iter().map(|s| s.to_cartesian()).collect();
+    let bounds: Vec<f64> = ends
+        .iter()
+        .map(|(first, last, axis)| {
+            ellipse_lower_bound(&isolated, &first.to_cartesian(), &last.to_cartesian(), *axis)
+        })
+        .collect();
+    best_match_by(&bounds, |i, cutoff| {
+        let forward = track(i);
+        let mut reversed = forward.clone();
+        reversed.reverse();
+        group_distance(&isolated, &[forward, reversed], cutoff)
+    })
+}
+
+/// The match as an [`IdentifiedSat`] among `n_candidates`.
+fn identified(m: &Match, norad_id: u32, n_candidates: usize, trail_pixels: usize) -> IdentifiedSat {
+    IdentifiedSat {
+        norad_id,
+        distance: m.distance,
+        runner_up: m.runner_up,
+        n_candidates,
+        trail_pixels,
+    }
+}
+
+/// [`nearest_track`] over built tracks (never empty: [`candidate_tracks`]
+/// drops those), with no path bounds: the reference matcher, which also
+/// counts the cells an exhaustive scan would take.
 fn match_candidates(
     trajectory: &[PolarSample],
     candidates: &[CandidateTrack],
 ) -> Option<(IdentifiedSat, PruneStats)> {
-    let isolated: Vec<[f64; 2]> = trajectory.iter().map(|s| s.to_cartesian()).collect();
-    let orientations: Vec<[Vec<[f64; 2]>; 2]> = candidates
+    let ends: Vec<_> = candidates
         .iter()
-        .map(|cand| {
-            let fwd = cand.cartesian();
-            let mut rev = fwd.clone();
-            rev.reverse();
-            [fwd, rev]
-        })
+        .map(|c| (c.samples[0], c.samples[c.samples.len() - 1], f64::INFINITY))
         .collect();
-    let (m, stats) = best_match(&isolated, &orientations)?;
-    Some((
-        IdentifiedSat {
-            norad_id: candidates[m.index].norad_id,
-            distance: m.distance,
-            runner_up: m.runner_up,
-            n_candidates: candidates.len(),
-            trail_pixels: trajectory.len(),
-        },
-        stats,
-    ))
+    let (m, mut stats) = nearest_track(trajectory, &ends, |i| candidates[i].cartesian())?;
+    stats.cells_full = candidates.iter().map(|c| 2 * trajectory.len() * c.samples.len()).sum();
+    let norad_id = candidates[m.index].norad_id;
+    Some((identified(&m, norad_id, candidates.len(), trajectory.len()), stats))
+}
+
+/// [`nearest_track`] over a slot's candidates, each with its satellite's
+/// path bound; a deferred candidate's interior propagates only if the
+/// search measures it.
+fn match_slot(
+    trajectory: &[PolarSample],
+    slot: &mut SlotCandidates<'_, '_, '_>,
+) -> Option<(IdentifiedSat, PruneStats)> {
+    let ends: Vec<_> = (0..slot.len()).map(|i| slot.ends(i)).collect();
+    let (m, stats) = nearest_track(trajectory, &ends, |i| {
+        slot.samples(i).iter().map(|s| s.to_cartesian()).collect()
+    })?;
+    Some((identified(&m, slot.norad_id(m.index), slot.len(), trajectory.len()), stats))
 }
 
 /// Identifies the satellite that served the terminal during the slot whose
@@ -172,7 +215,9 @@ fn match_candidates(
 /// `min_margin` to [`IdentVerdict::Ambiguous`] instead of forcing the best
 /// match. With `min_margin = 0.0` the best match is always reported,
 /// bit-identical to [`identify_from_trajectory_counted`] on the isolated
-/// trajectory.
+/// trajectory. Candidates whose tracks the search can judge from their
+/// ends alone have their interior epochs propagated only if it measures
+/// them ([`crate::track_cache`], *Deferred tracks*).
 pub fn verdict_slot_tracked(
     tracks: &mut crate::TrackCache<'_, '_>,
     prev: &ObstructionMap,
@@ -188,8 +233,7 @@ pub fn verdict_slot_tracked(
     if trajectory.len() < 3 {
         return IdentVerdict::NoData(NoDataReason::TinyTrail);
     }
-    let candidates = tracks.candidate_tracks(slot_start);
-    match match_candidates(&trajectory, &candidates) {
+    match match_slot(&trajectory, &mut tracks.slot_candidates(slot_start)) {
         None => IdentVerdict::NoData(NoDataReason::NoCandidates),
         Some((sat, _)) => classify_identification(sat, min_margin),
     }
@@ -228,7 +272,7 @@ mod tests {
     use super::*;
     use crate::dish::DishSimulator;
     use starsense_constellation::ConstellationBuilder;
-    use starsense_scheduler::slots::{slot_index, slot_start};
+    use starsense_scheduler::slots::{slot_index, slot_start, SLOT_PERIOD_SECONDS};
 
     /// The uncached reference identification of the slot between `prev`
     /// and `curr`: direct candidate tracks, no track cache.
@@ -404,6 +448,94 @@ mod tests {
             assert_eq!(tracked.best(), direct.as_ref());
         }
         assert!(tracks.stats().prefiltered > 0, "prefilter should do work on real slots");
+    }
+
+    /// Two consecutive captures of one dish and the slot start between them.
+    type FramePair = (ObstructionMap, ObstructionMap, JulianDate);
+
+    /// Forty consecutive slots over Iowa on gen1 seed 1, each served by
+    /// another satellite above 35° in truth: the differenced frame pairs
+    /// and their slot starts, less the slot after a reset.
+    fn gen1_run() -> (Constellation, Geodetic, Vec<FramePair>) {
+        let c = ConstellationBuilder::starlink_gen1().seed(1).build();
+        let loc = Geodetic::new(41.66, -91.53, 0.2);
+        let first = slot_start(JulianDate::from_ymd_hms(2023, 6, 1, 16, 0, 13.0));
+        let mut dish = DishSimulator::new(loc);
+        let mut prev = dish.map().clone();
+        let mut pairs = Vec::new();
+        for k in 0..40 {
+            let start = slot_start(first.plus_seconds(k as f64 * SLOT_PERIOD_SECONDS + 1.0));
+            let fov = visible(&c, loc, start, 35.0);
+            let serving = fov.get(k % fov.len().max(1)).map(|v| v.norad_id);
+            let cap = dish.play_slot(&c, slot_index(start), start, serving);
+            if !cap.after_reset {
+                pairs.push((prev, cap.map.clone(), start));
+            }
+            prev = cap.map;
+        }
+        (c, loc, pairs)
+    }
+
+    /// A match as (id, distance bits, runner-up bits, candidates, pixels).
+    fn match_bits(m: &IdentifiedSat) -> (u32, u64, u64, usize, usize) {
+        let IdentifiedSat { norad_id, distance, runner_up, n_candidates, trail_pixels } = m;
+        (*norad_id, distance.to_bits(), runner_up.to_bits(), *n_candidates, *trail_pixels)
+    }
+
+    #[test]
+    fn lazy_verdicts_match_the_eager_path_on_every_slot() {
+        // The production verdict, with deferred tracks and path bounds,
+        // against direct candidate tracks and the reference matcher.
+        let (c, loc, pairs) = gen1_run();
+        let cache = starsense_constellation::PropagationCache::new(&c);
+        let mut tracks = crate::TrackCache::new(&cache, loc, 25.0, 16);
+        let mut identified = 0;
+        for (prev, curr, start) in &pairs {
+            let trajectory = extract_trajectory(&isolate(prev, curr));
+            let eager = identify_from_trajectory_counted(&trajectory, &c, loc, *start);
+            let lazy = verdict_slot_tracked(&mut tracks, prev, curr, *start, 0.0);
+            assert_eq!(lazy.best().map(match_bits), eager.map(|(id, _)| match_bits(&id)));
+            identified += usize::from(lazy.best().is_some());
+        }
+        let s = tracks.stats();
+        assert!(identified >= 30, "{identified} of {} slots identified", pairs.len());
+        assert!(s.deferred_unmaterialized > 0, "{s:?}");
+        // About half the eager path's interior propagations (10,906 of
+        // 22,218 when written).
+        assert!(s.interior_propagations * 10 < s.surviving * 14 * 7, "{s:?}");
+    }
+
+    #[test]
+    fn path_bounds_never_exceed_the_exact_distance() {
+        // Every (trajectory, candidate) pair of the run: the bound the
+        // search orders and prunes by, from the ends and the path bound,
+        // against full DTW in both orientations.
+        let (c, loc, pairs) = gen1_run();
+        let cache = starsense_constellation::PropagationCache::new(&c);
+        let mut tracks = crate::TrackCache::new(&cache, loc, 25.0, 16);
+        let (mut checked, mut sharper) = (0, 0);
+        for (prev, curr, start) in &pairs {
+            let mut slot = tracks.slot_candidates(*start);
+            let trajectory = extract_trajectory(&isolate(prev, curr));
+            let query: Vec<[f64; 2]> = trajectory.iter().map(|s| s.to_cartesian()).collect();
+            for i in 0..slot.len() {
+                let (first, last, axis) = slot.ends(i);
+                let (first, last) = (first.to_cartesian(), last.to_cartesian());
+                let bound = ellipse_lower_bound(&query, &first, &last, axis);
+                let forward: Vec<[f64; 2]> =
+                    slot.samples(i).iter().map(|s| s.to_cartesian()).collect();
+                let mut reversed = forward.clone();
+                reversed.reverse();
+                let exact = starsense_dtw::dtw_distance(&query, &forward)
+                    .min(starsense_dtw::dtw_distance(&query, &reversed));
+                assert!(bound <= exact, "{start:?} {}: bound {bound} > {exact}", slot.norad_id(i));
+                let ends = ellipse_lower_bound(&query, &first, &last, f64::INFINITY);
+                sharper += usize::from(bound > ends);
+                checked += 1;
+            }
+        }
+        assert!(checked > 1000, "{checked} pairs");
+        assert!(sharper * 2 > checked, "the path bound sharpened {sharper} of {checked} bounds");
     }
 
     #[test]

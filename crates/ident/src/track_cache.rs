@@ -34,13 +34,50 @@
 //!    nothing for a dismissed satellite until a slot needs it; it then
 //!    reads the key row's position or, where the row culled it,
 //!    propagates it directly — the full row's own call, so the same bits.
+//! 5. **Deferred tracks.** A survivor whose head and tail looks are both
+//!    in the plot (at or above the rim), one of them at or above the
+//!    cutoff, is a candidate whatever its interior holds, and those two
+//!    looks are its first and last in-plot samples. [`TrackCache`] keeps
+//!    it *deferred*: its 14 interior epochs propagate — the same
+//!    `published_position` and look arithmetic, so the same bits — only
+//!    when the DTW search first measures it. Until then the search orders
+//!    and prunes it by [`starsense_dtw::ellipse_lower_bound`], which needs
+//!    only the two ends and the satellite's path bound (below). Every
+//!    other survivor is built at once, as is every track when
+//!    [`TrackCache::candidate_tracks`] is asked for the whole set.
+//!
+//! # Soundness of the path bound
+//!
+//! The prefilter rests on `starsense_constellation`'s *Soundness*; the
+//! deferred tracks add one premise, *the ellipse*: every in-plot sample
+//! `c` of a candidate lies in the ellipse `|c − c_first| + |c − c_last| ≤
+//! L` about its first and last in-plot samples, with `L` its path bound
+//! (`path_bound_deg`). From an observer at radius `r_o < r_min` the
+//! satellite is at least `r_min − r_o` away anywhere in the sky, so its
+//! line of sight turns in the Earth-fixed frame no faster than `Ω =
+//! (v_max + ω⊕·r_o)/(r_min − r_o) + ω⊕` (the prefilter's rate with that
+//! range, plus the frame's own turn). Every instant between the first and
+//! last in-plot samples lies within [`HORIZON_S`] of one of them, so the
+//! zenith angle stays below `z_max = 90° − rim + Ω·HORIZON_S`; the
+//! obstruction plot is azimuthal-equidistant about the zenith, which
+//! stretches sky arcs at zenith angle `z` by at most `z/sin z`, growing
+//! with `z`. The two samples are at most `2·HORIZON_S` apart, so the plot
+//! path between them is at most `L = 2·HORIZON_S · Ω · z_max/sin z_max`,
+//! and the sum of any in-plot sample's distances to the two is at most
+//! that path. No bounded envelope, an observer at or above
+//! the floor, or `z_max ≥ 180°` gives `L = ∞`, which bounds nothing. Gen1
+//! seen from the paper's sites gets `L ≈ 17°`; the premise is
+//! property-tested in this module.
 
-use crate::candidates::{finish_track, sample_epochs, CandidateTrack};
+use crate::candidates::{finish_track, in_plot, sample_epochs, CandidateTrack};
 use starsense_astro::frames::{geodetic_to_ecef, Geodetic, LookAngles, Topocentric};
 use starsense_astro::mat3::Mat3;
 use starsense_astro::time::JulianDate;
 use starsense_astro::vec3::Vec3;
-use starsense_constellation::{Envelopes, PropagationCache, PublishedRow, OMEGA_EARTH_RAD_S};
+use starsense_constellation::{
+    Envelopes, PropagationCache, PublishedRow, Satellite, OMEGA_EARTH_RAD_S,
+};
+use starsense_obstruction::map::RIM_ELEVATION_DEG;
 use starsense_obstruction::PolarSample;
 use std::sync::Arc;
 
@@ -67,12 +104,18 @@ pub struct TrackCacheStats {
     pub slots: usize,
     /// Satellites the boundary check discarded, summed over slots.
     pub prefiltered: usize,
-    /// Satellites that took the exact full-track path, summed over slots.
+    /// Satellites the boundary check kept, built at once or deferred,
+    /// summed over slots.
     pub surviving: usize,
     /// Slots whose start row was the previous slot's end row.
     pub boundary_rows_reused: usize,
-    /// Interior single-satellite propagations (survivors × epochs).
+    /// Interior single-satellite propagations actually made: the
+    /// survivors built at once and the deferred candidates materialized,
+    /// times the interior epochs.
     pub interior_propagations: usize,
+    /// Deferred candidates never materialized, their interior epochs
+    /// never propagated (module docs, *Deferred tracks*).
+    pub deferred_unmaterialized: usize,
     /// Satellites both rows' keys dismissed, proven below the cutoff all
     /// slot, summed over slots; counted in `prefiltered` too.
     pub culled: usize,
@@ -144,6 +187,8 @@ pub struct TrackCache<'a, 'c> {
     envelopes: Option<Arc<Envelopes>>,
     /// Each satellite's discard line, from its envelope (NaN: none).
     lines: Vec<f64>,
+    /// Each satellite's path bound `L` (deg), from the same envelope.
+    path_bounds: Vec<f64>,
     /// The lowest finite discard line, which certified looks are below.
     discard_below_deg: f64,
     /// `sin(discard_below_deg) − CERTIFY_GUARD`, if the line is in
@@ -179,6 +224,120 @@ fn prefilter_margin_deg(
     }
 }
 
+/// The path bound `L` (deg of the obstruction plot) of a satellite whose
+/// radius stays at least `floor_km` and speed below `speed_km_s`, seen
+/// from `observer_radius_km`: the longest its plot track can run between
+/// two in-plot samples of one slot (module docs, *Soundness of the path
+/// bound*). Infinite, which bounds nothing, unless the observer is inside
+/// the floor sphere.
+pub(crate) fn path_bound_deg(observer_radius_km: f64, floor_km: f64, speed_km_s: f64) -> f64 {
+    let r_o = observer_radius_km;
+    if r_o >= floor_km {
+        return f64::INFINITY;
+    }
+    let turn = (speed_km_s + OMEGA_EARTH_RAD_S * r_o) / (floor_km - r_o) + OMEGA_EARTH_RAD_S;
+    let z_max = (90.0 - RIM_ELEVATION_DEG).to_radians() + turn * HORIZON_S;
+    if z_max >= std::f64::consts::PI {
+        return f64::INFINITY;
+    }
+    (z_max / z_max.sin() * turn * 2.0 * HORIZON_S).to_degrees()
+}
+
+/// A slot's interior sample epochs with their TEME→ECEF rotations.
+#[derive(Debug)]
+struct Interior {
+    epochs: Vec<JulianDate>,
+    rotations: Vec<Mat3>,
+}
+
+impl Interior {
+    /// A survivor's samples: `head`, then the interior epochs propagating
+    /// this satellite alone (skipping failures), then `tail` — the direct
+    /// path's epochs and look arithmetic.
+    fn samples(
+        &self,
+        sat: &Satellite,
+        topo: &Topocentric,
+        head: Option<PolarSample>,
+        tail: Option<PolarSample>,
+    ) -> Vec<PolarSample> {
+        let mut samples = Vec::with_capacity(self.epochs.len() + 2);
+        samples.extend(head);
+        samples.extend(self.epochs.iter().zip(&self.rotations).filter_map(|(&t, &rotation)| {
+            let teme = sat.published_position(t)?;
+            Some(polar(topo.look_angles(rotation * teme)))
+        }));
+        samples.extend(tail);
+        samples
+    }
+}
+
+/// One candidate of a slot.
+#[derive(Debug)]
+struct Candidate {
+    /// Catalog index.
+    sat: usize,
+    norad_id: u32,
+    /// First and last in-plot samples.
+    ends: (PolarSample, PolarSample),
+    /// The satellite's path bound `L`, deg.
+    path_bound_deg: f64,
+    /// In-plot samples, or `None` while deferred.
+    samples: Option<Vec<PolarSample>>,
+}
+
+/// One slot's candidate set, in catalog order, with deferred candidates'
+/// interior epochs propagated on first use (module docs, *Deferred
+/// tracks*). Holds its track cache, whose counters it keeps.
+#[derive(Debug)]
+pub(crate) struct SlotCandidates<'t, 'a, 'c> {
+    tracks: &'t mut TrackCache<'a, 'c>,
+    interior: Interior,
+    candidates: Vec<Candidate>,
+}
+
+impl SlotCandidates<'_, '_, '_> {
+    /// Number of candidates.
+    pub(crate) fn len(&self) -> usize {
+        self.candidates.len()
+    }
+
+    /// Candidate `i`'s catalog number.
+    pub(crate) fn norad_id(&self, i: usize) -> u32 {
+        self.candidates[i].norad_id
+    }
+
+    /// Candidate `i`'s first and last in-plot samples and path bound, all
+    /// known before its track is.
+    pub(crate) fn ends(&self, i: usize) -> (PolarSample, PolarSample, f64) {
+        let c = &self.candidates[i];
+        (c.ends.0, c.ends.1, c.path_bound_deg)
+    }
+
+    /// Candidate `i`'s in-plot samples, propagating its interior epochs if
+    /// it was deferred.
+    pub(crate) fn samples(&mut self, i: usize) -> &[PolarSample] {
+        let (tracks, interior) = (&mut *self.tracks, &self.interior);
+        let c = &mut self.candidates[i];
+        c.samples.get_or_insert_with(|| {
+            let sat = &tracks.cache.constellation().sats()[c.sat];
+            tracks.stats.interior_propagations += interior.epochs.len();
+            tracks.stats.deferred_unmaterialized -= 1;
+            in_plot(interior.samples(sat, &tracks.topo, Some(c.ends.0), Some(c.ends.1)))
+        })
+    }
+
+    /// Every candidate's track, materializing the deferred ones.
+    pub(crate) fn into_tracks(mut self) -> Vec<CandidateTrack> {
+        (0..self.len())
+            .map(|i| CandidateTrack {
+                norad_id: self.norad_id(i),
+                samples: self.samples(i).to_vec(),
+            })
+            .collect()
+    }
+}
+
 impl<'a, 'c> TrackCache<'a, 'c> {
     /// Creates a track cache for one observer over `cache`'s catalog,
     /// matching [`crate::candidate_tracks`]' `min_elevation_deg` and
@@ -198,6 +357,7 @@ impl<'a, 'c> TrackCache<'a, 'c> {
             samples_per_slot,
             envelopes: None,
             lines: Vec::new(),
+            path_bounds: Vec::new(),
             discard_below_deg: f64::NAN,
             certify_sine: None,
             last_end: None,
@@ -211,12 +371,19 @@ impl<'a, 'c> TrackCache<'a, 'c> {
     }
 
     /// Candidate set for the slot starting at `slot_start` — bit-identical
-    /// to `candidate_tracks(catalog, observer, slot_start, ...)`.
+    /// to `candidate_tracks(catalog, observer, slot_start, ...)`: the
+    /// slot's candidates with every deferred one materialized.
     pub fn candidate_tracks(&mut self, slot_start: JulianDate) -> Vec<CandidateTrack> {
+        self.slot_candidates(slot_start).into_tracks()
+    }
+
+    /// The slot's candidates — the set [`TrackCache::candidate_tracks`]
+    /// returns, same order, same bits once materialized — with the
+    /// deferrable ones' interiors not yet propagated.
+    pub(crate) fn slot_candidates(&mut self, slot_start: JulianDate) -> SlotCandidates<'_, 'a, 'c> {
         let n = self.samples_per_slot.max(2) as usize;
         let epochs = sample_epochs(slot_start, n as u32);
         let (first, last) = (epochs[0], epochs[n - 1]);
-        let interior = &epochs[1..n - 1];
         self.cover(first, last);
 
         let mut row0 = match self.last_end.take() {
@@ -227,7 +394,9 @@ impl<'a, 'c> TrackCache<'a, 'c> {
             _ => self.boundary_row(first),
         };
         let mut row1 = self.boundary_row(last);
-        let rotations: Vec<Mat3> = interior.iter().map(|t| Mat3::rot_z(t.gmst_rad())).collect();
+        let interior_epochs = epochs[1..n - 1].to_vec();
+        let rotations = interior_epochs.iter().map(|t| Mat3::rot_z(t.gmst_rad())).collect();
+        let interior = Interior { epochs: interior_epochs, rotations };
         // A satellite both rows' keys dismissed is below the cutoff at
         // every sample epoch their proofs cover; if they cover them all,
         // `any_above` would be false.
@@ -237,7 +406,7 @@ impl<'a, 'c> TrackCache<'a, 'c> {
                 .all(|&t| row0.source.dismissed_below_at(t) || row1.source.dismissed_below_at(t));
 
         let sats = self.cache.constellation().sats();
-        let mut out = Vec::new();
+        let mut candidates = Vec::new();
         for (si, sat) in sats.iter().enumerate() {
             if dismissed_through && row0.source.is_dismissed(si) && row1.source.is_dismissed(si) {
                 self.stats.prefiltered += 1;
@@ -259,26 +428,43 @@ impl<'a, 'c> TrackCache<'a, 'c> {
                 }
             }
             self.stats.surviving += 1;
-            self.stats.interior_propagations += interior.len();
-            // Same epochs, same skip-on-failure, same look arithmetic as
-            // the direct path; interior epochs propagate this satellite
-            // alone.
-            let mut samples = Vec::with_capacity(n);
-            samples.extend(head.map(|b| row0.look(&b, &self.topo)));
-            samples.extend(interior.iter().zip(&rotations).filter_map(|(&t, &rotation)| {
-                let teme = sat.published_position(t)?;
-                Some(polar(self.topo.look_angles(rotation * teme)))
-            }));
-            samples.extend(tail.map(|b| row1.look(&b, &self.topo)));
-            let any_above = samples.iter().any(|s| s.elevation_deg >= self.min_elevation_deg);
-            if let Some(track) = finish_track(sat.norad_id, any_above, samples) {
-                out.push(track);
+            let head = head.map(|b| row0.look(&b, &self.topo));
+            let tail = tail.map(|b| row1.look(&b, &self.topo));
+            let path_bound_deg = self.path_bounds[si];
+            let norad_id = sat.norad_id;
+            if let (Some(h), Some(t)) = (head, tail) {
+                if self.defers(h, t) {
+                    self.stats.deferred_unmaterialized += 1;
+                    let (ends, samples) = ((h, t), None);
+                    candidates.push(Candidate { sat: si, norad_id, ends, path_bound_deg, samples });
+                    continue;
+                }
             }
+            self.stats.interior_propagations += interior.epochs.len();
+            let samples = interior.samples(sat, &self.topo, head, tail);
+            let any_above = samples.iter().any(|s| s.elevation_deg >= self.min_elevation_deg);
+            let Some(CandidateTrack { samples, .. }) = finish_track(norad_id, any_above, samples)
+            else {
+                continue;
+            };
+            let (Some(&first), Some(&last)) = (samples.first(), samples.last()) else { continue };
+            let (ends, samples) = ((first, last), Some(samples));
+            candidates.push(Candidate { sat: si, norad_id, ends, path_bound_deg, samples });
         }
 
         self.stats.slots += 1;
         self.last_end = Some(row1);
-        out
+        SlotCandidates { tracks: self, interior, candidates }
+    }
+
+    /// Whether a survivor with both boundary looks can be deferred: both
+    /// in the plot, so they are its first and last in-plot samples, and
+    /// one at or above the cutoff, so it is a candidate whatever its
+    /// interior holds.
+    fn defers(&self, head: PolarSample, tail: PolarSample) -> bool {
+        head.elevation_deg >= RIM_ELEVATION_DEG
+            && tail.elevation_deg >= RIM_ELEVATION_DEG
+            && head.elevation_deg.max(tail.elevation_deg) >= self.min_elevation_deg
     }
 
     /// Makes the discard lines speak for `[first, last]` (module docs).
@@ -302,6 +488,11 @@ impl<'a, 'c> TrackCache<'a, 'c> {
                 Some(e) => cutoff - prefilter_margin_deg(r_o, cutoff, e.r_min_km, e.speed_max_km_s),
                 None => f64::NAN,
             })
+            .collect();
+        self.path_bounds = envelopes
+            .sats()
+            .iter()
+            .map(|e| e.map_or(f64::INFINITY, |e| path_bound_deg(r_o, e.r_min_km, e.speed_max_km_s)))
             .collect();
         self.discard_below_deg = self.lines.iter().copied().fold(f64::NAN, f64::min);
         let line = self.discard_below_deg;
@@ -444,6 +635,18 @@ mod tests {
         }
     }
 
+    /// Ground sites from Iowa to Iceland and the antimeridian, then two
+    /// observers 200 km and 120 km up, a few hundred km under the shells,
+    /// where the margins and path bounds are widest.
+    const SWEEP_SITES: [Geodetic; 6] = [
+        Geodetic::new(41.66, -91.53, 0.2),
+        Geodetic::new(-33.9, 18.4, 0.05),
+        Geodetic::new(64.1, -21.9, 0.1),
+        Geodetic::new(-17.8, 180.0, 0.02),
+        Geodetic::new(30.0, 100.0, 200.0),
+        Geodetic::new(30.0, 100.0, 120.0),
+    ];
+
     #[test]
     fn sweeping_observers_and_cutoffs_stays_exact() {
         // A small property sweep: several sites and elevation cutoffs, a
@@ -466,14 +669,7 @@ mod tests {
             found
         };
         let mini = ConstellationBuilder::starlink_mini().seed(7).build();
-        let sites = [
-            Geodetic::new(41.66, -91.53, 0.2),
-            Geodetic::new(-33.9, 18.4, 0.05),
-            Geodetic::new(64.1, -21.9, 0.1),
-            Geodetic::new(-17.8, 180.0, 0.02),
-            Geodetic::new(30.0, 100.0, 200.0),
-            Geodetic::new(30.0, 100.0, 120.0),
-        ];
+        let sites = SWEEP_SITES;
         for &site in &sites {
             let mut found = 0;
             for &cutoff in &[0.0, 25.0, 40.0, 60.0] {
@@ -525,6 +721,105 @@ mod tests {
             }
         }
         assert!(rising > 0 && setting > 0, "rising {rising}, setting {setting}");
+    }
+
+    /// Checks the ellipse premise (module docs) on every candidate of a
+    /// slot: its first and last in-plot samples are the ends it was
+    /// judged by, and every in-plot sample lies in the ellipse about them
+    /// whose major axis is its path bound. Returns the samples checked
+    /// against a finite bound.
+    fn assert_in_ellipses(slot: &mut SlotCandidates<'_, '_, '_>) -> usize {
+        let mut checked = 0;
+        for i in 0..slot.len() {
+            let (first, last, axis) = slot.ends(i);
+            let samples = slot.samples(i).to_vec();
+            assert_same_tracks(
+                &[CandidateTrack { norad_id: 0, samples: vec![first, last] }],
+                &[CandidateTrack {
+                    norad_id: 0,
+                    samples: vec![samples[0], samples[samples.len() - 1]],
+                }],
+            );
+            let (f, l) = (first.to_cartesian(), last.to_cartesian());
+            for sample in &samples {
+                let p = sample.to_cartesian();
+                let sum = starsense_dtw::euclidean(&p, &f) + starsense_dtw::euclidean(&p, &l);
+                assert!(
+                    sum <= axis,
+                    "{}: {sample:?} sums {sum}° against L = {axis}°",
+                    slot.norad_id(i)
+                );
+                checked += usize::from(axis.is_finite());
+            }
+        }
+        checked
+    }
+
+    #[test]
+    fn every_in_plot_sample_lies_in_its_path_ellipse() {
+        // The sweep's sites and cutoffs on the mini catalog, then gen1 from
+        // the two high observers and 40 slots over Iowa.
+        let first = slot_start(JulianDate::from_ymd_hms(2023, 6, 2, 3, 0, 13.0));
+        let start = |k: usize| slot_start(first.plus_seconds(k as f64 * SLOT_PERIOD_SECONDS + 1.0));
+        let run = |cache: &PropagationCache<'_>, site: Geodetic, cutoff: f64, slots: usize| {
+            let mut tracks = TrackCache::new(cache, site, cutoff, 16);
+            (0..slots)
+                .map(|k| assert_in_ellipses(&mut tracks.slot_candidates(start(k))))
+                .sum::<usize>()
+        };
+        let mini = ConstellationBuilder::starlink_mini().seed(7).build();
+        let mut checked: usize = 0;
+        for &site in &SWEEP_SITES {
+            for cutoff in [0.0, 25.0, 40.0, 60.0] {
+                checked += run(&PropagationCache::new(&mini), site, cutoff, 3);
+            }
+        }
+        let gen1 = ConstellationBuilder::starlink_gen1().seed(1).build();
+        let cache = PropagationCache::new(&gen1);
+        for &high in &SWEEP_SITES[4..] {
+            checked += run(&cache, high, 25.0, 3);
+        }
+        let iowa = SWEEP_SITES[0];
+        checked += run(&cache, iowa, 25.0, 40);
+        assert!(checked > 10_000, "{checked} samples checked");
+
+        // Gen1's bounds from Iowa sit near 17°: well inside the plot's
+        // 130° span, loose against the ~12° an overhead pass runs.
+        let mut tracks = TrackCache::new(&cache, iowa, 25.0, 16);
+        let _ = tracks.slot_candidates(start(0));
+        let finite: Vec<f64> =
+            tracks.path_bounds.iter().copied().filter(|l| l.is_finite()).collect();
+        assert!(finite.len() > gen1.len() / 2);
+        assert!(
+            finite.iter().all(|l| (15.0..20.0).contains(l)),
+            "{:?}",
+            finite.iter().fold((f64::INFINITY, 0.0f64), |(lo, hi), &l| (lo.min(l), hi.max(l)))
+        );
+    }
+
+    #[test]
+    fn deferred_candidates_propagate_only_when_asked() {
+        // Left alone, a deferred candidate costs no interior propagation;
+        // materialized, it costs the eager path's and gives its bits.
+        let c = ConstellationBuilder::starlink_gen1().seed(5).build();
+        let cache = PropagationCache::new(&c);
+        let loc = Geodetic::new(41.66, -91.53, 0.2);
+        let start = slot_start(JulianDate::from_ymd_hms(2023, 6, 1, 16, 0, 13.0));
+        let mut tracks = TrackCache::new(&cache, loc, 25.0, 16);
+        let slot = tracks.slot_candidates(start);
+        let n = slot.len();
+        let deferred = slot.candidates.iter().filter(|c| c.samples.is_none()).count();
+        drop(slot);
+        let s = tracks.stats();
+        assert!(deferred > n / 2, "{deferred} of {n} candidates deferred");
+        assert_eq!(s.deferred_unmaterialized, deferred);
+        assert_eq!(s.interior_propagations, (s.surviving - deferred) * 14);
+
+        let mut again = TrackCache::new(&cache, loc, 25.0, 16);
+        let direct = candidate_tracks(&c, loc, start, 25.0, 16);
+        assert_same_tracks(&direct, &again.candidate_tracks(start));
+        let s = again.stats();
+        assert_eq!((s.deferred_unmaterialized, s.interior_propagations), (0, s.surviving * 14));
     }
 
     /// A satellite whose published TLE is its truth, on an orbit of
